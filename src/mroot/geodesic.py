@@ -26,6 +26,13 @@ from .spray import spray_mroot
 
 __all__ = ["GeodesicPath", "integrate"]
 
+# leaving the box or the admissible cone ends the path; it is not an error
+_EXITS = (DomainError, AdmissibleConeError, DegenerateMetricError)
+
+
+class _Blowup(DegenerateMetricError):
+    """A non-finite spray at an admissible probe: an error, not an exit."""
+
 
 @dataclass(eq=False)
 class GeodesicPath:
@@ -49,7 +56,10 @@ class GeodesicPath:
 
 def _rhs(fld: SymTensorField, x: np.ndarray, y: np.ndarray):
     ev = MetricEval.at(fld, x, y)
-    return y, -2.0 * spray_mroot(ev)
+    ydot = -2.0 * spray_mroot(ev)
+    if not np.isfinite(ydot).all():
+        raise _Blowup(f"geodesic spray became non-finite at x={x.tolist()}")
+    return y, ydot
 
 
 def integrate(fld: SymTensorField, x0, y0, t_end: float,
@@ -58,8 +68,8 @@ def integrate(fld: SymTensorField, x0, y0, t_end: float,
 
     The initial probe must be admissible; errors there propagate.
     Later cone or box exits truncate the path instead.  A non-finite
-    state aborts with a degeneracy error since it indicates blowup
-    inside the admissible region, not a clean exit.
+    spray or state aborts with a degeneracy error since it indicates
+    blowup inside the admissible region, not a clean exit.
     """
     if steps < 1:
         raise ConfigurationError("step count must be >= 1")
@@ -75,7 +85,6 @@ def integrate(fld: SymTensorField, x0, y0, t_end: float,
     ys = [y.copy()]
     speeds = [MetricEval.at(fld, x, y).F]
 
-    exited = False
     reason = None
     for k in range(steps):
         try:
@@ -83,20 +92,19 @@ def integrate(fld: SymTensorField, x0, y0, t_end: float,
             k2x, k2y = _rhs(fld, x + 0.5 * h * k1x, y + 0.5 * h * k1y)
             k3x, k3y = _rhs(fld, x + 0.5 * h * k2x, y + 0.5 * h * k2y)
             k4x, k4y = _rhs(fld, x + h * k3x, y + h * k3y)
-            xn = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            yn = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(yn))):
-                raise DegenerateMetricError(
-                    f"geodesic state became non-finite at t={ts[-1] + h:.6g}")
-            speed = MetricEval.at(fld, xn, yn).F
-        except (DomainError, AdmissibleConeError) as err:
-            exited = True
+        except _Blowup:
+            raise
+        except _EXITS as err:
             reason = err.__class__.__name__
             break
-        except DegenerateMetricError as err:
-            if "non-finite" in str(err):
-                raise
-            exited = True
+        xn = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        yn = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(yn))):
+            raise DegenerateMetricError(
+                f"geodesic state became non-finite at t={ts[-1] + h:.6g}")
+        try:
+            speed = MetricEval.at(fld, xn, yn).F
+        except _EXITS as err:
             reason = err.__class__.__name__
             break
         x, y = xn, yn
@@ -108,4 +116,4 @@ def integrate(fld: SymTensorField, x0, y0, t_end: float,
     return GeodesicPath(
         t=np.array(ts), x=np.array(xs), y=np.array(ys),
         metric_speed=np.array(speeds), step=h,
-        exited=exited, exit_reason=reason)
+        exited=reason is not None, exit_reason=reason)

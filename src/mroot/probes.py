@@ -1,9 +1,10 @@
 """Deterministic probe generation: base points and direction fans.
 
-Sampling uses scrambled Sobol sequences so that probe sets are low
-discrepancy yet fully reproducible from a single integer seed.  Seeds
-are fanned out with numpy's SeedSequence, so the base-point stream and
-every per-base direction fan are independent.
+Sampling uses randomly shifted R_d (Kronecker) sequences so that probe
+sets are low discrepancy yet fully reproducible from a single integer
+seed, with numpy's PCG64 and the standard library as the only sources.
+Seeds are fanned out with numpy's SeedSequence, so the base-point stream
+and every per-base direction fan are independent.
 
 Directions are drawn on the unit sphere and then filtered for
 admissibility: A(x, y) > 0, positive definite y-Hessian, and a bound on
@@ -15,12 +16,10 @@ too small to fill the request.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import (AdmissibleConeError, ConfigurationError,
                      DegenerateMetricError, DomainError)
@@ -36,37 +35,52 @@ __all__ = [
 ]
 
 COND_CAP = 1e6
+_INV_NORMAL = NormalDist().inv_cdf
 
 
-def _sobol_block(d: int, size: int, seed) -> np.ndarray:
-    """First ``size`` rows of a scrambled Sobol block in [0, 1)^d.
+def _rd_alphas(d: int) -> np.ndarray:
+    """Step vector of the R_d sequence: powers of 1/phi_d.
 
-    Draws a full power-of-two block (the balanced way to consume a
-    Sobol sequence) and truncates.
+    phi_d is the unique positive root of x^(d+1) = x + 1 (the golden
+    ratio for d = 1); the fixed-point iteration below is a contraction
+    and converges to double precision well within 64 steps.
+    """
+    phi = 2.0
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (d + 1))
+    return phi ** -np.arange(1.0, d + 1.0)
+
+
+def _kronecker_block(d: int, size: int, seed) -> np.ndarray:
+    """First ``size`` points of a randomly shifted R_d sequence in [0, 1)^d.
+
+    The shift (a Cranley-Patterson rotation) is drawn from a PCG64
+    stream seeded with ``seed``, so every seed gives an independent yet
+    reproducible low-discrepancy block.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    engine = qmc.Sobol(d=d, scramble=True, seed=rng)
-    m = max(1, math.ceil(math.log2(max(size, 1))))
-    block = engine.random_base2(m=m)
-    while block.shape[0] < size:
-        block = np.vstack([block, engine.random_base2(m=m)])
-    return block[:size]
+    shift = rng.random(d)
+    steps = np.arange(1.0, size + 1.0)[:, None] * _rd_alphas(d)
+    return np.mod(shift + steps, 1.0)
+
+
+def _check_fan_size(size: int):
+    if size < 1:
+        raise ConfigurationError(f"fan size must be >= 1, got {size}")
 
 
 def sphere_fan(n: int, size: int, seed) -> np.ndarray:
-    """``size`` unit directions in R^n from a scrambled Sobol stream.
+    """``size`` unit directions in R^n from a shifted R_d stream.
 
     Uniform points in the cube are pushed through the inverse normal
     CDF and normalized, giving a uniform distribution on the sphere.
     For n = 1 the sphere is {+1, -1} and the fan alternates signs.
     """
-    if size < 1:
-        raise ConfigurationError("fan size must be >= 1")
+    _check_fan_size(size)
     if n == 1:
         return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(size)])
-    u = _sobol_block(n, size, seed)
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    z = ndtri(u)
+    u = np.clip(_kronecker_block(n, size, seed), 1e-12, 1.0 - 1e-12)
+    z = np.reshape([_INV_NORMAL(v) for v in u.ravel()], u.shape)
     norms = np.linalg.norm(z, axis=1)
     norms[norms < 1e-12] = 1.0
     return z / norms[:, None]
@@ -74,14 +88,14 @@ def sphere_fan(n: int, size: int, seed) -> np.ndarray:
 
 def base_points(fld: SymTensorField, count: int, seed,
                 margin: float = 0.05) -> np.ndarray:
-    """``count`` Sobol base points strictly inside the domain box.
+    """``count`` low-discrepancy base points strictly inside the domain box.
 
     A relative margin keeps the points away from the box faces so that
     finite differences and short geodesic arcs stay in bounds.
     """
     if count < 1:
         raise ConfigurationError("base point count must be >= 1")
-    u = _sobol_block(fld.n, count, seed)
+    u = _kronecker_block(fld.n, count, seed)
     lo = np.array([b[0] for b in fld.box])
     hi = np.array([b[1] for b in fld.box])
     pad = margin * (hi - lo)
@@ -108,6 +122,7 @@ def admissible_fan(fld: SymTensorField, x, size: int, seed,
     fewer than ``size`` survive after drawing 64x the request, the
     cone is considered too thin and the configuration is rejected.
     """
+    _check_fan_size(size)
     seq = np.random.SeedSequence(seed) if not isinstance(
         seed, np.random.SeedSequence) else seed
     kept = []
@@ -135,6 +150,7 @@ def admissible_at_all(fld: SymTensorField, xs, size: int, seed,
 
     Used by checks that compare the same direction across base points.
     """
+    _check_fan_size(size)
     seq = np.random.SeedSequence(seed) if not isinstance(
         seed, np.random.SeedSequence) else seed
     kept = []

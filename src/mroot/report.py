@@ -8,6 +8,7 @@ produce byte-identical reports.
 
 from __future__ import annotations
 
+import json
 import math
 
 from .errors import ConfigurationError
@@ -30,7 +31,7 @@ def _emit(value, indent: int, out: list):
     elif value is False:
         out.append("false")
     elif isinstance(value, str):
-        out.append('"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(json.dumps(value, ensure_ascii=False))
     elif isinstance(value, int):
         out.append(str(value))
     elif isinstance(value, float):
@@ -44,7 +45,7 @@ def _emit(value, indent: int, out: list):
         for i, (k, v) in enumerate(items):
             if not isinstance(k, str):
                 raise ConfigurationError(f"JSON keys must be strings, got {k!r}")
-            out.append(pad + '  "' + k + '": ')
+            out.append(pad + "  " + json.dumps(k, ensure_ascii=False) + ": ")
             _emit(v, indent + 1, out)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "}")

@@ -58,6 +58,13 @@ def test_isotropic_on_one_dimensional_metric_exits_two(capsys):
     assert "n >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fan", ["0", "-3"])
+def test_non_positive_fan_exits_two_naming_the_size(fan, capsys):
+    assert main(["report-all", path("quartic2"), "--fan", fan]) == 2
+    err = capsys.readouterr().err
+    assert f"fan size must be >= 1, got {fan}" in err
+
+
 def test_bad_usage_exits_two(capsys):
     assert main(["no-such-command", path("quartic2")]) == 2
     assert main(["geodesic", path("funk1"), "--x0", "0"]) == 2

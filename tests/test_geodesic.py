@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from mroot.errors import AdmissibleConeError, ConfigurationError
+import mroot.geodesic
+from mroot.errors import (AdmissibleConeError, ConfigurationError,
+                          DegenerateMetricError)
 from mroot.geodesic import integrate
 
 from conftest import corpus_field
@@ -106,3 +108,12 @@ def test_inadmissible_start_propagates():
     with pytest.raises(AdmissibleConeError):
         integrate(corpus_field("random_cubic3"), [0.0, 0.0, 0.0],
                   [-1.0, -1.0, -1.0], 0.1, 10)
+
+
+def test_non_finite_spray_raises_instead_of_exiting(monkeypatch):
+    # a NaN spray inside the admissible region is a blowup; it must not
+    # be mistaken for the arc leaving the cone at the next stage
+    monkeypatch.setattr(mroot.geodesic, "spray_mroot",
+                        lambda ev: np.full(len(ev.y), np.nan))
+    with pytest.raises(DegenerateMetricError, match="non-finite"):
+        integrate(corpus_field("quartic2"), [0.1, 0.2], [0.6, 0.8], 0.1, 10)

@@ -1,8 +1,14 @@
 """Probe generation: determinism, admissibility, cone handling."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mroot
 from mroot.errors import ConfigurationError
 from mroot.field import SymTensorField
 from mroot.metric import MetricEval
@@ -30,6 +36,31 @@ def test_sphere_fan_one_dimensional_alternates_signs():
 def test_sphere_fan_rejects_empty_request():
     with pytest.raises(ConfigurationError):
         sphere_fan(2, 0, seed=0)
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_fan_size_is_checked_before_drawing(size):
+    fld = corpus_field("quartic2")
+    x = np.zeros(2)
+    message = f"fan size must be >= 1, got {size}"
+    with pytest.raises(ConfigurationError, match=message):
+        sphere_fan(2, size, seed=0)
+    with pytest.raises(ConfigurationError, match=message):
+        admissible_fan(fld, x, size, seed=0)
+    with pytest.raises(ConfigurationError, match=message):
+        admissible_at_all(fld, [x], size, seed=0)
+
+
+def test_importing_mroot_loads_no_scipy():
+    # a fresh interpreter: the test process itself may have scipy loaded
+    src = str(Path(mroot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mroot; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_base_points_respect_margin_and_seed():

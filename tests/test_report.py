@@ -43,6 +43,21 @@ def test_string_escaping():
     assert json.loads(text)["s"] == 'say "hi" \\ bye'
 
 
+@pytest.mark.parametrize("doc", [
+    {"s": "a\tb"},
+    {"s": "line\nbreak\r\x00\x1f"},
+    {'a"b': 1},
+    {"back\\slash\n": {"inner\t": "ok"}},
+])
+def test_control_characters_and_keys_round_trip(doc):
+    assert json.loads(render_json(doc)) == doc
+
+
+def test_non_ascii_text_keeps_its_bytes():
+    text = render_json({"métrique": "θ ∈ (0, 1]"})
+    assert '"métrique": "θ ∈ (0, 1]"' in text
+
+
 def test_empty_containers():
     assert render_json({}) == "{}\n"
     assert render_json([]) == "[]\n"
