@@ -18,6 +18,7 @@ header, built-in default.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -94,6 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args, cfg):
+    """Resolve and validate the run parameters before any work.
+
+    Every subcommand calls this first, so a bad value from a flag or a
+    file header exits 2 even where the subcommand would not use it.
+    """
     seed = args.seed if args.seed is not None else (
         cfg.seed if cfg.seed is not None else 0)
     tol = args.tol if args.tol is not None else (
@@ -101,6 +107,18 @@ def _resolve(args, cfg):
     # overdetermined for every fit that runs downstream
     fan = args.fan if args.fan is not None else 4 * cfg.field.n ** 2
     bases = args.bases if args.bases is not None else DEFAULT_BASES
+    if fan < 1:
+        raise ConfigurationError(f"fan size must be >= 1, got {fan}")
+    if bases < 1:
+        raise ConfigurationError(f"base count must be >= 1, got {bases}")
+    for name, value in (("tol", tol), ("tol_fit", cfg.tol_fit),
+                        ("tol_c", cfg.tol_c), ("tol_e", cfg.tol_e)):
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
+            raise ConfigurationError(
+                f"{name} must be finite and >= 0, got {value!r}")
+    inject_c = getattr(args, "inject_c", 0.0)
+    if not math.isfinite(inject_c):
+        raise ConfigurationError(f"--inject-c must be finite, got {inject_c!r}")
     return seed, tol, fan, bases
 
 
@@ -117,11 +135,16 @@ def _probe_list(fld, cfg, bases, fan, seed):
 
 
 def _emit(report: dict, out_path):
-    """Human table on stdout; machine-readable JSON behind --out."""
+    """Human table on stdout; machine-readable JSON behind --out.
+
+    The JSON is rendered first, so a report that cannot be serialized
+    prints nothing and leaves no file behind.
+    """
+    text = render_json(report) if out_path else None
     sys.stdout.write(render_table(report))
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(render_json(report))
+            fh.write(text)
 
 
 def _base_report(args, cfg, seed, tol, fan, bases) -> dict:
@@ -334,6 +357,7 @@ def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
 
 
 def _cmd_geodesic(args, cfg):
+    _resolve(args, cfg)
     fld = cfg.field
     x0 = _parse_vector(args.x0, fld.n, "--x0")
     y0 = _parse_vector(args.y0, fld.n, "--y0")

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .expr import Expr, Const
 
-__all__ = ["MultiIndex", "SymTensorField"]
+__all__ = ["MultiIndex", "PointArrays", "SymTensorField"]
 
 
 class MultiIndex:
@@ -57,6 +57,19 @@ class MultiIndex:
 
     def __repr__(self):
         return f"MultiIndex{self.indices}"
+
+
+class PointArrays(tuple):
+    """The pair ``(abar, bstack)`` at one base point, plus a memo.
+
+    ``evals`` maps ``y.tobytes()`` to the finished evaluation at this
+    base point; it belongs to :meth:`mroot.metric.MetricEval.at`.
+    """
+
+    def __new__(cls, abar, bstack):
+        self = super().__new__(cls, (abar, bstack))
+        self.evals = {}
+        return self
 
 
 class SymTensorField:
@@ -172,6 +185,11 @@ class SymTensorField:
         ``bstack[l]`` is the dense array of da/dx^l, shape (n,)+(n,)*m.
         All directional derivatives at x are contractions of these two
         arrays with y, so one call serves a whole fan of directions.
+
+        The last 16 base points are cached.  Each entry is a
+        :class:`PointArrays`, which also carries the evaluations that
+        :meth:`mroot.metric.MetricEval.at` memoizes at that base point,
+        so they are evicted with it.  Cached arrays are read-only.
         """
         key = tuple(np.asarray(x, dtype=float).tolist())
         hit = self._point_cache.get(key)
@@ -179,10 +197,12 @@ class SymTensorField:
             return hit
         abar = self.coeff_array(x)
         bstack = np.stack([self.dx(l).coeff_array(x) for l in range(self.n)])
+        abar.setflags(write=False)
+        bstack.setflags(write=False)
         if len(self._point_cache) >= 16:
             self._point_cache.pop(next(iter(self._point_cache)))
-        self._point_cache[key] = (abar, bstack)
-        return abar, bstack
+        entry = self._point_cache[key] = PointArrays(abar, bstack)
+        return entry
 
     def __repr__(self):
         return (f"SymTensorField(n={self.n}, m={self.m}, "

@@ -14,6 +14,7 @@ instead of raising.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,9 @@ def integrate(fld: SymTensorField, x0, y0, t_end: float,
     if steps < 1:
         raise ConfigurationError("step count must be >= 1")
     t_end = float(t_end)
-    if not t_end > 0.0:
-        raise ConfigurationError("integration time must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ConfigurationError(
+            f"integration time must be positive and finite, got {t_end!r}")
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0, dtype=float).copy()
     h = t_end / steps

@@ -11,6 +11,14 @@ which every quantity is a numpy contraction:
 
 Fractional powers of A are evaluated as exp(t*log A), which is valid on
 the admissible cone where A > 0 and keeps odd m well defined.
+
+Each probe is evaluated once per run: :meth:`MetricEval.at` memoizes
+its result in the field's base-point cache (see
+:meth:`mroot.field.SymTensorField.point_arrays`), keyed by the bytes of
+y, and :func:`mroot.spray.spray_eval` stores its result on the
+evaluation.  The memo is bounded by that cache's 16 base points and is
+evicted with them.  A memoized evaluation is shared by every caller, so
+its arrays are read-only.
 """
 
 from __future__ import annotations
@@ -55,7 +63,6 @@ class MetricEval:
       contractions of the x-derivative with the direction.
     """
 
-    field: SymTensorField
     x: np.ndarray
     y: np.ndarray
     n: int
@@ -78,12 +85,19 @@ class MetricEval:
     def __post_init__(self):
         self._ycache = {}
         self._xycache = {}
+        self._spray = None     # set by mroot.spray.spray_eval
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
     def at(cls, fld: SymTensorField, x, y) -> "MetricEval":
         """Evaluate the metric data of ``fld`` at the probe (x, y).
+
+        The result is memoized with the base point x in the field's
+        16-entry :meth:`~mroot.field.SymTensorField.point_arrays` cache,
+        so a repeat call with the same x and the same y bytes returns
+        the identical object.  It holds copies of x and y, and all its
+        arrays are read-only.  Failed evaluations are not memoized.
 
         Raises
         ------
@@ -96,7 +110,12 @@ class MetricEval:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         n, m = fld.n, fld.m
-        abar, bstack = fld.point_arrays(x)
+        point = fld.point_arrays(x)
+        key = y.tobytes()
+        hit = point.evals.get(key)
+        if hit is not None:
+            return hit
+        abar, bstack = point
 
         c2 = _contract(abar, y, m - 2)
         c1 = c2 @ y
@@ -130,10 +149,17 @@ class MetricEval:
             m * A * A_inv + ((m - 2.0) / (m - 1.0)) * np.outer(y, y))
         y_low = (1.0 / m) * math.exp((t - 1.0) * math.log(A)) * A_i
 
-        return cls(field=fld, x=x, y=y, n=n, m=m, A=A, A_i=A_i, A_ij=A_ij,
-                   A_inv=A_inv, A_xl=A_xl, A_xy=A_xy, A0=A0, A0l=A0l,
-                   g=gg, g_inv=g_inv, y_low=y_low, h=hh,
-                   _abar=abar, _bstack=bstack)
+        x, y = x.copy(), y.copy()
+        # abar and bstack are read-only already
+        for arr in (x, y, A_i, A_ij, A_inv, A_xl, A_xy, A0l, gg, g_inv,
+                    y_low, hh):
+            arr.setflags(write=False)
+        ev = cls(x=x, y=y, n=n, m=m, A=A, A_i=A_i, A_ij=A_ij,
+                 A_inv=A_inv, A_xl=A_xl, A_xy=A_xy, A0=A0, A0l=A0l,
+                 g=gg, g_inv=g_inv, y_low=y_low, h=hh,
+                 _abar=abar, _bstack=bstack)
+        point.evals[key] = ev
+        return ev
 
     # -- scalars ----------------------------------------------------------------
 
@@ -147,39 +173,37 @@ class MetricEval:
 
     # -- higher derivatives on demand -------------------------------------------
 
+    def _derivative(self, arr: np.ndarray, k: int, lead: tuple) -> np.ndarray:
+        # perm(m, k) times arr contracted with y in m - k slots; zero
+        # above degree m since A is a degree-m form in y.  Uncached, so
+        # spray_eval can use it without growing a memoized evaluation.
+        if k > self.m:
+            return np.zeros(lead + (self.n,) * k)
+        return np.asarray(float(math.perm(self.m, k))
+                          * _contract(arr, self.y, self.m - k))
+
+    def _cached(self, cache: dict, arr: np.ndarray, k: int, lead: tuple):
+        if k not in cache:
+            out = self._derivative(arr, k, lead)
+            out.setflags(write=False)
+            cache[k] = out
+        return cache[k]
+
     def y_derivative(self, k: int) -> np.ndarray:
         """The k-th y-derivative of A, a symmetric rank-k array.
 
         Vanishes identically for k > m since A is a degree-m form in y.
+        Cached on the evaluation and read-only.
         """
-        k = int(k)
-        if k in self._ycache:
-            return self._ycache[k]
-        if k > self.m:
-            out = np.zeros((self.n,) * k)
-        else:
-            out = float(math.perm(self.m, k)) * _contract(
-                self._abar, self.y, self.m - k)
-            out = np.asarray(out)
-        self._ycache[k] = out
-        return out
+        return self._cached(self._ycache, self._abar, int(k), ())
 
     def dx_y_derivative(self, k: int) -> np.ndarray:
         """Mixed derivative d^(k+1) A / dx^l dy^(k), shape (n,) + (n,)*k.
 
         Index 0 is the x-slot; the trailing k slots are symmetric.
+        Cached like :meth:`y_derivative`.
         """
-        k = int(k)
-        if k in self._xycache:
-            return self._xycache[k]
-        if k > self.m:
-            out = np.zeros((self.n,) + (self.n,) * k)
-        else:
-            out = float(math.perm(self.m, k)) * _contract(
-                self._bstack, self.y, self.m - k)
-            out = np.asarray(out)
-        self._xycache[k] = out
-        return out
+        return self._cached(self._xycache, self._bstack, int(k), (self.n,))
 
 
 def identity_residuals(ev: MetricEval) -> dict:

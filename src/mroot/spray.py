@@ -73,9 +73,7 @@ def _ainv_y_derivatives(ev: MetricEval):
     the derivative slots are the trailing ones and are symmetric.
     """
     N = ev.A_inv
-    T3 = ev.y_derivative(3)
-    T4 = ev.y_derivative(4)
-    T5 = ev.y_derivative(5)
+    T3, T4, T5 = (ev._derivative(ev._abar, k, ()) for k in (3, 4, 5))
 
     N1 = -np.einsum("ia,abl,bj->ijl", N, T3, N)
     N2 = -(np.einsum("iak,abl,bj->ijkl", N1, T3, N)
@@ -117,12 +115,17 @@ def spray_eval(ev: MetricEval) -> SprayEval:
     The chain rule is applied to G^i = P_a A^{ai} / 2 with
     P_a = A_{0a} - A_{x^a}; the y-derivatives of P come from the mixed
     coefficient arrays, those of A^{ai} from :func:`_ainv_y_derivatives`.
+
+    The result is stored on ``ev``, so a repeat call on the same
+    (memoized) evaluation returns the identical, read-only object.  The
+    derivative arrays built on the way are not kept.
     """
+    if ev._spray is not None:
+        return ev._spray
     y = ev.y
-    Bx1 = ev.dx_y_derivative(1)
-    Bx2 = ev.dx_y_derivative(2)
-    Bx3 = ev.dx_y_derivative(3)
-    Bx4 = ev.dx_y_derivative(4)
+    n = ev.n
+    Bx1, Bx2, Bx3, Bx4 = (ev._derivative(ev._bstack, k, (n,))
+                          for k in (1, 2, 3, 4))
 
     P = ev.A0l - ev.A_xl
     dP = Bx1.T + np.einsum("p,paj->aj", y, Bx2) - Bx1
@@ -150,7 +153,10 @@ def spray_eval(ev: MetricEval) -> SprayEval:
                + np.einsum("al,aijk->ijkl", dP, N2)
                + np.einsum("a,aijkl->ijkl", P, N3))
     E = 0.5 * np.einsum("ijki->jk", B)
-    return SprayEval(G=G, dG_dy=dG, d2G_dy2=d2G, B=B, E=E)
+    for arr in (G, dG, d2G, B, E):
+        arr.setflags(write=False)
+    ev._spray = SprayEval(G=G, dG_dy=dG, d2G_dy2=d2G, B=B, E=E)
+    return ev._spray
 
 
 def berwald_fd(fld: SymTensorField, x, y, h: float = None) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 from mroot.classify import classify_dually_flat
 from mroot.cli import main
 from mroot.corpus import CORE
+from mroot.errors import ConfigurationError
 from mroot.geodesic import integrate
 from mroot.metricfile import parse_metric_file
 from mroot.probes import generate_probe_set
@@ -217,3 +218,82 @@ def test_human_table_on_stdout_json_only_behind_out(tmp_path, capsys):
     assert captured.out.startswith("metric:")
     assert "{" not in captured.out
     assert out.read_text().startswith("{")
+
+
+SUBCOMMANDS = [
+    ["identities"], ["spray"], ["curvature"], ["classify-dually-flat"],
+    ["classify-antonelli"], ["classify-isotropic"], ["report-all"],
+    ["geodesic", "--x0", "0,0", "--y0", "1,1", "--t-end", "0.1",
+     "--steps", "4"],
+]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--fan", "0"], "fan size must be >= 1, got 0"),
+    (["--bases", "0"], "base count must be >= 1, got 0"),
+    (["--bases", "-2"], "base count must be >= 1, got -2"),
+    (["--tol", "nan"], "tol must be finite and >= 0, got nan"),
+    (["--tol", "-1"], "tol must be finite and >= 0, got -1.0"),
+    (["--tol", "inf"], "tol must be finite and >= 0, got inf"),
+], ids=["fan_0", "bases_0", "bases_negative", "tol_nan", "tol_negative",
+        "tol_inf"])
+@pytest.mark.parametrize("command", SUBCOMMANDS, ids=lambda c: c[0])
+def test_bad_run_parameters_exit_two_before_any_work(command, flags, message,
+                                                     tmp_path, capsys):
+    out = tmp_path / "r.out"
+    argv = [command[0], path("quartic2")] + command[1:] + flags
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header, message", [
+    ("tol = nan", "tol must be finite and >= 0, got nan"),
+    ("tol_fit = -1e-7", "tol_fit must be finite and >= 0, got -1e-07"),
+    ("tol_c = inf", "tol_c must be finite and >= 0, got inf"),
+    ("tol_e = nan", "tol_e must be finite and >= 0, got nan"),
+], ids=["tol_nan", "tol_fit_negative", "tol_c_inf", "tol_e_nan"])
+@pytest.mark.parametrize("command", SUBCOMMANDS, ids=lambda c: c[0])
+def test_bad_header_tolerances_exit_two(command, header, message, tmp_path,
+                                        capsys):
+    bad = tmp_path / "bad.metric"
+    bad.write_text(header + "\n" + (DATA_DIR / "quartic2.metric").read_text())
+    assert main([command[0], str(bad)] + command[1:]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify-isotropic", path("quartic2"), "--inject-c", "nan"],
+     "--inject-c must be finite, got nan"),
+    (["geodesic", path("funk1"), "--x0", "0", "--y0", "1", "--t-end", "inf",
+      "--steps", "3"], "integration time must be positive and finite, got inf"),
+], ids=["inject_c_nan", "t_end_inf"])
+def test_non_finite_command_values_exit_two(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_explicit_probes_do_not_hide_a_bad_fan(capsys):
+    # funk1_probe's file probes never use the fan, which is still checked
+    assert main(["identities", path("funk1_probe"), "--fan", "0"]) == 2
+    assert "fan size must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_unserializable_report_prints_nothing_and_writes_no_file(
+        tmp_path, capsys, monkeypatch):
+    def broken(report):
+        raise ConfigurationError("cannot serialize this report")
+
+    monkeypatch.setattr("mroot.cli.render_json", broken)
+    out = tmp_path / "r.json"
+    assert main(["identities", path("quartic2"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "cannot serialize this report" in captured.err
+    assert captured.out == ""
+    assert not out.exists()

@@ -1,14 +1,17 @@
 """Metric evaluation: frozen values, structural identities, errors."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from mroot.corpus import CORE, euclid2, funk1, quartic2
+from mroot.corpus import BUILTIN, CORE, euclid2, funk1, quartic2
 from mroot.errors import AdmissibleConeError, DegenerateMetricError
 from mroot.metric import MetricEval, identity_residuals
+from mroot.spray import spray_eval
 
 from conftest import corpus_field, corpus_probes
 
@@ -165,3 +168,81 @@ def test_low_order_y_derivatives_match_fields():
     assert np.allclose(ev.y_derivative(2), ev.A_ij, atol=1e-14)
     assert np.allclose(ev.dx_y_derivative(0), ev.A_xl, atol=1e-14)
     assert np.allclose(ev.dx_y_derivative(1), ev.A_xy, atol=1e-14)
+
+
+# -- the evaluation memo ------------------------------------------------------
+
+def _array_fields(ev):
+    return {f.name: getattr(ev, f.name) for f in dataclasses.fields(ev)
+            if isinstance(getattr(ev, f.name), np.ndarray)}
+
+
+def test_repeat_evaluation_is_the_same_read_only_object():
+    fld = BUILTIN["quartic2_scaled"]()
+    x, y = np.array([0.2, -0.1]), np.array([0.9, 0.7])
+    ev = MetricEval.at(fld, x, y)
+    assert MetricEval.at(fld, x.tolist(), y.tolist()) is ev
+    arrays = _array_fields(ev)
+    assert {"x", "y", "A_i", "A_ij", "A_inv", "g", "g_inv", "h"} <= set(arrays)
+    for name, arr in arrays.items():
+        assert not arr.flags.writeable, name
+    assert not ev.y_derivative(3).flags.writeable
+    with pytest.raises(ValueError):
+        ev.g[0, 0] = 0.0
+
+
+def test_mutating_the_callers_direction_leaves_the_memo_intact():
+    # berwald_fd reuses one buffer for many displaced directions
+    fld = BUILTIN["quartic2_scaled"]()
+    x, y = np.array([0.2, -0.1]), np.array([0.9, 0.7])
+    ev = MetricEval.at(fld, x, y)
+    A = ev.A
+    y[0] += 1e-3
+    x[1] = 0.3
+    assert ev.A == A
+    assert np.array_equal(ev.y, [0.9, 0.7])
+    assert np.array_equal(ev.x, [0.2, -0.1])
+    moved = MetricEval.at(fld, x, y)
+    assert moved is not ev
+    assert np.array_equal(moved.y, y)
+    fresh = MetricEval.at(BUILTIN["quartic2_scaled"](), x, y)
+    assert moved.A == fresh.A
+    assert np.array_equal(moved.A_xl, fresh.A_xl)
+
+
+def test_memo_is_evicted_with_its_base_point():
+    fld = BUILTIN["quartic2_scaled"]()
+    y = [0.9, 0.7]
+    first = MetricEval.at(fld, [0.0, 0.0], y)
+    others = [[0.01 * (k + 1), 0.0] for k in range(16)]
+    for x in others[:15]:
+        MetricEval.at(fld, x, y)
+    # 16 distinct base points: the first is still cached
+    assert MetricEval.at(fld, [0.0, 0.0], y) is first
+    MetricEval.at(fld, others[15], y)
+    # the 17th pushed it out, and its evaluations with it
+    again = MetricEval.at(fld, [0.0, 0.0], y)
+    assert again is not first
+    assert again.A == first.A
+
+
+def test_failed_evaluations_are_not_memoized():
+    fld = BUILTIN["random_cubic3"]()
+    x = [0.0, 0.0, 0.0]
+    for _ in range(2):
+        with pytest.raises(AdmissibleConeError):
+            MetricEval.at(fld, x, [-1.0, -1.0, -1.0])
+    assert all(not point.evals for point in fld._point_cache.values())
+
+
+def test_deleting_a_warm_field_frees_it_without_the_collector():
+    fld = BUILTIN["antonelli_quartic2"]()
+    ev = MetricEval.at(fld, [0.1, -0.2], [1.0, 0.5])
+    spray_eval(ev)
+    ref = weakref.ref(fld)
+    gc.disable()
+    try:
+        del fld, ev
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from mroot.corpus import CORE, antonelli_quartic2, funk1, quartic2
+from mroot.classify import (classify_antonelli, classify_dually_flat,
+                            classify_isotropic, riemann_corollary_check,
+                            weakly_berwald_check)
+from mroot.corpus import BUILTIN, CORE, antonelli_quartic2, funk1, quartic2
 from mroot.metric import MetricEval
 from mroot.spray import (berwald_fd, d_ainv_dy, spray_eval, spray_mroot,
                          spray_variational)
@@ -181,3 +184,50 @@ def test_spray_eval_gradient_matches_fd():
         fd = (spray_mroot(MetricEval.at(fld, p.x, yp))
               - spray_mroot(MetricEval.at(fld, p.x, ym))) / (2.0 * h)
         assert np.allclose(sp.dG_dy[:, j], fd, atol=1e-8 * (1 + np.abs(fd).max()))
+
+
+def test_spray_eval_is_stored_on_the_evaluation():
+    fld = BUILTIN["random_cubic3"]()
+    p = next(corpus_probes("random_cubic3", bases=1, fan=2).probes())
+    ev = MetricEval.at(fld, p.x, p.y)
+    sp = spray_eval(ev)
+    assert spray_eval(MetricEval.at(fld, p.x, p.y)) is sp
+    for arr in (sp.G, sp.dG_dy, sp.d2G_dy2, sp.B, sp.E):
+        assert not arr.flags.writeable
+    # the T3-T5 and Bx1-Bx4 intermediates are not kept on the evaluation
+    assert ev._ycache == {} and ev._xycache == {}
+
+
+def _verdicts(fld, ps, order):
+    checks = {
+        "dually_flat": lambda: classify_dually_flat(fld, ps),
+        "riemann": lambda: riemann_corollary_check(fld, ps),
+        "antonelli": lambda: classify_antonelli(fld, ps, seed=3),
+        "weakly_berwald": lambda: weakly_berwald_check(fld, ps),
+        "isotropic": lambda: classify_isotropic(fld, ps),
+    }
+    if fld.m != 2:
+        del checks["riemann"]
+    if fld.n < 2:
+        del checks["isotropic"]
+    out = {}
+    for name in order:
+        if name in checks:
+            v = checks[name]()
+            out[name] = {"name": v.name, "passed": v.passed,
+                         "residual": v.residual, "tol": v.tol,
+                         "details": v.details}
+    return out
+
+
+@pytest.mark.parametrize("name", ["hessian2", "antonelli_quartic2",
+                                  "quartic2_scaled", "random_cubic3", "funk1"])
+def test_classify_verdicts_do_not_depend_on_a_warm_memo(name):
+    order = ["dually_flat", "riemann", "antonelli", "weakly_berwald",
+             "isotropic"]
+    ps = corpus_probes(name, bases=3, fan=6)
+    cold = {}
+    for check in order:
+        cold.update(_verdicts(BUILTIN[name](), ps, [check]))
+    warm = _verdicts(BUILTIN[name](), ps, order[::-1])
+    assert cold == warm
