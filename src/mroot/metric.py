@@ -173,18 +173,19 @@ class MetricEval:
 
     # -- higher derivatives on demand -------------------------------------------
 
-    def _derivative(self, arr: np.ndarray, k: int, lead: tuple) -> np.ndarray:
-        # perm(m, k) times arr contracted with y in m - k slots; zero
-        # above degree m since A is a degree-m form in y.  Uncached, so
-        # spray_eval can use it without growing a memoized evaluation.
+    def _derivative(self, arr: np.ndarray, k: int) -> np.ndarray:
+        # perm(m, k) times arr (_abar or _bstack) contracted with y in
+        # m - k slots; zero above degree m since A is a degree-m form in
+        # y.  Uncached, so spray_eval can use it without growing a
+        # memoized evaluation.
         if k > self.m:
-            return np.zeros(lead + (self.n,) * k)
+            return np.zeros(arr.shape[:-self.m] + (self.n,) * k)
         return np.asarray(float(math.perm(self.m, k))
                           * _contract(arr, self.y, self.m - k))
 
-    def _cached(self, cache: dict, arr: np.ndarray, k: int, lead: tuple):
+    def _cached(self, cache: dict, arr: np.ndarray, k: int):
         if k not in cache:
-            out = self._derivative(arr, k, lead)
+            out = self._derivative(arr, k)
             out.setflags(write=False)
             cache[k] = out
         return cache[k]
@@ -195,7 +196,7 @@ class MetricEval:
         Vanishes identically for k > m since A is a degree-m form in y.
         Cached on the evaluation and read-only.
         """
-        return self._cached(self._ycache, self._abar, int(k), ())
+        return self._cached(self._ycache, self._abar, int(k))
 
     def dx_y_derivative(self, k: int) -> np.ndarray:
         """Mixed derivative d^(k+1) A / dx^l dy^(k), shape (n,) + (n,)*k.
@@ -203,7 +204,7 @@ class MetricEval:
         Index 0 is the x-slot; the trailing k slots are symmetric.
         Cached like :meth:`y_derivative`.
         """
-        return self._cached(self._xycache, self._bstack, int(k), (self.n,))
+        return self._cached(self._xycache, self._bstack, int(k))
 
 
 def identity_residuals(ev: MetricEval) -> dict:

@@ -73,7 +73,7 @@ def _ainv_y_derivatives(ev: MetricEval):
     the derivative slots are the trailing ones and are symmetric.
     """
     N = ev.A_inv
-    T3, T4, T5 = (ev._derivative(ev._abar, k, ()) for k in (3, 4, 5))
+    T3, T4, T5 = (ev._derivative(ev._abar, k) for k in (3, 4, 5))
 
     N1 = -np.einsum("ia,abl,bj->ijl", N, T3, N)
     N2 = -(np.einsum("iak,abl,bj->ijkl", N1, T3, N)
@@ -123,9 +123,7 @@ def spray_eval(ev: MetricEval) -> SprayEval:
     if ev._spray is not None:
         return ev._spray
     y = ev.y
-    n = ev.n
-    Bx1, Bx2, Bx3, Bx4 = (ev._derivative(ev._bstack, k, (n,))
-                          for k in (1, 2, 3, 4))
+    Bx1, Bx2, Bx3, Bx4 = (ev._derivative(ev._bstack, k) for k in (1, 2, 3, 4))
 
     P = ev.A0l - ev.A_xl
     dP = Bx1.T + np.einsum("p,paj->aj", y, Bx2) - Bx1
