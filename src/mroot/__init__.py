@@ -20,8 +20,8 @@ from .spray import (SprayEval, berwald_fd, d_ainv_dy, spray_eval,
                     spray_mroot, spray_variational)
 from .probes import (ProbeSet, admissible_fan, base_points,
                      generate_probe_set, sphere_fan)
-from .classify import (AntonelliConnection, ClassifierVerdict, IsotropicFit,
-                       OneForm, classify_antonelli, classify_dually_flat,
+from .classify import (ClassifierVerdict, IsotropicFit, OneForm,
+                       classify_antonelli, classify_dually_flat,
                        classify_isotropic, dually_flat_residual,
                        isotropic_fit, recover_theta, riemann_corollary_check,
                        weakly_berwald_check)
@@ -43,7 +43,7 @@ __all__ = [
     "d_ainv_dy", "berwald_fd",
     "ProbeSet", "sphere_fan", "base_points", "admissible_fan",
     "generate_probe_set",
-    "ClassifierVerdict", "OneForm", "AntonelliConnection", "IsotropicFit",
+    "ClassifierVerdict", "OneForm", "IsotropicFit",
     "dually_flat_residual", "recover_theta", "classify_dually_flat",
     "riemann_corollary_check", "classify_antonelli", "weakly_berwald_check",
     "isotropic_fit", "classify_isotropic",

@@ -27,7 +27,6 @@ from .spray import spray_eval, spray_mroot
 __all__ = [
     "ClassifierVerdict",
     "OneForm",
-    "AntonelliConnection",
     "IsotropicFit",
     "dually_flat_residual",
     "recover_theta",
@@ -40,6 +39,10 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-7
+# isotropic mean Berwald check: fit, scale and mean Berwald tolerances
+DEFAULT_TOL_FIT = 1e-7
+DEFAULT_TOL_C = 1e-6
+DEFAULT_TOL_E = 1e-6
 
 
 @dataclass(eq=False)
@@ -217,24 +220,6 @@ def riemann_corollary_check(fld: SymTensorField, probes: ProbeSet,
 # direction-only sprays
 
 
-@dataclass(eq=False)
-class AntonelliConnection:
-    """Connection data frozen at a reference base point.
-
-    For a direction-only spray the connection coefficients
-    Gamma^i_{lk}(y) and the Berwald tensor depend on y alone, so the
-    reference point determines them everywhere.
-    """
-
-    x_ref: np.ndarray
-    field: SymTensorField
-
-    def coefficients(self, y):
-        ev = MetricEval.at(self.field, self.x_ref, y)
-        sp = spray_eval(ev)
-        return sp.d2G_dy2, sp.B
-
-
 def classify_antonelli(fld: SymTensorField, probes: ProbeSet,
                        tol: float = DEFAULT_TOL,
                        seed=0) -> ClassifierVerdict:
@@ -256,7 +241,6 @@ def classify_antonelli(fld: SymTensorField, probes: ProbeSet,
         raise ConfigurationError(
             "the direction-only spray check needs at least 2 base points")
     x_ref = probes.bases[0]
-    conn = AntonelliConnection(x_ref=x_ref, field=fld)
     fan_size = max(len(f) for f in probes.fans)
     # independent of the probe-set streams: same entropy, distinct key
     seq = np.random.SeedSequence(seed, spawn_key=(7,))
@@ -274,7 +258,10 @@ def classify_antonelli(fld: SymTensorField, probes: ProbeSet,
             G_b = spray_mroot(ev_b)
             shift = max(shift, float(np.max(np.abs(G_ref - G_b)))
                         / (1.0 + float(np.max(np.abs(G_ref)))))
-            Gam, B = conn.coefficients(y)
+            # the connection frozen at the reference point (this repeat
+            # evaluation of ev_ref's probe is a memo hit)
+            sp = spray_eval(MetricEval.at(fld, x_ref, y))
+            Gam, B = sp.d2G_dy2, sp.B
             transport = (np.einsum("ilk,k->il", Gam, y)
                          + 0.5 * np.einsum("ijkl,j,k->il", B, y, y))
             pred = transport.T @ ev_b.A_i
@@ -377,8 +364,9 @@ def isotropic_fit(fld: SymTensorField, probes: ProbeSet,
 
 
 def classify_isotropic(fld: SymTensorField, probes: ProbeSet,
-                       tol_fit: float = 1e-7, tol_c: float = 1e-6,
-                       tol_e: float = 1e-6,
+                       tol_fit: float = DEFAULT_TOL_FIT,
+                       tol_c: float = DEFAULT_TOL_C,
+                       tol_e: float = DEFAULT_TOL_E,
                        inject_c: float = 0.0) -> ClassifierVerdict:
     """Decide the isotropic mean Berwald property and its collapse.
 

@@ -2,8 +2,14 @@
 
 Every subcommand reads a metric file, runs one family of checks and
 prints a human-readable verdict table to stdout; ``--out`` additionally
-writes the full report as deterministic JSON.  ``geodesic`` writes CSV
-samples instead, with a one-line summary on stderr.  Exit codes:
+writes the full report as deterministic JSON.  The check table
+``_CHECKS`` maps each check subcommand to an ordered tuple of check
+functions, and ``_cmd_checks`` runs that tuple over one resolved run:
+a check returns a verdict, or None where it does not apply (the m = 2
+corollary before dual flatness holds, the isotropic check in
+``report-all`` when n = 1).  ``report-all`` runs every check.
+``geodesic`` writes CSV samples instead, with a one-line summary on
+stderr.  Exit codes:
 
 * 0 - all executed verdicts passed,
 * 1 - at least one verdict failed,
@@ -20,18 +26,21 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .classify import (DEFAULT_TOL, classify_antonelli, classify_dually_flat,
-                       classify_isotropic, riemann_corollary_check,
-                       weakly_berwald_check)
+from .classify import (DEFAULT_TOL, DEFAULT_TOL_C, DEFAULT_TOL_E,
+                       DEFAULT_TOL_FIT, ClassifierVerdict, classify_antonelli,
+                       classify_dually_flat, classify_isotropic,
+                       riemann_corollary_check, weakly_berwald_check)
 from .errors import (AdmissibleConeError, ConfigurationError,
                      DegenerateMetricError, DomainError, MetricFileError)
+from .field import SymTensorField
 from .geodesic import integrate
 from .metric import MetricEval, identity_residuals
 from .metricfile import parse_metric_file
-from .probes import generate_probe_set
+from .probes import ProbeSet, generate_probe_set
 from .report import render_json, render_table
 from .spray import spray_eval, spray_mroot, spray_variational
 
@@ -94,44 +103,65 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args, cfg):
+@dataclass(eq=False)
+class _Run:
+    """One resolved run: parameters, probes and the verdicts so far.
+
+    ``report`` holds the report keys that precede the verdicts;
+    ``verdicts`` maps each verdict name to its verdict, in run order.
+    """
+
+    fld: SymTensorField
+    seed: int
+    tol: float
+    fan: int
+    bases: int
+    tol_fit: float
+    tol_c: float
+    tol_e: float
+    inject_c: float
+    explicit: bool
+    probe_set: ProbeSet = None
+    probes: list = None
+    report: dict = dc_field(default_factory=dict)
+    verdicts: dict = dc_field(default_factory=dict)
+
+
+def _first(*values):
+    return next(v for v in values if v is not None)
+
+
+def _resolve(args, cfg) -> _Run:
     """Resolve and validate the run parameters before any work.
 
     Every subcommand calls this first, so a bad value from a flag or a
     file header exits 2 even where the subcommand would not use it.
     """
-    seed = args.seed if args.seed is not None else (
-        cfg.seed if cfg.seed is not None else 0)
-    tol = args.tol if args.tol is not None else (
-        cfg.tol if cfg.tol is not None else DEFAULT_TOL)
-    # overdetermined for every fit that runs downstream
-    fan = args.fan if args.fan is not None else 4 * cfg.field.n ** 2
-    bases = args.bases if args.bases is not None else DEFAULT_BASES
-    if fan < 1:
-        raise ConfigurationError(f"fan size must be >= 1, got {fan}")
-    if bases < 1:
-        raise ConfigurationError(f"base count must be >= 1, got {bases}")
-    for name, value in (("tol", tol), ("tol_fit", cfg.tol_fit),
-                        ("tol_c", cfg.tol_c), ("tol_e", cfg.tol_e)):
-        if value is not None and not (math.isfinite(value) and value >= 0.0):
+    run = _Run(
+        fld=cfg.field,
+        seed=_first(args.seed, cfg.seed, 0),
+        tol=_first(args.tol, cfg.tol, DEFAULT_TOL),
+        # overdetermined for every fit that runs downstream
+        fan=_first(args.fan, 4 * cfg.field.n ** 2),
+        bases=_first(args.bases, DEFAULT_BASES),
+        tol_fit=_first(cfg.tol_fit, DEFAULT_TOL_FIT),
+        tol_c=_first(cfg.tol_c, DEFAULT_TOL_C),
+        tol_e=_first(cfg.tol_e, DEFAULT_TOL_E),
+        inject_c=getattr(args, "inject_c", 0.0),
+        explicit=bool(cfg.probes))
+    if run.fan < 1:
+        raise ConfigurationError(f"fan size must be >= 1, got {run.fan}")
+    if run.bases < 1:
+        raise ConfigurationError(f"base count must be >= 1, got {run.bases}")
+    for name in ("tol", "tol_fit", "tol_c", "tol_e"):
+        value = getattr(run, name)
+        if not (math.isfinite(value) and value >= 0.0):
             raise ConfigurationError(
                 f"{name} must be finite and >= 0, got {value!r}")
-    inject_c = getattr(args, "inject_c", 0.0)
-    if not math.isfinite(inject_c):
-        raise ConfigurationError(f"--inject-c must be finite, got {inject_c!r}")
-    return seed, tol, fan, bases
-
-
-def _probe_list(fld, cfg, bases, fan, seed):
-    """Explicit probes from the file if any, else a generated set.
-
-    Explicit probes are evaluated strictly: an inadmissible one raises
-    instead of being filtered.
-    """
-    if cfg.probes:
-        return list(cfg.probes), True
-    ps = generate_probe_set(fld, bases, fan, seed)
-    return list(ps.probes()), False
+    if not math.isfinite(run.inject_c):
+        raise ConfigurationError(
+            f"--inject-c must be finite, got {run.inject_c!r}")
+    return run
 
 
 def _emit(report: dict, out_path):
@@ -147,58 +177,57 @@ def _emit(report: dict, out_path):
             fh.write(text)
 
 
-def _base_report(args, cfg, seed, tol, fan, bases) -> dict:
-    return {
-        "command": args.command,
-        "metric": args.metric,
-        "n": cfg.field.n,
-        "m": cfg.field.m,
-        "seed": seed,
-        "tol": tol,
-        "fan": fan,
-        "bases": bases,
-    }
+# ---------------------------------------------------------------------------
+# checks: each takes the run and returns a verdict, or None when it does
+# not apply to this metric
 
 
-def _verdict_dict(v) -> dict:
-    return {"name": v.name, "passed": bool(v.passed),
-            "residual": float(v.residual), "tol": float(v.tol),
-            "details": v.details}
-
-
-def _identity_block(fld, probes, tol):
+def _identities(run):
     worst = {}
-    for p in probes:
-        res = identity_residuals(MetricEval.at(fld, p.x, p.y))
+    for p in run.probes:
+        res = identity_residuals(MetricEval.at(run.fld, p.x, p.y))
         for k, v in res.items():
             worst[k] = max(worst.get(k, 0.0), v)
-    residual = max(worst.values())
-    verdict = {"name": "identities", "passed": bool(residual <= tol),
-               "residual": float(residual), "tol": float(tol),
-               "details": dict(worst)}
-    return verdict
+    residual = float(max(worst.values()))
+    return ClassifierVerdict("identities", residual <= run.tol, residual,
+                             run.tol, worst)
 
 
-def _spray_block(fld, probes, tol):
+def _spray(run):
     residual = 0.0
-    for p in probes:
-        ev = MetricEval.at(fld, p.x, p.y)
+    for p in run.probes:
+        ev = MetricEval.at(run.fld, p.x, p.y)
         g1 = spray_mroot(ev)
         g2 = spray_variational(ev)
         residual = max(residual, float(np.max(np.abs(g1 - g2)))
                        / (1.0 + float(np.max(np.abs(g1)))))
-    return {"name": "spray_agreement", "passed": bool(residual <= tol),
-            "residual": float(residual), "tol": float(tol), "details": {}}
+    return ClassifierVerdict("spray_agreement", residual <= run.tol,
+                             residual, run.tol)
 
 
-def _curvature_block(fld, probes, tol):
+def _spray_samples(run):
+    """The spray at each explicit probe, as report samples."""
+    if run.explicit:
+        samples = []
+        for p in run.probes:
+            ev = MetricEval.at(run.fld, p.x, p.y)
+            samples.append({
+                "x": [float(v) for v in p.x],
+                "y": [float(v) for v in p.y],
+                "G": [float(v) for v in spray_mroot(ev)],
+            })
+        run.report["samples"] = samples
+    return None
+
+
+def _curvature(run):
     sym = 0.0
     contract = 0.0
     esym = 0.0
     max_B = 0.0
     max_E = 0.0
-    for p in probes:
-        ev = MetricEval.at(fld, p.x, p.y)
+    for p in run.probes:
+        ev = MetricEval.at(run.fld, p.x, p.y)
         sp = spray_eval(ev)
         B, E = sp.B, sp.E
         scale = 1.0 + float(np.max(np.abs(B)))
@@ -212,134 +241,87 @@ def _curvature_block(fld, probes, tol):
         max_B = max(max_B, float(np.max(np.abs(B))))
         max_E = max(max_E, float(np.max(np.abs(E))))
     residual = max(sym, contract, esym)
-    return {"name": "curvature_consistency", "passed": bool(residual <= tol),
-            "residual": float(residual), "tol": float(tol),
-            "details": {"berwald_symmetry": sym,
-                        "berwald_y_contraction": contract,
-                        "mean_symmetry": esym,
-                        "max_berwald": max_B,
-                        "max_mean_berwald": max_E}}
+    return ClassifierVerdict("curvature_consistency", residual <= run.tol,
+                             residual, run.tol,
+                             {"berwald_symmetry": sym,
+                              "berwald_y_contraction": contract,
+                              "mean_symmetry": esym,
+                              "max_berwald": max_B,
+                              "max_mean_berwald": max_E})
 
 
-def _cmd_identities(args, cfg):
-    seed, tol, fan, bases = _resolve(args, cfg)
-    probes, explicit = _probe_list(cfg.field, cfg, bases, fan, seed)
-    verdict = _identity_block(cfg.field, probes, tol)
-    report = _base_report(args, cfg, seed, tol, fan, bases)
-    report["explicit_probes"] = explicit
-    report["probe_count"] = len(probes)
-    report["verdicts"] = [verdict]
-    report["overall"] = verdict["passed"]
-    _emit(report, args.out)
-    return 0 if report["overall"] else 1
+def _dually_flat(run):
+    return classify_dually_flat(run.fld, run.probe_set, run.tol)
 
 
-def _cmd_spray(args, cfg):
-    seed, tol, fan, bases = _resolve(args, cfg)
-    probes, explicit = _probe_list(cfg.field, cfg, bases, fan, seed)
-    verdict = _spray_block(cfg.field, probes, tol)
-    samples = []
-    if explicit:
-        for p in probes:
-            ev = MetricEval.at(cfg.field, p.x, p.y)
-            samples.append({
-                "x": [float(v) for v in p.x],
-                "y": [float(v) for v in p.y],
-                "G": [float(v) for v in spray_mroot(ev)],
-            })
-    report = _base_report(args, cfg, seed, tol, fan, bases)
-    report["explicit_probes"] = explicit
-    report["probe_count"] = len(probes)
-    if samples:
-        report["samples"] = samples
-    report["verdicts"] = [verdict]
-    report["overall"] = verdict["passed"]
-    _emit(report, args.out)
-    return 0 if report["overall"] else 1
+def _riemann(run):
+    """The quadratic-case corollary, once dual flatness and theta hold."""
+    df = run.verdicts["dually_flat"]
+    if run.fld.m == 2 and df.passed and df.details.get("theta_consistent"):
+        return riemann_corollary_check(run.fld, run.probe_set, run.tol)
+    return None
 
 
-def _cmd_curvature(args, cfg):
-    seed, tol, fan, bases = _resolve(args, cfg)
-    probes, explicit = _probe_list(cfg.field, cfg, bases, fan, seed)
-    verdict = _curvature_block(cfg.field, probes, tol)
-    report = _base_report(args, cfg, seed, tol, fan, bases)
-    report["explicit_probes"] = explicit
-    report["probe_count"] = len(probes)
-    report["verdicts"] = [verdict]
-    report["overall"] = verdict["passed"]
-    _emit(report, args.out)
-    return 0 if report["overall"] else 1
+def _antonelli(run):
+    return classify_antonelli(run.fld, run.probe_set, run.tol, seed=run.seed)
 
 
-def _classifier_common(args, cfg, runner):
-    seed, tol, fan, bases = _resolve(args, cfg)
-    ps = generate_probe_set(cfg.field, bases, fan, seed)
-    verdict = runner(cfg.field, ps, seed, tol)
-    report = _base_report(args, cfg, seed, tol, fan, bases)
-    report["verdicts"] = [_verdict_dict(verdict)]
-    report["overall"] = bool(verdict.passed)
-    _emit(report, args.out)
-    return 0 if verdict.passed else 1
+def _weakly_berwald(run):
+    return weakly_berwald_check(run.fld, run.probe_set, run.tol)
 
 
-def _cmd_dually_flat(args, cfg):
-    return _classifier_common(
-        args, cfg,
-        lambda fld, ps, seed, tol: classify_dually_flat(fld, ps, tol))
+def _isotropic(run):
+    return classify_isotropic(run.fld, run.probe_set, tol_fit=run.tol_fit,
+                              tol_c=run.tol_c, tol_e=run.tol_e,
+                              inject_c=run.inject_c)
 
 
-def _cmd_antonelli(args, cfg):
-    return _classifier_common(
-        args, cfg,
-        lambda fld, ps, seed, tol: classify_antonelli(fld, ps, tol, seed=seed))
+def _isotropic_if_n_ge_2(run):
+    # the isotropic collapse statement assumes n >= 2
+    return _isotropic(run) if run.fld.n >= 2 else None
 
 
-def _cmd_isotropic(args, cfg):
-    seed, tol, fan, bases = _resolve(args, cfg)
-    ps = generate_probe_set(cfg.field, bases, fan, seed)
-    verdict = classify_isotropic(
-        cfg.field, ps,
-        tol_fit=cfg.tol_fit if cfg.tol_fit is not None else 1e-7,
-        tol_c=cfg.tol_c if cfg.tol_c is not None else 1e-6,
-        tol_e=cfg.tol_e if cfg.tol_e is not None else 1e-6,
-        inject_c=args.inject_c)
-    report = _base_report(args, cfg, seed, tol, fan, bases)
-    report["verdicts"] = [_verdict_dict(verdict)]
-    report["overall"] = bool(verdict.passed)
-    _emit(report, args.out)
-    return 0 if verdict.passed else 1
+# checks that read the probe list, explicit probes included; the others
+# read the generated probe set
+_ON_PROBE_LIST = frozenset({_identities, _spray, _spray_samples, _curvature})
+
+_CHECKS = {
+    "identities": (_identities,),
+    "spray": (_spray, _spray_samples),
+    "curvature": (_curvature,),
+    "classify-dually-flat": (_dually_flat,),
+    "classify-antonelli": (_antonelli,),
+    "classify-isotropic": (_isotropic,),
+    "report-all": (_identities, _spray, _curvature, _dually_flat, _riemann,
+                   _antonelli, _weakly_berwald, _isotropic_if_n_ge_2),
+}
 
 
-def _cmd_report_all(args, cfg):
-    seed, tol, fan, bases = _resolve(args, cfg)
-    fld = cfg.field
-    ps = generate_probe_set(fld, bases, fan, seed)
-    probes = list(cfg.probes) if cfg.probes else list(ps.probes())
-
-    verdicts = [
-        _identity_block(fld, probes, tol),
-        _spray_block(fld, probes, tol),
-        _curvature_block(fld, probes, tol),
-    ]
-    df = classify_dually_flat(fld, ps, tol)
-    verdicts.append(_verdict_dict(df))
-    if fld.m == 2 and df.passed and df.details.get("theta_consistent"):
-        verdicts.append(_verdict_dict(riemann_corollary_check(fld, ps, tol)))
-    verdicts.append(_verdict_dict(classify_antonelli(fld, ps, tol, seed=seed)))
-    verdicts.append(_verdict_dict(weakly_berwald_check(fld, ps, tol)))
-    if fld.n >= 2:
-        # the isotropic collapse statement assumes n >= 2
-        verdicts.append(_verdict_dict(classify_isotropic(
-            fld, ps,
-            tol_fit=cfg.tol_fit if cfg.tol_fit is not None else 1e-7,
-            tol_c=cfg.tol_c if cfg.tol_c is not None else 1e-6,
-            tol_e=cfg.tol_e if cfg.tol_e is not None else 1e-6)))
-
-    report = _base_report(args, cfg, seed, tol, fan, bases)
-    report["explicit_probes"] = bool(cfg.probes)
-    report["probe_count"] = len(probes)
-    report["verdicts"] = verdicts
-    report["overall"] = all(v["passed"] for v in verdicts)
+def _cmd_checks(args, cfg):
+    """Run the subcommand's checks in order and emit one report."""
+    run = _resolve(args, cfg)
+    checks = _CHECKS[args.command]
+    on_list = _ON_PROBE_LIST.intersection(checks)
+    # explicit probes replace the generated set only where every check
+    # reads the probe list
+    if not (run.explicit and len(on_list) == len(checks)):
+        run.probe_set = generate_probe_set(run.fld, run.bases, run.fan,
+                                           run.seed)
+    run.report = {"command": args.command, "metric": args.metric,
+                  "n": run.fld.n, "m": run.fld.m, "seed": run.seed,
+                  "tol": run.tol, "fan": run.fan, "bases": run.bases}
+    if on_list:
+        run.probes = (list(cfg.probes) if run.explicit
+                      else list(run.probe_set.probes()))
+        run.report["explicit_probes"] = run.explicit
+        run.report["probe_count"] = len(run.probes)
+    for check in checks:
+        verdict = check(run)
+        if verdict is not None:
+            run.verdicts[verdict.name] = verdict
+    report = run.report
+    report["verdicts"] = [asdict(v) for v in run.verdicts.values()]
+    report["overall"] = all(v.passed for v in run.verdicts.values())
     _emit(report, args.out)
     return 0 if report["overall"] else 1
 
@@ -353,6 +335,9 @@ def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
     if len(vals) != n:
         raise ConfigurationError(
             f"{what} needs {n} components, got {len(vals)}")
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigurationError(
+            f"{what} components must be finite, got {text!r}")
     return np.array(vals)
 
 
@@ -384,18 +369,6 @@ def _cmd_geodesic(args, cfg):
     return 0
 
 
-_COMMANDS = {
-    "identities": _cmd_identities,
-    "spray": _cmd_spray,
-    "curvature": _cmd_curvature,
-    "classify-dually-flat": _cmd_dually_flat,
-    "classify-antonelli": _cmd_antonelli,
-    "classify-isotropic": _cmd_isotropic,
-    "report-all": _cmd_report_all,
-    "geodesic": _cmd_geodesic,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -404,7 +377,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         cfg = parse_metric_file(args.metric)
-        return _COMMANDS[args.command](args, cfg)
+        if args.command == "geodesic":
+            return _cmd_geodesic(args, cfg)
+        return _cmd_checks(args, cfg)
     except (MetricFileError, ConfigurationError, DomainError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2

@@ -28,6 +28,7 @@ All syntax errors carry 1-based line and column positions.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field as dc_field
 
@@ -173,10 +174,14 @@ def _strip_comment(line: str) -> str:
 def _parse_floats(text: str, line: int, col: int, what: str) -> list:
     parts = text.replace(",", " ").split()
     try:
-        return [float(p) for p in parts]
+        vals = [float(p) for p in parts]
     except ValueError:
         raise MetricFileError(f"malformed {what}: {text.strip()!r}",
                               line=line, column=col)
+    if not all(math.isfinite(v) for v in vals):
+        raise MetricFileError(f"non-finite number in {what}: "
+                              f"{text.strip()!r}", line=line, column=col)
+    return vals
 
 
 def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:

@@ -114,41 +114,14 @@ def _admissible(fld: SymTensorField, x, y, cond_cap: float):
     return ev
 
 
-def admissible_fan(fld: SymTensorField, x, size: int, seed,
-                   cond_cap: float = COND_CAP) -> np.ndarray:
-    """``size`` admissible unit directions at the base point x.
+def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
+                     cond_cap: float, where: str) -> np.ndarray:
+    """``size`` sphere directions admissible at every point of ``xs``.
 
     Sphere directions are drawn in growing batches and filtered; if
     fewer than ``size`` survive after drawing 64x the request, the
-    cone is considered too thin and the configuration is rejected.
-    """
-    _check_fan_size(size)
-    seq = np.random.SeedSequence(seed) if not isinstance(
-        seed, np.random.SeedSequence) else seed
-    kept = []
-    drawn = 0
-    batch = max(size, 4)
-    for child in seq.spawn(64):
-        dirs = sphere_fan(fld.n, batch, child)
-        drawn += len(dirs)
-        for y in dirs:
-            if _admissible(fld, x, y, cond_cap) is not None:
-                kept.append(y)
-                if len(kept) == size:
-                    return np.array(kept)
-        if drawn >= 64 * size:
-            break
-        batch = min(2 * batch, 64 * size)
-    raise ConfigurationError(
-        f"only {len(kept)} of {size} requested directions are admissible "
-        f"at x={np.asarray(x, dtype=float).tolist()} after {drawn} draws")
-
-
-def admissible_at_all(fld: SymTensorField, xs, size: int, seed,
-                      cond_cap: float = COND_CAP) -> np.ndarray:
-    """Directions admissible at every base point in ``xs`` at once.
-
-    Used by checks that compare the same direction across base points.
+    cone is considered too thin and the configuration is rejected,
+    naming ``where`` in the error.
     """
     _check_fan_size(size)
     seq = np.random.SeedSequence(seed) if not isinstance(
@@ -169,7 +142,25 @@ def admissible_at_all(fld: SymTensorField, xs, size: int, seed,
         batch = min(2 * batch, 64 * size)
     raise ConfigurationError(
         f"only {len(kept)} of {size} requested directions are admissible "
-        f"at all {len(xs)} base points after {drawn} draws")
+        f"at {where} after {drawn} draws")
+
+
+def admissible_fan(fld: SymTensorField, x, size: int, seed,
+                   cond_cap: float = COND_CAP) -> np.ndarray:
+    """``size`` admissible unit directions at the base point x."""
+    return _draw_admissible(
+        fld, [x], size, seed, cond_cap,
+        f"x={np.asarray(x, dtype=float).tolist()}")
+
+
+def admissible_at_all(fld: SymTensorField, xs, size: int, seed,
+                      cond_cap: float = COND_CAP) -> np.ndarray:
+    """Directions admissible at every base point in ``xs`` at once.
+
+    Used by checks that compare the same direction across base points.
+    """
+    return _draw_admissible(fld, xs, size, seed, cond_cap,
+                            f"all {len(xs)} base points")
 
 
 @dataclass(eq=False)

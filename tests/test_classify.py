@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from mroot.classify import (AntonelliConnection, classify_antonelli,
-                            classify_dually_flat, classify_isotropic,
-                            dually_flat_residual, isotropic_fit,
-                            recover_theta, riemann_corollary_check,
-                            weakly_berwald_check)
+from mroot.classify import (classify_antonelli, classify_dually_flat,
+                            classify_isotropic, dually_flat_residual,
+                            isotropic_fit, recover_theta,
+                            riemann_corollary_check, weakly_berwald_check)
 from mroot.errors import ConfigurationError
 from mroot.expr import coord, expn, mul
 from mroot.field import SymTensorField
 from mroot.metric import MetricEval
 from mroot.probes import ProbeSet, admissible_fan, generate_probe_set
-from mroot.spray import spray_eval
 
 from conftest import corpus_field, corpus_probes
 
@@ -174,16 +172,6 @@ def test_interval_metric_fails_antonelli_with_margin():
     verdict = classify_antonelli(fld, corpus_probes("funk1"))
     assert not verdict.passed
     assert verdict.details["spray_shift"] >= 1e-2
-
-
-def test_antonelli_connection_matches_spray_eval():
-    fld = corpus_field("antonelli_quartic2")
-    conn = AntonelliConnection(x_ref=np.array([0.3, -0.2]), field=fld)
-    y = np.array([0.9, 0.5])
-    gamma, B = conn.coefficients(y)
-    sp = spray_eval(MetricEval.at(fld, conn.x_ref, y))
-    assert np.array_equal(gamma, sp.d2G_dy2)
-    assert np.array_equal(B, sp.B)
 
 
 # -- mean Berwald curvature ---------------------------------------------------

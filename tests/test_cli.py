@@ -271,7 +271,16 @@ def test_bad_header_tolerances_exit_two(command, header, message, tmp_path,
      "--inject-c must be finite, got nan"),
     (["geodesic", path("funk1"), "--x0", "0", "--y0", "1", "--t-end", "inf",
       "--steps", "3"], "integration time must be positive and finite, got inf"),
-], ids=["inject_c_nan", "t_end_inf"])
+    (["geodesic", path("quartic2"), "--x0", "0,0", "--y0", "nan,1",
+      "--t-end", "0.1", "--steps", "4"],
+     "--y0 components must be finite, got 'nan,1'"),
+    (["geodesic", path("quartic2"), "--x0", "0,0", "--y0", "inf,1",
+      "--t-end", "0.1", "--steps", "4"],
+     "--y0 components must be finite, got 'inf,1'"),
+    (["geodesic", path("quartic2"), "--x0", "nan,0", "--y0", "1,0",
+      "--t-end", "0.1", "--steps", "4"],
+     "--x0 components must be finite, got 'nan,0'"),
+], ids=["inject_c_nan", "t_end_inf", "y0_nan", "y0_inf", "x0_nan"])
 def test_non_finite_command_values_exit_two(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -297,3 +306,73 @@ def test_unserializable_report_prints_nothing_and_writes_no_file(
     assert "cannot serialize this report" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("header, message", [
+    ("probe = 0 0 ; nan 1", "line 5, column 8: non-finite number in probe "
+                            "direction: 'nan 1'"),
+    ("probe = 0 inf ; 1 1", "line 5, column 8: non-finite number in probe "
+                            "point: '0 inf'"),
+], ids=["probe_direction_nan", "probe_point_inf"])
+def test_non_finite_file_probe_exits_two(header, message, tmp_path, capsys):
+    bad = tmp_path / "bad.metric"
+    bad.write_text("n = 2\nm = 2\nbox.1 = -1,1\nbox.2 = -1,1\n" + header
+                   + "\n1 1 : 1\n2 2 : 1\n")
+    assert main(["identities", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+# report-all stops at quartic2_degenerate's explicit probe with exit 3
+CHECKED_MEMBERS = sorted(p.stem for p in DATA_DIR.glob("*.metric")
+                         if p.stem != "quartic2_degenerate")
+SINGLE_CHECKS = {
+    "identities": "identities",
+    "spray": "spray_agreement",
+    "curvature": "curvature_consistency",
+    "classify-dually-flat": "dually_flat",
+    "classify-antonelli": "antonelli",
+    "classify-isotropic": "isotropic_mean_berwald",
+}
+
+
+@pytest.mark.parametrize("name", CHECKED_MEMBERS)
+def test_single_check_subcommands_match_report_all(name, tmp_path, capsys):
+    def run(command):
+        out = tmp_path / f"{command}.json"
+        main([command, path(name), "--seed", "3", "--out", str(out)])
+        return json.loads(out.read_text())
+
+    full = {v["name"]: v for v in run("report-all")["verdicts"]}
+    for command, verdict in SINGLE_CHECKS.items():
+        if verdict in full:
+            assert run(command)["verdicts"] == [full[verdict]], command
+    # the isotropic check is the only one report-all leaves out, and only
+    # in dimension 1
+    missing = set(SINGLE_CHECKS.values()) - set(full)
+    n = parse_metric_file(path(name)).field.n
+    assert missing == ({"isotropic_mean_berwald"} if n == 1 else set())
+    capsys.readouterr()
+
+
+BASE_KEYS = ["command", "metric", "n", "m", "seed", "tol", "fan", "bases"]
+PROBE_KEYS = ["explicit_probes", "probe_count"]
+END_KEYS = ["verdicts", "overall"]
+
+
+@pytest.mark.parametrize("command, member, keys", [
+    ("identities", "quartic2", PROBE_KEYS),
+    ("spray", "quartic2", PROBE_KEYS),
+    ("spray", "funk1_probe", PROBE_KEYS + ["samples"]),
+    ("curvature", "funk1_probe", PROBE_KEYS),
+    ("classify-dually-flat", "funk1_probe", []),
+    ("classify-antonelli", "quartic2", []),
+    ("classify-isotropic", "quartic2", []),
+    ("report-all", "funk1_probe", PROBE_KEYS),
+])
+def test_report_keys_in_order(command, member, keys, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    main([command, path(member), "--bases", "2", "--out", str(out)])
+    capsys.readouterr()
+    assert list(json.loads(out.read_text())) == BASE_KEYS + keys + END_KEYS

@@ -191,6 +191,20 @@ def test_parse_metric_file_reads_data_files(data_dir):
     assert len(cfg.probes) == 1
 
 
+@pytest.mark.parametrize("box, probe, what", [
+    ("-0.5,inf", "0 ; 1", "box interval"),
+    ("-1,1", "0 ; nan", "probe direction"),
+    ("-1,1", "-inf ; 1", "probe point"),
+], ids=["box_inf", "probe_direction_nan", "probe_point_inf"])
+def test_non_finite_numbers_are_positioned(box, probe, what):
+    text = f"n = 1\nm = 2\nbox.1 = {box}\nprobe = {probe}\n1 1 : 1\n"
+    with pytest.raises(MetricFileError, match=f"non-finite number in {what}"
+                       ) as info:
+        parse_metric_text(text)
+    assert info.value.line == (3 if what == "box interval" else 4)
+    assert info.value.column == 8
+
+
 def test_header_numbers_validated():
     assert "integer" in _err("n = two\nm = 2\nbox.1 = -1,1\n1 1 : 1\n")
     assert "number" in _err("n = 1\nm = 2\ntol = abc\nbox.1 = -1,1\n1 1 : 1\n")
