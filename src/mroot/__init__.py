@@ -13,11 +13,11 @@ from .errors import (AdmissibleConeError, ConfigurationError,
                      DegenerateMetricError, DomainError, MetricFileError,
                      MrootError)
 from .expr import (Const, Coord, Exp, Expr, IntPow, Prod, Recip, Sum, add,
-                   const, coord, expn, intpow, mul, recip)
-from .field import MultiIndex, SymTensorField
+                   expn, intpow, mul, recip)
+from .field import SymTensorField
 from .metric import MetricEval, ProbePoint, identity_residuals
-from .spray import (SprayEval, berwald_fd, d_ainv_dy, spray_eval,
-                    spray_mroot, spray_variational)
+from .spray import (SprayEval, berwald_fd, spray_eval, spray_mroot,
+                    spray_variational)
 from .probes import (ProbeSet, admissible_fan, base_points,
                      generate_probe_set, sphere_fan)
 from .classify import (ClassifierVerdict, IsotropicFit, OneForm,
@@ -36,11 +36,11 @@ __all__ = [
     "MrootError", "DomainError", "AdmissibleConeError",
     "DegenerateMetricError", "ConfigurationError", "MetricFileError",
     "Expr", "Const", "Coord", "Sum", "Prod", "IntPow", "Exp", "Recip",
-    "const", "coord", "add", "mul", "intpow", "expn", "recip",
-    "MultiIndex", "SymTensorField",
+    "add", "mul", "intpow", "expn", "recip",
+    "SymTensorField",
     "ProbePoint", "MetricEval", "identity_residuals",
     "SprayEval", "spray_mroot", "spray_variational", "spray_eval",
-    "d_ainv_dy", "berwald_fd",
+    "berwald_fd",
     "ProbeSet", "sphere_fan", "base_points", "admissible_fan",
     "generate_probe_set",
     "ClassifierVerdict", "OneForm", "IsotropicFit",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .expr import Const, coord, expn, intpow, recip
+from .expr import Const, Coord, expn, intpow, recip
 from .field import SymTensorField
 
 __all__ = [
@@ -57,7 +57,7 @@ def quartic2_scaled() -> SymTensorField:
     dependence, so this is the generic curved member: not dually flat,
     not direction-only, with a nonzero Berwald tensor.
     """
-    c = Const(1.0) + coord(0)
+    c = Const(1.0) + Coord(0)
     return SymTensorField(2, 4, {(0, 0, 0, 0): c, (1, 1, 1, 1): c},
                           [(-0.5, 0.5), (-0.5, 0.5)])
 
@@ -71,13 +71,13 @@ def antonelli_quartic2() -> SymTensorField:
     """
     return SymTensorField(
         2, 4,
-        {(0, 0, 0, 0): expn(coord(0)), (1, 1, 1, 1): expn(coord(1))},
+        {(0, 0, 0, 0): expn(Coord(0)), (1, 1, 1, 1): expn(Coord(1))},
         [(-1.0, 1.0), (-1.0, 1.0)])
 
 
 def funk1() -> SymTensorField:
     """The interval metric A = y^2 / (1 - x)^2 on (-1/2, 1/2)."""
-    a = intpow(recip(Const(1.0) - coord(0)), 2)
+    a = intpow(recip(Const(1.0) - Coord(0)), 2)
     return SymTensorField(1, 2, {(0, 0): a}, [(-0.5, 0.5)])
 
 
@@ -88,7 +88,7 @@ def perturbed_funk1() -> SymTensorField:
     [F^2]_{xy} y = 2 [F^2]_x for every b and every 1-D metric is dually
     flat.  The field serves as a control that must read as flat.
     """
-    a = intpow(recip(Const(1.0) - coord(0)), 2) + 0.1 * coord(0)
+    a = intpow(recip(Const(1.0) - Coord(0)), 2) + 0.1 * Coord(0)
     return SymTensorField(1, 2, {(0, 0): a}, [(-0.5, 0.5)])
 
 
@@ -100,8 +100,8 @@ def hessian2() -> SymTensorField:
     construction, yet A_0 / A is not linear in y, so no
     direction-independent 1-form fits it.
     """
-    psi = (intpow(coord(0), 4) + intpow(coord(1), 4)
-           + intpow(coord(0), 2) + intpow(coord(1), 2))
+    psi = (intpow(Coord(0), 4) + intpow(Coord(1), 4)
+           + intpow(Coord(0), 2) + intpow(Coord(1), 2))
     entries = {}
     for i in range(2):
         for j in range(i, 2):
@@ -115,7 +115,7 @@ def perturbed_hessian2() -> SymTensorField:
     """The Hessian metric with a cross-coordinate spoiler on a_11."""
     fld = hessian2()
     entries = dict(fld.entries)
-    entries[(0, 0)] = entries[(0, 0)] + 0.1 * coord(1)
+    entries[(0, 0)] = entries[(0, 0)] + 0.1 * Coord(1)
     return SymTensorField(2, 2, entries, fld.box)
 
 
@@ -135,7 +135,7 @@ def random_cubic3(seed: int = 0) -> SymTensorField:
         c0 = rng.uniform(-1.0, 1.0)
         c1 = rng.uniform(-1.0, 1.0)
         q = rng.randrange(3)
-        term = 0.1 * (Const(c0) + Const(c1) * coord(q))
+        term = 0.1 * (Const(c0) + Const(c1) * Coord(q))
         if idx in entries:
             entries[idx] = entries[idx] + term
         else:

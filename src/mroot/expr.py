@@ -23,14 +23,11 @@ __all__ = [
     "IntPow",
     "Exp",
     "Recip",
-    "const",
-    "coord",
     "add",
     "mul",
     "intpow",
     "expn",
     "recip",
-    "fd_derivative",
 ]
 
 
@@ -235,14 +232,6 @@ class Recip(Expr):
 # These fold constants and drop trivial terms so that repeated
 # differentiation produces compact trees instead of towers of zeros.
 
-def const(v) -> Const:
-    return Const(v)
-
-
-def coord(i) -> Coord:
-    return Coord(i)
-
-
 def add(*terms) -> Expr:
     flat = []
     acc = 0.0
@@ -313,16 +302,3 @@ def recip(u) -> Expr:
     if isinstance(u, Const):
         return Const(1.0 / u.value)
     return Recip(u)
-
-
-def fd_derivative(e: Expr, l: int, x, h: float = 1e-5) -> float:
-    """Central-difference derivative of ``e`` along coordinate ``l`` at x.
-
-    Independent of :meth:`Expr.diff`; used as an oracle for it.  The
-    caller is responsible for x +- h*e_l staying inside the domain box.
-    """
-    xp = list(float(v) for v in x)
-    xm = list(xp)
-    xp[l] += h
-    xm[l] -= h
-    return (e.evaluate(xp) - e.evaluate(xm)) / (2.0 * h)

@@ -21,42 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 from .expr import Expr, Const
 
-__all__ = ["MultiIndex", "PointArrays", "SymTensorField"]
-
-
-class MultiIndex:
-    """A symmetric multi-index of length m over coordinates 0..n-1.
-
-    Stored in sorted order; ``multiplicity`` counts the distinct
-    permutations, i.e. how many slots of the dense tensor one stored
-    entry occupies.
-    """
-
-    __slots__ = ("indices",)
-
-    def __init__(self, indices):
-        self.indices = tuple(sorted(int(i) for i in indices))
-
-    @property
-    def multiplicity(self) -> int:
-        m = len(self.indices)
-        count = math.factorial(m)
-        for _, grp in itertools.groupby(self.indices):
-            count //= math.factorial(sum(1 for _ in grp))
-        return count
-
-    def permutations(self):
-        """All distinct orderings of this index."""
-        return sorted(set(itertools.permutations(self.indices)))
-
-    def __eq__(self, other):
-        return isinstance(other, MultiIndex) and self.indices == other.indices
-
-    def __hash__(self):
-        return hash(self.indices)
-
-    def __repr__(self):
-        return f"MultiIndex{self.indices}"
+__all__ = ["PointArrays", "SymTensorField"]
 
 
 class PointArrays(tuple):
@@ -120,11 +85,11 @@ class SymTensorField:
                 e = Const(float(e))
             self.entries[key] = e
 
-        # distinct permutations of each stored key, shared with the
-        # differentiated copies below
-        self._perms = {k: MultiIndex(k).permutations() for k in self.entries}
+        # the distinct orderings of each stored key: the dense slots it fills
+        self._perms = {k: set(itertools.permutations(k)) for k in self.entries}
         self._dx_cache = {}
         self._point_cache = {}
+        self._label = "coefficient"     # what coeff_array errors name
 
     # -- point membership ---------------------------------------------------
 
@@ -146,10 +111,6 @@ class SymTensorField:
         key = tuple(sorted(int(i) for i in idx))
         return self.entries.get(key, Const(0.0))
 
-    def eval_coeff(self, idx, x) -> float:
-        self._require_inside(x)
-        return self.coeff(idx).evaluate(np.asarray(x, dtype=float))
-
     # -- differentiation -----------------------------------------------------
 
     def dx(self, l: int) -> "SymTensorField":
@@ -162,18 +123,34 @@ class SymTensorField:
                 if not de.is_zero():
                     dentries[key] = de
             out = SymTensorField(self.n, self.m, dentries, self.box)
+            out._label = f"d/dx{l + 1} of {self._label}"
             self._dx_cache[l] = out
         return self._dx_cache[l]
 
     # -- dense arrays ---------------------------------------------------------
 
     def coeff_array(self, x) -> np.ndarray:
-        """Dense symmetric array of shape (n,)*m evaluated at x."""
+        """Dense symmetric array of shape (n,)*m evaluated at x.
+
+        Raises
+        ------
+        ConfigurationError
+            If an entry evaluates to a non-finite number at x (an
+            overflow, a division by zero or NaN); the message names the
+            1-based entry and x.
+        """
         self._require_inside(x)
         x = np.asarray(x, dtype=float)
         arr = np.zeros((self.n,) * self.m)
         for key, e in self.entries.items():
-            v = e.evaluate(x)
+            try:
+                v = e.evaluate(x)
+            except (ArithmeticError, ValueError):
+                v = math.nan
+            if not math.isfinite(v):
+                raise ConfigurationError(
+                    f"{self._label} {tuple(i + 1 for i in key)} is not "
+                    f"finite at x={x.tolist()}")
             for p in self._perms[key]:
                 arr[p] = v
         return arr

@@ -50,6 +50,14 @@ def _contract(arr: np.ndarray, y: np.ndarray, times: int) -> np.ndarray:
     return arr
 
 
+def _y_derivative(arr: np.ndarray, y: np.ndarray, m: int, k: int):
+    # perm(m, k) times arr (abar or bstack) contracted with y in m - k
+    # slots; zero above degree m since A is a degree-m form in y
+    if k > m:
+        return np.zeros(arr.shape[:-m] + (y.shape[0],) * k)
+    return np.asarray(float(math.perm(m, k)) * _contract(arr, y, m - k))
+
+
 @dataclass(eq=False)
 class MetricEval:
     """All low-order data of F at one admissible probe (x, y).
@@ -83,8 +91,6 @@ class MetricEval:
     _bstack: np.ndarray = dc_field(repr=False, default=None)
 
     def __post_init__(self):
-        self._ycache = {}
-        self._xycache = {}
         self._spray = None     # set by mroot.spray.spray_eval
 
     # -- construction ---------------------------------------------------------
@@ -173,38 +179,21 @@ class MetricEval:
 
     # -- higher derivatives on demand -------------------------------------------
 
-    def _derivative(self, arr: np.ndarray, k: int) -> np.ndarray:
-        # perm(m, k) times arr (_abar or _bstack) contracted with y in
-        # m - k slots; zero above degree m since A is a degree-m form in
-        # y.  Uncached, so spray_eval can use it without growing a
-        # memoized evaluation.
-        if k > self.m:
-            return np.zeros(arr.shape[:-self.m] + (self.n,) * k)
-        return np.asarray(float(math.perm(self.m, k))
-                          * _contract(arr, self.y, self.m - k))
-
-    def _cached(self, cache: dict, arr: np.ndarray, k: int):
-        if k not in cache:
-            out = self._derivative(arr, k)
-            out.setflags(write=False)
-            cache[k] = out
-        return cache[k]
-
     def y_derivative(self, k: int) -> np.ndarray:
         """The k-th y-derivative of A, a symmetric rank-k array.
 
         Vanishes identically for k > m since A is a degree-m form in y.
-        Cached on the evaluation and read-only.
+        Computed on each call; nothing is kept on the evaluation.
         """
-        return self._cached(self._ycache, self._abar, int(k))
+        return _y_derivative(self._abar, self.y, self.m, int(k))
 
     def dx_y_derivative(self, k: int) -> np.ndarray:
         """Mixed derivative d^(k+1) A / dx^l dy^(k), shape (n,) + (n,)*k.
 
         Index 0 is the x-slot; the trailing k slots are symmetric.
-        Cached like :meth:`y_derivative`.
+        Computed on each call, like :meth:`y_derivative`.
         """
-        return self._cached(self._xycache, self._bstack, int(k))
+        return _y_derivative(self._bstack, self.y, self.m, int(k))
 
 
 def identity_residuals(ev: MetricEval) -> dict:

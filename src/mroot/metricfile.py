@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigurationError, MetricFileError
 from .expr import (Const, Coord, Exp, Expr, IntPow, Prod, Recip, Sum, add,
-                   coord, expn, intpow, mul, recip)
+                   expn, intpow, mul, recip)
 from .field import SymTensorField
 from .metric import ProbePoint
 
@@ -119,11 +119,15 @@ class _ExprParser:
                 if not 1 <= i <= self.n:
                     self.error(f"coordinate {name} out of range for n={self.n}",
                                pos=start)
-                return coord(i - 1)
+                return Coord(i - 1)
             self.error(f"unknown name '{name}'", pos=start)
         if mnum:
             self.pos = mnum.end()
-            return Const(float(mnum.group(0)))
+            value = float(mnum.group(0))
+            if not math.isfinite(value):
+                self.error(f"number {mnum.group(0)} is out of range",
+                           pos=start)
+            return Const(value)
         self.error("expected a number, coordinate or function")
 
     def parse_call(self, name: str, start: int) -> Expr:
@@ -135,7 +139,21 @@ class _ExprParser:
             args.append(self.parse_node())
             self.skip_ws()
         self.expect(")")
+        # constant arguments fold into one constant, which must be finite
+        try:
+            e = self.apply(name, args, start)
+            finite = all(math.isfinite(c.value)
+                         for c in (e,) + getattr(e, "children", ())
+                         if isinstance(c, Const))
+        except ZeroDivisionError:
+            self.error(f"{name} divides by zero", pos=start)
+        except OverflowError:
+            finite = False
+        if not finite:
+            self.error(f"{name} overflows", pos=start)
+        return e
 
+    def apply(self, name: str, args: list, start: int) -> Expr:
         if name == "sum":
             if len(args) < 2:
                 self.error("sum needs at least 2 arguments", pos=start)
@@ -172,15 +190,18 @@ def _strip_comment(line: str) -> str:
 
 
 def _parse_floats(text: str, line: int, col: int, what: str) -> list:
-    parts = text.replace(",", " ").split()
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError:
-        raise MetricFileError(f"malformed {what}: {text.strip()!r}",
-                              line=line, column=col)
-    if not all(math.isfinite(v) for v in vals):
-        raise MetricFileError(f"non-finite number in {what}: "
-                              f"{text.strip()!r}", line=line, column=col)
+    # col is the column of text[0]; an error points at the first bad number
+    vals = []
+    for tok in re.finditer(r"[^\s,]+", text):
+        try:
+            vals.append(float(tok.group(0)))
+        except ValueError:
+            raise MetricFileError(f"malformed {what}: {text.strip()!r}",
+                                  line=line, column=col + tok.start())
+        if not math.isfinite(vals[-1]):
+            raise MetricFileError(f"non-finite number in {what}: "
+                                  f"{text.strip()!r}", line=line,
+                                  column=col + tok.start())
     return vals
 
 
@@ -201,14 +222,14 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
         if not line.strip():
             continue
 
-        head = re.match(r"\s*([A-Za-z][\w.]*)\s*=\s*(.*\S)?\s*$", line)
+        head = re.match(r"\s*([A-Za-z][\w.]*)\s*=\s*(.*?)\s*$", line)
         if head and ":" not in line:
             if saw_entry:
                 raise MetricFileError(
                     "header lines must precede coefficient entries",
                     line=lineno, column=1 + len(line) - len(line.lstrip()))
-            key, value = head.group(1), head.group(2) or ""
-            vcol = 1 + line.index("=") + 1
+            key, value = head.group(1), head.group(2)
+            vcol = head.start(2) + 1
             if key == "n" or key == "m":
                 try:
                     iv = int(value)
@@ -250,7 +271,8 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
                         line=lineno, column=vcol)
                 xs_t, ys_t = value.split(";", 1)
                 xs = _parse_floats(xs_t, lineno, vcol, "probe point")
-                ys = _parse_floats(ys_t, lineno, vcol, "probe direction")
+                ys = _parse_floats(ys_t, lineno, vcol + len(xs_t) + 1,
+                                   "probe direction")
                 probe_raw.append((xs, ys, lineno, vcol))
             else:
                 raise MetricFileError(f"unknown header key {key!r}",

@@ -106,8 +106,7 @@ def _admissible(fld: SymTensorField, x, y, cond_cap: float):
     """The evaluation at (x, y) if admissible, else None."""
     try:
         ev = MetricEval.at(fld, x, y)
-    except (AdmissibleConeError, DegenerateMetricError, DomainError,
-            ZeroDivisionError):
+    except (AdmissibleConeError, DegenerateMetricError, DomainError):
         return None
     if np.linalg.cond(ev.A_ij) > cond_cap:
         return None

@@ -1,76 +1,28 @@
 """Report rendering: deterministic JSON and a human-readable table.
 
-The JSON emitter is deliberately hand-rolled: keys keep insertion
-order, floats are printed with repr-faithful '.17g' formatting and no
-locale or version dependent whitespace sneaks in, so identical runs
-produce byte-identical reports.
+The JSON text comes from :func:`json.dumps` with a two-space indent:
+keys keep insertion order, strings are written as UTF-8 text, and each
+float is written as its shortest round-trip repr (``1e-07``, ``0.1``),
+so :func:`json.loads` gives back the same values and identical runs
+produce byte-identical reports.  NaN and infinity are rejected.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 from .errors import ConfigurationError
 
 __all__ = ["render_json", "render_table"]
 
 
-def _fmt_float(v: float) -> str:
-    if not math.isfinite(v):
-        raise ConfigurationError(f"cannot serialize non-finite number {v!r}")
-    return format(float(v), ".17g")
-
-
-def _emit(value, indent: int, out: list):
-    pad = "  " * indent
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(_fmt_float(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(value.items())
-        for i, (k, v) in enumerate(items):
-            if not isinstance(k, str):
-                raise ConfigurationError(f"JSON keys must be strings, got {k!r}")
-            out.append(pad + "  " + json.dumps(k, ensure_ascii=False) + ": ")
-            _emit(v, indent + 1, out)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(seq):
-            out.append(pad + "  ")
-            _emit(v, indent + 1, out)
-            out.append(",\n" if i + 1 < len(seq) else "\n")
-        out.append(pad + "]")
-    else:
-        raise ConfigurationError(
-            f"cannot serialize {type(value).__name__} to JSON")
-
-
 def render_json(value) -> str:
     """Serialize nested dicts/lists/scalars to deterministic JSON text."""
-    out = []
-    _emit(value, 0, out)
-    out.append("\n")
-    return "".join(out)
+    try:
+        return json.dumps(value, indent=2, ensure_ascii=False,
+                          allow_nan=False) + "\n"
+    except (TypeError, ValueError) as err:
+        raise ConfigurationError(f"cannot serialize report to JSON: {err}")
 
 
 def render_table(report: dict) -> str:

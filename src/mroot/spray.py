@@ -34,7 +34,6 @@ __all__ = [
     "SprayEval",
     "spray_mroot",
     "spray_variational",
-    "d_ainv_dy",
     "spray_eval",
     "berwald_fd",
 ]
@@ -59,13 +58,6 @@ def spray_variational(ev: MetricEval) -> np.ndarray:
     return 0.25 * ev.g_inv @ rhs
 
 
-def d_ainv_dy(ev: MetricEval) -> np.ndarray:
-    """First y-derivative of the Hessian inverse, D[i, j, l] = dA^{ij}/dy^l."""
-    N = ev.A_inv
-    T3 = ev.y_derivative(3)
-    return -np.einsum("ia,abl,bj->ijl", N, T3, N)
-
-
 def _ainv_y_derivatives(ev: MetricEval):
     """N and its first three y-derivative arrays.
 
@@ -73,7 +65,7 @@ def _ainv_y_derivatives(ev: MetricEval):
     the derivative slots are the trailing ones and are symmetric.
     """
     N = ev.A_inv
-    T3, T4, T5 = (ev._derivative(ev._abar, k) for k in (3, 4, 5))
+    T3, T4, T5 = (ev.y_derivative(k) for k in (3, 4, 5))
 
     N1 = -np.einsum("ia,abl,bj->ijl", N, T3, N)
     N2 = -(np.einsum("iak,abl,bj->ijkl", N1, T3, N)
@@ -123,7 +115,7 @@ def spray_eval(ev: MetricEval) -> SprayEval:
     if ev._spray is not None:
         return ev._spray
     y = ev.y
-    Bx1, Bx2, Bx3, Bx4 = (ev._derivative(ev._bstack, k) for k in (1, 2, 3, 4))
+    Bx1, Bx2, Bx3, Bx4 = (ev.dx_y_derivative(k) for k in (1, 2, 3, 4))
 
     P = ev.A0l - ev.A_xl
     dP = Bx1.T + np.einsum("p,paj->aj", y, Bx2) - Bx1

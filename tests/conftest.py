@@ -1,4 +1,4 @@
-"""Shared fixtures: data paths and cached probe sets.
+"""Shared fixtures: data paths, cached probe sets and test oracles.
 
 Probe generation is deterministic, so sets are cached per
 (metric, bases, fan, seed) key and shared across test modules.
@@ -35,3 +35,16 @@ def corpus_probes(name, bases=4, fan=8, seed=0, cond_cap=1e6):
 @pytest.fixture
 def data_dir():
     return DATA_DIR
+
+
+def fd_derivative(e, l, x, h=1e-5):
+    """Central-difference derivative of ``e`` along coordinate ``l`` at x.
+
+    Independent of :meth:`mroot.expr.Expr.diff`; used as an oracle for
+    it.  The caller keeps x +- h*e_l inside the domain box.
+    """
+    xp = [float(v) for v in x]
+    xm = list(xp)
+    xp[l] += h
+    xm[l] -= h
+    return (e.evaluate(xp) - e.evaluate(xm)) / (2.0 * h)

@@ -8,7 +8,7 @@ from mroot.classify import (classify_antonelli, classify_dually_flat,
                             isotropic_fit, recover_theta,
                             riemann_corollary_check, weakly_berwald_check)
 from mroot.errors import ConfigurationError
-from mroot.expr import coord, expn, mul
+from mroot.expr import Coord, expn, mul
 from mroot.field import SymTensorField
 from mroot.metric import MetricEval
 from mroot.probes import ProbeSet, admissible_fan, generate_probe_set
@@ -67,7 +67,7 @@ def test_theta_recovery_on_synthetic_conformal_metric():
     # a_ij = delta_ij exp(theta . x) satisfies A_0 = (theta . y) A
     # exactly, so the least-squares fit must return theta itself
     theta_hat = np.array([0.3, -0.7])
-    weight = expn(mul(0.3, coord(0)) + mul(-0.7, coord(1)))
+    weight = expn(mul(0.3, Coord(0)) + mul(-0.7, Coord(1)))
     fld = SymTensorField(2, 2, {(0, 0): weight, (1, 1): weight},
                          [(-1.0, 1.0), (-1.0, 1.0)])
     for xv in ([0.0, 0.0], [0.4, -0.2]):

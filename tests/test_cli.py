@@ -309,9 +309,9 @@ def test_unserializable_report_prints_nothing_and_writes_no_file(
 
 
 @pytest.mark.parametrize("header, message", [
-    ("probe = 0 0 ; nan 1", "line 5, column 8: non-finite number in probe "
+    ("probe = 0 0 ; nan 1", "line 5, column 15: non-finite number in probe "
                             "direction: 'nan 1'"),
-    ("probe = 0 inf ; 1 1", "line 5, column 8: non-finite number in probe "
+    ("probe = 0 inf ; 1 1", "line 5, column 11: non-finite number in probe "
                             "point: '0 inf'"),
 ], ids=["probe_direction_nan", "probe_point_inf"])
 def test_non_finite_file_probe_exits_two(header, message, tmp_path, capsys):
@@ -321,6 +321,26 @@ def test_non_finite_file_probe_exits_two(header, message, tmp_path, capsys):
     assert main(["identities", str(bad)]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("recip(0)", "line 5, column 7: recip divides by zero"),
+    ("exp(1000)", "line 5, column 7: exp overflows"),
+    ("pow(1e200, 2)", "line 5, column 7: pow overflows"),
+    ("1e400", "line 5, column 7: number 1e400 is out of range"),
+    ("mul(1e200, 1e200)", "line 5, column 7: mul overflows"),
+    ("exp(mul(1000, sum(x1, 1)))", "coefficient (1, 1) is not finite at x=["),
+], ids=["recip_zero", "exp_overflow", "pow_overflow", "literal_overflow",
+        "mul_overflow", "overflow_at_evaluation"])
+def test_non_finite_coefficient_exits_two(entry, message, tmp_path, capsys):
+    bad = tmp_path / "bad.metric"
+    bad.write_text("n = 2\nm = 2\nbox.1 = -0.5,0.5\nbox.2 = -0.5,0.5\n"
+                   f"1 1 : {entry}\n2 2 : 1\n")
+    assert main(["report-all", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "admissible" not in captured.err
     assert captured.out == ""
 
 

@@ -9,73 +9,75 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mroot.expr import (Const, Coord, Exp, IntPow, Prod, Recip, Sum, add,
-                        const, coord, expn, fd_derivative, intpow, mul, recip)
+                        expn, intpow, mul, recip)
+
+from conftest import fd_derivative
 
 
 def test_square_derivative_matches_central_difference():
-    e = intpow(coord(0), 2)
+    e = intpow(Coord(0), 2)
     x = np.array([1.0])
     assert abs(e.diff(0).evaluate(x) - 2.0) == 0.0
     assert abs(fd_derivative(e, 0, x, h=1e-5) - 2.0) <= 1e-9
 
 
 def test_exp_at_zero():
-    e = expn(coord(0))
+    e = expn(Coord(0))
     x = np.array([0.0])
     assert e.evaluate(x) == 1.0
     assert e.diff(0).evaluate(x) == 1.0
 
 
 def test_constant_derivative_is_zero():
-    e = const(3.5)
+    e = Const(3.5)
     assert e.diff(0).is_zero()
     assert e.diff(0).evaluate(np.array([7.0])) == 0.0
 
 
 def test_reciprocal_square_derivative():
     # d/dx (1 - x)^-2 = 2 (1 - x)^-3, equal to 2 at x = 0
-    e = intpow(recip(const(1.0) - coord(0)), 2)
+    e = intpow(recip(Const(1.0) - Coord(0)), 2)
     x = np.array([0.0])
     assert abs(e.diff(0).evaluate(x) - 2.0) <= 1e-14
     assert abs(fd_derivative(e, 0, x) - 2.0) <= 1e-8
 
 
 def test_recip_raises_at_pole():
-    e = recip(coord(0))
+    e = recip(Coord(0))
     with pytest.raises(ZeroDivisionError):
         e.evaluate(np.array([0.0]))
 
 
 def test_intpow_rejects_negative_exponent():
     with pytest.raises(ValueError):
-        intpow(coord(0), -1)
+        intpow(Coord(0), -1)
 
 
 def test_operator_sugar_matches_plain_arithmetic():
-    e = (2.0 * coord(0) + 1.0) * (coord(1) - 0.5) ** 2 - coord(0)
+    e = (2.0 * Coord(0) + 1.0) * (Coord(1) - 0.5) ** 2 - Coord(0)
     x = np.array([0.3, 1.7])
     want = (2.0 * 0.3 + 1.0) * (1.7 - 0.5) ** 2 - 0.3
     assert abs(e.evaluate(x) - want) <= 1e-14
 
 
 @pytest.mark.parametrize("builder, expected_type", [
-    (lambda: add(const(1.0), const(2.0)), Const),
-    (lambda: mul(const(2.0), const(3.0)), Const),
-    (lambda: mul(const(0.0), coord(0)), Const),
-    (lambda: intpow(coord(0), 1), Coord),
-    (lambda: intpow(const(2.0), 3), Const),
-    (lambda: expn(const(0.0)), Const),
-    (lambda: recip(const(4.0)), Const),
+    (lambda: add(Const(1.0), Const(2.0)), Const),
+    (lambda: mul(Const(2.0), Const(3.0)), Const),
+    (lambda: mul(Const(0.0), Coord(0)), Const),
+    (lambda: intpow(Coord(0), 1), Coord),
+    (lambda: intpow(Const(2.0), 3), Const),
+    (lambda: expn(Const(0.0)), Const),
+    (lambda: recip(Const(4.0)), Const),
 ])
 def test_constant_folding(builder, expected_type):
     assert isinstance(builder(), expected_type)
 
 
 def test_folding_values():
-    assert add(const(1.0), const(2.0)).evaluate(None) == 3.0
-    assert mul(const(2.0), const(3.0)).evaluate(None) == 6.0
-    assert intpow(const(2.0), 3).evaluate(None) == 8.0
-    assert recip(const(4.0)).evaluate(None) == 0.25
+    assert add(Const(1.0), Const(2.0)).evaluate(None) == 3.0
+    assert mul(Const(2.0), Const(3.0)).evaluate(None) == 6.0
+    assert intpow(Const(2.0), 3).evaluate(None) == 8.0
+    assert recip(Const(4.0)).evaluate(None) == 0.25
 
 
 def _random_tree(rng: random.Random, depth: int):
@@ -86,8 +88,8 @@ def _random_tree(rng: random.Random, depth: int):
     """
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.5:
-            return const(rng.uniform(-2.0, 2.0))
-        return coord(rng.randrange(2))
+            return Const(rng.uniform(-2.0, 2.0))
+        return Coord(rng.randrange(2))
     op = rng.choice(("add", "mul", "pow", "exp", "recip"))
     if op == "add":
         return add(*[_random_tree(rng, depth - 1)
@@ -98,8 +100,8 @@ def _random_tree(rng: random.Random, depth: int):
     if op == "pow":
         return intpow(_random_tree(rng, depth - 1), rng.randrange(2, 4))
     if op == "exp":
-        return expn(mul(const(0.1), _random_tree(rng, depth - 1)))
-    return recip(add(const(2.5), intpow(_random_tree(rng, depth - 1), 2)))
+        return expn(mul(Const(0.1), _random_tree(rng, depth - 1)))
+    return recip(add(Const(2.5), intpow(_random_tree(rng, depth - 1), 2)))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -116,15 +118,15 @@ def test_random_tree_derivative_matches_fd(seed):
 
 @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
 def test_sum_evaluation_matches_float_addition(a, b, c):
-    e = add(const(a), const(b), const(c))
+    e = add(Const(a), Const(b), Const(c))
     assert e.evaluate(None) == pytest.approx(a + b + c, abs=1e-12)
 
 
 @settings(max_examples=30)
 @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 def test_diff_is_linear_over_sums(u, v):
-    e1 = mul(const(u), intpow(coord(0), 2))
-    e2 = mul(const(v), expn(mul(const(0.5), coord(0))))
+    e1 = mul(Const(u), intpow(Coord(0), 2))
+    e2 = mul(Const(v), expn(mul(Const(0.5), Coord(0))))
     combined = add(e1, e2).diff(0)
     x = np.array([0.7])
     want = e1.diff(0).evaluate(x) + e2.diff(0).evaluate(x)
@@ -133,7 +135,7 @@ def test_diff_is_linear_over_sums(u, v):
 
 def test_trees_are_reusable_after_diff():
     # differentiation must not mutate the original tree
-    e = mul(coord(0), coord(1))
+    e = mul(Coord(0), Coord(1))
     x = np.array([2.0, 3.0])
     before = e.evaluate(x)
     e.diff(0)
@@ -142,7 +144,7 @@ def test_trees_are_reusable_after_diff():
 
 
 def test_exp_chain_rule():
-    e = expn(intpow(coord(0), 2))
+    e = expn(intpow(Coord(0), 2))
     x = np.array([0.4])
     want = 2.0 * 0.4 * math.exp(0.4 ** 2)
     assert e.diff(0).evaluate(x) == pytest.approx(want, rel=1e-14)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mroot.errors import ConfigurationError, DomainError
-from mroot.expr import Const, coord, intpow
-from mroot.field import MultiIndex, SymTensorField
+from mroot.expr import Const, Coord, Exp, Recip, intpow, mul
+from mroot.field import SymTensorField
 
 BOX2 = [(-1.0, 1.0), (-1.0, 1.0)]
 
@@ -20,24 +20,28 @@ BOX2 = [(-1.0, 1.0), (-1.0, 1.0)]
     ((0, 1, 1, 1), 4),
 ])
 def test_multiindex_multiplicity(indices, mult):
-    assert MultiIndex(indices).multiplicity == mult
-
-
-def test_multiindex_sorts_and_compares():
-    assert MultiIndex((2, 0, 1)) == MultiIndex((0, 1, 2))
-    assert len(MultiIndex((0, 0, 1)).permutations()) == 3
+    # one stored entry fills exactly one slot per distinct ordering
+    n = max(indices) + 1
+    fld = SymTensorField(n, len(indices), {indices: 1.0}, [(-1.0, 1.0)] * n)
+    arr = fld.coeff_array(np.zeros(n))
+    slots = list(zip(*np.nonzero(arr)))
+    assert len(slots) == mult
+    assert all(sorted(p) == list(indices) for p in slots)
+    assert np.all(arr[tuple(np.transpose(slots))] == 1.0)
 
 
 def test_entries_are_symmetrized():
     fld = SymTensorField(2, 2, {(1, 0): 0.5}, BOX2)
     x = np.zeros(2)
-    assert fld.eval_coeff((0, 1), x) == 0.5
-    assert fld.eval_coeff((1, 0), x) == 0.5
+    assert fld.coeff((0, 1)).evaluate(x) == 0.5
+    assert fld.coeff((1, 0)).evaluate(x) == 0.5
+    arr = fld.coeff_array(x)
+    assert arr[0, 1] == arr[1, 0] == 0.5
 
 
 def test_absent_index_is_zero():
     fld = SymTensorField(2, 2, {(0, 0): 1.0}, BOX2)
-    assert fld.eval_coeff((0, 1), np.zeros(2)) == 0.0
+    assert fld.coeff((0, 1)).evaluate(np.zeros(2)) == 0.0
     assert fld.coeff((1, 1)).is_zero()
 
 
@@ -66,7 +70,7 @@ def test_domain_membership_and_errors():
     assert not fld.contains([1.1, 0.0])
     assert not fld.contains([0.0])
     with pytest.raises(DomainError):
-        fld.eval_coeff((0, 0), [2.0, 0.0])
+        fld.coeff_array([2.0, 0.0])
     with pytest.raises(DomainError):
         fld.coeff_array([0.0, 3.0])
 
@@ -85,7 +89,7 @@ def test_coeff_array_spreads_over_permutations():
 
 
 def test_coeff_array_evaluates_expressions():
-    fld = SymTensorField(2, 2, {(0, 0): coord(0), (1, 1): intpow(coord(1), 2)},
+    fld = SymTensorField(2, 2, {(0, 0): Coord(0), (1, 1): intpow(Coord(1), 2)},
                          BOX2)
     arr = fld.coeff_array(np.array([0.5, -0.4]))
     assert arr[0, 0] == pytest.approx(0.5)
@@ -94,11 +98,11 @@ def test_coeff_array_evaluates_expressions():
 
 
 def test_dx_field_differentiates_entrywise():
-    fld = SymTensorField(2, 2, {(0, 0): intpow(coord(0), 2), (1, 1): 3.0},
+    fld = SymTensorField(2, 2, {(0, 0): intpow(Coord(0), 2), (1, 1): 3.0},
                          BOX2)
     d0 = fld.dx(0)
     x = np.array([0.3, 0.0])
-    assert d0.eval_coeff((0, 0), x) == pytest.approx(0.6)
+    assert d0.coeff((0, 0)).evaluate(x) == pytest.approx(0.6)
     # constant entries drop out of the derivative field entirely
     assert d0.coeff((1, 1)).is_zero()
     # cached: repeated calls return the same object
@@ -106,7 +110,7 @@ def test_dx_field_differentiates_entrywise():
 
 
 def test_point_arrays_consistent_with_coeff_array():
-    fld = SymTensorField(2, 2, {(0, 0): coord(0) + 1.0, (0, 1): 0.25}, BOX2)
+    fld = SymTensorField(2, 2, {(0, 0): Coord(0) + 1.0, (0, 1): 0.25}, BOX2)
     x = np.array([0.2, -0.1])
     abar, bstack = fld.point_arrays(x)
     assert np.array_equal(abar, fld.coeff_array(x))
@@ -121,4 +125,31 @@ def test_point_arrays_consistent_with_coeff_array():
 def test_plain_numbers_become_constant_expressions():
     fld = SymTensorField(1, 2, {(0, 0): 2}, [(-1.0, 1.0)])
     assert isinstance(fld.coeff((0, 0)), Const)
-    assert fld.eval_coeff((0, 0), [0.0]) == 2.0
+    assert fld.coeff((0, 0)).evaluate([0.0]) == 2.0
+
+
+@pytest.mark.parametrize("entry, x, message", [
+    (Recip(Coord(0)), [0.0, 0.5],
+     r"coefficient \(2, 2\) is not finite at x=\[0.0, 0.5\]"),
+    (Exp(mul(1000.0, Coord(1))), [0.0, 0.9],
+     r"coefficient \(2, 2\) is not finite at x=\[0.0, 0.9\]"),
+    (Const(float("inf")), [0.0, 0.0], r"coefficient \(2, 2\) is not finite"),
+    (mul(Coord(0), Const(float("nan"))), [0.5, 0.0],
+     r"coefficient \(2, 2\) is not finite"),
+], ids=["division_by_zero", "overflow", "inf", "nan"])
+def test_non_finite_entry_names_the_entry_and_point(entry, x, message):
+    fld = SymTensorField(2, 2, {(0, 0): 1.0, (1, 1): entry}, BOX2)
+    with pytest.raises(ConfigurationError, match=message):
+        fld.coeff_array(x)
+
+
+def test_non_finite_derivative_names_the_derivative():
+    # the entry stays finite, its x-derivative 100 * 1e307 * e^(100 x1)
+    # overflows
+    entry = mul(1e307, Exp(mul(100.0, Coord(0))))
+    fld = SymTensorField(1, 2, {(0, 0): entry}, [(-1e-3, 1e-3)])
+    abar = fld.coeff_array([0.0])
+    assert abar[0, 0] == 1e307
+    with pytest.raises(ConfigurationError,
+                       match=r"d/dx1 of coefficient \(1, 1\) is not finite"):
+        fld.point_arrays([0.0])

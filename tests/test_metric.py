@@ -151,9 +151,13 @@ def test_y_derivatives_vanish_above_degree():
 
 def test_y_derivative_shapes_and_caching():
     ev = MetricEval.at(quartic2(), [0.0, 0.0], [1.0, 1.0])
+    before = set(vars(ev))
     t3 = ev.y_derivative(3)
     assert t3.shape == (2, 2, 2)
-    assert ev.y_derivative(3) is t3
+    # computed on each call and not kept on the evaluation
+    assert ev.y_derivative(3) is not t3
+    assert np.array_equal(ev.y_derivative(3), t3)
+    assert set(vars(ev)) == before
     # third derivative of y1^4 + y2^4: diagonal entries 24 y_i
     assert t3[0, 0, 0] == pytest.approx(24.0)
     assert t3[1, 1, 1] == pytest.approx(24.0)
@@ -186,7 +190,6 @@ def test_repeat_evaluation_is_the_same_read_only_object():
     assert {"x", "y", "A_i", "A_ij", "A_inv", "g", "g_inv", "h"} <= set(arrays)
     for name, arr in arrays.items():
         assert not arr.flags.writeable, name
-    assert not ev.y_derivative(3).flags.writeable
     with pytest.raises(ValueError):
         ev.g[0, 0] = 0.0
 

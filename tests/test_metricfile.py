@@ -33,16 +33,16 @@ def test_parse_full_example():
     assert len(cfg.probes) == 1
     assert np.array_equal(cfg.probes[0].x, [0.1, 0.2])
     x = np.array([0.5, 0.0])
-    assert fld.eval_coeff((0, 0, 0, 0), x) == 1.0
-    assert fld.eval_coeff((1, 1, 1, 1), x) == pytest.approx(np.exp(1.0))
+    assert fld.coeff((0, 0, 0, 0)).evaluate(x) == 1.0
+    assert fld.coeff((1, 1, 1, 1)).evaluate(x) == pytest.approx(np.exp(1.0))
 
 
 def test_interval_metric_spelling():
     text = "n = 1\nm = 2\nbox.1 = -0.5,0.5\n1 1 : recip(pow(sub(1, x1), 2))\n"
     cfg = parse_metric_text(text)
     # a_11 = 1 / (1 - x)^2
-    assert cfg.field.eval_coeff((0, 0), [0.0]) == pytest.approx(1.0)
-    assert cfg.field.eval_coeff((0, 0), [0.5]) == pytest.approx(4.0)
+    assert cfg.field.coeff((0, 0)).evaluate([0.0]) == pytest.approx(1.0)
+    assert cfg.field.coeff((0, 0)).evaluate([0.5]) == pytest.approx(4.0)
 
 
 def test_comma_and_space_number_lists_are_equivalent():
@@ -54,7 +54,7 @@ def test_comma_and_space_number_lists_are_equivalent():
 def test_indices_are_one_based_and_order_free():
     text = "n = 2\nm = 2\nbox.1 = -1,1\nbox.2 = -1,1\n2 1 : 3\n"
     fld = parse_metric_text(text).field
-    assert fld.eval_coeff((0, 1), [0.0, 0.0]) == 3.0
+    assert fld.coeff((0, 1)).evaluate([0.0, 0.0]) == 3.0
 
 
 def _err(text):
@@ -179,7 +179,7 @@ def test_format_expr_round_trips_nested_tree():
     cfg = parse_metric_text(f"n = 1\nm = 2\nbox.1 = -1,1\n1 1 : {text}\n")
     for xv in (-0.4, 0.0, 0.3):
         x = np.array([xv])
-        assert cfg.field.eval_coeff((0, 0), x) == pytest.approx(
+        assert cfg.field.coeff((0, 0)).evaluate(x) == pytest.approx(
             e.evaluate(x), rel=1e-15)
 
 
@@ -191,18 +191,56 @@ def test_parse_metric_file_reads_data_files(data_dir):
     assert len(cfg.probes) == 1
 
 
-@pytest.mark.parametrize("box, probe, what", [
-    ("-0.5,inf", "0 ; 1", "box interval"),
-    ("-1,1", "0 ; nan", "probe direction"),
-    ("-1,1", "-inf ; 1", "probe point"),
+@pytest.mark.parametrize("box, probe, what, column", [
+    ("-0.5,inf", "0 ; 1", "box interval", 14),
+    ("-1,1", "0 ; nan", "probe direction", 13),
+    ("-1,1", "-inf ; 1", "probe point", 9),
 ], ids=["box_inf", "probe_direction_nan", "probe_point_inf"])
-def test_non_finite_numbers_are_positioned(box, probe, what):
+def test_non_finite_numbers_are_positioned(box, probe, what, column):
+    # the column is that of the offending number
     text = f"n = 1\nm = 2\nbox.1 = {box}\nprobe = {probe}\n1 1 : 1\n"
     with pytest.raises(MetricFileError, match=f"non-finite number in {what}"
                        ) as info:
         parse_metric_text(text)
     assert info.value.line == (3 if what == "box interval" else 4)
-    assert info.value.column == 8
+    assert info.value.column == column
+
+
+@pytest.mark.parametrize("header, column", [
+    ("n = two", 5),
+    ("seed =   1.5", 10),
+    ("tol = abc", 7),
+    ("box.1 = -1,1,2", 9),
+    ("box.1 = -1, wide", 13),
+    ("probe = 0", 9),
+    ("probe = 0 ; 1 x", 15),
+], ids=["n", "seed", "tol", "box_count", "box_malformed", "probe_no_semicolon",
+        "probe_malformed"])
+def test_header_errors_point_at_the_value(header, column):
+    text = f"n = 1\nm = 2\nbox.1 = -1,1\n{header}\n1 1 : 1\n"
+    with pytest.raises(MetricFileError) as info:
+        parse_metric_text(text)
+    assert (info.value.line, info.value.column) == (4, column)
+
+
+@pytest.mark.parametrize("expr, message, column", [
+    ("1e400", "number 1e400 is out of range", 7),
+    ("recip(0)", "recip divides by zero", 7),
+    ("recip(sub(1, 1))", "recip divides by zero", 7),
+    ("exp(1000)", "exp overflows", 7),
+    ("pow(1e200, 2)", "pow overflows", 7),
+    ("mul(1e200, 1e200)", "mul overflows", 7),
+    ("sum(x1, 1e308, 1e308)", "sum overflows", 7),
+    ("mul(x1, 1e200, 1e200, 0)", "mul overflows", 7),
+    ("sum(x1, exp(1000))", "exp overflows", 15),
+], ids=["literal", "recip", "recip_folded", "exp", "pow", "mul", "sum",
+        "mul_nan", "nested"])
+def test_non_finite_constants_are_positioned(expr, message, column):
+    # the literal or the call that folds to a non-finite constant
+    text = f"n = 1\nm = 2\nbox.1 = -0.5,0.5\n1 1 : {expr}\n"
+    with pytest.raises(MetricFileError, match=message) as info:
+        parse_metric_text(text)
+    assert (info.value.line, info.value.column) == (4, column)
 
 
 def test_header_numbers_validated():

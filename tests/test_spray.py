@@ -1,5 +1,7 @@
 """Spray coefficients and Berwald curvature: oracles and consistency."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from mroot.classify import (classify_antonelli, classify_dually_flat,
                             weakly_berwald_check)
 from mroot.corpus import BUILTIN, CORE, antonelli_quartic2, funk1, quartic2
 from mroot.metric import MetricEval
-from mroot.spray import (berwald_fd, d_ainv_dy, spray_eval, spray_mroot,
-                         spray_variational)
+from mroot.spray import (_ainv_y_derivatives, berwald_fd, spray_eval,
+                         spray_mroot, spray_variational)
 
 from conftest import corpus_field, corpus_probes
 
@@ -106,7 +108,7 @@ def test_hessian_inverse_derivative_closed_form():
     # A^{11} = 1 / (12 y1^2) for the diagonal quartic, so
     # dA^{11}/dy1 = -1/6 at y = (1, 1)
     ev = MetricEval.at(quartic2(), [0.0, 0.0], [1.0, 1.0])
-    D = d_ainv_dy(ev)
+    D = _ainv_y_derivatives(ev)[1]
     assert D[0, 0, 0] == pytest.approx(-1.0 / 6.0, rel=1e-13)
     assert D[1, 1, 1] == pytest.approx(-1.0 / 6.0, rel=1e-13)
     assert D[0, 0, 1] == pytest.approx(0.0, abs=1e-15)
@@ -114,20 +116,24 @@ def test_hessian_inverse_derivative_closed_form():
 
 @pytest.mark.parametrize("name", CURVED)
 def test_hessian_inverse_derivative_matches_fd(name):
+    # N1 against a central difference of N = A_inv, N2 against one of
+    # N1 and N3 against one of N2, all from _ainv_y_derivatives
     fld = corpus_field(name)
     h = 1e-5
     for p in corpus_probes(name, bases=3, fan=4, cond_cap=50.0).probes():
-        ev = MetricEval.at(fld, p.x, p.y)
-        D = d_ainv_dy(ev)
+        exact = _ainv_y_derivatives(MetricEval.at(fld, p.x, p.y))
         for l in range(fld.n):
             yp = p.y.copy()
             ym = p.y.copy()
             yp[l] += h
             ym[l] -= h
-            fd = (MetricEval.at(fld, p.x, yp).A_inv
-                  - MetricEval.at(fld, p.x, ym).A_inv) / (2.0 * h)
-            scale = 1.0 + float(np.max(np.abs(D[:, :, l])))
-            assert float(np.max(np.abs(D[:, :, l] - fd))) <= 1e-6 * scale
+            plus = _ainv_y_derivatives(MetricEval.at(fld, p.x, yp))
+            minus = _ainv_y_derivatives(MetricEval.at(fld, p.x, ym))
+            for k in (1, 2, 3):
+                fd = (plus[k - 1] - minus[k - 1]) / (2.0 * h)
+                D = exact[k][..., l]
+                scale = 1.0 + float(np.max(np.abs(D)))
+                assert float(np.max(np.abs(D - fd))) <= 1e-6 * scale, k
 
 
 @pytest.mark.parametrize("name", CURVED)
@@ -195,7 +201,8 @@ def test_spray_eval_is_stored_on_the_evaluation():
     for arr in (sp.G, sp.dG_dy, sp.d2G_dy2, sp.B, sp.E):
         assert not arr.flags.writeable
     # the T3-T5 and Bx1-Bx4 intermediates are not kept on the evaluation
-    assert ev._ycache == {} and ev._xycache == {}
+    fields = {f.name for f in dataclasses.fields(ev)}
+    assert set(vars(ev)) == fields | {"_spray"}
 
 
 def _verdicts(fld, ps, order):
