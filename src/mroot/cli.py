@@ -149,6 +149,8 @@ def _resolve(args, cfg) -> _Run:
         tol_e=_first(cfg.tol_e, DEFAULT_TOL_E),
         inject_c=getattr(args, "inject_c", 0.0),
         explicit=bool(cfg.probes))
+    if run.seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {run.seed}")
     if run.fan < 1:
         raise ConfigurationError(f"fan size must be >= 1, got {run.fan}")
     if run.bases < 1:

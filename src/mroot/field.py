@@ -89,6 +89,7 @@ class SymTensorField:
         self._perms = {k: set(itertools.permutations(k)) for k in self.entries}
         self._dx_cache = {}
         self._point_cache = {}
+        self._point_cap = 16            # base points point_arrays keeps
         self._label = "coefficient"     # what coeff_array errors name
 
     # -- point membership ---------------------------------------------------
@@ -155,6 +156,10 @@ class SymTensorField:
                 arr[p] = v
         return arr
 
+    def keep_bases(self, k: int):
+        """Let :meth:`point_arrays` keep at least ``k`` base points."""
+        self._point_cap = max(self._point_cap, int(k))
+
     def point_arrays(self, x):
         """(abar, bstack) at the base point x, with a small cache.
 
@@ -163,7 +168,9 @@ class SymTensorField:
         All directional derivatives at x are contractions of these two
         arrays with y, so one call serves a whole fan of directions.
 
-        The last 16 base points are cached.  Each entry is a
+        The last ``max(16, k)`` base points are cached, where k is the
+        largest count passed to :meth:`keep_bases` (the most bases of a
+        probe set drawn on this field).  Each entry is a
         :class:`PointArrays`, which also carries the evaluations that
         :meth:`mroot.metric.MetricEval.at` memoizes at that base point,
         so they are evicted with it.  Cached arrays are read-only.
@@ -176,7 +183,7 @@ class SymTensorField:
         bstack = np.stack([self.dx(l).coeff_array(x) for l in range(self.n)])
         abar.setflags(write=False)
         bstack.setflags(write=False)
-        if len(self._point_cache) >= 16:
+        if len(self._point_cache) >= self._point_cap:
             self._point_cache.pop(next(iter(self._point_cache)))
         entry = self._point_cache[key] = PointArrays(abar, bstack)
         return entry

@@ -16,9 +16,10 @@ Each probe is evaluated once per run: :meth:`MetricEval.at` memoizes
 its result in the field's base-point cache (see
 :meth:`mroot.field.SymTensorField.point_arrays`), keyed by the bytes of
 y, and :func:`mroot.spray.spray_eval` stores its result on the
-evaluation.  The memo is bounded by that cache's 16 base points and is
-evicted with them.  A memoized evaluation is shared by every caller, so
-its arrays are read-only.
+evaluation.  The memo is evicted with that cache's base points (the last
+16, or as many as the largest probe set drawn on the field has).  A
+memoized evaluation is shared by every caller, so its arrays are
+read-only.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ class MetricEval:
         """Evaluate the metric data of ``fld`` at the probe (x, y).
 
         The result is memoized with the base point x in the field's
-        16-entry :meth:`~mroot.field.SymTensorField.point_arrays` cache,
+        :meth:`~mroot.field.SymTensorField.point_arrays` cache (16 base
+        points, or every base of the largest probe set drawn on it),
         so a repeat call with the same x and the same y bytes returns
         the identical object.  It holds copies of x and y, and all its
         arrays are read-only.  Failed evaluations are not memoized.

@@ -128,7 +128,10 @@ def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
     kept = []
     drawn = 0
     batch = max(size, 4)
-    for child in seq.spawn(64):
+    # the children spawn(64) gives a fresh seq, without advancing seq
+    for k in range(64):
+        child = np.random.SeedSequence(seq.entropy, pool_size=seq.pool_size,
+                                       spawn_key=seq.spawn_key + (k,))
         dirs = sphere_fan(fld.n, batch, child)
         drawn += len(dirs)
         for y in dirs:
@@ -181,6 +184,7 @@ class ProbeSet:
 def generate_probe_set(fld: SymTensorField, n_base: int, fan_size: int,
                        seed, cond_cap: float = COND_CAP) -> ProbeSet:
     """Deterministic probe set: ``n_base`` points, ``fan_size`` rays each."""
+    fld.keep_bases(n_base)
     seq = np.random.SeedSequence(seed)
     children = seq.spawn(n_base + 1)
     bases = base_points(fld, n_base, children[0])

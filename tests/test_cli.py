@@ -7,10 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+from mroot import spray
 from mroot.classify import classify_dually_flat
 from mroot.cli import main
 from mroot.corpus import CORE
 from mroot.errors import ConfigurationError
+from mroot.field import SymTensorField
 from mroot.geodesic import integrate
 from mroot.metricfile import parse_metric_file
 from mroot.probes import generate_probe_set
@@ -235,8 +237,9 @@ SUBCOMMANDS = [
     (["--tol", "nan"], "tol must be finite and >= 0, got nan"),
     (["--tol", "-1"], "tol must be finite and >= 0, got -1.0"),
     (["--tol", "inf"], "tol must be finite and >= 0, got inf"),
+    (["--seed", "-1"], "seed must be >= 0, got -1"),
 ], ids=["fan_0", "bases_0", "bases_negative", "tol_nan", "tol_negative",
-        "tol_inf"])
+        "tol_inf", "seed_negative"])
 @pytest.mark.parametrize("command", SUBCOMMANDS, ids=lambda c: c[0])
 def test_bad_run_parameters_exit_two_before_any_work(command, flags, message,
                                                      tmp_path, capsys):
@@ -263,6 +266,16 @@ def test_bad_header_tolerances_exit_two(command, header, message, tmp_path,
     assert main([command[0], str(bad)] + command[1:]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS, ids=lambda c: c[0])
+def test_negative_header_seed_exits_two(command, tmp_path, capsys):
+    bad = tmp_path / "bad.metric"
+    bad.write_text("seed = -4\n" + (DATA_DIR / "quartic2.metric").read_text())
+    assert main([command[0], str(bad)] + command[1:]) == 2
+    captured = capsys.readouterr()
+    assert "seed must be >= 0, got -4" in captured.err
     assert captured.out == ""
 
 
@@ -396,3 +409,31 @@ def test_report_keys_in_order(command, member, keys, tmp_path, capsys):
     main([command, path(member), "--bases", "2", "--out", str(out)])
     capsys.readouterr()
     assert list(json.loads(out.read_text())) == BASE_KEYS + keys + END_KEYS
+
+
+def test_report_all_computes_each_probe_once_with_many_bases(monkeypatch,
+                                                             capsys):
+    # 20 bases is more than the 16 base points a field keeps by default;
+    # every check walks the bases in order, so each base point and each
+    # probe must still be computed once per run
+    counts = {"coeff_array": 0, "spray": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SymTensorField, "coeff_array",
+                        counted("coeff_array", SymTensorField.coeff_array))
+    monkeypatch.setattr(spray, "_ainv_y_derivatives",
+                        counted("spray", spray._ainv_y_derivatives))
+    bases, fan = 20, 8
+    assert main(["report-all", path("quartic2_scaled"), "--bases",
+                 str(bases), "--fan", str(fan)]) == 1
+    capsys.readouterr()
+    n = 2
+    probes = bases * fan                 # Q: every probe of the set
+    shared = (bases - 1) * fan           # S: antonelli's shared directions
+    assert counts["coeff_array"] == (1 + n) * bases
+    assert counts["spray"] == probes + shared

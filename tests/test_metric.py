@@ -10,7 +10,9 @@ import pytest
 
 from mroot.corpus import BUILTIN, CORE, euclid2, funk1, quartic2
 from mroot.errors import AdmissibleConeError, DegenerateMetricError
+from mroot.geodesic import integrate
 from mroot.metric import MetricEval, identity_residuals
+from mroot.probes import generate_probe_set
 from mroot.spray import spray_eval
 
 from conftest import corpus_field, corpus_probes
@@ -227,6 +229,19 @@ def test_memo_is_evicted_with_its_base_point():
     again = MetricEval.at(fld, [0.0, 0.0], y)
     assert again is not first
     assert again.A == first.A
+
+
+def test_cached_base_points_stay_bounded():
+    # a plain field keeps 16 base points; a probe set raises that to its
+    # base count, and a geodesic on the field does not raise it further
+    plain = BUILTIN["quartic2_scaled"]()
+    integrate(plain, [0.0, 0.0], [0.6, 0.8], 0.3, 400)
+    assert len(plain._point_cache) == 16
+    fld = BUILTIN["quartic2_scaled"]()
+    generate_probe_set(fld, 20, 8, seed=0)
+    assert len(fld._point_cache) == 20
+    integrate(fld, [0.0, 0.0], [0.6, 0.8], 0.3, 400)
+    assert len(fld._point_cache) == 20
 
 
 def test_failed_evaluations_are_not_memoized():

@@ -104,6 +104,16 @@ def test_thin_cone_fails_loudly():
         admissible_fan(fld, np.zeros(2), 4, seed=0)
 
 
+def test_a_seed_sequence_is_not_advanced_by_a_draw():
+    fld = corpus_field("quartic2")
+    x = np.zeros(2)
+    ss = np.random.SeedSequence(5)
+    first = admissible_fan(fld, x, 3, ss)
+    assert np.array_equal(admissible_fan(fld, x, 3, ss), first)
+    assert np.array_equal(admissible_fan(fld, x, 3, 5), first)
+    assert ss.n_children_spawned == 0
+
+
 def test_admissible_at_all_checks_every_base():
     fld = corpus_field("quartic2_scaled")
     xs = [np.array([-0.4, 0.0]), np.array([0.4, 0.2])]
