@@ -230,10 +230,10 @@ def classify_antonelli(fld: SymTensorField, probes: ProbeSet,
     * ``spray_shift`` compares G at the reference base against G at the
       other base point for the same direction;
     * ``connection_identity`` checks
-      A_{x^l} = [Gamma^i_{lk} y^k + B^i_{jkl} y^j y^k / 2] A_i with the
-      connection frozen at the reference point and A evaluated at the
-      other.  At a single point this holds identically, so its content
-      is exactly the cross-point transport.
+      A_{x^l} = Gamma^i_{lk} y^k A_i = (dG^i/dy^l) A_i (Euler, since
+      Gamma is 0-homogeneous) with dG/dy frozen at the reference point
+      and A evaluated at the other.  At a single point this holds
+      identically, so its content is exactly the cross-point transport.
 
     Needs at least two base points.
     """
@@ -258,13 +258,10 @@ def classify_antonelli(fld: SymTensorField, probes: ProbeSet,
             G_b = spray_mroot(ev_b)
             shift = max(shift, float(np.max(np.abs(G_ref - G_b)))
                         / (1.0 + float(np.max(np.abs(G_ref)))))
-            # the connection frozen at the reference point (this repeat
-            # evaluation of ev_ref's probe is a memo hit)
+            # the transport Gamma . y = dG/dy frozen at the reference
+            # point (this repeat evaluation of ev_ref's probe is a memo hit)
             sp = spray_eval(MetricEval.at(fld, x_ref, y))
-            Gam, B = sp.d2G_dy2, sp.B
-            transport = (np.einsum("ilk,k->il", Gam, y)
-                         + 0.5 * np.einsum("ijkl,j,k->il", B, y, y))
-            pred = transport.T @ ev_b.A_i
+            pred = sp.dG_dy.T @ ev_b.A_i
             identity = max(identity, float(np.max(np.abs(ev_b.A_xl - pred)))
                            / (1.0 + abs(ev_b.A)))
 

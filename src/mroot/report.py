@@ -38,10 +38,16 @@ def render_table(report: dict) -> str:
         lines.append("  ".join(meta))
     for verdict in report.get("verdicts", []):
         word = "PASS" if verdict.get("passed") else "FAIL"
-        lines.append(
-            f"{verdict.get('name', '?'):<24} {word}"
-            f"  residual {verdict.get('residual', float('nan')):.3e}"
-            f"  (tol {verdict.get('tol', float('nan')):.1e})")
+        details = verdict.get("details", {})
+        if details.get("fit_ok") is False:
+            # E fits no isotropic shape, so the collapse implication holds
+            # vacuously; show the misfit that makes it so
+            shown = (f"vacuous, fit residual {details['fit_residual']:.3e}"
+                     f"  (tol_fit {details['tol_fit']:.1e})")
+        else:
+            shown = (f"residual {verdict.get('residual', float('nan')):.3e}"
+                     f"  (tol {verdict.get('tol', float('nan')):.1e})")
+        lines.append(f"{verdict.get('name', '?'):<24} {word}  {shown}")
     if "overall" in report:
         word = "PASS" if report["overall"] else "FAIL"
         lines.append(f"overall: {word}")

@@ -13,17 +13,18 @@ They must agree at every admissible probe, which makes the pair a
 strong self-check: they share no intermediate beyond the raw
 coefficient arrays.
 
-The Berwald tensor B^i_{jkl} = d^3 G^i / dy^j dy^k dy^l is assembled
-exactly by the chain rule through the closed form, using the
-y-derivatives of the Hessian inverse.  Everything stays polynomial
-(divided by powers of det A_ij), so no fractional powers enter and the
-m = 2 case collapses to exactly zero.
+The y-derivatives of G up to the Berwald tensor
+B^i_{jkl} = d^3 G^i / dy^j dy^k dy^l come from one recurrence: the
+closed form A_ij G^j = P_i / 2 differentiated k times in y by the
+Leibniz rule (see :func:`spray_eval`).  Each order costs one solve with
+the Hessian inverse and needs only the coefficient arrays, so no
+fractional powers enter and the m = 2 case collapses to exactly zero.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -58,31 +59,6 @@ def spray_variational(ev: MetricEval) -> np.ndarray:
     return 0.25 * ev.g_inv @ rhs
 
 
-def _ainv_y_derivatives(ev: MetricEval):
-    """N and its first three y-derivative arrays.
-
-    Returns (N, N1, N2, N3) with N1[i,j,l], N2[i,j,k,l], N3[i,j,k,l,q];
-    the derivative slots are the trailing ones and are symmetric.
-    """
-    N = ev.A_inv
-    T3, T4, T5 = (ev.y_derivative(k) for k in (3, 4, 5))
-
-    N1 = -np.einsum("ia,abl,bj->ijl", N, T3, N)
-    N2 = -(np.einsum("iak,abl,bj->ijkl", N1, T3, N)
-           + np.einsum("ia,ablk,bj->ijkl", N, T4, N)
-           + np.einsum("ia,abl,bjk->ijkl", N, T3, N1))
-    N3 = -(np.einsum("iakq,abl,bj->ijklq", N2, T3, N)
-           + np.einsum("iak,ablq,bj->ijklq", N1, T4, N)
-           + np.einsum("iak,abl,bjq->ijklq", N1, T3, N1)
-           + np.einsum("iaq,ablk,bj->ijklq", N1, T4, N)
-           + np.einsum("ia,ablkq,bj->ijklq", N, T5, N)
-           + np.einsum("ia,ablk,bjq->ijklq", N, T4, N1)
-           + np.einsum("iaq,abl,bjk->ijklq", N1, T3, N1)
-           + np.einsum("ia,ablq,bjk->ijklq", N, T4, N1)
-           + np.einsum("ia,abl,bjkq->ijklq", N, T3, N2))
-    return N, N1, N2, N3
-
-
 @dataclass(eq=False)
 class SprayEval:
     """Spray coefficients with their y-derivatives up to third order.
@@ -104,9 +80,19 @@ class SprayEval:
 def spray_eval(ev: MetricEval) -> SprayEval:
     """Exact spray, connection and Berwald data at one probe.
 
-    The chain rule is applied to G^i = P_a A^{ai} / 2 with
-    P_a = A_{0a} - A_{x^a}; the y-derivatives of P come from the mixed
-    coefficient arrays, those of A^{ai} from :func:`_ainv_y_derivatives`.
+    The closed form says A_ab G^b = P_a / 2 with
+    P_a = A_{0a} - A_{x^a}.  Differentiating it k times in y by the
+    Leibniz rule over the derivative slots J = (j_1 .. j_k) gives
+
+        G^(k) = A^(2)^{-1} ( P^(k) / 2 - sum_S A^(2+|S|)[S] G^(k-|S|)[J - S] ),
+
+    summed over the nonempty subsets S of the slots, with
+    P^(k)_{aJ} = y^p D_{k+1}[p,a,J] - D_k[a,J] + sum_s D_k[j_s,a,J - j_s],
+    A^(r) = ``ev.y_derivative(r)`` and D_k = ``ev.dx_y_derivative(k)``
+    (``ev.A_inv``, ``ev.A_xl`` and ``ev.A_xy`` supply A^(2)^{-1}, D_0
+    and D_1).  One loop over k = 0 .. 3 yields G, dG/dy, the connection
+    and B in turn.  Every A^(r) and D_k above the degree m is an exact
+    zero, so for m = 2 B is exactly 0.
 
     The result is stored on ``ev``, so a repeat call on the same
     (memoized) evaluation returns the identical, read-only object.  The
@@ -114,34 +100,22 @@ def spray_eval(ev: MetricEval) -> SprayEval:
     """
     if ev._spray is not None:
         return ev._spray
-    y = ev.y
-    Bx1, Bx2, Bx3, Bx4 = (ev.dx_y_derivative(k) for k in (1, 2, 3, 4))
-
-    P = ev.A0l - ev.A_xl
-    dP = Bx1.T + np.einsum("p,paj->aj", y, Bx2) - Bx1
-    d2P = (np.einsum("jak->ajk", Bx2) + np.einsum("kaj->ajk", Bx2)
-           + np.einsum("p,pajk->ajk", y, Bx3) - Bx2)
-    d3P = (np.einsum("jakl->ajkl", Bx3) + np.einsum("kajl->ajkl", Bx3)
-           + np.einsum("lajk->ajkl", Bx3)
-           + np.einsum("p,pajkl->ajkl", y, Bx4) - Bx3)
-
-    N, N1, N2, N3 = _ainv_y_derivatives(ev)
-
-    G = 0.5 * (P @ N)
-    dG = 0.5 * (np.einsum("aj,ai->ij", dP, N)
-                + np.einsum("a,aij->ij", P, N1))
-    d2G = 0.5 * (np.einsum("ajk,ai->ijk", d2P, N)
-                 + np.einsum("aj,aik->ijk", dP, N1)
-                 + np.einsum("ak,aij->ijk", dP, N1)
-                 + np.einsum("a,aijk->ijk", P, N2))
-    B = 0.5 * (np.einsum("ajkl,ai->ijkl", d3P, N)
-               + np.einsum("ajk,ail->ijkl", d2P, N1)
-               + np.einsum("ajl,aik->ijkl", d2P, N1)
-               + np.einsum("akl,aij->ijkl", d2P, N1)
-               + np.einsum("aj,aikl->ijkl", dP, N2)
-               + np.einsum("ak,aijl->ijkl", dP, N2)
-               + np.einsum("al,aijk->ijkl", dP, N2)
-               + np.einsum("a,aijkl->ijkl", P, N3))
+    D = [ev.A_xl, ev.A_xy] + [ev.dx_y_derivative(k) for k in (2, 3, 4)]
+    A = {r: ev.y_derivative(r) for r in (3, 4, 5)}
+    Gk = []
+    for k in range(4):
+        J = "jkl"[:k]
+        P = np.einsum("p,pa...->a...", ev.y, D[k + 1]) - D[k]
+        for s in range(1, k + 1):
+            P = P + np.moveaxis(D[k], 0, s)
+        rhs = 0.5 * P
+        for r in range(1, k + 1):
+            for S in combinations(J, r):
+                rest = "".join(c for c in J if c not in S)
+                rhs = rhs - np.einsum(f"ab{''.join(S)},b{rest}->a{J}",
+                                      A[2 + r], Gk[k - r])
+        Gk.append(np.einsum("ia,a...->i...", ev.A_inv, rhs))
+    G, dG, d2G, B = Gk
     E = 0.5 * np.einsum("ijki->jk", B)
     for arr in (G, dG, d2G, B, E):
         arr.setflags(write=False)

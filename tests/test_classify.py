@@ -1,5 +1,7 @@
 """Characterization checks over the corpus: the full truth table."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,30 @@ def test_exponential_quartic_passes_antonelli():
     verdict = classify_antonelli(fld, corpus_probes("antonelli_quartic2"))
     assert verdict.passed
     assert verdict.residual <= 1e-9
+    assert verdict.details["spray_shift"] <= 1e-9
+    assert verdict.details["connection_identity"] <= 1e-9
+
+
+def pulled_back_antonelli_quartic2() -> SymTensorField:
+    # antonelli_quartic2 in the coordinates x = M x', y = M y'; its spray
+    # is still x-independent, but every coefficient now mixes both axes
+    M = np.eye(2) + 0.2 * np.random.RandomState(1).standard_normal((2, 2))
+    x = [float(M[r, 0]) * Coord(0) + float(M[r, 1]) * Coord(1)
+         for r in range(2)]
+    entries = {}
+    for idx in itertools.combinations_with_replacement(range(2), 4):
+        entries[idx] = sum(float(np.prod(M[r, list(idx)])) * expn(x[r])
+                           for r in range(2))
+    return SymTensorField(2, 4, entries, [(-0.2, 0.2), (-0.2, 0.2)])
+
+
+def test_pulled_back_exponential_quartic_passes_antonelli():
+    # the transport of the connection identity must not pick up the
+    # rounding of the third y-derivatives (it read 8e-7 through B . y y)
+    fld = pulled_back_antonelli_quartic2()
+    verdict = classify_antonelli(fld, generate_probe_set(fld, 4, 16, 0),
+                                 seed=0)
+    assert verdict.passed
     assert verdict.details["spray_shift"] <= 1e-9
     assert verdict.details["connection_identity"] <= 1e-9
 

@@ -411,6 +411,19 @@ def test_report_keys_in_order(command, member, keys, tmp_path, capsys):
     assert list(json.loads(out.read_text())) == BASE_KEYS + keys + END_KEYS
 
 
+def test_vacuous_isotropic_pass_is_shown_in_the_table(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["classify-isotropic", path("random_cubic3"),
+                 "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].startswith(
+        "isotropic_mean_berwald   PASS  vacuous, fit residual 3.89")
+    assert lines[2].endswith("e+07  (tol_fit 1.0e-07)")
+    verdict = json.loads(out.read_text())["verdicts"][0]
+    assert verdict["passed"] is True and verdict["residual"] == 0.0
+    assert verdict["details"]["fit_ok"] is False
+
+
 def test_report_all_computes_each_probe_once_with_many_bases(monkeypatch,
                                                              capsys):
     # 20 bases is more than the 16 base points a field keeps by default;
@@ -426,8 +439,8 @@ def test_report_all_computes_each_probe_once_with_many_bases(monkeypatch,
 
     monkeypatch.setattr(SymTensorField, "coeff_array",
                         counted("coeff_array", SymTensorField.coeff_array))
-    monkeypatch.setattr(spray, "_ainv_y_derivatives",
-                        counted("spray", spray._ainv_y_derivatives))
+    monkeypatch.setattr(spray, "SprayEval",
+                        counted("spray", spray.SprayEval))
     bases, fan = 20, 8
     assert main(["report-all", path("quartic2_scaled"), "--bases",
                  str(bases), "--fan", str(fan)]) == 1

@@ -10,8 +10,8 @@ from mroot.classify import (classify_antonelli, classify_dually_flat,
                             weakly_berwald_check)
 from mroot.corpus import BUILTIN, CORE, antonelli_quartic2, funk1, quartic2
 from mroot.metric import MetricEval
-from mroot.spray import (_ainv_y_derivatives, berwald_fd, spray_eval,
-                         spray_mroot, spray_variational)
+from mroot.spray import (berwald_fd, spray_eval, spray_mroot,
+                         spray_variational)
 
 from conftest import corpus_field, corpus_probes
 
@@ -104,36 +104,35 @@ def test_connection_coefficients_are_zero_homogeneous(lam):
             sp_scaled.d2G_dy2 - sp.d2G_dy2))) <= 1e-9 * scale
 
 
-def test_hessian_inverse_derivative_closed_form():
-    # A^{11} = 1 / (12 y1^2) for the diagonal quartic, so
-    # dA^{11}/dy1 = -1/6 at y = (1, 1)
-    ev = MetricEval.at(quartic2(), [0.0, 0.0], [1.0, 1.0])
-    D = _ainv_y_derivatives(ev)[1]
-    assert D[0, 0, 0] == pytest.approx(-1.0 / 6.0, rel=1e-13)
-    assert D[1, 1, 1] == pytest.approx(-1.0 / 6.0, rel=1e-13)
-    assert D[0, 0, 1] == pytest.approx(0.0, abs=1e-15)
+def test_scaled_quartic_spray_gradient_closed_form():
+    # from G1 = (3 y1^2 - y2^4 / y1^2) / (24 c), G2 = y1 y2 / (6 c) with
+    # c = 1 + x1 = 1.2 at y = (1, 1)
+    fld = corpus_field("quartic2_scaled")
+    sp = spray_eval(MetricEval.at(fld, [0.2, 0.0], [1.0, 1.0]))
+    want = np.array([[8.0, -4.0], [4.0, 4.0]]) / 28.8
+    assert np.allclose(sp.dG_dy, want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("name", CURVED)
-def test_hessian_inverse_derivative_matches_fd(name):
-    # N1 against a central difference of N = A_inv, N2 against one of
-    # N1 and N3 against one of N2, all from _ainv_y_derivatives
+def test_spray_derivatives_match_fd_of_the_order_below(name):
+    # d2G_dy2 against a central difference of dG_dy, and B against one
+    # of d2G_dy2, each from spray_eval at displaced directions
     fld = corpus_field(name)
     h = 1e-5
     for p in corpus_probes(name, bases=3, fan=4, cond_cap=50.0).probes():
-        exact = _ainv_y_derivatives(MetricEval.at(fld, p.x, p.y))
+        exact = spray_eval(MetricEval.at(fld, p.x, p.y))
         for l in range(fld.n):
             yp = p.y.copy()
             ym = p.y.copy()
             yp[l] += h
             ym[l] -= h
-            plus = _ainv_y_derivatives(MetricEval.at(fld, p.x, yp))
-            minus = _ainv_y_derivatives(MetricEval.at(fld, p.x, ym))
-            for k in (1, 2, 3):
-                fd = (plus[k - 1] - minus[k - 1]) / (2.0 * h)
-                D = exact[k][..., l]
+            plus = spray_eval(MetricEval.at(fld, p.x, yp))
+            minus = spray_eval(MetricEval.at(fld, p.x, ym))
+            for lower, upper in (("dG_dy", "d2G_dy2"), ("d2G_dy2", "B")):
+                fd = (getattr(plus, lower) - getattr(minus, lower)) / (2.0 * h)
+                D = getattr(exact, upper)[..., l]
                 scale = 1.0 + float(np.max(np.abs(D)))
-                assert float(np.max(np.abs(D - fd))) <= 1e-6 * scale, k
+                assert float(np.max(np.abs(D - fd))) <= 1e-6 * scale, upper
 
 
 @pytest.mark.parametrize("name", CURVED)
