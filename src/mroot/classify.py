@@ -186,7 +186,7 @@ def riemann_corollary_check(fld: SymTensorField, probes: ProbeSet,
     for x, fan in zip(probes.bases, probes.fans):
         of = recover_theta(fld, x, fan)
         theta = of.theta
-        a = fld.coeff_array(x) / 1.0
+        a = fld.coeff_array(x)
         da = np.stack([fld.dx(l).coeff_array(x) for l in range(fld.n)])
         lhs = 3.0 * da
         rhs = (np.einsum("l,ij->lij", theta, a)

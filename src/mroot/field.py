@@ -23,6 +23,9 @@ from .expr import Expr, Const
 
 __all__ = ["PointArrays", "SymTensorField"]
 
+_MAX_SLOTS = 2 ** 16
+_MAX_ORDER = 31
+
 
 class PointArrays(tuple):
     """The pair ``(abar, bstack)`` at one base point, plus a memo.
@@ -61,6 +64,16 @@ class SymTensorField:
             raise ConfigurationError("dimension n must be >= 1")
         if self.m < 2:
             raise ConfigurationError("tensor order m must be >= 2")
+        # point_arrays keeps (1 + n) * n^m floats per cached base point, for
+        # up to max(16, bases) points: 2^16 slots admit every corpus member
+        # and n = 2 up to m = 16.  bstack has m + 1 axes, and numpy 1 allows
+        # 32; testing m first also keeps n ** m a small number.
+        if self.m > _MAX_ORDER or self.n ** self.m > _MAX_SLOTS:
+            raise ConfigurationError(
+                f"n = {self.n}, m = {self.m} is too large: the coefficient "
+                f"array would have n^m = {self.n}^{self.m} slots in m axes, "
+                f"and at most {_MAX_SLOTS} slots and {_MAX_ORDER} axes are "
+                f"supported")
         self.box = tuple((float(lo), float(hi)) for lo, hi in box)
         if len(self.box) != self.n:
             raise ConfigurationError(
@@ -85,8 +98,13 @@ class SymTensorField:
                 e = Const(float(e))
             self.entries[key] = e
 
-        # the distinct orderings of each stored key: the dense slots it fills
-        self._perms = {k: set(itertools.permutations(k)) for k in self.entries}
+        # slot -> position of its sorted index among the entries, or
+        # len(entries) for the zero that fills every slot with no entry
+        where = {key: i for i, key in enumerate(self.entries)}
+        self._slots = np.array(
+            [where.get(tuple(sorted(s)), len(where))
+             for s in itertools.product(range(self.n), repeat=self.m)],
+            dtype=np.intp).reshape((self.n,) * self.m)
         self._dx_cache = {}
         self._point_cache = {}
         self._point_cap = 16            # base points point_arrays keeps
@@ -142,7 +160,7 @@ class SymTensorField:
         """
         self._require_inside(x)
         x = np.asarray(x, dtype=float)
-        arr = np.zeros((self.n,) * self.m)
+        vals = []
         for key, e in self.entries.items():
             try:
                 v = e.evaluate(x)
@@ -152,9 +170,9 @@ class SymTensorField:
                 raise ConfigurationError(
                     f"{self._label} {tuple(i + 1 for i in key)} is not "
                     f"finite at x={x.tolist()}")
-            for p in self._perms[key]:
-                arr[p] = v
-        return arr
+            vals.append(v)
+        vals.append(0.0)
+        return np.array(vals)[self._slots]
 
     def keep_bases(self, k: int):
         """Let :meth:`point_arrays` keep at least ``k`` base points."""

@@ -14,14 +14,21 @@ line per stored coefficient:
     2 2 2 2 : exp(mul(2, x1))
 
 Indices are 1-based and symmetric: each sorted index may appear once.
-Expressions use a small prefix vocabulary: ``sum``, ``mul``, ``pow``
-(non-negative integer exponent), ``exp``, ``recip``, ``sub``, numeric
-literals and coordinates ``x1 .. xn``.  ``#`` starts a comment.  The
-optional headers are ``seed``, ``tol``, ``tol_fit``, ``tol_c``,
-``tol_e`` and repeatable ``probe = x1 .. xn ; y1 .. yn`` lines naming
-explicit probes.  ``n``, ``m`` and a full set of ``box.i = lo,hi``
-lines are mandatory; numbers in header values may be separated by
-commas or whitespace.
+``#`` starts a comment.  The optional headers are ``seed``, ``tol``,
+``tol_fit``, ``tol_c``, ``tol_e`` and repeatable
+``probe = x1 .. xn ; y1 .. yn`` lines naming explicit probes.  ``n``,
+``m`` and a full set of ``box.i = lo,hi`` lines are mandatory; numbers
+in header values may be separated by commas or whitespace.
+
+An entry's expression is a sequence of tokens: after any spaces and
+tabs, a number (``[+-]``, digits, an optional fraction and exponent), a
+name (a letter or ``_``, then letters, digits or ``_``) or any other
+single character.  A number is a constant, ``x1 .. xn`` a coordinate,
+and a function name followed by ``(``, comma-separated arguments and
+``)`` a call.  The function table: ``sum`` and ``mul`` take two or more
+arguments, ``sub`` and ``pow`` two (the exponent a non-negative integer
+constant), ``exp`` and ``recip`` one.  Calls nest at most 200 deep, and
+a call on constants folds into one constant, which must be finite.
 
 All syntax errors carry 1-based line and column positions.
 """
@@ -43,9 +50,35 @@ from .metric import ProbePoint
 __all__ = ["RunConfig", "parse_metric_text", "parse_metric_file",
            "format_expr", "dump_metric"]
 
-_NUMBER = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_FUNCTIONS = ("sum", "mul", "pow", "exp", "recip", "sub")
+_TOKEN = re.compile(r"[ \t]*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+                    r"|(?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                    r"|(?P<char>[^ \t]))")
+# CPython's own parser stops at 200 nested parentheses; the recursion in
+# Expr.evaluate and Expr.diff stays well inside the interpreter's limit
+_MAX_DEPTH = 200
+
+
+def _pow(base: Expr, k: Expr) -> Expr:
+    if not isinstance(k, Const) or k.value != int(k.value) or k.value < 0:
+        raise ValueError("pow exponent must be a non-negative integer literal")
+    return intpow(base, int(k.value))
+
+
+# name -> (fewest arguments, most or None, builder, node type it writes)
+_FUNCTIONS = {
+    "sum": (2, None, add, Sum),
+    "mul": (2, None, mul, Prod),
+    "sub": (2, 2, lambda a, b: add(a, mul(Const(-1.0), b)), None),
+    "pow": (2, 2, _pow, IntPow),
+    "exp": (1, 1, expn, Exp),
+    "recip": (1, 1, recip, Recip),
+}
+_NAMES = {node: name for name, (*_, node) in _FUNCTIONS.items() if node}
+
+# scalar header -> (type, what its value must be)
+_SCALARS = (dict.fromkeys(("n", "m", "seed"), (int, "an integer"))
+            | dict.fromkeys(("tol", "tol_fit", "tol_c", "tol_e"),
+                            (float, "a number")))
 
 
 @dataclass(eq=False)
@@ -65,123 +98,73 @@ class RunConfig:
     probes: list = dc_field(default_factory=list)
 
 
-class _ExprParser:
-    """Recursive-descent parser for the prefix expression grammar."""
+def _parse_expr(text: str, line: int, col0: int, n: int) -> Expr:
+    """Read one entry's expression; ``col0`` is the column of text[0]."""
+    tokens = [(t.lastgroup, t[t.lastgroup], col0 + t.start(t.lastgroup))
+              for t in _TOKEN.finditer(text)]
+    tokens.append(("end", "", col0 + len(text)))
+    pos = 0
 
-    def __init__(self, text: str, line: int, col0: int, n: int):
-        self.text = text
-        self.line = line
-        self.col0 = col0        # column of text[0] in the original line
-        self.n = n
-        self.pos = 0
+    def fail(message, column):
+        raise MetricFileError(message, line=line, column=column)
 
-    def error(self, message: str, pos: int = None):
-        pos = self.pos if pos is None else pos
-        raise MetricFileError(message, line=self.line, column=self.col0 + pos)
+    def expect(ch):
+        nonlocal pos
+        if tokens[pos][1] != ch:
+            fail(f"expected '{ch}'", tokens[pos][2])
+        pos += 1
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.error(f"expected '{ch}'")
-        self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def parse(self) -> Expr:
-        e = self.parse_node()
-        if not self.at_end():
-            self.error("trailing input after expression")
-        return e
-
-    def parse_node(self) -> Expr:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            self.error("expected an expression")
-        start = self.pos
-        mnum = _NUMBER.match(self.text, self.pos)
-        mid = _IDENT.match(self.text, self.pos)
-        # an identifier wins over a sign-less digit prefix only when
-        # it actually starts with a letter, so check ident first
-        if mid:
-            name = mid.group(0)
-            self.pos = mid.end()
-            if name in _FUNCTIONS:
-                return self.parse_call(name, start)
-            cm = re.fullmatch(r"x(\d+)", name)
-            if cm:
-                i = int(cm.group(1))
-                if not 1 <= i <= self.n:
-                    self.error(f"coordinate {name} out of range for n={self.n}",
-                               pos=start)
-                return Coord(i - 1)
-            self.error(f"unknown name '{name}'", pos=start)
-        if mnum:
-            self.pos = mnum.end()
-            value = float(mnum.group(0))
+    def node(depth):
+        # depth counts the calls around this node
+        nonlocal pos
+        kind, tok, col = tokens[pos]
+        pos += 1
+        if kind == "number":
+            value = float(tok)
             if not math.isfinite(value):
-                self.error(f"number {mnum.group(0)} is out of range",
-                           pos=start)
+                fail(f"number {tok} is out of range", col)
             return Const(value)
-        self.error("expected a number, coordinate or function")
+        if kind == "name" and tok in _FUNCTIONS:
+            if depth == _MAX_DEPTH:
+                fail(f"calls nest deeper than {_MAX_DEPTH}", col)
+            fewest, most, build, _ = _FUNCTIONS[tok]
+            expect("(")
+            args = [node(depth + 1)]
+            while tokens[pos][1] == ",":
+                pos += 1
+                args.append(node(depth + 1))
+            expect(")")
+            if len(args) < fewest or most is not None and len(args) > most:
+                fail(f"{tok} needs {'exactly' if most else 'at least'} "
+                     f"{fewest} argument{'s' if fewest > 1 else ''}", col)
+            # constant arguments fold into one constant, which must be finite
+            try:
+                e = build(*args)
+                finite = all(math.isfinite(c.value)
+                             for c in (e,) + getattr(e, "children", ())
+                             if isinstance(c, Const))
+            except ValueError as err:       # a builder's rule on its arguments
+                fail(str(err), col)
+            except ZeroDivisionError:
+                fail(f"{tok} divides by zero", col)
+            except OverflowError:
+                finite = False
+            if not finite:
+                fail(f"{tok} overflows", col)
+            return e
+        if kind == "name" and tok[0] == "x" and tok[1:].isdigit():
+            if not 1 <= int(tok[1:]) <= n:
+                fail(f"coordinate {tok} out of range for n={n}", col)
+            return Coord(int(tok[1:]) - 1)
+        if kind == "name":
+            fail(f"unknown name '{tok}'", col)
+        fail("expected an expression" if kind == "end"
+             else "expected a number, coordinate or function", col)
 
-    def parse_call(self, name: str, start: int) -> Expr:
-        self.expect("(")
-        args = [self.parse_node()]
-        self.skip_ws()
-        while self.pos < len(self.text) and self.text[self.pos] == ",":
-            self.pos += 1
-            args.append(self.parse_node())
-            self.skip_ws()
-        self.expect(")")
-        # constant arguments fold into one constant, which must be finite
-        try:
-            e = self.apply(name, args, start)
-            finite = all(math.isfinite(c.value)
-                         for c in (e,) + getattr(e, "children", ())
-                         if isinstance(c, Const))
-        except ZeroDivisionError:
-            self.error(f"{name} divides by zero", pos=start)
-        except OverflowError:
-            finite = False
-        if not finite:
-            self.error(f"{name} overflows", pos=start)
-        return e
-
-    def apply(self, name: str, args: list, start: int) -> Expr:
-        if name == "sum":
-            if len(args) < 2:
-                self.error("sum needs at least 2 arguments", pos=start)
-            return add(*args)
-        if name == "mul":
-            if len(args) < 2:
-                self.error("mul needs at least 2 arguments", pos=start)
-            return mul(*args)
-        if name == "sub":
-            if len(args) != 2:
-                self.error("sub needs exactly 2 arguments", pos=start)
-            return add(args[0], mul(Const(-1.0), args[1]))
-        if name == "exp":
-            if len(args) != 1:
-                self.error("exp needs exactly 1 argument", pos=start)
-            return expn(args[0])
-        if name == "recip":
-            if len(args) != 1:
-                self.error("recip needs exactly 1 argument", pos=start)
-            return recip(args[0])
-        # pow
-        if len(args) != 2:
-            self.error("pow needs exactly 2 arguments", pos=start)
-        k = args[1]
-        if not isinstance(k, Const) or k.value != int(k.value) or k.value < 0:
-            self.error("pow exponent must be a non-negative integer literal",
-                       pos=start)
-        return intpow(args[0], int(k.value))
+    e = node(0)
+    if tokens[pos][0] != "end":
+        fail("trailing input after expression", tokens[pos][2])
+    return e
 
 
 def _strip_comment(line: str) -> str:
@@ -207,11 +190,8 @@ def _parse_floats(text: str, line: int, col: int, what: str) -> list:
 
 def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
     """Parse metric file content into a :class:`RunConfig`."""
-    n = None
-    m = None
+    scalars = {}
     box = {}
-    seed = None
-    tols = {}
     probe_raw = []
     entries = {}
     entry_lines = {}
@@ -230,27 +210,12 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
                     line=lineno, column=1 + len(line) - len(line.lstrip()))
             key, value = head.group(1), head.group(2)
             vcol = head.start(2) + 1
-            if key == "n" or key == "m":
+            if key in _SCALARS:
+                kind, what = _SCALARS[key]
                 try:
-                    iv = int(value)
+                    scalars[key] = kind(value)
                 except ValueError:
-                    raise MetricFileError(f"{key} must be an integer",
-                                          line=lineno, column=vcol)
-                if key == "n":
-                    n = iv
-                else:
-                    m = iv
-            elif key == "seed":
-                try:
-                    seed = int(value)
-                except ValueError:
-                    raise MetricFileError("seed must be an integer",
-                                          line=lineno, column=vcol)
-            elif key in ("tol", "tol_fit", "tol_c", "tol_e"):
-                try:
-                    tols[key] = float(value)
-                except ValueError:
-                    raise MetricFileError(f"{key} must be a number",
+                    raise MetricFileError(f"{key} must be {what}",
                                           line=lineno, column=vcol)
             elif key.startswith("box."):
                 try:
@@ -280,6 +245,7 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
             continue
 
         if ":" in line:
+            n, m = scalars.get("n"), scalars.get("m")
             if n is None or m is None:
                 raise MetricFileError(
                     "n and m must be declared before coefficient entries",
@@ -309,8 +275,7 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
                     f"{tuple(i + 1 for i in key)} (first on line {first})",
                     line=lineno, column=lcol)
             col0 = 1 + line.index(":") + 1
-            parser = _ExprParser(right, lineno, col0, n)
-            entries[key] = parser.parse()
+            entries[key] = _parse_expr(right, lineno, col0, n)
             entry_lines[key] = lineno
             continue
 
@@ -318,12 +283,14 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
             "expected 'key = value' header or 'i1 .. im : expr' entry",
             line=lineno, column=1 + len(line) - len(line.lstrip()))
 
+    n, m = scalars.pop("n", None), scalars.pop("m", None)
     if n is None or m is None:
         raise MetricFileError(f"{name}: missing mandatory n or m header")
-    missing = [i for i in range(1, n + 1) if i not in box]
-    if missing:
+    # the first missing box line; a huge n stops after len(box) + 1 steps
+    missing = next((i for i in range(1, n + 1) if i not in box), None)
+    if missing is not None:
         raise MetricFileError(
-            f"{name}: missing box.{missing[0]} (the box is mandatory)")
+            f"{name}: missing box.{missing} (the box is mandatory)")
     extra = [i for i in box if i < 1 or i > n]
     if extra:
         raise MetricFileError(f"{name}: box.{extra[0]} out of range 1..{n}")
@@ -341,9 +308,7 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
                 line=lineno, column=vcol)
         probes.append(ProbePoint(x=np.array(xs), y=np.array(ys)))
 
-    return RunConfig(field=fld, seed=seed, tol=tols.get("tol"),
-                     tol_fit=tols.get("tol_fit"), tol_c=tols.get("tol_c"),
-                     tol_e=tols.get("tol_e"), probes=probes)
+    return RunConfig(field=fld, probes=probes, **scalars)
 
 
 def parse_metric_file(path) -> RunConfig:
@@ -362,19 +327,13 @@ def format_expr(e: Expr) -> str:
         return format(e.value, ".17g")
     if isinstance(e, Coord):
         return f"x{e.index + 1}"
-    if isinstance(e, Sum):
-        inner = ", ".join(format_expr(c) for c in e.children)
-        return f"sum({inner})"
-    if isinstance(e, Prod):
-        inner = ", ".join(format_expr(c) for c in e.children)
-        return f"mul({inner})"
+    if type(e) not in _NAMES:
+        raise ConfigurationError(f"cannot serialize node {e!r}")
+    kids = e.children if hasattr(e, "children") else (e.child,)
+    args = [format_expr(c) for c in kids]
     if isinstance(e, IntPow):
-        return f"pow({format_expr(e.child)}, {e.exponent})"
-    if isinstance(e, Exp):
-        return f"exp({format_expr(e.child)})"
-    if isinstance(e, Recip):
-        return f"recip({format_expr(e.child)})"
-    raise ConfigurationError(f"cannot serialize node {e!r}")
+        args.append(str(e.exponent))
+    return f"{_NAMES[type(e)]}({', '.join(args)})"
 
 
 def dump_metric(fld: SymTensorField, seed: int = None, tol: float = None,

@@ -28,7 +28,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .field import SymTensorField
 from .metric import MetricEval
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "spray_mroot",
     "spray_variational",
     "spray_eval",
-    "berwald_fd",
 ]
 
 
@@ -121,45 +119,3 @@ def spray_eval(ev: MetricEval) -> SprayEval:
         arr.setflags(write=False)
     ev._spray = SprayEval(G=G, dG_dy=dG, d2G_dy2=d2G, B=B, E=E)
     return ev._spray
-
-
-def berwald_fd(fld: SymTensorField, x, y, h: float = None) -> np.ndarray:
-    """Finite-difference Berwald tensor, independent of :func:`spray_eval`.
-
-    The mixed third central difference of the spray along coordinate
-    directions is formed at spacings h and h/2 and combined by one
-    Richardson step, giving an O(h^4) estimate of d^3 G / dy^3.  Every
-    displaced direction must stay inside the admissible cone.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = fld.n
-    if h is None:
-        h = 1e-3 * max(1.0, float(np.linalg.norm(y)))
-
-    def G_at(yv):
-        return spray_mroot(MetricEval.at(fld, x, yv))
-
-    def third_diff(step):
-        out = np.zeros((n, n, n, n))
-        for j in range(n):
-            for k in range(j, n):
-                for l in range(k, n):
-                    acc = np.zeros(n)
-                    for s1 in (1.0, -1.0):
-                        for s2 in (1.0, -1.0):
-                            for s3 in (1.0, -1.0):
-                                yv = y.copy()
-                                yv[j] += s1 * step
-                                yv[k] += s2 * step
-                                yv[l] += s3 * step
-                                acc += s1 * s2 * s3 * G_at(yv)
-                    val = acc / (8.0 * step ** 3)
-                    for jj, kk, ll in {(j, k, l), (j, l, k), (k, j, l),
-                                       (k, l, j), (l, j, k), (l, k, j)}:
-                        out[:, jj, kk, ll] = val
-        return out
-
-    coarse = third_diff(h)
-    fine = third_diff(0.5 * h)
-    return (4.0 * fine - coarse) / 3.0

@@ -6,10 +6,13 @@ Probe generation is deterministic, so sets are cached per
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mroot.corpus import BUILTIN
+from mroot.metric import MetricEval
 from mroot.probes import generate_probe_set
+from mroot.spray import spray_mroot
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -48,3 +51,46 @@ def fd_derivative(e, l, x, h=1e-5):
     xp[l] += h
     xm[l] -= h
     return (e.evaluate(xp) - e.evaluate(xm)) / (2.0 * h)
+
+
+def berwald_fd(fld, x, y, h=None):
+    """Finite-difference Berwald tensor, independent of
+    :func:`mroot.spray.spray_eval`.
+
+    The mixed third central difference of the spray along coordinate
+    directions is formed at spacings h and h/2 and combined by one
+    Richardson step, giving an O(h^4) estimate of d^3 G / dy^3.  Every
+    displaced direction must stay inside the admissible cone.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = fld.n
+    if h is None:
+        h = 1e-3 * max(1.0, float(np.linalg.norm(y)))
+
+    def G_at(yv):
+        return spray_mroot(MetricEval.at(fld, x, yv))
+
+    def third_diff(step):
+        out = np.zeros((n, n, n, n))
+        for j in range(n):
+            for k in range(j, n):
+                for l in range(k, n):
+                    acc = np.zeros(n)
+                    for s1 in (1.0, -1.0):
+                        for s2 in (1.0, -1.0):
+                            for s3 in (1.0, -1.0):
+                                yv = y.copy()
+                                yv[j] += s1 * step
+                                yv[k] += s2 * step
+                                yv[l] += s3 * step
+                                acc += s1 * s2 * s3 * G_at(yv)
+                    val = acc / (8.0 * step ** 3)
+                    for jj, kk, ll in {(j, k, l), (j, l, k), (k, j, l),
+                                       (k, l, j), (l, j, k), (l, k, j)}:
+                        out[:, jj, kk, ll] = val
+        return out
+
+    coarse = third_diff(h)
+    fine = third_diff(0.5 * h)
+    return (4.0 * fine - coarse) / 3.0

@@ -28,9 +28,9 @@ from mroot.cli import main
 from mroot.geodesic import integrate
 from mroot.metric import MetricEval, identity_residuals
 from mroot.probes import ProbeSet, admissible_fan
-from mroot.spray import berwald_fd, spray_eval, spray_mroot, spray_variational
+from mroot.spray import spray_eval, spray_mroot, spray_variational
 
-from conftest import DATA_DIR, corpus_field, corpus_probes
+from conftest import DATA_DIR, berwald_fd, corpus_field, corpus_probes
 
 CORPUS = ("euclid2", "quartic2", "quartic2_scaled", "funk1", "hessian2",
           "random_cubic3")

@@ -357,6 +357,49 @@ def test_non_finite_coefficient_exits_two(entry, message, tmp_path, capsys):
     assert captured.out == ""
 
 
+HORNER = ("sum(1, ", "mul(x1, ")
+EXP_CHAIN = ("exp(", "mul(0.1, ")
+
+
+def nested_entry(heads, calls):
+    """``calls`` nested calls around x1, cycling through ``heads`` from
+    the outside in, and the offset of the innermost call's name."""
+    opened = [heads[k % len(heads)] for k in range(calls)]
+    return "".join(opened) + "x1" + ")" * calls, len("".join(opened[:-1]))
+
+
+@pytest.mark.parametrize("heads", [HORNER, EXP_CHAIN], ids=["horner", "exp"])
+def test_calls_nest_at_most_200_deep(heads, tmp_path, capsys):
+    text = ("n = 2\nm = 2\nbox.1 = -0.5,0.5\nbox.2 = -0.5,0.5\n"
+            "1 1 : {}\n2 2 : 1\n")
+    at_bound = tmp_path / "at_bound.metric"
+    at_bound.write_text(text.format(nested_entry(heads, 200)[0]))
+    assert main(["report-all", str(at_bound)]) in (0, 1)
+    capsys.readouterr()
+    deeper = tmp_path / "deeper.metric"
+    expr, offset = nested_entry(heads, 201)
+    deeper.write_text(text.format(expr))
+    assert main(["report-all", str(deeper)]) == 2
+    # the 201st call, after the entry's "1 1 : " prefix
+    captured = capsys.readouterr()
+    assert (f"line 5, column {7 + offset}: calls nest deeper than 200"
+            in captured.err)
+    assert captured.out == ""
+
+
+def test_oversized_coefficient_array_exits_two(tmp_path, capsys):
+    # rejected before anything is allocated: 10^12 slots would take 7 TiB
+    bad = tmp_path / "big.metric"
+    bad.write_text("n = 10\nm = 12\n"
+                   + "".join(f"box.{i} = -1,1\n" for i in range(1, 11))
+                   + "1 " * 12 + ": 1\n")
+    assert main(["report-all", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "n = 10, m = 12 is too large" in captured.err
+    assert "n^m = 10^12 slots" in captured.err
+    assert captured.out == ""
+
+
 # report-all stops at quartic2_degenerate's explicit probe with exit 3
 CHECKED_MEMBERS = sorted(p.stem for p in DATA_DIR.glob("*.metric")
                          if p.stem != "quartic2_degenerate")

@@ -18,6 +18,7 @@ BOX2 = [(-1.0, 1.0), (-1.0, 1.0)]
     ((0, 1, 2), 6),
     ((0, 0, 1, 1), 6),
     ((0, 1, 1, 1), 4),
+    ((0,) * 7 + (1,) * 7, 3432),
 ])
 def test_multiindex_multiplicity(indices, mult):
     # one stored entry fills exactly one slot per distinct ordering
@@ -57,6 +58,10 @@ def test_duplicate_orderings_rejected():
     dict(n=2, m=2, entries={(0, 2): 1.0}, box=BOX2),
     dict(n=2, m=2, entries={}, box=[(-1.0, 1.0)]),
     dict(n=2, m=2, entries={}, box=[(-1.0, 1.0), (1.0, 1.0)]),
+    dict(n=10, m=12, entries={(0,) * 12: 1.0}, box=[(-1.0, 1.0)] * 10),
+    dict(n=2, m=17, entries={}, box=BOX2),
+    dict(n=1, m=32, entries={}, box=[(-1.0, 1.0)]),
+    dict(n=2, m=10 ** 9, entries={}, box=BOX2),
 ])
 def test_invalid_construction_rejected(bad):
     with pytest.raises(ConfigurationError):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mroot.corpus import BUILTIN
 from mroot.errors import MetricFileError
+from mroot.expr import Const, Prod, Sum
 from mroot.metric import ProbePoint
 from mroot.metricfile import (dump_metric, format_expr, parse_metric_file,
                               parse_metric_text)
@@ -247,3 +250,52 @@ def test_header_numbers_validated():
     assert "integer" in _err("n = two\nm = 2\nbox.1 = -1,1\n1 1 : 1\n")
     assert "number" in _err("n = 1\nm = 2\ntol = abc\nbox.1 = -1,1\n1 1 : 1\n")
     assert "box interval" in _err("n = 1\nm = 2\nbox.1 = -1,wide\n1 1 : 1\n")
+
+
+def _calls(inner):
+    some = st.lists(inner, min_size=2, max_size=3).map(", ".join)
+    return st.one_of(
+        some.map("sum({})".format),
+        some.map("mul({})".format),
+        st.tuples(inner, inner).map(lambda a: f"sub({a[0]}, {a[1]})"),
+        st.tuples(inner, st.integers(0, 3)).map(
+            lambda a: f"pow({a[0]}, {a[1]})"),
+        inner.map("exp({})".format),
+        inner.map("recip({})".format))
+
+
+EXPRESSIONS = st.recursive(
+    st.one_of(st.floats(-4.0, 4.0).map(repr), st.integers(-3, 3).map(str),
+              st.sampled_from(["x1", "x2"])),
+    _calls, max_leaves=6)
+
+
+def _entry(text):
+    cfg = parse_metric_text("n = 2\nm = 2\nbox.1 = -1,1\nbox.2 = -1,1\n"
+                            f"1 1 : {text}\n")
+    return cfg.field.coeff((0, 0))
+
+
+def _folded(e):
+    # each sum and product holds at most one constant, where add and mul
+    # put it: last in a sum, first in a product.  add and mul do not fold
+    # the constants of a sum or product they flatten, so parsing
+    # sum(1, sum(1, x1)) gives sum(x1, 1, 1), which parses to sum(x1, 2).
+    if isinstance(e, (Sum, Prod)):
+        const = [isinstance(c, Const) for c in e.children]
+        spot = const[-1] if isinstance(e, Sum) else const[0]
+        return (sum(const) == 0 or sum(const) == 1 and spot) and all(
+            _folded(c) for c in e.children)
+    return _folded(e.child) if hasattr(e, "child") else True
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPRESSIONS)
+def test_format_expr_is_fixed_by_parsing(text):
+    try:
+        e = _entry(text)
+    except MetricFileError:
+        assume(False)       # a constant that overflows or divides by zero
+    assume(_folded(e))
+    once = format_expr(e)
+    assert format_expr(_entry(once)) == once

@@ -10,10 +10,9 @@ from mroot.classify import (classify_antonelli, classify_dually_flat,
                             weakly_berwald_check)
 from mroot.corpus import BUILTIN, CORE, antonelli_quartic2, funk1, quartic2
 from mroot.metric import MetricEval
-from mroot.spray import (berwald_fd, spray_eval, spray_mroot,
-                         spray_variational)
+from mroot.spray import spray_eval, spray_mroot, spray_variational
 
-from conftest import corpus_field, corpus_probes
+from conftest import berwald_fd, corpus_field, corpus_probes
 
 M2_MEMBERS = ("euclid2", "stretched_euclid2", "funk1", "perturbed_funk1",
               "hessian2", "perturbed_hessian2")
