@@ -231,18 +231,19 @@ class Recip(Expr):
 #
 # These fold constants and drop trivial terms so that repeated
 # differentiation produces compact trees instead of towers of zeros.
+# add and mul flatten a nested sum or product into its parent and fold
+# its constant with the others, so each holds at most one constant.
 
 def add(*terms) -> Expr:
     flat = []
     acc = 0.0
     for t in terms:
         t = _wrap(t)
-        if isinstance(t, Const):
-            acc += t.value
-        elif isinstance(t, Sum):
-            flat.extend(t.children)
-        else:
-            flat.append(t)
+        for c in t.children if isinstance(t, Sum) else (t,):
+            if isinstance(c, Const):
+                acc += c.value
+            else:
+                flat.append(c)
     if acc != 0.0 or not flat:
         flat.append(Const(acc))
     if len(flat) == 1:
@@ -255,25 +256,18 @@ def mul(*factors) -> Expr:
     acc = 1.0
     for f in factors:
         f = _wrap(f)
-        if isinstance(f, Const):
-            acc *= f.value
-        elif isinstance(f, Prod):
-            flat.append(f)  # placeholder, expanded below
-        else:
-            flat.append(f)
-    expanded = []
-    for f in flat:
-        if isinstance(f, Prod):
-            expanded.extend(f.children)
-        else:
-            expanded.append(f)
+        for c in f.children if isinstance(f, Prod) else (f,):
+            if isinstance(c, Const):
+                acc *= c.value
+            else:
+                flat.append(c)
     if acc == 0.0:
         return Const(0.0)
-    if acc != 1.0 or not expanded:
-        expanded.insert(0, Const(acc))
-    if len(expanded) == 1:
-        return expanded[0]
-    return Prod(expanded)
+    if acc != 1.0 or not flat:
+        flat.insert(0, Const(acc))
+    if len(flat) == 1:
+        return flat[0]
+    return Prod(flat)
 
 
 def intpow(u, k) -> Expr:

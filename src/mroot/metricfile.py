@@ -18,7 +18,8 @@ Indices are 1-based and symmetric: each sorted index may appear once.
 ``tol_fit``, ``tol_c``, ``tol_e`` and repeatable
 ``probe = x1 .. xn ; y1 .. yn`` lines naming explicit probes.  ``n``,
 ``m`` and a full set of ``box.i = lo,hi`` lines are mandatory; numbers
-in header values may be separated by commas or whitespace.
+in header values may be separated by commas or whitespace.  Each header
+key except ``probe`` may appear once.  A file is read as UTF-8.
 
 An entry's expression is a sequence of tokens: after any spaces and
 tabs, a number (``[+-]``, digits, an optional fraction and exponent), a
@@ -68,7 +69,7 @@ def _pow(base: Expr, k: Expr) -> Expr:
 _FUNCTIONS = {
     "sum": (2, None, add, Sum),
     "mul": (2, None, mul, Prod),
-    "sub": (2, 2, lambda a, b: add(a, mul(Const(-1.0), b)), None),
+    "sub": (2, 2, Expr.__sub__, None),
     "pow": (2, 2, _pow, IntPow),
     "exp": (1, 1, expn, Exp),
     "recip": (1, 1, recip, Recip),
@@ -153,9 +154,12 @@ def _parse_expr(text: str, line: int, col0: int, n: int) -> Expr:
                 fail(f"{tok} overflows", col)
             return e
         if kind == "name" and tok[0] == "x" and tok[1:].isdigit():
-            if not 1 <= int(tok[1:]) <= n:
+            # int() refuses over 4300 digits, so a longer index than n's
+            # is out of range before it is converted
+            i = tok[1:].lstrip("0")
+            if len(i) > len(str(n)) or not 1 <= int(i or "0") <= n:
                 fail(f"coordinate {tok} out of range for n={n}", col)
-            return Coord(int(tok[1:]) - 1)
+            return Coord(int(i) - 1)
         if kind == "name":
             fail(f"unknown name '{tok}'", col)
         fail("expected an expression" if kind == "end"
@@ -165,11 +169,6 @@ def _parse_expr(text: str, line: int, col0: int, n: int) -> Expr:
     if tokens[pos][0] != "end":
         fail("trailing input after expression", tokens[pos][2])
     return e
-
-
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
 
 
 def _parse_floats(text: str, line: int, col: int, what: str) -> list:
@@ -194,11 +193,19 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
     box = {}
     probe_raw = []
     entries = {}
-    entry_lines = {}
+    # header key or sorted entry index -> the line that set it
+    first_line = {}
     saw_entry = False
 
+    def once(key, lineno, col, what):
+        if key in first_line:
+            raise MetricFileError(
+                f"{what} (first on line {first_line[key]})",
+                line=lineno, column=col)
+        first_line[key] = lineno
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
+        line = raw.partition("#")[0]
         if not line.strip():
             continue
 
@@ -209,7 +216,7 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
                     "header lines must precede coefficient entries",
                     line=lineno, column=1 + len(line) - len(line.lstrip()))
             key, value = head.group(1), head.group(2)
-            vcol = head.start(2) + 1
+            kcol, vcol = head.start(1) + 1, head.start(2) + 1
             if key in _SCALARS:
                 kind, what = _SCALARS[key]
                 try:
@@ -217,6 +224,7 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
                 except ValueError:
                     raise MetricFileError(f"{key} must be {what}",
                                           line=lineno, column=vcol)
+                once(key, lineno, kcol, f"repeated header {key!r}")
             elif key.startswith("box."):
                 try:
                     i = int(key[4:])
@@ -228,6 +236,7 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
                     raise MetricFileError(
                         f"box.{i} needs two numbers (lo hi)",
                         line=lineno, column=vcol)
+                once(f"box.{i}", lineno, kcol, f"repeated header 'box.{i}'")
                 box[i] = (vals[0], vals[1])
             elif key == "probe":
                 if ";" not in value:
@@ -268,15 +277,10 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
                     f"index {idx} out of range 1..{n}",
                     line=lineno, column=lcol)
             key = tuple(sorted(i - 1 for i in idx))
-            if key in entries:
-                first = entry_lines[key]
-                raise MetricFileError(
-                    f"duplicate entry for symmetric index "
-                    f"{tuple(i + 1 for i in key)} (first on line {first})",
-                    line=lineno, column=lcol)
+            once(key, lineno, lcol, f"duplicate entry for symmetric index "
+                 f"{tuple(sorted(idx))}")
             col0 = 1 + line.index(":") + 1
             entries[key] = _parse_expr(right, lineno, col0, n)
-            entry_lines[key] = lineno
             continue
 
         raise MetricFileError(
@@ -312,8 +316,17 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
 
 
 def parse_metric_file(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Parse a metric file, which must be UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # lines split as parse_metric_text splits them; columns count bytes
+        lines = (data[:err.start].decode("utf-8") + "?").splitlines()
+        raise MetricFileError(
+            f"{path} is not UTF-8: byte 0x{data[err.start]:02x}",
+            line=len(lines), column=len(lines[-1].encode()))
     return parse_metric_text(text, name=str(path))
 
 

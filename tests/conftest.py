@@ -1,30 +1,41 @@
-"""Shared fixtures: data paths, cached probe sets and test oracles.
+"""Shared fixtures: the corpus, cached probe sets and test oracles.
 
-Probe generation is deterministic, so sets are cached per
-(metric, bases, fan, seed) key and shared across test modules.
+The corpus members are the metric files in ``tests/data``; each file's
+leading comment says what the member is and why it is there.  Fields
+and probe generation are deterministic, so fields are cached per name
+and probe sets per (metric, bases, fan, seed) key, shared across test
+modules.
 """
 
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mroot.corpus import BUILTIN
 from mroot.metric import MetricEval
+from mroot.metricfile import parse_metric_file
 from mroot.probes import generate_probe_set
 from mroot.spray import spray_mroot
 
 DATA_DIR = Path(__file__).parent / "data"
 
+# the six members the cross-cutting property sweeps run over
+CORE = ("euclid2", "quartic2", "quartic2_scaled", "funk1", "hessian2",
+        "random_cubic3")
+
 _PROBE_CACHE = {}
-_FIELD_CACHE = {}
 
 
+def fresh_field(name):
+    """A new, unshared instance of a corpus member, with empty caches."""
+    return parse_metric_file(DATA_DIR / f"{name}.metric").field
+
+
+@cache
 def corpus_field(name):
     """One shared instance per corpus member (fields are immutable)."""
-    if name not in _FIELD_CACHE:
-        _FIELD_CACHE[name] = BUILTIN[name]()
-    return _FIELD_CACHE[name]
+    return fresh_field(name)
 
 
 def corpus_probes(name, bases=4, fan=8, seed=0, cond_cap=1e6):

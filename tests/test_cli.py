@@ -10,14 +10,13 @@ import pytest
 from mroot import spray
 from mroot.classify import classify_dually_flat
 from mroot.cli import main
-from mroot.corpus import CORE
 from mroot.errors import ConfigurationError
 from mroot.field import SymTensorField
 from mroot.geodesic import integrate
 from mroot.metricfile import parse_metric_file
 from mroot.probes import generate_probe_set
 
-from conftest import DATA_DIR
+from conftest import CORE, DATA_DIR
 
 
 def path(name):
@@ -47,6 +46,22 @@ def test_malformed_file_exits_two(tmp_path, capsys):
     assert main(["identities", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line 4" in err
+
+
+@pytest.mark.parametrize("body, where", [
+    (b"n = 1\nm = 2\nbox.1 = -1,1  # caf\xe9\n1 1 : 1\n",
+     "line 3, column 20"),
+    (b"n = 1\nm = 2\nbox.1 = -1,1\n1 1 : x" + b"1" * 5000 + b"\n",
+     "line 4, column 7"),
+    (b"n = 1\nm = 2\nbox.1 = -1,1\nbox.1 = -1,1\n1 1 : 1\n",
+     "line 4, column 1"),
+], ids=["latin1_comment", "5000_digit_coordinate", "repeated_box"])
+def test_input_defects_exit_two_without_a_traceback(body, where, tmp_path,
+                                                   capsys):
+    bad = tmp_path / "bad.metric"
+    bad.write_bytes(body)
+    assert main(["report-all", str(bad)]) == 2
+    assert where in capsys.readouterr().err
 
 
 def test_degenerate_explicit_probe_exits_three(capsys):

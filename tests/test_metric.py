@@ -8,21 +8,20 @@ import weakref
 import numpy as np
 import pytest
 
-from mroot.corpus import BUILTIN, CORE, euclid2, funk1, quartic2
 from mroot.errors import AdmissibleConeError, DegenerateMetricError
 from mroot.geodesic import integrate
 from mroot.metric import MetricEval, identity_residuals
 from mroot.probes import generate_probe_set
 from mroot.spray import spray_eval
 
-from conftest import corpus_field, corpus_probes
+from conftest import CORE, corpus_field, corpus_probes, fresh_field
 
 SQ2 = math.sqrt(2.0)
 
 
 def test_quartic_values_at_diagonal_direction():
     # A = y1^4 + y2^4 at y = (1, 1): every piece is known in closed form
-    ev = MetricEval.at(quartic2(), [0.0, 0.0], [1.0, 1.0])
+    ev = MetricEval.at(fresh_field("quartic2"), [0.0, 0.0], [1.0, 1.0])
     assert ev.A == pytest.approx(2.0, abs=1e-15)
     assert ev.F == pytest.approx(2.0 ** 0.25, rel=1e-15)
     assert np.allclose(ev.A_i, [4.0, 4.0], atol=1e-14)
@@ -43,7 +42,7 @@ def test_quartic_values_at_diagonal_direction():
 
 def test_interval_metric_values_at_origin():
     # A = y^2 / (1 - x)^2: at x = 0, y = 1 all derivatives are small integers
-    ev = MetricEval.at(funk1(), [0.0], [1.0])
+    ev = MetricEval.at(fresh_field("funk1"), [0.0], [1.0])
     assert ev.A == pytest.approx(1.0, abs=1e-15)
     assert ev.F == pytest.approx(1.0, abs=1e-15)
     assert ev.A_i[0] == pytest.approx(2.0, abs=1e-14)
@@ -55,7 +54,7 @@ def test_interval_metric_values_at_origin():
 
 
 def test_euclid_reduces_to_identity_metric():
-    ev = MetricEval.at(euclid2(), [0.3, -0.2], [0.6, 0.8])
+    ev = MetricEval.at(fresh_field("euclid2"), [0.3, -0.2], [0.6, 0.8])
     assert np.allclose(ev.g, np.eye(2), atol=1e-15)
     assert ev.F == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(ev.g_inv, np.eye(2), atol=1e-15)
@@ -111,7 +110,7 @@ def test_metric_speed_is_one_homogeneous(lam):
 
 
 def test_injected_gradient_fault_breaks_euler_identity():
-    ev = MetricEval.at(quartic2(), [0.0, 0.0], [1.0, 1.0])
+    ev = MetricEval.at(fresh_field("quartic2"), [0.0, 0.0], [1.0, 1.0])
     delta = np.array([1e-3, 0.0])
     broken = dataclasses.replace(ev, A_i=ev.A_i + delta)
     res = identity_residuals(broken)
@@ -123,7 +122,7 @@ def test_injected_gradient_fault_breaks_euler_identity():
 
 
 def test_injected_hessian_fault_breaks_inverse_identity():
-    ev = MetricEval.at(quartic2(), [0.0, 0.0], [1.0, 1.0])
+    ev = MetricEval.at(fresh_field("quartic2"), [0.0, 0.0], [1.0, 1.0])
     bad = ev.A_ij.copy()
     bad[0, 1] = bad[1, 0] = 1e-3
     broken = dataclasses.replace(ev, A_ij=bad)
@@ -140,19 +139,19 @@ def test_negative_form_raises_cone_error():
 def test_singular_hessian_raises_degeneracy():
     # on the quartic axis y = (1, 0) the Hessian is diag(12, 0)
     with pytest.raises(DegenerateMetricError) as err:
-        MetricEval.at(quartic2(), [0.0, 0.0], [1.0, 0.0])
+        MetricEval.at(fresh_field("quartic2"), [0.0, 0.0], [1.0, 0.0])
     assert err.value.condition is None or err.value.condition > 1e6
 
 
 def test_y_derivatives_vanish_above_degree():
-    ev = MetricEval.at(quartic2(), [0.0, 0.0], [1.0, 1.0])
+    ev = MetricEval.at(fresh_field("quartic2"), [0.0, 0.0], [1.0, 1.0])
     assert np.all(ev.y_derivative(5) == 0.0)
     assert np.all(ev.y_derivative(6) == 0.0)
     assert np.all(ev.dx_y_derivative(5) == 0.0)
 
 
 def test_y_derivative_shapes_and_caching():
-    ev = MetricEval.at(quartic2(), [0.0, 0.0], [1.0, 1.0])
+    ev = MetricEval.at(fresh_field("quartic2"), [0.0, 0.0], [1.0, 1.0])
     before = set(vars(ev))
     t3 = ev.y_derivative(3)
     assert t3.shape == (2, 2, 2)
@@ -184,7 +183,7 @@ def _array_fields(ev):
 
 
 def test_repeat_evaluation_is_the_same_read_only_object():
-    fld = BUILTIN["quartic2_scaled"]()
+    fld = fresh_field("quartic2_scaled")
     x, y = np.array([0.2, -0.1]), np.array([0.9, 0.7])
     ev = MetricEval.at(fld, x, y)
     assert MetricEval.at(fld, x.tolist(), y.tolist()) is ev
@@ -198,7 +197,7 @@ def test_repeat_evaluation_is_the_same_read_only_object():
 
 def test_mutating_the_callers_direction_leaves_the_memo_intact():
     # berwald_fd reuses one buffer for many displaced directions
-    fld = BUILTIN["quartic2_scaled"]()
+    fld = fresh_field("quartic2_scaled")
     x, y = np.array([0.2, -0.1]), np.array([0.9, 0.7])
     ev = MetricEval.at(fld, x, y)
     A = ev.A
@@ -210,13 +209,13 @@ def test_mutating_the_callers_direction_leaves_the_memo_intact():
     moved = MetricEval.at(fld, x, y)
     assert moved is not ev
     assert np.array_equal(moved.y, y)
-    fresh = MetricEval.at(BUILTIN["quartic2_scaled"](), x, y)
+    fresh = MetricEval.at(fresh_field("quartic2_scaled"), x, y)
     assert moved.A == fresh.A
     assert np.array_equal(moved.A_xl, fresh.A_xl)
 
 
 def test_memo_is_evicted_with_its_base_point():
-    fld = BUILTIN["quartic2_scaled"]()
+    fld = fresh_field("quartic2_scaled")
     y = [0.9, 0.7]
     first = MetricEval.at(fld, [0.0, 0.0], y)
     others = [[0.01 * (k + 1), 0.0] for k in range(16)]
@@ -234,10 +233,10 @@ def test_memo_is_evicted_with_its_base_point():
 def test_cached_base_points_stay_bounded():
     # a plain field keeps 16 base points; a probe set raises that to its
     # base count, and a geodesic on the field does not raise it further
-    plain = BUILTIN["quartic2_scaled"]()
+    plain = fresh_field("quartic2_scaled")
     integrate(plain, [0.0, 0.0], [0.6, 0.8], 0.3, 400)
     assert len(plain._point_cache) == 16
-    fld = BUILTIN["quartic2_scaled"]()
+    fld = fresh_field("quartic2_scaled")
     generate_probe_set(fld, 20, 8, seed=0)
     assert len(fld._point_cache) == 20
     integrate(fld, [0.0, 0.0], [0.6, 0.8], 0.3, 400)
@@ -245,7 +244,7 @@ def test_cached_base_points_stay_bounded():
 
 
 def test_failed_evaluations_are_not_memoized():
-    fld = BUILTIN["random_cubic3"]()
+    fld = fresh_field("random_cubic3")
     x = [0.0, 0.0, 0.0]
     for _ in range(2):
         with pytest.raises(AdmissibleConeError):
@@ -254,7 +253,7 @@ def test_failed_evaluations_are_not_memoized():
 
 
 def test_deleting_a_warm_field_frees_it_without_the_collector():
-    fld = BUILTIN["antonelli_quartic2"]()
+    fld = fresh_field("antonelli_quartic2")
     ev = MetricEval.at(fld, [0.1, -0.2], [1.0, 0.5])
     spray_eval(ev)
     ref = weakref.ref(fld)

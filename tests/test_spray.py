@@ -8,11 +8,11 @@ import pytest
 from mroot.classify import (classify_antonelli, classify_dually_flat,
                             classify_isotropic, riemann_corollary_check,
                             weakly_berwald_check)
-from mroot.corpus import BUILTIN, CORE, antonelli_quartic2, funk1, quartic2
 from mroot.metric import MetricEval
 from mroot.spray import spray_eval, spray_mroot, spray_variational
 
-from conftest import berwald_fd, corpus_field, corpus_probes
+from conftest import (CORE, berwald_fd, corpus_field, corpus_probes,
+                      fresh_field)
 
 M2_MEMBERS = ("euclid2", "stretched_euclid2", "funk1", "perturbed_funk1",
               "hessian2", "perturbed_hessian2")
@@ -27,13 +27,13 @@ CURVED = ("quartic2_scaled", "antonelli_quartic2", "random_cubic3")
 ])
 def test_interval_metric_spray_closed_form(x, y, want):
     # G = y^2 / (2 (1 - x)) for A = y^2 / (1 - x)^2
-    ev = MetricEval.at(funk1(), [x], [y])
+    ev = MetricEval.at(fresh_field("funk1"), [x], [y])
     assert spray_mroot(ev)[0] == pytest.approx(want, rel=1e-12)
     assert spray_variational(ev)[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_constant_coefficients_give_zero_spray():
-    ev = MetricEval.at(quartic2(), [0.1, -0.3], [1.0, 0.8])
+    ev = MetricEval.at(fresh_field("quartic2"), [0.1, -0.3], [1.0, 0.8])
     assert np.all(spray_mroot(ev) == 0.0)
     assert np.allclose(spray_variational(ev), 0.0, atol=1e-16)
 
@@ -51,7 +51,7 @@ def test_scaled_quartic_spray_closed_form():
 
 def test_exponential_quartic_spray_is_direction_only():
     # A = e^{x1} y1^4 + e^{x2} y2^4 has G^i = y_i^2 / 8 at every x
-    fld = antonelli_quartic2()
+    fld = fresh_field("antonelli_quartic2")
     for x in ([0.0, 0.0], [0.5, -0.7], [-0.9, 0.3]):
         for y in ([1.0, 1.0], [0.8, -0.6], [-1.2, 0.5]):
             G = spray_mroot(MetricEval.at(fld, x, y))
@@ -191,7 +191,7 @@ def test_spray_eval_gradient_matches_fd():
 
 
 def test_spray_eval_is_stored_on_the_evaluation():
-    fld = BUILTIN["random_cubic3"]()
+    fld = fresh_field("random_cubic3")
     p = next(corpus_probes("random_cubic3", bases=1, fan=2).probes())
     ev = MetricEval.at(fld, p.x, p.y)
     sp = spray_eval(ev)
@@ -233,6 +233,6 @@ def test_classify_verdicts_do_not_depend_on_a_warm_memo(name):
     ps = corpus_probes(name, bases=3, fan=6)
     cold = {}
     for check in order:
-        cold.update(_verdicts(BUILTIN[name](), ps, [check]))
-    warm = _verdicts(BUILTIN[name](), ps, order[::-1])
+        cold.update(_verdicts(fresh_field(name), ps, [check]))
+    warm = _verdicts(fresh_field(name), ps, order[::-1])
     assert cold == warm
