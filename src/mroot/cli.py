@@ -35,7 +35,8 @@ from .classify import (DEFAULT_TOL, DEFAULT_TOL_C, DEFAULT_TOL_E,
                        classify_dually_flat, classify_isotropic,
                        riemann_corollary_check, weakly_berwald_check)
 from .errors import (AdmissibleConeError, ConfigurationError,
-                     DegenerateMetricError, DomainError, MetricFileError)
+                     DegenerateMetricError, DomainError, MetricFileError,
+                     excerpt)
 from .field import SymTensorField
 from .geodesic import integrate
 from .metric import MetricEval, identity_residuals
@@ -333,13 +334,13 @@ def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
     try:
         vals = [float(p) for p in parts]
     except ValueError:
-        raise ConfigurationError(f"malformed {what}: {text!r}")
+        raise ConfigurationError(f"malformed {what}: {excerpt(text)!r}")
     if len(vals) != n:
         raise ConfigurationError(
             f"{what} needs {n} components, got {len(vals)}")
     if not all(math.isfinite(v) for v in vals):
         raise ConfigurationError(
-            f"{what} components must be finite, got {text!r}")
+            f"{what} components must be finite, got {excerpt(text)!r}")
     return np.array(vals)
 
 

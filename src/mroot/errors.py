@@ -1,6 +1,12 @@
 """Exception types shared across the package."""
 
 
+def excerpt(text) -> str:
+    """``text`` to quote in a message, cut to 40 characters and "…"."""
+    text = str(text)
+    return text if len(text) <= 40 else text[:40] + "…"
+
+
 class MrootError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -16,8 +22,10 @@ class AdmissibleConeError(MrootError):
 class DegenerateMetricError(MrootError):
     """The Hessian of A in y is singular or not positive definite.
 
-    Carries ``condition`` when an estimate of the condition number of the
-    offending matrix is available.
+    ``condition`` is the condition number of the offending matrix, its
+    largest over its smallest eigenvalue magnitude, and inf when it is
+    singular.  It is None where no matrix was examined: a non-finite A,
+    spray or geodesic state.
     """
 
     def __init__(self, message, condition=None):

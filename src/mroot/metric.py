@@ -70,6 +70,7 @@ class MetricEval:
     * ``A_xy[l, k]`` is d^2 A / dx^k dy^l,
     * ``A0 = A_xl . y`` and ``A0l[l] = A_xy[l] . y`` are the standard
       contractions of the x-derivative with the direction.
+    * ``cond`` = max / min eigenvalue of ``A_ij``: the probe's cone margin.
     """
 
     x: np.ndarray
@@ -88,6 +89,7 @@ class MetricEval:
     g_inv: np.ndarray
     y_low: np.ndarray
     h: np.ndarray
+    cond: float
     _abar: np.ndarray = dc_field(repr=False, default=None)
     _bstack: np.ndarray = dc_field(repr=False, default=None)
 
@@ -113,7 +115,7 @@ class MetricEval:
             If A(x, y) <= 0, i.e. the direction leaves the cone where
             the root is defined.
         DegenerateMetricError
-            If the y-Hessian of A fails to be positive definite there.
+            If A_ij is not positive definite; ``condition`` is inf if singular.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -131,16 +133,17 @@ class MetricEval:
         if not np.isfinite(A):
             raise DegenerateMetricError(f"A is not finite at x={x.tolist()}")
         if A <= 0.0:
-            raise AdmissibleConeError(
-                f"A = {A:.6g} <= 0: direction outside the admissible cone")
+            raise AdmissibleConeError(f"A = {A:.6g} <= 0 at x={x.tolist()}, "
+                                      f"y={y.tolist()}: outside the cone")
         A_i = float(m) * c1
         A_ij = float(math.perm(m, 2)) * c2
-        try:
-            np.linalg.cholesky(A_ij)
-        except np.linalg.LinAlgError:
-            cond = float(np.linalg.cond(A_ij))
+        lam = np.linalg.eigvalsh(A_ij)    # ascending; decides PD and cond
+        if not lam[0] > 0.0:              # NaN fails here too
+            lo, hi = np.min(np.abs(lam)), np.max(np.abs(lam))
+            cond = float(hi / lo) if lo > 0.0 else math.inf
             raise DegenerateMetricError(
-                "y-Hessian of A is not positive definite", condition=cond)
+                f"y-Hessian of A is not positive definite at x={x.tolist()}, "
+                f"y={y.tolist()} (condition {cond:.3g})", condition=cond)
         A_inv = np.linalg.inv(A_ij)
 
         d2 = _contract(bstack, y, m - 1)      # d2[l, j] = A_{x^l y^j} / m... scaled below
@@ -165,7 +168,7 @@ class MetricEval:
         ev = cls(x=x, y=y, n=n, m=m, A=A, A_i=A_i, A_ij=A_ij,
                  A_inv=A_inv, A_xl=A_xl, A_xy=A_xy, A0=A0, A0l=A0l,
                  g=gg, g_inv=g_inv, y_low=y_low, h=hh,
-                 _abar=abar, _bstack=bstack)
+                 cond=float(lam[-1] / lam[0]), _abar=abar, _bstack=bstack)
         point.evals[key] = ev
         return ev
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConfigurationError, MetricFileError
+from .errors import ConfigurationError, MetricFileError, excerpt
 from .expr import (Const, Coord, Exp, Expr, IntPow, Prod, Recip, Sum, add,
                    expn, intpow, mul, recip)
 from .field import SymTensorField
@@ -123,7 +123,7 @@ def _parse_expr(text: str, line: int, col0: int, n: int) -> Expr:
         if kind == "number":
             value = float(tok)
             if not math.isfinite(value):
-                fail(f"number {tok} is out of range", col)
+                fail(f"number {excerpt(tok)} is out of range", col)
             return Const(value)
         if kind == "name" and tok in _FUNCTIONS:
             if depth == _MAX_DEPTH:
@@ -158,10 +158,10 @@ def _parse_expr(text: str, line: int, col0: int, n: int) -> Expr:
             # is out of range before it is converted
             i = tok[1:].lstrip("0")
             if len(i) > len(str(n)) or not 1 <= int(i or "0") <= n:
-                fail(f"coordinate {tok} out of range for n={n}", col)
+                fail(f"coordinate {excerpt(tok)} out of range for n={n}", col)
             return Coord(int(i) - 1)
         if kind == "name":
-            fail(f"unknown name '{tok}'", col)
+            fail(f"unknown name '{excerpt(tok)}'", col)
         fail("expected an expression" if kind == "end"
              else "expected a number, coordinate or function", col)
 
@@ -178,11 +178,12 @@ def _parse_floats(text: str, line: int, col: int, what: str) -> list:
         try:
             vals.append(float(tok.group(0)))
         except ValueError:
-            raise MetricFileError(f"malformed {what}: {text.strip()!r}",
-                                  line=line, column=col + tok.start())
+            raise MetricFileError(
+                f"malformed {what}: {excerpt(text.strip())!r}",
+                line=line, column=col + tok.start())
         if not math.isfinite(vals[-1]):
             raise MetricFileError(f"non-finite number in {what}: "
-                                  f"{text.strip()!r}", line=line,
+                                  f"{excerpt(text.strip())!r}", line=line,
                                   column=col + tok.start())
     return vals
 
@@ -229,14 +230,16 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
                 try:
                     i = int(key[4:])
                 except ValueError:
-                    raise MetricFileError(f"malformed box index in {key!r}",
-                                          line=lineno, column=1)
+                    raise MetricFileError(
+                        f"malformed box index in {excerpt(key)!r}",
+                        line=lineno, column=1)
                 vals = _parse_floats(value, lineno, vcol, "box interval")
                 if len(vals) != 2:
                     raise MetricFileError(
-                        f"box.{i} needs two numbers (lo hi)",
+                        f"{excerpt(f'box.{i}')} needs two numbers (lo hi)",
                         line=lineno, column=vcol)
-                once(f"box.{i}", lineno, kcol, f"repeated header 'box.{i}'")
+                once(f"box.{i}", lineno, kcol,
+                     f"repeated header {excerpt(f'box.{i}')!r}")
                 box[i] = (vals[0], vals[1])
             elif key == "probe":
                 if ";" not in value:
@@ -249,7 +252,7 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
                                    "probe direction")
                 probe_raw.append((xs, ys, lineno, vcol))
             else:
-                raise MetricFileError(f"unknown header key {key!r}",
+                raise MetricFileError(f"unknown header key {excerpt(key)!r}",
                                       line=lineno, column=1)
             continue
 
@@ -270,11 +273,12 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
             try:
                 idx = tuple(int(p) for p in parts)
             except ValueError:
-                raise MetricFileError(f"malformed index {left.strip()!r}",
-                                      line=lineno, column=lcol)
+                raise MetricFileError(
+                    f"malformed index {excerpt(left.strip())!r}",
+                    line=lineno, column=lcol)
             if any(i < 1 or i > n for i in idx):
                 raise MetricFileError(
-                    f"index {idx} out of range 1..{n}",
+                    f"index {excerpt(idx)} out of range 1..{n}",
                     line=lineno, column=lcol)
             key = tuple(sorted(i - 1 for i in idx))
             once(key, lineno, lcol, f"duplicate entry for symmetric index "
@@ -297,7 +301,8 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
             f"{name}: missing box.{missing} (the box is mandatory)")
     extra = [i for i in box if i < 1 or i > n]
     if extra:
-        raise MetricFileError(f"{name}: box.{extra[0]} out of range 1..{n}")
+        raise MetricFileError(
+            f"{name}: {excerpt(f'box.{extra[0]}')} out of range 1..{n}")
 
     try:
         fld = SymTensorField(n, m, entries, [box[i] for i in range(1, n + 1)])

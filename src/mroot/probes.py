@@ -7,11 +7,11 @@ Seeds are fanned out with numpy's SeedSequence, so the base-point stream
 and every per-base direction fan are independent.
 
 Directions are drawn on the unit sphere and then filtered for
-admissibility: A(x, y) > 0, positive definite y-Hessian, and a bound on
-its condition number.  Metrics with restricted cones (odd m, or
-degenerate rays) simply reject part of the sphere; the generator
-oversamples adaptively and fails loudly if the admissible fraction is
-too small to fill the request.
+admissibility: A(x, y) > 0, positive definite y-Hessian, and its
+condition number ``MetricEval.cond`` at most ``COND_CAP``.  Metrics
+with restricted cones (odd m, or degenerate rays) simply reject part
+of the sphere; the generator oversamples adaptively and fails loudly
+if the admissible fraction is too small to fill the request.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import (AdmissibleConeError, ConfigurationError,
-                     DegenerateMetricError, DomainError)
+                     DegenerateMetricError)
 from .field import SymTensorField
 from .metric import MetricEval, ProbePoint
 
@@ -102,15 +102,12 @@ def base_points(fld: SymTensorField, count: int, seed,
     return lo + pad + u * (hi - lo - 2.0 * pad)
 
 
-def _admissible(fld: SymTensorField, x, y, cond_cap: float):
-    """The evaluation at (x, y) if admissible, else None."""
+def _admissible(fld: SymTensorField, x, y, cond_cap: float) -> bool:
+    """Whether ev.cond <= cond_cap at (x, y); a DomainError propagates."""
     try:
-        ev = MetricEval.at(fld, x, y)
-    except (AdmissibleConeError, DegenerateMetricError, DomainError):
-        return None
-    if np.linalg.cond(ev.A_ij) > cond_cap:
-        return None
-    return ev
+        return MetricEval.at(fld, x, y).cond <= cond_cap
+    except (AdmissibleConeError, DegenerateMetricError):
+        return False
 
 
 def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
@@ -135,7 +132,7 @@ def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
         dirs = sphere_fan(fld.n, batch, child)
         drawn += len(dirs)
         for y in dirs:
-            if all(_admissible(fld, x, y, cond_cap) is not None for x in xs):
+            if all(_admissible(fld, x, y, cond_cap) for x in xs):
                 kept.append(y)
                 if len(kept) == size:
                     return np.array(kept)

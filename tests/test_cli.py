@@ -55,20 +55,31 @@ def test_malformed_file_exits_two(tmp_path, capsys):
      "line 4, column 7"),
     (b"n = 1\nm = 2\nbox.1 = -1,1\nbox.1 = -1,1\n1 1 : 1\n",
      "line 4, column 1"),
-], ids=["latin1_comment", "5000_digit_coordinate", "repeated_box"])
+    (b"n = 1\nm = 2\nbox.1 = -1," + b"9" * 5000 + b"x\n1 1 : 1\n",
+     "line 3, column 12"),
+    (b"n = 1\nm = 2\n" + b"k" * 5000 + b" = 1\nbox.1 = -1,1\n1 1 : 1\n",
+     "line 3, column 1"),
+], ids=["latin1_comment", "5000_digit_coordinate", "repeated_box",
+        "5000_digit_box_bound", "5000_letter_header_key"])
 def test_input_defects_exit_two_without_a_traceback(body, where, tmp_path,
                                                    capsys):
     bad = tmp_path / "bad.metric"
     bad.write_bytes(body)
     assert main(["report-all", str(bad)]) == 2
-    assert where in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert where in err
+    # quoted input is cut to a short prefix; the position locates it
+    assert len(err) <= 200
 
 
 def test_degenerate_explicit_probe_exits_three(capsys):
     # the explicit probe sits on the quartic cone axis where the
     # y-Hessian is singular
     assert main(["identities", path("quartic2_degenerate")]) == 3
-    assert "positive definite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "positive definite" in err
+    assert "x=[0.0, 0.0]" in err and "y=[1.0, 0.0]" in err
+    assert "condition inf" in err
 
 
 def test_isotropic_on_one_dimensional_metric_exits_two(capsys):
@@ -314,6 +325,15 @@ def test_non_finite_command_values_exit_two(argv, message, capsys):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def test_long_flag_value_is_quoted_by_a_short_prefix(capsys):
+    x0 = "0," + "9" * 5000 + "x"
+    assert main(["geodesic", path("quartic2"), "--x0", x0, "--y0", "1,0",
+                 "--t-end", "0.1", "--steps", "4"]) == 2
+    err = capsys.readouterr().err
+    assert f"malformed --x0: {x0[:40] + '…'!r}" in err
+    assert len(err) <= 200
 
 
 def test_explicit_probes_do_not_hide_a_bad_fan(capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mroot
-from mroot.errors import ConfigurationError
+from mroot.errors import ConfigurationError, DomainError
 from mroot.field import SymTensorField
 from mroot.metric import MetricEval
 from mroot.probes import (admissible_at_all, admissible_fan, base_points,
@@ -92,7 +92,16 @@ def test_admissible_fan_honors_condition_cap():
     fan = admissible_fan(fld, x, 8, seed=1, cond_cap=5.0)
     for y in fan:
         ev = MetricEval.at(fld, x, y)
-        assert np.linalg.cond(ev.A_ij) <= 5.0
+        # the SVD is the oracle for the eigenvalue ratio the cap reads
+        assert ev.cond == pytest.approx(np.linalg.cond(ev.A_ij), rel=1e-10)
+        assert ev.cond <= 5.0
+
+
+def test_base_point_outside_the_box_is_not_hidden_by_admission():
+    # a domain error is about x, not about the direction: it names the
+    # point instead of exhausting the draws as "0 of 4 admissible"
+    with pytest.raises(DomainError, match=r"\[5\.0, 5\.0\]"):
+        admissible_fan(corpus_field("quartic2"), [5.0, 5.0], 4, 0)
 
 
 def test_thin_cone_fails_loudly():
