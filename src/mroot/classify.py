@@ -39,21 +39,25 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-7
-# isotropic mean Berwald check: fit, scale and mean Berwald tolerances
-DEFAULT_TOL_FIT = 1e-7
-DEFAULT_TOL_C = 1e-6
-DEFAULT_TOL_E = 1e-6
 
 
 @dataclass(eq=False)
 class ClassifierVerdict:
-    """Outcome of one characterization check over a probe set."""
+    """Outcome of one characterization check over a probe set.
+
+    ``passed`` is derived, never given: a check passes iff its residual
+    is at most ``tol``, so every verdict is explained by those two
+    numbers.
+    """
 
     name: str
-    passed: bool
+    passed: bool = dc_field(init=False)
     residual: float
     tol: float
     details: dict = dc_field(default_factory=dict)
+
+    def __post_init__(self):
+        self.passed = bool(self.residual <= self.tol)
 
     def __str__(self):
         word = "PASS" if self.passed else "FAIL"
@@ -152,7 +156,6 @@ def classify_dually_flat(fld: SymTensorField, probes: ProbeSet,
 
     return ClassifierVerdict(
         name="dually_flat",
-        passed=bool(defect <= tol),
         residual=defect,
         tol=tol,
         details={
@@ -206,7 +209,6 @@ def riemann_corollary_check(fld: SymTensorField, probes: ProbeSet,
     residual = max(coeff_res, spray_res)
     return ClassifierVerdict(
         name="riemann_corollary",
-        passed=bool(residual <= tol),
         residual=residual,
         tol=tol,
         details={
@@ -268,7 +270,6 @@ def classify_antonelli(fld: SymTensorField, probes: ProbeSet,
     residual = max(shift, identity)
     return ClassifierVerdict(
         name="antonelli",
-        passed=bool(residual <= tol),
         residual=residual,
         tol=tol,
         details={
@@ -292,12 +293,7 @@ def weakly_berwald_check(fld: SymTensorField, probes: ProbeSet,
         sp = spray_eval(ev)
         residual = max(residual, float(np.max(np.abs(sp.E)))
                        / (1.0 + float(np.max(np.abs(ev.g)))))
-    return ClassifierVerdict(
-        name="weakly_berwald",
-        passed=bool(residual <= tol),
-        residual=residual,
-        tol=tol,
-    )
+    return ClassifierVerdict(name="weakly_berwald", residual=residual, tol=tol)
 
 
 @dataclass(eq=False)
@@ -361,40 +357,32 @@ def isotropic_fit(fld: SymTensorField, probes: ProbeSet,
 
 
 def classify_isotropic(fld: SymTensorField, probes: ProbeSet,
-                       tol_fit: float = DEFAULT_TOL_FIT,
-                       tol_c: float = DEFAULT_TOL_C,
-                       tol_e: float = DEFAULT_TOL_E,
+                       tol: float = DEFAULT_TOL,
                        inject_c: float = 0.0) -> ClassifierVerdict:
     """Decide the isotropic mean Berwald property and its collapse.
 
     For m-th root metrics an isotropic mean Berwald tensor forces the
     scale c to vanish, so a metric whose E fits the isotropic shape
-    must already be weakly Berwald.  The verdict therefore requires:
-    either the fit fails (E is not isotropic, nothing to conclude), or
-    the fit succeeds and both |c| <= tol_c and E is below tol_e.
+    must already be weakly Berwald.  One ``tol`` decides every step:
+    when the fit residual exceeds it, E is not isotropic and the
+    implication holds vacuously (residual 0); otherwise the residual is
+    the larger of |c| and the normalized E, and must be at most ``tol``.
 
     With ``inject_c`` nonzero the injected scale is subtracted before
     the collapse test, so the self-test configuration still passes.
     """
     fit = isotropic_fit(fld, probes, inject_c=inject_c)
-    fit_ok = fit.fit_residual <= tol_fit
+    fit_ok = fit.fit_residual <= tol
     c_net = max(abs(v - inject_c) for v in fit.c)
     # what the collapse test would say if the fitted data were genuine:
     # a good isotropic fit with a clearly nonzero scale contradicts it
-    raw_violation = bool(fit_ok and fit.c_max > tol_c)
-    if fit_ok:
-        collapse_ok = (c_net <= tol_c) and (fit.max_E <= tol_e)
-        passed = collapse_ok
-        residual = max(c_net, fit.max_E)
-    else:
-        # E is not isotropic: the implication is vacuous
-        passed = True
-        residual = 0.0
+    raw_violation = bool(fit_ok and fit.c_max > tol)
+    # E is not isotropic when the fit fails: the implication is vacuous
+    residual = max(c_net, fit.max_E) if fit_ok else 0.0
     return ClassifierVerdict(
         name="isotropic_mean_berwald",
-        passed=bool(passed),
         residual=float(residual),
-        tol=max(tol_c, tol_e),
+        tol=tol,
         details={
             "fit_residual": fit.fit_residual,
             "fit_ok": bool(fit_ok),
@@ -403,8 +391,5 @@ def classify_isotropic(fld: SymTensorField, probes: ProbeSet,
             "c_net_max": float(c_net),
             "max_E": fit.max_E,
             "raw_implication_violated": raw_violation,
-            "tol_fit": float(tol_fit),
-            "tol_c": float(tol_c),
-            "tol_e": float(tol_e),
         },
     )

@@ -13,12 +13,14 @@ stderr.  Exit codes:
 
 * 0 - all executed verdicts passed,
 * 1 - at least one verdict failed,
-* 2 - input problems (file syntax, configuration, domain violations),
+* 2 - input problems (file syntax, configuration, domain violations)
+  and reports holding a non-finite number, which has no JSON form,
 * 3 - numerical degeneracy (inadmissible explicit probe, singular
   Hessian).
 
 Run parameters resolve in the order: command line flag, metric file
-header, built-in default.
+header, built-in default.  One tolerance ``tol`` is the threshold of
+every verdict: a verdict passes iff its residual is at most ``tol``.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .classify import (DEFAULT_TOL, DEFAULT_TOL_C, DEFAULT_TOL_E,
-                       DEFAULT_TOL_FIT, ClassifierVerdict, classify_antonelli,
+from .classify import (DEFAULT_TOL, ClassifierVerdict, classify_antonelli,
                        classify_dually_flat, classify_isotropic,
                        riemann_corollary_check, weakly_berwald_check)
 from .errors import (AdmissibleConeError, ConfigurationError,
@@ -117,9 +118,6 @@ class _Run:
     tol: float
     fan: int
     bases: int
-    tol_fit: float
-    tol_c: float
-    tol_e: float
     inject_c: float
     explicit: bool
     probe_set: ProbeSet = None
@@ -145,9 +143,6 @@ def _resolve(args, cfg) -> _Run:
         # overdetermined for every fit that runs downstream
         fan=_first(args.fan, 4 * cfg.field.n ** 2),
         bases=_first(args.bases, DEFAULT_BASES),
-        tol_fit=_first(cfg.tol_fit, DEFAULT_TOL_FIT),
-        tol_c=_first(cfg.tol_c, DEFAULT_TOL_C),
-        tol_e=_first(cfg.tol_e, DEFAULT_TOL_E),
         inject_c=getattr(args, "inject_c", 0.0),
         explicit=bool(cfg.probes))
     if run.seed < 0:
@@ -156,11 +151,9 @@ def _resolve(args, cfg) -> _Run:
         raise ConfigurationError(f"fan size must be >= 1, got {run.fan}")
     if run.bases < 1:
         raise ConfigurationError(f"base count must be >= 1, got {run.bases}")
-    for name in ("tol", "tol_fit", "tol_c", "tol_e"):
-        value = getattr(run, name)
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ConfigurationError(
-                f"{name} must be finite and >= 0, got {value!r}")
+    if not (math.isfinite(run.tol) and run.tol >= 0.0):
+        raise ConfigurationError(
+            f"tol must be finite and >= 0, got {run.tol!r}")
     if not math.isfinite(run.inject_c):
         raise ConfigurationError(
             f"--inject-c must be finite, got {run.inject_c!r}")
@@ -170,10 +163,11 @@ def _resolve(args, cfg) -> _Run:
 def _emit(report: dict, out_path):
     """Human table on stdout; machine-readable JSON behind --out.
 
-    The JSON is rendered first, so a report that cannot be serialized
-    prints nothing and leaves no file behind.
+    The JSON is rendered first on every run, so a report that cannot be
+    serialized prints nothing, leaves no file behind and exits 2 with or
+    without --out.
     """
-    text = render_json(report) if out_path else None
+    text = render_json(report)
     sys.stdout.write(render_table(report))
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -192,8 +186,7 @@ def _identities(run):
         for k, v in res.items():
             worst[k] = max(worst.get(k, 0.0), v)
     residual = float(max(worst.values()))
-    return ClassifierVerdict("identities", residual <= run.tol, residual,
-                             run.tol, worst)
+    return ClassifierVerdict("identities", residual, run.tol, worst)
 
 
 def _spray(run):
@@ -204,8 +197,7 @@ def _spray(run):
         g2 = spray_variational(ev)
         residual = max(residual, float(np.max(np.abs(g1 - g2)))
                        / (1.0 + float(np.max(np.abs(g1)))))
-    return ClassifierVerdict("spray_agreement", residual <= run.tol,
-                             residual, run.tol)
+    return ClassifierVerdict("spray_agreement", residual, run.tol)
 
 
 def _spray_samples(run):
@@ -244,8 +236,7 @@ def _curvature(run):
         max_B = max(max_B, float(np.max(np.abs(B))))
         max_E = max(max_E, float(np.max(np.abs(E))))
     residual = max(sym, contract, esym)
-    return ClassifierVerdict("curvature_consistency", residual <= run.tol,
-                             residual, run.tol,
+    return ClassifierVerdict("curvature_consistency", residual, run.tol,
                              {"berwald_symmetry": sym,
                               "berwald_y_contraction": contract,
                               "mean_symmetry": esym,
@@ -274,8 +265,7 @@ def _weakly_berwald(run):
 
 
 def _isotropic(run):
-    return classify_isotropic(run.fld, run.probe_set, tol_fit=run.tol_fit,
-                              tol_c=run.tol_c, tol_e=run.tol_e,
+    return classify_isotropic(run.fld, run.probe_set, run.tol,
                               inject_c=run.inject_c)
 
 

@@ -123,13 +123,6 @@ class SymTensorField:
             raise DomainError(
                 f"point {np.asarray(x, dtype=float).tolist()} is outside the domain box")
 
-    # -- entry access --------------------------------------------------------
-
-    def coeff(self, idx) -> Expr:
-        """Expression for a_{idx}, symmetrized (any index order)."""
-        key = tuple(sorted(int(i) for i in idx))
-        return self.entries.get(key, Const(0.0))
-
     # -- differentiation -----------------------------------------------------
 
     def dx(self, l: int) -> "SymTensorField":

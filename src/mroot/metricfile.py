@@ -14,8 +14,8 @@ line per stored coefficient:
     2 2 2 2 : exp(mul(2, x1))
 
 Indices are 1-based and symmetric: each sorted index may appear once.
-``#`` starts a comment.  The optional headers are ``seed``, ``tol``,
-``tol_fit``, ``tol_c``, ``tol_e`` and repeatable
+``#`` starts a comment.  The optional headers are ``seed``, ``tol``
+(the threshold of every verdict) and repeatable
 ``probe = x1 .. xn ; y1 .. yn`` lines naming explicit probes.  ``n``,
 ``m`` and a full set of ``box.i = lo,hi`` lines are mandatory; numbers
 in header values may be separated by commas or whitespace.  Each header
@@ -78,8 +78,7 @@ _NAMES = {node: name for name, (*_, node) in _FUNCTIONS.items() if node}
 
 # scalar header -> (type, what its value must be)
 _SCALARS = (dict.fromkeys(("n", "m", "seed"), (int, "an integer"))
-            | dict.fromkeys(("tol", "tol_fit", "tol_c", "tol_e"),
-                            (float, "a number")))
+            | {"tol": (float, "a number")})
 
 
 @dataclass(eq=False)
@@ -93,9 +92,6 @@ class RunConfig:
     field: SymTensorField
     seed: int | None = None
     tol: float | None = None
-    tol_fit: float | None = None
-    tol_c: float | None = None
-    tol_e: float | None = None
     probes: list = dc_field(default_factory=list)
 
 

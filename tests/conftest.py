@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mroot.expr import Const
 from mroot.metric import MetricEval
 from mroot.metricfile import parse_metric_file
 from mroot.probes import generate_probe_set
@@ -44,6 +45,11 @@ def corpus_probes(name, bases=4, fan=8, seed=0, cond_cap=1e6):
         _PROBE_CACHE[key] = generate_probe_set(
             corpus_field(name), bases, fan, seed, cond_cap=cond_cap)
     return _PROBE_CACHE[key]
+
+
+def coeff(fld, idx):
+    """Expression for a field's a_{idx}, in any index order (zero if unset)."""
+    return fld.entries.get(tuple(sorted(int(i) for i in idx)), Const(0.0))
 
 
 @pytest.fixture

@@ -278,11 +278,13 @@ def test_bad_run_parameters_exit_two_before_any_work(command, flags, message,
     assert not out.exists()
 
 
+# tol is the only tolerance header: the isotropic check's former
+# tol_fit, tol_c and tol_e headers are unknown keys, whatever their value
 @pytest.mark.parametrize("header, message", [
     ("tol = nan", "tol must be finite and >= 0, got nan"),
-    ("tol_fit = -1e-7", "tol_fit must be finite and >= 0, got -1e-07"),
-    ("tol_c = inf", "tol_c must be finite and >= 0, got inf"),
-    ("tol_e = nan", "tol_e must be finite and >= 0, got nan"),
+    ("tol_fit = -1e-7", "unknown header key 'tol_fit'"),
+    ("tol_c = inf", "unknown header key 'tol_c'"),
+    ("tol_e = nan", "unknown header key 'tol_e'"),
 ], ids=["tol_nan", "tol_fit_negative", "tol_c_inf", "tol_e_nan"])
 @pytest.mark.parametrize("command", SUBCOMMANDS, ids=lambda c: c[0])
 def test_bad_header_tolerances_exit_two(command, header, message, tmp_path,
@@ -467,6 +469,55 @@ def test_single_check_subcommands_match_report_all(name, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_tol_flag_reaches_the_isotropic_check(tmp_path, capsys):
+    # antonelli_quartic2's isotropic fit residual is ~5e-14: a fit at the
+    # default tol, no fit at 1e-15
+    out = tmp_path / "r.json"
+    assert main(["classify-isotropic", path("antonelli_quartic2"),
+                 "--tol", "1e-15", "--out", str(out)]) == 0
+    capsys.readouterr()
+    verdict = json.loads(out.read_text())["verdicts"][0]
+    assert verdict["tol"] == 1e-15
+    assert verdict["details"]["fit_residual"] > 1e-15
+    assert verdict["details"]["fit_ok"] is False
+
+
+@pytest.mark.parametrize("tol", [None, "1e-15"], ids=["default", "1e-15"])
+def test_every_verdict_passes_iff_residual_within_the_report_tol(
+        tol, tmp_path, capsys):
+    flags = [] if tol is None else ["--tol", tol]
+    for name in CHECKED_MEMBERS:
+        out = tmp_path / f"{name}.json"
+        main(["report-all", path(name), "--out", str(out)] + flags)
+        report = json.loads(out.read_text())
+        verdicts = {v["name"]: v for v in report["verdicts"]}
+        for v in verdicts.values():
+            assert v["tol"] == report["tol"], (name, v["name"])
+            assert v["passed"] == (v["residual"] <= v["tol"]), (name, v)
+        # the paper's implication: an isotropic mean Berwald tensor that
+        # passes the collapse test leaves E = 0, so weakly Berwald passes
+        iso = verdicts.get("isotropic_mean_berwald")
+        if iso and iso["passed"] and iso["details"]["fit_ok"]:
+            assert verdicts["weakly_berwald"]["passed"], name
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("with_out", [False, True], ids=["stdout", "out"])
+def test_unserializable_residual_exits_two_with_or_without_out(
+        with_out, tmp_path, monkeypatch, capsys):
+    # an inf residual has no JSON form; the exit code must not depend on
+    # whether the JSON is written
+    monkeypatch.setattr("mroot.cli.identity_residuals",
+                        lambda ev: {"defect": float("inf")})
+    out = tmp_path / "r.json"
+    argv = ["identities", path("quartic2")]
+    assert main(argv + (["--out", str(out)] if with_out else [])) == 2
+    captured = capsys.readouterr()
+    assert "cannot serialize report to JSON" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 BASE_KEYS = ["command", "metric", "n", "m", "seed", "tol", "fan", "bases"]
 PROBE_KEYS = ["explicit_probes", "probe_count"]
 END_KEYS = ["verdicts", "overall"]
@@ -496,7 +547,7 @@ def test_vacuous_isotropic_pass_is_shown_in_the_table(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[2].startswith(
         "isotropic_mean_berwald   PASS  vacuous, fit residual 3.89")
-    assert lines[2].endswith("e+07  (tol_fit 1.0e-07)")
+    assert lines[2].endswith("e+07  (tol 1.0e-07)")
     verdict = json.loads(out.read_text())["verdicts"][0]
     assert verdict["passed"] is True and verdict["residual"] == 0.0
     assert verdict["details"]["fit_ok"] is False

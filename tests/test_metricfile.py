@@ -10,7 +10,7 @@ from mroot.metric import ProbePoint
 from mroot.metricfile import (dump_metric, format_expr, parse_metric_file,
                               parse_metric_text)
 
-from conftest import fresh_field
+from conftest import coeff, fresh_field
 
 GOOD = """\
 # a quartic with one position-dependent entry
@@ -36,16 +36,16 @@ def test_parse_full_example():
     assert len(cfg.probes) == 1
     assert np.array_equal(cfg.probes[0].x, [0.1, 0.2])
     x = np.array([0.5, 0.0])
-    assert fld.coeff((0, 0, 0, 0)).evaluate(x) == 1.0
-    assert fld.coeff((1, 1, 1, 1)).evaluate(x) == pytest.approx(np.exp(1.0))
+    assert coeff(fld, (0, 0, 0, 0)).evaluate(x) == 1.0
+    assert coeff(fld, (1, 1, 1, 1)).evaluate(x) == pytest.approx(np.exp(1.0))
 
 
 def test_interval_metric_spelling():
     text = "n = 1\nm = 2\nbox.1 = -0.5,0.5\n1 1 : recip(pow(sub(1, x1), 2))\n"
     cfg = parse_metric_text(text)
     # a_11 = 1 / (1 - x)^2
-    assert cfg.field.coeff((0, 0)).evaluate([0.0]) == pytest.approx(1.0)
-    assert cfg.field.coeff((0, 0)).evaluate([0.5]) == pytest.approx(4.0)
+    assert coeff(cfg.field, (0, 0)).evaluate([0.0]) == pytest.approx(1.0)
+    assert coeff(cfg.field, (0, 0)).evaluate([0.5]) == pytest.approx(4.0)
 
 
 def test_comma_and_space_number_lists_are_equivalent():
@@ -57,7 +57,7 @@ def test_comma_and_space_number_lists_are_equivalent():
 def test_indices_are_one_based_and_order_free():
     text = "n = 2\nm = 2\nbox.1 = -1,1\nbox.2 = -1,1\n2 1 : 3\n"
     fld = parse_metric_text(text).field
-    assert fld.coeff((0, 1)).evaluate([0.0, 0.0]) == 3.0
+    assert coeff(fld, (0, 1)).evaluate([0.0, 0.0]) == 3.0
 
 
 def _err(text):
@@ -237,7 +237,7 @@ def test_format_expr_round_trips_nested_tree():
     cfg = parse_metric_text(f"n = 1\nm = 2\nbox.1 = -1,1\n1 1 : {text}\n")
     for xv in (-0.4, 0.0, 0.3):
         x = np.array([xv])
-        assert cfg.field.coeff((0, 0)).evaluate(x) == pytest.approx(
+        assert coeff(cfg.field, (0, 0)).evaluate(x) == pytest.approx(
             e.evaluate(x), rel=1e-15)
 
 
@@ -328,7 +328,7 @@ EXPRESSIONS = st.recursive(
 def _entry(text):
     cfg = parse_metric_text("n = 2\nm = 2\nbox.1 = -1,1\nbox.2 = -1,1\n"
                             f"1 1 : {text}\n")
-    return cfg.field.coeff((0, 0))
+    return coeff(cfg.field, (0, 0))
 
 
 @settings(max_examples=300, deadline=None)

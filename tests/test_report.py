@@ -101,16 +101,15 @@ def test_table_marks_a_vacuous_isotropic_pass():
     # a failed fit makes the collapse implication vacuous: the table shows
     # the fit residual rather than the residual 0 the verdict carries
     verdict = {"name": "isotropic_mean_berwald", "passed": True,
-               "residual": 0.0, "tol": 1e-6,
-               "details": {"fit_residual": 3.894e7, "fit_ok": False,
-                           "tol_fit": 1e-7}}
+               "residual": 0.0, "tol": 1e-7,
+               "details": {"fit_residual": 3.894e7, "fit_ok": False}}
     lines = render_table({"verdicts": [verdict]}).splitlines()
     assert lines == ["isotropic_mean_berwald   PASS  vacuous, fit residual "
-                     "3.894e+07  (tol_fit 1.0e-07)"]
+                     "3.894e+07  (tol 1.0e-07)"]
     verdict["details"]["fit_ok"] = True
     lines = render_table({"verdicts": [verdict]}).splitlines()
     assert lines == ["isotropic_mean_berwald   PASS  residual 0.000e+00  "
-                     "(tol 1.0e-06)"]
+                     "(tol 1.0e-07)"]
 
 
 def test_table_handles_minimal_report():
