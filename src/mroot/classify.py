@@ -316,10 +316,12 @@ def isotropic_fit(fld: SymTensorField, probes: ProbeSet,
     """Fit E = c(x) (n+1)/(2F) h over each base point's fan.
 
     ``inject_c`` adds a synthetic isotropic component to E before
-    fitting; recovering it is the standard self-test of the fitter.
-    Requires n >= 2 (in dimension 1 the angular metric vanishes, so
-    there is no isotropic shape to fit) and fans of at least
-    n(n+1)/2 directions so the symmetric shape is overdetermined.
+    fitting; recovering it is the standard self-test of the fitter.  A
+    scale so large that the fit's products overflow raises
+    :class:`ConfigurationError` naming it.  Requires n >= 2 (in
+    dimension 1 the angular metric vanishes, so there is no isotropic
+    shape to fit) and fans of at least n(n+1)/2 directions so the
+    symmetric shape is overdetermined.
     """
     if fld.n < 2:
         raise ConfigurationError(
@@ -340,18 +342,24 @@ def isotropic_fit(fld: SymTensorField, probes: ProbeSet,
             ev = MetricEval.at(fld, x, y)
             sp = spray_eval(ev)
             W = ((fld.n + 1.0) / 2.0) * ev.h / ev.F
-            E = sp.E + inject_c * W
-            Es.append(E)
+            Es.append(sp.E)
             Ws.append(W)
             max_E = max(max_E, float(np.max(np.abs(sp.E)))
                         / (1.0 + float(np.max(np.abs(ev.g)))))
-        num = sum(float(np.sum(E * W)) for E, W in zip(Es, Ws))
-        den = sum(float(np.sum(W * W)) for W in Ws)
-        c = num / den
-        cs.append(c)
-        for E, W in zip(Es, Ws):
-            fit_res = max(fit_res, float(np.max(np.abs(E - c * W)))
-                          / (1.0 + float(np.max(np.abs(W)))))
+        # a huge injected scale overflows here; that is reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            Es = [E + inject_c * W for E, W in zip(Es, Ws)]
+            num = sum(float(np.sum(E * W)) for E, W in zip(Es, Ws))
+            den = sum(float(np.sum(W * W)) for W in Ws)
+            c = num / den
+            cs.append(c)
+            for E, W in zip(Es, Ws):
+                fit_res = max(fit_res, float(np.max(np.abs(E - c * W)))
+                              / (1.0 + float(np.max(np.abs(W)))))
+        if not (np.isfinite(c) and np.isfinite(fit_res)):
+            raise ConfigurationError(
+                f"injected scale inject_c = {inject_c!r} overflows the "
+                f"isotropic fit at x={[float(v) for v in x]}")
     return IsotropicFit(c=cs, fit_residual=fit_res,
                         c_max=max(abs(v) for v in cs), max_E=max_E)
 

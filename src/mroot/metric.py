@@ -12,14 +12,19 @@ which every quantity is a numpy contraction:
 Fractional powers of A are evaluated as exp(t*log A), which is valid on
 the admissible cone where A > 0 and keeps odd m well defined.
 
+:meth:`MetricEval.at` stores only the A-data that admission and the
+spray read.  g, h, g^-1 and the lowered direction, which only the
+self-checks and the mean Berwald fits read, are derived from it on
+each read.
+
 Each probe is evaluated once per run: :meth:`MetricEval.at` memoizes
 its result in the field's base-point cache (see
 :meth:`mroot.field.SymTensorField.point_arrays`), keyed by the bytes of
 y, and :func:`mroot.spray.spray_eval` stores its result on the
 evaluation.  The memo is evicted with that cache's base points (the last
 16, or as many as the largest probe set drawn on the field has).  A
-memoized evaluation is shared by every caller, so its arrays are
-read-only.
+memoized evaluation is shared by every caller, so its stored arrays
+are read-only.
 """
 
 from __future__ import annotations
@@ -71,6 +76,10 @@ class MetricEval:
     * ``A0 = A_xl . y`` and ``A0l[l] = A_xy[l] . y`` are the standard
       contractions of the x-derivative with the direction.
     * ``cond`` = max / min eigenvalue of ``A_ij``: the probe's cone margin.
+
+    These fields are what :meth:`at` stores.  ``F``, ``g``, ``h``,
+    ``g_inv`` and ``y_low`` are computed from them on each read; every
+    read of an array returns a new, writable one.
     """
 
     x: np.ndarray
@@ -85,10 +94,6 @@ class MetricEval:
     A_xy: np.ndarray
     A0: float
     A0l: np.ndarray
-    g: np.ndarray
-    g_inv: np.ndarray
-    y_low: np.ndarray
-    h: np.ndarray
     cond: float
     _abar: np.ndarray = dc_field(repr=False, default=None)
     _bstack: np.ndarray = dc_field(repr=False, default=None)
@@ -107,7 +112,7 @@ class MetricEval:
         points, or every base of the largest probe set drawn on it),
         so a repeat call with the same x and the same y bytes returns
         the identical object.  It holds copies of x and y, and all its
-        arrays are read-only.  Failed evaluations are not memoized.
+        stored arrays are read-only.  Failed evaluations are not memoized.
 
         Raises
         ------
@@ -152,22 +157,12 @@ class MetricEval:
         A0 = float(A_xl @ y)
         A0l = y @ A_xy                         # A0l[l] = y^k A_{x^k y^l}
 
-        t = 2.0 / m
-        ap = math.exp((t - 2.0) * math.log(A))     # A^(2/m - 2)
-        gg = (ap / m ** 2) * (m * A * A_ij + (2.0 - m) * np.outer(A_i, A_i))
-        hh = (ap / m ** 2) * (m * A * A_ij + (1.0 - m) * np.outer(A_i, A_i))
-        g_inv = math.exp(-t * math.log(A)) * (
-            m * A * A_inv + ((m - 2.0) / (m - 1.0)) * np.outer(y, y))
-        y_low = (1.0 / m) * math.exp((t - 1.0) * math.log(A)) * A_i
-
         x, y = x.copy(), y.copy()
         # abar and bstack are read-only already
-        for arr in (x, y, A_i, A_ij, A_inv, A_xl, A_xy, A0l, gg, g_inv,
-                    y_low, hh):
+        for arr in (x, y, A_i, A_ij, A_inv, A_xl, A_xy, A0l):
             arr.setflags(write=False)
         ev = cls(x=x, y=y, n=n, m=m, A=A, A_i=A_i, A_ij=A_ij,
                  A_inv=A_inv, A_xl=A_xl, A_xy=A_xy, A0=A0, A0l=A0l,
-                 g=gg, g_inv=g_inv, y_low=y_low, h=hh,
                  cond=float(lam[-1] / lam[0]), _abar=abar, _bstack=bstack)
         point.evals[key] = ev
         return ev
@@ -181,6 +176,38 @@ class MetricEval:
     def apow(self, t: float) -> float:
         """A**t via exp(t log A), defined since A > 0 on the cone."""
         return math.exp(t * math.log(self.A))
+
+    # -- Finsler quantities, computed on each read ------------------------------
+
+    def _gh(self, c: float) -> np.ndarray:
+        # A^(2/m - 2)/m^2 (m A A_ij + c A_i A_j): g for c = 2 - m, h for 1 - m
+        m = self.m
+        return (self.apow(2.0 / m - 2.0) / m ** 2) * (
+            m * self.A * self.A_ij + c * np.outer(self.A_i, self.A_i))
+
+    @property
+    def g(self) -> np.ndarray:
+        """Fundamental tensor g_ij = [F^2]_{y^i y^j} / 2."""
+        return self._gh(2.0 - self.m)
+
+    @property
+    def h(self) -> np.ndarray:
+        """Angular metric h_ij = g_ij - y_i y_j / F^2."""
+        return self._gh(1.0 - self.m)
+
+    @property
+    def g_inv(self) -> np.ndarray:
+        """Inverse fundamental tensor g^ij, written through A^ij."""
+        m = self.m
+        return self.apow(-2.0 / m) * (
+            m * self.A * self.A_inv
+            + ((m - 2.0) / (m - 1.0)) * np.outer(self.y, self.y))
+
+    @property
+    def y_low(self) -> np.ndarray:
+        """The lowered direction y_i = g_ij y^j = [F^2]_{y^i} / 2."""
+        m = self.m
+        return (1.0 / m) * self.apow(2.0 / m - 1.0) * self.A_i
 
     # -- higher derivatives on demand -------------------------------------------
 

@@ -11,8 +11,9 @@ agree to ``RTOL`` relative, or both sit at or below ``FLOOR`` (rounding
 level: a thousandth of the default tol), because numpy and LAPACK
 builds differ in the last bits.
 
-Run ``python tests/golden.py`` to print the differences against the
-file, and ``python tests/golden.py --write`` to rewrite it.  A moved
+Run ``PYTHONPATH=src python tests/golden.py`` from the repository root
+to print the differences against the file; add ``--write`` to rewrite
+it.  A moved
 residual or a flipped verdict is a finding about the code; rewrite the
 file only for a change that explains every difference it shows.
 """
@@ -79,23 +80,21 @@ def load() -> dict:
 
 def compare(want, got, where="") -> list:
     """Every difference between two recorded values, one line each."""
-    if isinstance(want, bool) or isinstance(got, bool) or not (
-            isinstance(want, (int, float)) and isinstance(got, (int, float))):
-        if isinstance(want, dict) and isinstance(got, dict):
-            if list(want) != list(got):
-                return [f"{where}: keys {list(want)} != {list(got)}"]
-            return [d for k in want
-                    for d in compare(want[k], got[k], f"{where}.{k}")]
-        if isinstance(want, list) and isinstance(got, list):
-            if len(want) != len(got):
-                return [f"{where}: length {len(want)} != {len(got)}"]
-            return [d for k, (a, b) in enumerate(zip(want, got))
-                    for d in compare(a, b, f"{where}[{k}]")]
-        return [] if want == got else [f"{where}: {want!r} != {got!r}"]
-    if isinstance(want, int) and isinstance(got, int):
-        return [] if want == got else [f"{where}: {want} != {got}"]
-    big = max(abs(want), abs(got))
-    if big <= FLOOR or abs(want - got) <= RTOL * big:
+    if isinstance(want, dict) and isinstance(got, dict):
+        if list(want) != list(got):
+            return [f"{where}: keys {list(want)} != {list(got)}"]
+        return [d for k in want for d in compare(want[k], got[k],
+                                                 f"{where}.{k}")]
+    if isinstance(want, list) and isinstance(got, list):
+        if len(want) != len(got):
+            return [f"{where}: length {len(want)} != {len(got)}"]
+        return [d for k, (a, b) in enumerate(zip(want, got))
+                for d in compare(a, b, f"{where}[{k}]")]
+    if type(want) is float and type(got) is float:
+        big = max(abs(want), abs(got))
+        if big <= FLOOR or abs(want - got) <= RTOL * big:
+            return []
+    elif want == got and type(want) is type(got):
         return []
     return [f"{where}: {want!r} != {got!r}"]
 

@@ -329,6 +329,22 @@ def test_non_finite_command_values_exit_two(argv, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("scale", ["1e308", "-1e308"])
+def test_overflowing_injected_scale_exits_two_naming_it(scale, tmp_path,
+                                                        capsys):
+    # the fit's products overflow: the message names the injected scale,
+    # not the JSON writer, and no RuntimeWarning escapes
+    out = tmp_path / "r.json"
+    assert main(["classify-isotropic", path("quartic2"),
+                 f"--inject-c={scale}", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"injected scale inject_c = {float(scale)!r} overflows" \
+        in captured.err
+    assert "JSON" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_long_flag_value_is_quoted_by_a_short_prefix(capsys):
     x0 = "0," + "9" * 5000 + "x"
     assert main(["geodesic", path("quartic2"), "--x0", x0, "--y0", "1,0",

@@ -188,11 +188,21 @@ def test_repeat_evaluation_is_the_same_read_only_object():
     ev = MetricEval.at(fld, x, y)
     assert MetricEval.at(fld, x.tolist(), y.tolist()) is ev
     arrays = _array_fields(ev)
-    assert {"x", "y", "A_i", "A_ij", "A_inv", "g", "g_inv", "h"} <= set(arrays)
+    assert {"x", "y", "A_i", "A_ij", "A_inv", "A_xl", "A_xy",
+            "A0l"} <= set(arrays)
     for name, arr in arrays.items():
         assert not arr.flags.writeable, name
     with pytest.raises(ValueError):
-        ev.g[0, 0] = 0.0
+        ev.A_ij[0, 0] = 0.0
+    # the Finsler quantities are stored nowhere: each read is a fresh
+    # array, so a caller's write cannot reach the memoized evaluation
+    for name in ("g", "h", "g_inv", "y_low"):
+        assert name not in vars(ev)
+        first, second = getattr(ev, name), getattr(ev, name)
+        assert first is not second
+        assert first.tobytes() == second.tobytes()
+        first[...] = 0.0
+        assert getattr(ev, name).tobytes() == second.tobytes()
 
 
 def test_mutating_the_callers_direction_leaves_the_memo_intact():
