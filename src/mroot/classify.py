@@ -190,7 +190,7 @@ def riemann_corollary_check(fld: SymTensorField, probes: ProbeSet,
         of = recover_theta(fld, x, fan)
         theta = of.theta
         a = fld.coeff_array(x)
-        da = np.stack([fld.dx(l).coeff_array(x) for l in range(fld.n)])
+        da = np.stack([fld.coeff_array(x, l) for l in range(fld.n)])
         lhs = 3.0 * da
         rhs = (np.einsum("l,ij->lij", theta, a)
                + np.einsum("i,lj->lij", theta, a)

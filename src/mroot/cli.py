@@ -165,13 +165,14 @@ def _emit(report: dict, out_path):
 
     The JSON is rendered first on every run, so a report that cannot be
     serialized prints nothing, leaves no file behind and exits 2 with or
-    without --out.
+    without --out.  The file is written before the table, so an --out
+    that cannot be written also exits 2 with nothing on stdout.
     """
     text = render_json(report)
-    sys.stdout.write(render_table(report))
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(render_table(report))
 
 
 # ---------------------------------------------------------------------------

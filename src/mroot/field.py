@@ -8,7 +8,10 @@ The evaluators in :mod:`mroot.metric` never touch expression trees in
 their inner loops.  Instead they ask the field for dense symmetric
 arrays at a base point (:meth:`SymTensorField.coeff_array` and
 :meth:`SymTensorField.point_arrays`), after which every directional
-quantity is a numpy contraction.
+quantity is a numpy contraction.  The x-derivative arrays da/dx^l come
+from ``coeff_array(x, l)``: the field differentiates its trees once per
+coordinate and scatters their values through the same slot index as
+the coefficients.
 """
 
 from __future__ import annotations
@@ -105,10 +108,12 @@ class SymTensorField:
             [where.get(tuple(sorted(s)), len(where))
              for s in itertools.product(range(self.n), repeat=self.m)],
             dtype=np.intp).reshape((self.n,) * self.m)
-        self._dx_cache = {}
+        # l -> (position, index, tree) for each entry of da/dx^l that is
+        # not identically zero, in entry order; None -> the entries of a
+        self._trees = {None: [(i, key, e) for i, (key, e)
+                              in enumerate(self.entries.items())]}
         self._point_cache = {}
         self._point_cap = 16            # base points point_arrays keeps
-        self._label = "coefficient"     # what coeff_array errors name
 
     # -- point membership ---------------------------------------------------
 
@@ -123,48 +128,42 @@ class SymTensorField:
             raise DomainError(
                 f"point {np.asarray(x, dtype=float).tolist()} is outside the domain box")
 
-    # -- differentiation -----------------------------------------------------
-
-    def dx(self, l: int) -> "SymTensorField":
-        """The field of coordinate derivatives da/dx^l (cached)."""
-        l = int(l)
-        if l not in self._dx_cache:
-            dentries = {}
-            for key, e in self.entries.items():
-                de = e.diff(l)
-                if not de.is_zero():
-                    dentries[key] = de
-            out = SymTensorField(self.n, self.m, dentries, self.box)
-            out._label = f"d/dx{l + 1} of {self._label}"
-            self._dx_cache[l] = out
-        return self._dx_cache[l]
-
     # -- dense arrays ---------------------------------------------------------
 
-    def coeff_array(self, x) -> np.ndarray:
+    def coeff_array(self, x, l=None) -> np.ndarray:
         """Dense symmetric array of shape (n,)*m evaluated at x.
+
+        With ``l`` given, the array of coordinate derivatives da/dx^l
+        instead; each l's derivative trees are built once and kept, and
+        those that are identically zero are never evaluated.
 
         Raises
         ------
         ConfigurationError
             If an entry evaluates to a non-finite number at x (an
             overflow, a division by zero or NaN); the message names the
-            1-based entry and x.
+            1-based entry, the derivative if any, and x.
         """
         self._require_inside(x)
         x = np.asarray(x, dtype=float)
-        vals = []
-        for key, e in self.entries.items():
+        trees = self._trees.get(l)
+        if trees is None:
+            trees = self._trees[l] = [
+                (i, key, d) for i, key, e in self._trees[None]
+                if not (d := e.diff(l)).is_zero()]
+        # the last value is the zero of every slot with no entry
+        vals = [0.0] * (len(self.entries) + 1)
+        for i, key, e in trees:
             try:
                 v = e.evaluate(x)
             except (ArithmeticError, ValueError):
                 v = math.nan
             if not math.isfinite(v):
+                what = "" if l is None else f"d/dx{l + 1} of "
                 raise ConfigurationError(
-                    f"{self._label} {tuple(i + 1 for i in key)} is not "
+                    f"{what}coefficient {tuple(i + 1 for i in key)} is not "
                     f"finite at x={x.tolist()}")
-            vals.append(v)
-        vals.append(0.0)
+            vals[i] = v
         return np.array(vals)[self._slots]
 
     def keep_bases(self, k: int):
@@ -191,7 +190,7 @@ class SymTensorField:
         if hit is not None:
             return hit
         abar = self.coeff_array(x)
-        bstack = np.stack([self.dx(l).coeff_array(x) for l in range(self.n)])
+        bstack = np.stack([self.coeff_array(x, l) for l in range(self.n)])
         abar.setflags(write=False)
         bstack.setflags(write=False)
         if len(self._point_cache) >= self._point_cap:

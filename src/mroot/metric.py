@@ -6,8 +6,12 @@ which every quantity is a numpy contraction:
 
 * the k-th y-derivative of A is ``perm(m, k)`` times the coefficient
   array contracted with y in m-k slots,
-* mixed derivatives (one x, several y) contract the entrywise
-  x-derivative field the same way.
+* mixed derivatives (one x, several y) contract the stack of
+  x-derivative arrays da/dx^l the same way.
+
+:meth:`MetricEval.at` keeps the contractions it passes on its way to
+A_ij and A_xy that :func:`mroot.spray.spray_eval` scales into the
+higher derivatives, so none is computed twice.
 
 Fractional powers of A are evaluated as exp(t*log A), which is valid on
 the admissible cone where A > 0 and keeps odd m well defined.
@@ -48,22 +52,6 @@ class ProbePoint:
     y: np.ndarray
 
 
-def _contract(arr: np.ndarray, y: np.ndarray, times: int) -> np.ndarray:
-    # matmul contracts the trailing axis; the trailing m axes of every
-    # array here are symmetric, so the choice of slot does not matter
-    for _ in range(times):
-        arr = arr @ y
-    return arr
-
-
-def _y_derivative(arr: np.ndarray, y: np.ndarray, m: int, k: int):
-    # perm(m, k) times arr (abar or bstack) contracted with y in m - k
-    # slots; zero above degree m since A is a degree-m form in y
-    if k > m:
-        return np.zeros(arr.shape[:-m] + (y.shape[0],) * k)
-    return np.asarray(float(math.perm(m, k)) * _contract(arr, y, m - k))
-
-
 @dataclass(eq=False)
 class MetricEval:
     """All low-order data of F at one admissible probe (x, y).
@@ -76,6 +64,11 @@ class MetricEval:
     * ``A0 = A_xl . y`` and ``A0l[l] = A_xy[l] . y`` are the standard
       contractions of the x-derivative with the direction.
     * ``cond`` = max / min eigenvalue of ``A_ij``: the probe's cone margin.
+    * ``abar_y[r - 3]`` is the coefficient array contracted with y down
+      to r free slots, for r = 3 .. min(m, 5); ``bstack_y[k - 2]`` is
+      the x-derivative stack contracted down to k y-slots after its
+      x-slot, for k = 2 .. min(m, 4).  The k-th y-derivative is
+      ``perm(m, k)`` times them.
 
     These fields are what :meth:`at` stores.  ``F``, ``g``, ``h``,
     ``g_inv`` and ``y_low`` are computed from them on each read; every
@@ -95,8 +88,8 @@ class MetricEval:
     A0: float
     A0l: np.ndarray
     cond: float
-    _abar: np.ndarray = dc_field(repr=False, default=None)
-    _bstack: np.ndarray = dc_field(repr=False, default=None)
+    abar_y: tuple = dc_field(repr=False, default=())
+    bstack_y: tuple = dc_field(repr=False, default=())
 
     def __post_init__(self):
         self._spray = None     # set by mroot.spray.spray_eval
@@ -132,10 +125,16 @@ class MetricEval:
             return hit
         abar, bstack = point
 
-        c2 = _contract(abar, y, m - 2)
+        # ya[j] is abar contracted with y in j slots, yb[j] bstack; matmul
+        # contracts the trailing axis, and the trailing m axes of both are
+        # symmetric, so the choice of slot does not matter
+        ya = [abar]
+        for _ in range(m - 2):
+            ya.append(ya[-1] @ y)
+        c2 = ya[-1]
         c1 = c2 @ y
         A = float(c1 @ y)
-        if not np.isfinite(A):
+        if not math.isfinite(A):
             raise DegenerateMetricError(f"A is not finite at x={x.tolist()}")
         if A <= 0.0:
             raise AdmissibleConeError(f"A = {A:.6g} <= 0 at x={x.tolist()}, "
@@ -151,19 +150,27 @@ class MetricEval:
                 f"y={y.tolist()} (condition {cond:.3g})", condition=cond)
         A_inv = np.linalg.inv(A_ij)
 
-        d2 = _contract(bstack, y, m - 1)      # d2[l, j] = A_{x^l y^j} / m... scaled below
+        yb = [bstack]
+        for _ in range(m - 1):
+            yb.append(yb[-1] @ y)
+        d2 = yb[-1]                            # d2[l, j] = A_{x^l y^j} / m
         A_xl = d2 @ y
         A_xy = float(m) * d2
         A0 = float(A_xl @ y)
         A0l = y @ A_xy                         # A0l[l] = y^k A_{x^k y^l}
 
+        # the contractions left with 3..5 and 2..4 y-slots, fewest first
+        abar_y, bstack_y = tuple(ya[-2:-5:-1]), tuple(yb[-2:-5:-1])
         x, y = x.copy(), y.copy()
-        # abar and bstack are read-only already
-        for arr in (x, y, A_i, A_ij, A_inv, A_xl, A_xy, A0l):
-            arr.setflags(write=False)
+        # setflags(False) sets write=False; numpy parses the keyword form
+        # about three times slower, and every RK4 stage comes through here
+        for arr in (x, y, A_i, A_ij, A_inv, A_xl, A_xy, A0l,
+                    *abar_y, *bstack_y):
+            arr.setflags(False)
         ev = cls(x=x, y=y, n=n, m=m, A=A, A_i=A_i, A_ij=A_ij,
                  A_inv=A_inv, A_xl=A_xl, A_xy=A_xy, A0=A0, A0l=A0l,
-                 cond=float(lam[-1] / lam[0]), _abar=abar, _bstack=bstack)
+                 cond=float(lam[-1] / lam[0]), abar_y=abar_y,
+                 bstack_y=bstack_y)
         point.evals[key] = ev
         return ev
 
@@ -208,24 +215,6 @@ class MetricEval:
         """The lowered direction y_i = g_ij y^j = [F^2]_{y^i} / 2."""
         m = self.m
         return (1.0 / m) * self.apow(2.0 / m - 1.0) * self.A_i
-
-    # -- higher derivatives on demand -------------------------------------------
-
-    def y_derivative(self, k: int) -> np.ndarray:
-        """The k-th y-derivative of A, a symmetric rank-k array.
-
-        Vanishes identically for k > m since A is a degree-m form in y.
-        Computed on each call; nothing is kept on the evaluation.
-        """
-        return _y_derivative(self._abar, self.y, self.m, int(k))
-
-    def dx_y_derivative(self, k: int) -> np.ndarray:
-        """Mixed derivative d^(k+1) A / dx^l dy^(k), shape (n,) + (n,)*k.
-
-        Index 0 is the x-slot; the trailing k slots are symmetric.
-        Computed on each call, like :meth:`y_derivative`.
-        """
-        return _y_derivative(self._bstack, self.y, self.m, int(k))
 
 
 def identity_residuals(ev: MetricEval) -> dict:

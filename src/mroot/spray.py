@@ -17,12 +17,14 @@ The y-derivatives of G up to the Berwald tensor
 B^i_{jkl} = d^3 G^i / dy^j dy^k dy^l come from one recurrence: the
 closed form A_ij G^j = P_i / 2 differentiated k times in y by the
 Leibniz rule (see :func:`spray_eval`).  Each order costs one solve with
-the Hessian inverse and needs only the coefficient arrays, so no
-fractional powers enter and the m = 2 case collapses to exactly zero.
+the Hessian inverse and needs only the contractions of the coefficient
+arrays that :meth:`mroot.metric.MetricEval.at` kept, so no fractional
+powers enter and the m = 2 case collapses to exactly zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -86,20 +88,27 @@ def spray_eval(ev: MetricEval) -> SprayEval:
 
     summed over the nonempty subsets S of the slots, with
     P^(k)_{aJ} = y^p D_{k+1}[p,a,J] - D_k[a,J] + sum_s D_k[j_s,a,J - j_s],
-    A^(r) = ``ev.y_derivative(r)`` and D_k = ``ev.dx_y_derivative(k)``
+    A^(r) the r-th y-derivative of A and D_k = d^(k+1) A / dx dy^k
     (``ev.A_inv``, ``ev.A_xl`` and ``ev.A_xy`` supply A^(2)^{-1}, D_0
-    and D_1).  One loop over k = 0 .. 3 yields G, dG/dy, the connection
-    and B in turn.  Every A^(r) and D_k above the degree m is an exact
-    zero, so for m = 2 B is exactly 0.
+    and D_1; A^(3..5) and D_2..D_4 are ``perm(m, r)`` times the
+    contractions ``ev.abar_y`` and ``ev.bstack_y``).  One loop over
+    k = 0 .. 3 yields G, dG/dy, the connection and B in turn.  Every
+    A^(r) and D_k above the degree m is an exact zero, so for m = 2 B
+    is exactly 0.
 
     The result is stored on ``ev``, so a repeat call on the same
     (memoized) evaluation returns the identical, read-only object.  The
-    derivative arrays built on the way are not kept.
+    scaled derivative arrays built on the way are not kept.
     """
     if ev._spray is not None:
         return ev._spray
-    D = [ev.A_xl, ev.A_xy] + [ev.dx_y_derivative(k) for k in (2, 3, 4)]
-    A = {r: ev.y_derivative(r) for r in (3, 4, 5)}
+    m, n = ev.m, ev.n
+    # zero above degree m, since A is a degree-m form in y
+    D = [ev.A_xl, ev.A_xy] + [
+        float(math.perm(m, k)) * ev.bstack_y[k - 2] if k <= m
+        else np.zeros((n,) * (k + 1)) for k in (2, 3, 4)]
+    A = {r: float(math.perm(m, r)) * ev.abar_y[r - 3] if r <= m
+         else np.zeros((n,) * r) for r in (3, 4, 5)}
     Gk = []
     for k in range(4):
         J = "jkl"[:k]

@@ -374,6 +374,15 @@ def test_unserializable_report_prints_nothing_and_writes_no_file(
     assert not out.exists()
 
 
+def test_unwritable_out_prints_no_verdicts(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["spray", path("funk1_probe"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: [Errno 2]" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("header, message", [
     ("probe = 0 0 ; nan 1", "line 5, column 15: non-finite number in probe "
                             "direction: 'nan 1'"),

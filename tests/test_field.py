@@ -7,7 +7,7 @@ from mroot.errors import ConfigurationError, DomainError
 from mroot.expr import Const, Coord, Exp, Recip, intpow, mul
 from mroot.field import SymTensorField
 
-from conftest import coeff
+from conftest import DATA_DIR, coeff, corpus_field
 
 BOX2 = [(-1.0, 1.0), (-1.0, 1.0)]
 
@@ -104,16 +104,40 @@ def test_coeff_array_evaluates_expressions():
     assert arr[0, 1] == 0.0
 
 
-def test_dx_field_differentiates_entrywise():
+def test_coeff_array_differentiates_entrywise():
     fld = SymTensorField(2, 2, {(0, 0): intpow(Coord(0), 2), (1, 1): 3.0},
                          BOX2)
-    d0 = fld.dx(0)
     x = np.array([0.3, 0.0])
-    assert coeff(d0, (0, 0)).evaluate(x) == pytest.approx(0.6)
-    # constant entries drop out of the derivative field entirely
-    assert coeff(d0, (1, 1)).is_zero()
-    # cached: repeated calls return the same object
-    assert fld.dx(0) is d0
+    d0 = fld.coeff_array(x, 0)
+    assert d0.shape == (2, 2)
+    assert d0[0, 0] == pytest.approx(0.6)
+    # constant entries and slots with no entry differentiate to exact zeros
+    assert d0[1, 1] == d0[0, 1] == d0[1, 0] == 0.0
+    assert np.all(fld.coeff_array(x, 1) == 0.0)
+    # the derivative trees of each coordinate are built once and kept
+    trees = fld._trees[0]
+    assert np.array_equal(fld.coeff_array(x, 0), d0)
+    assert fld._trees[0] is trees
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p
+                                         in DATA_DIR.glob("*.metric")))
+def test_coeff_array_derivative_matches_central_difference(name):
+    # an oracle independent of Expr.diff: da/dx^l against a central
+    # difference of the coefficient array along x^l
+    fld = corpus_field(name)
+    h = 1e-5
+    for frac in (0.3, 0.7):
+        x = np.array([lo + frac * (hi - lo) for lo, hi in fld.box])
+        for l in range(fld.n):
+            xp, xm = x.copy(), x.copy()
+            xp[l] += h
+            xm[l] -= h
+            fd = (fld.coeff_array(xp) - fld.coeff_array(xm)) / (2.0 * h)
+            exact = fld.coeff_array(x, l)
+            assert exact.shape == (fld.n,) * fld.m
+            scale = 1.0 + float(np.max(np.abs(exact)))
+            assert float(np.max(np.abs(exact - fd))) <= 1e-6 * scale, l
 
 
 def test_point_arrays_consistent_with_coeff_array():
@@ -122,8 +146,8 @@ def test_point_arrays_consistent_with_coeff_array():
     abar, bstack = fld.point_arrays(x)
     assert np.array_equal(abar, fld.coeff_array(x))
     assert bstack.shape == (2, 2, 2)
-    assert np.array_equal(bstack[0], fld.dx(0).coeff_array(x))
-    assert np.array_equal(bstack[1], fld.dx(1).coeff_array(x))
+    assert np.array_equal(bstack[0], fld.coeff_array(x, 0))
+    assert np.array_equal(bstack[1], fld.coeff_array(x, 1))
     # repeated lookups hit the cache and return identical arrays
     abar2, _ = fld.point_arrays(x)
     assert abar2 is abar

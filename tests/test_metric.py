@@ -144,35 +144,64 @@ def test_singular_hessian_raises_degeneracy():
 
 
 def test_y_derivatives_vanish_above_degree():
-    ev = MetricEval.at(fresh_field("quartic2"), [0.0, 0.0], [1.0, 1.0])
-    assert np.all(ev.y_derivative(5) == 0.0)
-    assert np.all(ev.y_derivative(6) == 0.0)
-    assert np.all(ev.dx_y_derivative(5) == 0.0)
+    # A is a degree-m form in y: the contractions kept for the spray stop
+    # at m free y-slots, where they are the coefficient arrays themselves,
+    # so they do not depend on y and every higher y-derivative is zero
+    for name in ("euclid2", "random_cubic3", "quartic2"):
+        fld = fresh_field(name)
+        m = fld.m
+        x = np.zeros(fld.n)
+        abar, bstack = fld.point_arrays(x)
+        for y in (np.ones(fld.n), np.linspace(1.0, 0.5, fld.n)):
+            ev = MetricEval.at(fld, x, y)
+            assert len(ev.abar_y) == min(m, 5) - 2, name
+            assert len(ev.bstack_y) == min(m, 4) - 1, name
+            assert ev.bstack_y[-1] is bstack
+            if m >= 3:
+                assert ev.abar_y[-1] is abar
 
 
 def test_y_derivative_shapes_and_caching():
-    ev = MetricEval.at(fresh_field("quartic2"), [0.0, 0.0], [1.0, 1.0])
-    before = set(vars(ev))
-    t3 = ev.y_derivative(3)
-    assert t3.shape == (2, 2, 2)
-    # computed on each call and not kept on the evaluation
-    assert ev.y_derivative(3) is not t3
-    assert np.array_equal(ev.y_derivative(3), t3)
-    assert set(vars(ev)) == before
+    fld = fresh_field("quartic2")
+    ev = MetricEval.at(fld, [0.0, 0.0], [1.0, 1.0])
+    # abar_y holds 3 and 4 y-slots; bstack_y an x-slot and 2, 3, 4 y-slots
+    assert [a.shape for a in ev.abar_y] == [(2,) * 3, (2,) * 4]
+    assert [b.shape for b in ev.bstack_y] == [(2,) * 3, (2,) * 4, (2,) * 5]
+    # kept on the memoized evaluation, read-only like its other arrays
+    assert MetricEval.at(fld, [0.0, 0.0], [1.0, 1.0]).abar_y is ev.abar_y
+    for arr in ev.abar_y + ev.bstack_y:
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        ev.abar_y[0][0, 0, 0] = 0.0
     # third derivative of y1^4 + y2^4: diagonal entries 24 y_i
+    t3 = math.perm(4, 3) * ev.abar_y[0]
     assert t3[0, 0, 0] == pytest.approx(24.0)
     assert t3[1, 1, 1] == pytest.approx(24.0)
     assert t3[0, 0, 1] == 0.0
+    # the spray reads them and keeps nothing else on the evaluation
+    before = {k: v for k, v in vars(ev).items() if k != "_spray"}
+    spray_eval(ev)
+    after = {k: v for k, v in vars(ev).items() if k != "_spray"}
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
 
 
 def test_low_order_y_derivatives_match_fields():
+    # one more contraction with y walks each kept array down to the next,
+    # and on to the A-data at orders 2, 1, 0
     ev = MetricEval.at(corpus_field("quartic2_scaled"), [0.2, -0.1],
                        [0.9, 0.7])
-    assert ev.y_derivative(0) == pytest.approx(ev.A)
-    assert np.allclose(ev.y_derivative(1), ev.A_i, atol=1e-14)
-    assert np.allclose(ev.y_derivative(2), ev.A_ij, atol=1e-14)
-    assert np.allclose(ev.dx_y_derivative(0), ev.A_xl, atol=1e-14)
-    assert np.allclose(ev.dx_y_derivative(1), ev.A_xy, atol=1e-14)
+    y, m = ev.y, ev.m
+    for chain in (ev.abar_y, ev.bstack_y):
+        for low, high in zip(chain, chain[1:]):
+            assert np.array_equal(high @ y, low)
+    a2 = ev.abar_y[0] @ y
+    assert np.allclose(math.perm(m, 2) * a2, ev.A_ij, atol=1e-14)
+    assert np.allclose(m * (a2 @ y), ev.A_i, atol=1e-14)
+    assert a2 @ y @ y == pytest.approx(ev.A)
+    d1 = ev.bstack_y[0] @ y
+    assert np.allclose(m * d1, ev.A_xy, atol=1e-14)
+    assert np.allclose(d1 @ y, ev.A_xl, atol=1e-14)
 
 
 # -- the evaluation memo ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Spray coefficients and Berwald curvature: oracles and consistency."""
 
 import dataclasses
+from functools import cache
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ import pytest
 from mroot.classify import (classify_antonelli, classify_dually_flat,
                             classify_isotropic, riemann_corollary_check,
                             weakly_berwald_check)
+from mroot.expr import Coord, Exp, add, mul
+from mroot.field import SymTensorField
 from mroot.metric import MetricEval
+from mroot.probes import generate_probe_set
 from mroot.spray import spray_eval, spray_mroot, spray_variational
 
 from conftest import (CORE, berwald_fd, corpus_field, corpus_probes,
@@ -17,6 +21,42 @@ from conftest import (CORE, berwald_fd, corpus_field, corpus_probes,
 M2_MEMBERS = ("euclid2", "stretched_euclid2", "funk1", "perturbed_funk1",
               "hessian2", "perturbed_hessian2")
 CURVED = ("quartic2_scaled", "antonelli_quartic2", "random_cubic3")
+
+# n = 2 fields of degree 5 and 6, past the corpus's m <= 4: the order-4
+# array that spray_eval scales (and for m = 6 the order-5 one) is then an
+# intermediate contraction rather than the coefficient array itself.
+# Each is x-dependent, so its spray and Berwald tensor are nonzero.
+_X1, _X2 = Coord(0), Coord(1)
+HIGH_ORDER = {
+    "quintic2": (5, {
+        (0,) * 5: add(1.0, mul(0.3, _X1)),
+        (0, 0, 0, 0, 1): mul(0.02, _X2),
+        (0, 0, 0, 1, 1): mul(0.2, Exp(mul(0.5, _X2))),
+        (0, 1, 1, 1, 1): add(0.6, mul(0.1, _X1, _X2)),
+    }),
+    "sextic2": (6, {
+        (0,) * 6: add(1.0, mul(0.3, _X1)),
+        (0, 0, 0, 0, 0, 1): mul(0.02, _X2),
+        (0, 0, 0, 0, 1, 1): mul(0.2, add(1.0, mul(_X1, _X2))),
+        (0, 0, 1, 1, 1, 1): mul(0.2, Exp(mul(0.5, _X2))),
+        (1,) * 6: add(1.0, mul(-0.2, _X1)),
+    }),
+}
+
+
+@cache
+def _high_order_field(name):
+    m, entries = HIGH_ORDER[name]
+    return SymTensorField(2, m, entries, [(-0.5, 0.5)] * 2)
+
+
+def _case(name, bases, fan, cond_cap):
+    """A corpus member or a HIGH_ORDER field, with a probe set on it."""
+    if name not in HIGH_ORDER:
+        return corpus_field(name), corpus_probes(name, bases=bases, fan=fan,
+                                                 cond_cap=cond_cap)
+    fld = _high_order_field(name)
+    return fld, generate_probe_set(fld, bases, fan, 0, cond_cap=cond_cap)
 
 
 @pytest.mark.parametrize("x, y, want", [
@@ -80,16 +120,25 @@ def test_spray_is_two_homogeneous(lam):
             1.0 + float(np.max(np.abs(G))))
 
 
-def test_spray_derivatives_satisfy_euler_relations():
+def _check_euler_relations(name):
     # dG/dy . y = 2 G and Gamma y y / 2 = G follow from 2-homogeneity
-    fld = corpus_field("random_cubic3")
-    for p in corpus_probes("random_cubic3", bases=2, fan=4).probes():
+    fld, probes = _case(name, bases=2, fan=4, cond_cap=1e6)
+    for p in probes.probes():
         ev = MetricEval.at(fld, p.x, p.y)
         sp = spray_eval(ev)
         scale = 1.0 + float(np.max(np.abs(sp.G)))
         assert float(np.max(np.abs(sp.dG_dy @ ev.y - 2.0 * sp.G))) <= 1e-9 * scale
         half_yy = 0.5 * np.einsum("ijk,j,k->i", sp.d2G_dy2, ev.y, ev.y)
         assert float(np.max(np.abs(half_yy - sp.G))) <= 1e-9 * scale
+
+
+def test_spray_derivatives_satisfy_euler_relations():
+    _check_euler_relations("random_cubic3")
+
+
+@pytest.mark.parametrize("name", HIGH_ORDER)
+def test_high_order_spray_satisfies_euler_relations(name):
+    _check_euler_relations(name)
 
 
 @pytest.mark.parametrize("lam", [0.5, 3.0])
@@ -112,13 +161,13 @@ def test_scaled_quartic_spray_gradient_closed_form():
     assert np.allclose(sp.dG_dy, want, rtol=1e-13, atol=0.0)
 
 
-@pytest.mark.parametrize("name", CURVED)
+@pytest.mark.parametrize("name", CURVED + tuple(HIGH_ORDER))
 def test_spray_derivatives_match_fd_of_the_order_below(name):
     # d2G_dy2 against a central difference of dG_dy, and B against one
     # of d2G_dy2, each from spray_eval at displaced directions
-    fld = corpus_field(name)
+    fld, probes = _case(name, bases=3, fan=4, cond_cap=50.0)
     h = 1e-5
-    for p in corpus_probes(name, bases=3, fan=4, cond_cap=50.0).probes():
+    for p in probes.probes():
         exact = spray_eval(MetricEval.at(fld, p.x, p.y))
         for l in range(fld.n):
             yp = p.y.copy()
@@ -134,10 +183,10 @@ def test_spray_derivatives_match_fd_of_the_order_below(name):
                 assert float(np.max(np.abs(D - fd))) <= 1e-6 * scale, upper
 
 
-@pytest.mark.parametrize("name", CURVED)
+@pytest.mark.parametrize("name", CURVED + tuple(HIGH_ORDER))
 def test_berwald_tensor_matches_fd_oracle(name):
-    fld = corpus_field(name)
-    for p in corpus_probes(name, bases=6, fan=3, cond_cap=5.0).probes():
+    fld, probes = _case(name, bases=6, fan=3, cond_cap=5.0)
+    for p in probes.probes():
         sp = spray_eval(MetricEval.at(fld, p.x, p.y))
         fd = berwald_fd(fld, p.x, p.y)
         assert float(np.max(np.abs(sp.B - fd))) <= 1e-4
