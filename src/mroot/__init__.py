@@ -16,7 +16,8 @@ from .expr import (Const, Coord, Exp, Expr, IntPow, Prod, Recip, Sum, add,
                    expn, intpow, mul, recip)
 from .field import SymTensorField
 from .metric import MetricEval, ProbePoint, identity_residuals
-from .spray import SprayEval, spray_eval, spray_mroot, spray_variational
+from .spray import (SprayEval, spray_batch, spray_eval, spray_mroot,
+                    spray_variational)
 from .probes import (ProbeSet, admissible_fan, base_points,
                      generate_probe_set, sphere_fan)
 from .classify import (ClassifierVerdict, IsotropicFit, OneForm,
@@ -39,6 +40,7 @@ __all__ = [
     "SymTensorField",
     "ProbePoint", "MetricEval", "identity_residuals",
     "SprayEval", "spray_mroot", "spray_variational", "spray_eval",
+    "spray_batch",
     "ProbeSet", "sphere_fan", "base_points", "admissible_fan",
     "generate_probe_set",
     "ClassifierVerdict", "OneForm", "IsotropicFit",

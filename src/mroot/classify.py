@@ -22,7 +22,7 @@ from .errors import ConfigurationError
 from .field import SymTensorField
 from .metric import MetricEval
 from .probes import ProbeSet, admissible_at_all
-from .spray import spray_eval, spray_mroot
+from .spray import spray_batch, spray_eval, spray_mroot
 
 __all__ = [
     "ClassifierVerdict",
@@ -253,8 +253,9 @@ def classify_antonelli(fld: SymTensorField, probes: ProbeSet,
     for b in range(1, len(probes.bases)):
         x_b = probes.bases[b]
         shared = admissible_at_all(fld, [x_ref, x_b], fan_size, children[b])
-        for y in shared:
-            ev_ref = MetricEval.at(fld, x_ref, y)
+        refs = [MetricEval.at(fld, x_ref, y) for y in shared]
+        spray_batch(refs)
+        for y, ev_ref in zip(shared, refs):
             ev_b = MetricEval.at(fld, x_b, y)
             G_ref = spray_mroot(ev_ref)
             G_b = spray_mroot(ev_b)
@@ -288,11 +289,13 @@ def weakly_berwald_check(fld: SymTensorField, probes: ProbeSet,
                          tol: float = DEFAULT_TOL) -> ClassifierVerdict:
     """Decide E = 0 over the probe set (mean Berwald tensor vanishes)."""
     residual = 0.0
-    for p in probes.probes():
-        ev = MetricEval.at(fld, p.x, p.y)
-        sp = spray_eval(ev)
-        residual = max(residual, float(np.max(np.abs(sp.E)))
-                       / (1.0 + float(np.max(np.abs(ev.g)))))
+    for x, fan in zip(probes.bases, probes.fans):
+        evs = [MetricEval.at(fld, x, y) for y in fan]
+        spray_batch(evs)
+        for ev in evs:
+            sp = spray_eval(ev)
+            residual = max(residual, float(np.max(np.abs(sp.E)))
+                           / (1.0 + float(np.max(np.abs(ev.g)))))
     return ClassifierVerdict(name="weakly_berwald", residual=residual, tol=tol)
 
 
@@ -338,8 +341,9 @@ def isotropic_fit(fld: SymTensorField, probes: ProbeSet,
     for x, fan in zip(probes.bases, probes.fans):
         Es = []
         Ws = []
-        for y in fan:
-            ev = MetricEval.at(fld, x, y)
+        evs = [MetricEval.at(fld, x, y) for y in fan]
+        spray_batch(evs)
+        for ev in evs:
             sp = spray_eval(ev)
             W = ((fld.n + 1.0) / 2.0) * ev.h / ev.F
             Es.append(sp.E)

@@ -29,6 +29,7 @@ import argparse
 import math
 import sys
 from dataclasses import asdict, dataclass, field as dc_field
+from itertools import groupby
 
 import numpy as np
 
@@ -42,9 +43,9 @@ from .field import SymTensorField
 from .geodesic import integrate
 from .metric import MetricEval, identity_residuals
 from .metricfile import parse_metric_file
-from .probes import ProbeSet, generate_probe_set
+from .probes import MAX_PROBES, ProbeSet, generate_probe_set
 from .report import render_json, render_table
-from .spray import spray_eval, spray_mroot, spray_variational
+from .spray import spray_batch, spray_eval, spray_mroot, spray_variational
 
 __all__ = ["main", "build_parser"]
 
@@ -151,6 +152,10 @@ def _resolve(args, cfg) -> _Run:
         raise ConfigurationError(f"fan size must be >= 1, got {run.fan}")
     if run.bases < 1:
         raise ConfigurationError(f"base count must be >= 1, got {run.bases}")
+    if run.bases * run.fan > MAX_PROBES:
+        raise ConfigurationError(
+            f"--bases {run.bases} x --fan {run.fan} is more than the bound "
+            f"of {MAX_PROBES} probes")
     if not (math.isfinite(run.tol) and run.tol >= 0.0):
         raise ConfigurationError(
             f"tol must be finite and >= 0, got {run.tol!r}")
@@ -222,20 +227,23 @@ def _curvature(run):
     esym = 0.0
     max_B = 0.0
     max_E = 0.0
-    for p in run.probes:
-        ev = MetricEval.at(run.fld, p.x, p.y)
-        sp = spray_eval(ev)
-        B, E = sp.B, sp.E
-        scale = 1.0 + float(np.max(np.abs(B)))
-        sym = max(sym,
-                  float(np.max(np.abs(B - np.transpose(B, (0, 2, 1, 3))))) / scale,
-                  float(np.max(np.abs(B - np.transpose(B, (0, 1, 3, 2))))) / scale)
-        contract = max(contract, float(np.max(np.abs(
-            np.einsum("ijkl,l->ijk", B, ev.y)))) / scale)
-        esym = max(esym, float(np.max(np.abs(E - E.T)))
-                   / (1.0 + float(np.max(np.abs(E)))))
-        max_B = max(max_B, float(np.max(np.abs(B))))
-        max_E = max(max_E, float(np.max(np.abs(E))))
+    # one spray batch per run of consecutive probes at the same base
+    for _, group in groupby(run.probes, key=lambda p: p.x.tobytes()):
+        evs = [MetricEval.at(run.fld, p.x, p.y) for p in group]
+        spray_batch(evs)
+        for ev in evs:
+            sp = spray_eval(ev)
+            B, E = sp.B, sp.E
+            scale = 1.0 + float(np.max(np.abs(B)))
+            for perm in ((0, 2, 1, 3), (0, 1, 3, 2)):
+                sym = max(sym, float(np.max(np.abs(
+                    B - np.transpose(B, perm)))) / scale)
+            contract = max(contract, float(np.max(np.abs(
+                np.einsum("ijkl,l->ijk", B, ev.y)))) / scale)
+            esym = max(esym, float(np.max(np.abs(E - E.T)))
+                       / (1.0 + float(np.max(np.abs(E)))))
+            max_B = max(max_B, float(np.max(np.abs(B))))
+            max_E = max(max_E, float(np.max(np.abs(E))))
     residual = max(sym, contract, esym)
     return ClassifierVerdict("curvature_consistency", residual, run.tol,
                              {"berwald_symmetry": sym,

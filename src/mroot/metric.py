@@ -24,11 +24,16 @@ each read.
 Each probe is evaluated once per run: :meth:`MetricEval.at` memoizes
 its result in the field's base-point cache (see
 :meth:`mroot.field.SymTensorField.point_arrays`), keyed by the bytes of
-y, and :func:`mroot.spray.spray_eval` stores its result on the
-evaluation.  The memo is evicted with that cache's base points (the last
-16, or as many as the largest probe set drawn on the field has).  A
-memoized evaluation is shared by every caller, so its stored arrays
-are read-only.
+y, and the spray is stored on the evaluation.  The spray is built by
+:func:`mroot.spray.spray_batch`, one stacked recurrence for a batch of
+evaluations (a check passes one base's fan), which gives each of them
+its result as views of the stacked arrays; :func:`mroot.spray.spray_eval`
+is its one-probe case and returns the stored result.  An evaluation
+holds no reference to the memo or to its batch, so a field is freed
+without the cycle collector.  The memo is evicted with that cache's
+base points (the last 16, or as many as the largest probe set drawn on
+the field has).  A memoized evaluation is shared by every caller, so
+its stored arrays are read-only.
 """
 
 from __future__ import annotations
@@ -60,8 +65,8 @@ class MetricEval:
 
     * ``A_i``, ``A_ij`` are the first and second y-derivatives of A,
     * ``A_xl[l]`` is dA/dx^l,
-    * ``A_xy[l, k]`` is d^2 A / dx^k dy^l,
-    * ``A0 = A_xl . y`` and ``A0l[l] = A_xy[l] . y`` are the standard
+    * ``A_xy[l, k]`` is d^2 A / dx^l dy^k,
+    * ``A0 = A_xl . y`` and ``A0l[l] = y . A_xy[:, l]`` are the standard
       contractions of the x-derivative with the direction.
     * ``cond`` = max / min eigenvalue of ``A_ij``: the probe's cone margin.
     * ``abar_y[r - 3]`` is the coefficient array contracted with y down
@@ -92,7 +97,7 @@ class MetricEval:
     bstack_y: tuple = dc_field(repr=False, default=())
 
     def __post_init__(self):
-        self._spray = None     # set by mroot.spray.spray_eval
+        self._spray = None     # set by mroot.spray.spray_batch
 
     # -- construction ---------------------------------------------------------
 

@@ -32,9 +32,14 @@ __all__ = [
     "admissible_fan",
     "ProbeSet",
     "generate_probe_set",
+    "MAX_PROBES",
 ]
 
 COND_CAP = 1e6
+# the most probes (bases x fan) one probe set may hold: every evaluation
+# of a run stays memoized, ~10 KB a probe on an n = 2 report-all, and
+# 10^4 probes took 6 s there on a 2-vCPU VM
+MAX_PROBES = 50_000
 _INV_NORMAL = NormalDist().inv_cdf
 
 
@@ -180,7 +185,15 @@ class ProbeSet:
 
 def generate_probe_set(fld: SymTensorField, n_base: int, fan_size: int,
                        seed, cond_cap: float = COND_CAP) -> ProbeSet:
-    """Deterministic probe set: ``n_base`` points, ``fan_size`` rays each."""
+    """Deterministic probe set: ``n_base`` points, ``fan_size`` rays each.
+
+    Raises :class:`ConfigurationError` before drawing anything when
+    ``n_base * fan_size`` exceeds ``MAX_PROBES``.
+    """
+    if n_base * fan_size > MAX_PROBES:
+        raise ConfigurationError(
+            f"{n_base} base points x {fan_size} directions is more than "
+            f"MAX_PROBES = {MAX_PROBES} probes")
     fld.keep_bases(n_base)
     seq = np.random.SeedSequence(seed)
     children = seq.spawn(n_base + 1)

@@ -16,10 +16,16 @@ coefficient arrays.
 The y-derivatives of G up to the Berwald tensor
 B^i_{jkl} = d^3 G^i / dy^j dy^k dy^l come from one recurrence: the
 closed form A_ij G^j = P_i / 2 differentiated k times in y by the
-Leibniz rule (see :func:`spray_eval`).  Each order costs one solve with
+Leibniz rule (see :func:`spray_batch`).  Each order costs one solve with
 the Hessian inverse and needs only the contractions of the coefficient
 arrays that :meth:`mroot.metric.MetricEval.at` kept, so no fractional
 powers enter and the m = 2 case collapses to exactly zero.
+
+The recurrence runs over a stack of evaluations: :func:`spray_batch`
+stacks a batch of probes (the checks pass one base's fan) along a
+leading axis, so each ``einsum`` runs once for the whole stack instead
+of once per probe, and stores the result on each evaluation.
+:func:`spray_eval` is its one-probe case and reads the stored result.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ __all__ = [
     "SprayEval",
     "spray_mroot",
     "spray_variational",
+    "spray_batch",
     "spray_eval",
 ]
 
@@ -77,8 +84,8 @@ class SprayEval:
     E: np.ndarray
 
 
-def spray_eval(ev: MetricEval) -> SprayEval:
-    """Exact spray, connection and Berwald data at one probe.
+def spray_batch(evs) -> None:
+    """Exact spray, connection and Berwald data at a stack of probes.
 
     The closed form says A_ab G^b = P_a / 2 with
     P_a = A_{0a} - A_{x^a}.  Differentiating it k times in y by the
@@ -89,42 +96,68 @@ def spray_eval(ev: MetricEval) -> SprayEval:
     summed over the nonempty subsets S of the slots, with
     P^(k)_{aJ} = y^p D_{k+1}[p,a,J] - D_k[a,J] + sum_s D_k[j_s,a,J - j_s],
     A^(r) the r-th y-derivative of A and D_k = d^(k+1) A / dx dy^k
-    (``ev.A_inv``, ``ev.A_xl`` and ``ev.A_xy`` supply A^(2)^{-1}, D_0
-    and D_1; A^(3..5) and D_2..D_4 are ``perm(m, r)`` times the
-    contractions ``ev.abar_y`` and ``ev.bstack_y``).  One loop over
-    k = 0 .. 3 yields G, dG/dy, the connection and B in turn.  Every
-    A^(r) and D_k above the degree m is an exact zero, so for m = 2 B
-    is exactly 0.
+    (``A_inv``, ``A_xl`` and ``A_xy`` supply A^(2)^{-1}, D_0 and D_1;
+    A^(3..5) and D_2..D_4 are ``perm(m, r)`` times the contractions
+    ``abar_y`` and ``bstack_y``).  One loop over k = 0 .. 3 yields G,
+    dG/dy, the connection and B in turn.  Every A^(r) and D_k above the
+    degree m is an exact zero, so for m = 2 B is exactly 0.
 
-    The result is stored on ``ev``, so a repeat call on the same
-    (memoized) evaluation returns the identical, read-only object.  The
-    scaled derivative arrays built on the way are not kept.
+    The evaluations in ``evs`` that have no spray yet are stacked along
+    a leading axis, so each order costs one ``einsum`` per term for the
+    whole stack.  Each such evaluation then holds a read-only
+    :class:`SprayEval` whose arrays are views of the stacked results;
+    :func:`spray_eval` reads it.  Evaluations that already have one keep
+    it.  All evaluations must share n and m; they may sit at different
+    base points.  The scaled derivative arrays built on the way are not
+    kept.
     """
-    if ev._spray is not None:
-        return ev._spray
-    m, n = ev.m, ev.n
+    todo = list({id(ev): ev for ev in evs if ev._spray is None}.values())
+    if not todo:
+        return
+    m, n = todo[0].m, todo[0].n
+    if any(ev.m != m or ev.n != n for ev in todo):
+        raise ValueError("spray_batch needs evaluations of one n and m")
+    size = len(todo)
+    y = np.stack([ev.y for ev in todo])
+    A_inv = np.stack([ev.A_inv for ev in todo])
     # zero above degree m, since A is a degree-m form in y
-    D = [ev.A_xl, ev.A_xy] + [
-        float(math.perm(m, k)) * ev.bstack_y[k - 2] if k <= m
-        else np.zeros((n,) * (k + 1)) for k in (2, 3, 4)]
-    A = {r: float(math.perm(m, r)) * ev.abar_y[r - 3] if r <= m
-         else np.zeros((n,) * r) for r in (3, 4, 5)}
+    D = [np.stack([ev.A_xl for ev in todo]),
+         np.stack([ev.A_xy for ev in todo])] + [
+        float(math.perm(m, k)) * np.stack([ev.bstack_y[k - 2] for ev in todo])
+        if k <= m else np.zeros((size,) + (n,) * (k + 1)) for k in (2, 3, 4)]
+    A = {r: float(math.perm(m, r))
+         * np.stack([ev.abar_y[r - 3] for ev in todo])
+         if r <= m else np.zeros((size,) + (n,) * r) for r in (3, 4, 5)}
     Gk = []
     for k in range(4):
         J = "jkl"[:k]
-        P = np.einsum("p,pa...->a...", ev.y, D[k + 1]) - D[k]
+        P = np.einsum("zp,zpa...->za...", y, D[k + 1]) - D[k]
         for s in range(1, k + 1):
-            P = P + np.moveaxis(D[k], 0, s)
+            P = P + np.moveaxis(D[k], 1, s + 1)
         rhs = 0.5 * P
         for r in range(1, k + 1):
             for S in combinations(J, r):
                 rest = "".join(c for c in J if c not in S)
-                rhs = rhs - np.einsum(f"ab{''.join(S)},b{rest}->a{J}",
+                rhs = rhs - np.einsum(f"zab{''.join(S)},zb{rest}->za{J}",
                                       A[2 + r], Gk[k - r])
-        Gk.append(np.einsum("ia,a...->i...", ev.A_inv, rhs))
+        Gk.append(np.einsum("zia,za...->zi...", A_inv, rhs))
     G, dG, d2G, B = Gk
-    E = 0.5 * np.einsum("ijki->jk", B)
+    E = 0.5 * np.einsum("zijki->zjk", B)
     for arr in (G, dG, d2G, B, E):
         arr.setflags(write=False)
-    ev._spray = SprayEval(G=G, dG_dy=dG, d2G_dy2=d2G, B=B, E=E)
+    for i, ev in enumerate(todo):
+        ev._spray = SprayEval(G=G[i], dG_dy=dG[i], d2G_dy2=d2G[i], B=B[i],
+                              E=E[i])
+
+
+def spray_eval(ev: MetricEval) -> SprayEval:
+    """Exact spray, connection and Berwald data at one probe.
+
+    The one-probe case of :func:`spray_batch`, which holds the
+    recurrence.  The result is stored on ``ev``, so a repeat call on the
+    same (memoized) evaluation, or a call after a batch that held it,
+    returns the identical, read-only object.
+    """
+    if ev._spray is None:
+        spray_batch((ev,))
     return ev._spray

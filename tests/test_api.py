@@ -17,3 +17,9 @@ def test_every_exported_name_resolves(module):
     exported = getattr(mod, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [name for name in exported if not hasattr(mod, name)] == []
+
+
+def test_the_stacked_spray_kernel_is_public():
+    import mroot.spray
+    assert "spray_batch" in mroot.__all__
+    assert mroot.spray_batch is mroot.spray.spray_batch

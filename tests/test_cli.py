@@ -264,8 +264,12 @@ SUBCOMMANDS = [
     (["--tol", "-1"], "tol must be finite and >= 0, got -1.0"),
     (["--tol", "inf"], "tol must be finite and >= 0, got inf"),
     (["--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--bases", "100000000000"], "--bases 100000000000 x --fan 16 is more "
+                                  "than the bound of 50000 probes"),
+    (["--fan", "100000000000"], "--bases 4 x --fan 100000000000 is more "
+                                "than the bound of 50000 probes"),
 ], ids=["fan_0", "bases_0", "bases_negative", "tol_nan", "tol_negative",
-        "tol_inf", "seed_negative"])
+        "tol_inf", "seed_negative", "bases_huge", "fan_huge"])
 @pytest.mark.parametrize("command", SUBCOMMANDS, ids=lambda c: c[0])
 def test_bad_run_parameters_exit_two_before_any_work(command, flags, message,
                                                      tmp_path, capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mroot
+from mroot import probes
 from mroot.errors import ConfigurationError, DomainError
 from mroot.field import SymTensorField
 from mroot.metric import MetricEval
@@ -164,3 +165,24 @@ def test_fans_differ_between_bases():
     fld = corpus_field("quartic2")
     ps = generate_probe_set(fld, 2, 6, seed=5)
     assert not np.array_equal(ps.fans[0], ps.fans[1])
+
+
+def test_probe_sets_past_the_bound_are_refused_before_any_draw(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("drew probes for a refused probe set")
+
+    fld = corpus_field("quartic2")
+    monkeypatch.setattr(np.random, "SeedSequence", boom)
+    monkeypatch.setattr(SymTensorField, "keep_bases", boom)
+    for n_base, fan in ((10 ** 11, 1), (1, 10 ** 11),
+                        (probes.MAX_PROBES + 1, 1), (2, probes.MAX_PROBES)):
+        with pytest.raises(ConfigurationError, match="MAX_PROBES"):
+            generate_probe_set(fld, n_base, fan, seed=0)
+
+
+def test_the_probe_bound_admits_exactly_max_probes(monkeypatch):
+    fld = corpus_field("quartic2")
+    monkeypatch.setattr(probes, "MAX_PROBES", 6)
+    assert len(generate_probe_set(fld, 2, 3, seed=0)) == 6
+    with pytest.raises(ConfigurationError):
+        generate_probe_set(fld, 7, 1, seed=0)

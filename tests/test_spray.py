@@ -2,6 +2,7 @@
 
 import dataclasses
 from functools import cache
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from mroot.expr import Coord, Exp, add, mul
 from mroot.field import SymTensorField
 from mroot.metric import MetricEval
 from mroot.probes import generate_probe_set
-from mroot.spray import spray_eval, spray_mroot, spray_variational
+from mroot import spray
+from mroot.spray import (spray_batch, spray_eval, spray_mroot,
+                         spray_variational)
 
-from conftest import (CORE, berwald_fd, corpus_field, corpus_probes,
+from conftest import (CORE, DATA_DIR, berwald_fd, corpus_field, corpus_probes,
                       fresh_field)
 
 M2_MEMBERS = ("euclid2", "stretched_euclid2", "funk1", "perturbed_funk1",
@@ -44,10 +47,12 @@ HIGH_ORDER = {
 }
 
 
-@cache
-def _high_order_field(name):
+def _new_high_order_field(name):
     m, entries = HIGH_ORDER[name]
     return SymTensorField(2, m, entries, [(-0.5, 0.5)] * 2)
+
+
+_high_order_field = cache(_new_high_order_field)
 
 
 def _case(name, bases, fan, cond_cap):
@@ -285,3 +290,91 @@ def test_classify_verdicts_do_not_depend_on_a_warm_memo(name):
         cold.update(_verdicts(fresh_field(name), ps, [check]))
     warm = _verdicts(fresh_field(name), ps, order[::-1])
     assert cold == warm
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel against its one-probe case
+
+ALL_MEMBERS = tuple(sorted(p.stem for p in DATA_DIR.glob("*.metric")))
+SPRAY_PARTS = ("G", "dG_dy", "d2G_dy2", "B", "E")
+
+
+def _fresh(name):
+    if name in HIGH_ORDER:
+        return _new_high_order_field(name)
+    return fresh_field(name)
+
+
+def _assert_within_ulps(sp, alone, ulps=4):
+    # E is half a trace of B, so it is compared on B's scale
+    for part in SPRAY_PARTS:
+        got, want = getattr(sp, part), getattr(alone, part)
+        scale = float(np.max(np.abs(alone.B if part == "E" else want)))
+        assert got.shape == want.shape
+        assert float(np.max(np.abs(got - want))) <= ulps * np.spacing(scale), \
+            part
+
+
+@pytest.mark.parametrize("name", ALL_MEMBERS + tuple(HIGH_ORDER))
+def test_spray_batch_matches_each_probe_evaluated_alone(name):
+    fld = _fresh(name)
+    ps = generate_probe_set(fld, 3, 4, 0)
+    by_base = [[(x, y) for y in fan] for x, fan in zip(ps.bases, ps.fans)]
+    alone_fld = _fresh(name)
+    alone = {}
+    for x, y in chain.from_iterable(by_base):
+        alone[(x.tobytes(), y.tobytes())] = spray_eval(
+            MetricEval.at(alone_fld, x, y))
+    # one fan, then every probe with the bases interleaved, each batch on
+    # a fresh field so that no probe already has a spray
+    batches = [(fld, by_base[0]),
+               (_fresh(name), list(chain.from_iterable(zip(*by_base))))]
+    for bfld, batch in batches:
+        evs = [MetricEval.at(bfld, x, y) for x, y in batch]
+        assert all(ev._spray is None for ev in evs)
+        spray_batch(evs)
+        for ev, (x, y) in zip(evs, batch):
+            sp = ev._spray
+            assert spray_eval(ev) is sp
+            for part in SPRAY_PARTS:
+                assert not getattr(sp, part).flags.writeable
+            _assert_within_ulps(sp, alone[(x.tobytes(), y.tobytes())])
+            if bfld.m == 2:
+                assert np.all(sp.B == 0.0)
+                assert np.all(sp.E == 0.0)
+
+
+def test_spray_batch_of_nothing_is_a_no_op():
+    assert spray_batch([]) is None
+    assert spray_batch(iter(())) is None
+
+
+def test_spray_batch_builds_each_missing_spray_once(monkeypatch):
+    fld = fresh_field("random_cubic3")
+    ps = corpus_probes("random_cubic3", bases=1, fan=4)
+    ev1, ev2, ev3, ev4 = (MetricEval.at(fld, p.x, p.y) for p in ps.probes())
+    sp1 = spray_eval(ev1)
+    built = []
+
+    def counted(**kwargs):
+        built.append(kwargs)
+        return dataclasses.replace(sp1, **kwargs)
+
+    monkeypatch.setattr(spray, "SprayEval", counted)
+    spray_batch([ev1, ev2, ev3, ev2, ev1])
+    assert ev1._spray is sp1
+    assert len(built) == 2
+    assert ev4._spray is None
+    sp2 = ev2._spray
+    spray_batch([ev2, ev4])
+    assert ev2._spray is sp2
+    assert len(built) == 3
+
+
+def test_spray_batch_rejects_evaluations_of_different_degrees():
+    ev2 = MetricEval.at(fresh_field("quartic2"), [0.1, 0.2], [1.0, 0.5])
+    ev5 = MetricEval.at(_new_high_order_field("quintic2"), [0.1, 0.2],
+                        [1.0, 0.5])
+    with pytest.raises(ValueError):
+        spray_batch([ev2, ev5])
+    assert ev2._spray is None and ev5._spray is None
