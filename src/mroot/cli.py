@@ -43,7 +43,7 @@ from .field import SymTensorField
 from .geodesic import integrate
 from .metric import MetricEval, identity_residuals
 from .metricfile import parse_metric_file
-from .probes import MAX_PROBES, ProbeSet, generate_probe_set
+from .probes import ProbeSet, check_probe_count, generate_probe_set
 from .report import render_json, render_table
 from .spray import spray_batch, spray_eval, spray_mroot, spray_variational
 
@@ -152,10 +152,6 @@ def _resolve(args, cfg) -> _Run:
         raise ConfigurationError(f"fan size must be >= 1, got {run.fan}")
     if run.bases < 1:
         raise ConfigurationError(f"base count must be >= 1, got {run.bases}")
-    if run.bases * run.fan > MAX_PROBES:
-        raise ConfigurationError(
-            f"--bases {run.bases} x --fan {run.fan} is more than the bound "
-            f"of {MAX_PROBES} probes")
     if not (math.isfinite(run.tol) and run.tol >= 0.0):
         raise ConfigurationError(
             f"tol must be finite and >= 0, got {run.tol!r}")
@@ -307,6 +303,12 @@ def _cmd_checks(args, cfg):
     # explicit probes replace the generated set only where every check
     # reads the probe list
     if not (run.explicit and len(on_list) == len(checks)):
+        check_probe_count(
+            run.fld.n, run.fld.m, run.bases, run.fan,
+            f"--bases {run.bases}"
+            f"{' (the default)' if args.bases is None else ''}"
+            f" x --fan {run.fan}"
+            f"{' (the default, 4 n^2)' if args.fan is None else ''}")
         run.probe_set = generate_probe_set(run.fld, run.bases, run.fan,
                                            run.seed)
     run.report = {"command": args.command, "metric": args.metric,

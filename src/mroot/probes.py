@@ -32,14 +32,15 @@ __all__ = [
     "admissible_fan",
     "ProbeSet",
     "generate_probe_set",
-    "MAX_PROBES",
+    "MAX_PROBE_BYTES",
+    "probe_bytes",
+    "check_probe_count",
 ]
 
 COND_CAP = 1e6
-# the most probes (bases x fan) one probe set may hold: every evaluation
-# of a run stays memoized, ~10 KB a probe on an n = 2 report-all, and
-# 10^4 probes took 6 s there on a 2-vCPU VM
-MAX_PROBES = 50_000
+# every probe's evaluation and spray stay memoized for the whole run; the
+# most bytes (by probe_bytes) the probes of one probe set may keep
+MAX_PROBE_BYTES = 4 * 2 ** 30
 _INV_NORMAL = NormalDist().inv_cdf
 
 
@@ -183,17 +184,46 @@ class ProbeSet:
         return sum(len(f) for f in self.fans)
 
 
+def probe_bytes(n: int, m: int) -> int:
+    """Estimated bytes one probe keeps memoized: evaluation and spray.
+
+    The large arrays are the Berwald tensor (n^4 floats), the connection
+    (n^3) and the contractions ``abar_y`` and ``bstack_y`` below order m
+    (up to n^5); 10 KB covers the objects and the small arrays.
+    """
+    floats = (n ** 4 + n ** 3 + sum(n ** r for r in range(3, min(m, 6)))
+              + sum(n ** (k + 1) for k in range(2, min(m, 5))))
+    return 10_000 + 8 * floats
+
+
+def check_probe_count(n: int, m: int, n_base: int, fan_size: int,
+                      what: str = None):
+    """Refuse ``n_base * fan_size`` probes past ``MAX_PROBE_BYTES``.
+
+    Raises :class:`ConfigurationError` when that many probes of an
+    n-dimensional degree-m field would keep more than ``MAX_PROBE_BYTES``
+    memoized (by :func:`probe_bytes`).  ``what`` names the two counts in
+    the message; the default is "<n_base> base points x <fan_size>
+    directions".
+    """
+    per = probe_bytes(n, m)
+    fit = MAX_PROBE_BYTES // per
+    if n_base * fan_size > fit:
+        what = what or f"{n_base} base points x {fan_size} directions"
+        raise ConfigurationError(
+            f"{what} is too many probes: each keeps about {per:,} bytes "
+            f"memoized at n = {n}, m = {m}, and MAX_PROBE_BYTES = "
+            f"{MAX_PROBE_BYTES / 2 ** 30:g} GiB admits at most {fit:,}")
+
+
 def generate_probe_set(fld: SymTensorField, n_base: int, fan_size: int,
                        seed, cond_cap: float = COND_CAP) -> ProbeSet:
     """Deterministic probe set: ``n_base`` points, ``fan_size`` rays each.
 
-    Raises :class:`ConfigurationError` before drawing anything when
-    ``n_base * fan_size`` exceeds ``MAX_PROBES``.
+    Raises :class:`ConfigurationError` before drawing anything when the
+    probes would pass ``MAX_PROBE_BYTES`` (see :func:`check_probe_count`).
     """
-    if n_base * fan_size > MAX_PROBES:
-        raise ConfigurationError(
-            f"{n_base} base points x {fan_size} directions is more than "
-            f"MAX_PROBES = {MAX_PROBES} probes")
+    check_probe_count(fld.n, fld.m, n_base, fan_size)
     fld.keep_bases(n_base)
     seq = np.random.SeedSequence(seed)
     children = seq.spawn(n_base + 1)

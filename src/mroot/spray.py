@@ -24,8 +24,11 @@ powers enter and the m = 2 case collapses to exactly zero.
 The recurrence runs over a stack of evaluations: :func:`spray_batch`
 stacks a batch of probes (the checks pass one base's fan) along a
 leading axis, so each ``einsum`` runs once for the whole stack instead
-of once per probe, and stores the result on each evaluation.
-:func:`spray_eval` is its one-probe case and reads the stored result.
+of once per probe, and stores the result on each evaluation.  The
+orders above m, which vanish, are never built, and a stack is capped
+at ``BATCH_BYTES`` for its largest array, so a long fan of a wide field
+is run as several stacks.  :func:`spray_eval` is its one-probe case
+and reads the stored result.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ __all__ = [
     "spray_batch",
     "spray_eval",
 ]
+
+# the most bytes the largest array of one spray_batch stack may take
+BATCH_BYTES = 1 << 24
 
 
 def spray_mroot(ev: MetricEval) -> np.ndarray:
@@ -100,16 +106,19 @@ def spray_batch(evs) -> None:
     A^(3..5) and D_2..D_4 are ``perm(m, r)`` times the contractions
     ``abar_y`` and ``bstack_y``).  One loop over k = 0 .. 3 yields G,
     dG/dy, the connection and B in turn.  Every A^(r) and D_k above the
-    degree m is an exact zero, so for m = 2 B is exactly 0.
+    degree m is an exact zero, so its terms are left out; for m = 2 B is
+    exactly 0.
 
     The evaluations in ``evs`` that have no spray yet are stacked along
     a leading axis, so each order costs one ``einsum`` per term for the
-    whole stack.  Each such evaluation then holds a read-only
-    :class:`SprayEval` whose arrays are views of the stacked results;
-    :func:`spray_eval` reads it.  Evaluations that already have one keep
-    it.  All evaluations must share n and m; they may sit at different
-    base points.  The scaled derivative arrays built on the way are not
-    kept.
+    whole stack.  The stack is cut into chunks whose largest array (B,
+    or D_4 and A^(5) once m >= 4) holds at most ``BATCH_BYTES``, so
+    the memory a batch takes does not grow with its length.  Each such
+    evaluation then holds a read-only :class:`SprayEval` whose arrays
+    are views of the stacked results; :func:`spray_eval` reads it.
+    Evaluations that already have one keep it.  All evaluations must
+    share n and m; they may sit at different base points.  The scaled
+    derivative arrays built on the way are not kept.
     """
     todo = list({id(ev): ev for ev in evs if ev._spray is None}.values())
     if not todo:
@@ -117,25 +126,35 @@ def spray_batch(evs) -> None:
     m, n = todo[0].m, todo[0].n
     if any(ev.m != m or ev.n != n for ev in todo):
         raise ValueError("spray_batch needs evaluations of one n and m")
-    size = len(todo)
-    y = np.stack([ev.y for ev in todo])
-    A_inv = np.stack([ev.A_inv for ev in todo])
-    # zero above degree m, since A is a degree-m form in y
-    D = [np.stack([ev.A_xl for ev in todo]),
-         np.stack([ev.A_xy for ev in todo])] + [
-        float(math.perm(m, k)) * np.stack([ev.bstack_y[k - 2] for ev in todo])
-        if k <= m else np.zeros((size,) + (n,) * (k + 1)) for k in (2, 3, 4)]
-    A = {r: float(math.perm(m, r))
-         * np.stack([ev.abar_y[r - 3] for ev in todo])
-         if r <= m else np.zeros((size,) + (n,) * r) for r in (3, 4, 5)}
+    step = max(1, BATCH_BYTES // (8 * n ** (5 if m >= 4 else 4)))
+    for i in range(0, len(todo), step):
+        _spray_stack(todo[i:i + step], m)
+
+
+def _spray_stack(evs, m):
+    """The recurrence of :func:`spray_batch` over one stack."""
+    y = np.array([ev.y for ev in evs])
+    A_inv = np.array([ev.A_inv for ev in evs])
+    # D[k] for k = 0 .. min(m, 4) and A[r] for r = 3 .. min(m, 5); the
+    # orders above m are zero
+    D = [np.array([ev.A_xl for ev in evs]),
+         np.array([ev.A_xy for ev in evs])] + [
+        float(math.perm(m, k)) * np.array([ev.bstack_y[k - 2] for ev in evs])
+        for k in range(2, min(m, 4) + 1)]
+    A = {r: float(math.perm(m, r)) * np.array([ev.abar_y[r - 3] for ev in evs])
+         for r in range(3, min(m, 5) + 1)}
     Gk = []
     for k in range(4):
         J = "jkl"[:k]
-        P = np.einsum("zp,zpa...->za...", y, D[k + 1]) - D[k]
-        for s in range(1, k + 1):
-            P = P + np.moveaxis(D[k], 1, s + 1)
-        rhs = 0.5 * P
-        for r in range(1, k + 1):
+        if k < len(D):
+            P = (np.einsum("zp,zpa...->za...", y, D[k + 1]) - D[k]
+                 if k + 1 < len(D) else -D[k])
+            for s in range(1, k + 1):
+                P = P + np.moveaxis(D[k], 1, s + 1)
+            rhs = 0.5 * P
+        else:
+            rhs = np.zeros(y.shape + y.shape[1:] * k)
+        for r in range(1, min(k, m - 2) + 1):
             for S in combinations(J, r):
                 rest = "".join(c for c in J if c not in S)
                 rhs = rhs - np.einsum(f"zab{''.join(S)},zb{rest}->za{J}",
@@ -145,7 +164,7 @@ def spray_batch(evs) -> None:
     E = 0.5 * np.einsum("zijki->zjk", B)
     for arr in (G, dG, d2G, B, E):
         arr.setflags(write=False)
-    for i, ev in enumerate(todo):
+    for i, ev in enumerate(evs):
         ev._spray = SprayEval(G=G[i], dG_dy=dG[i], d2G_dy2=d2G[i], B=B[i],
                               E=E[i])
 
@@ -156,7 +175,9 @@ def spray_eval(ev: MetricEval) -> SprayEval:
     The one-probe case of :func:`spray_batch`, which holds the
     recurrence.  The result is stored on ``ev``, so a repeat call on the
     same (memoized) evaluation, or a call after a batch that held it,
-    returns the identical, read-only object.
+    returns the identical, read-only object.  A caller that will read
+    many probes should batch them first: a stack of one pays the
+    stacking on its own.
     """
     if ev._spray is None:
         spray_batch((ev,))

@@ -264,12 +264,8 @@ SUBCOMMANDS = [
     (["--tol", "-1"], "tol must be finite and >= 0, got -1.0"),
     (["--tol", "inf"], "tol must be finite and >= 0, got inf"),
     (["--seed", "-1"], "seed must be >= 0, got -1"),
-    (["--bases", "100000000000"], "--bases 100000000000 x --fan 16 is more "
-                                  "than the bound of 50000 probes"),
-    (["--fan", "100000000000"], "--bases 4 x --fan 100000000000 is more "
-                                "than the bound of 50000 probes"),
 ], ids=["fan_0", "bases_0", "bases_negative", "tol_nan", "tol_negative",
-        "tol_inf", "seed_negative", "bases_huge", "fan_huge"])
+        "tol_inf", "seed_negative"])
 @pytest.mark.parametrize("command", SUBCOMMANDS, ids=lambda c: c[0])
 def test_bad_run_parameters_exit_two_before_any_work(command, flags, message,
                                                      tmp_path, capsys):
@@ -280,6 +276,70 @@ def test_bad_run_parameters_exit_two_before_any_work(command, flags, message,
     assert message in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--bases", "100000000000"],
+     "--bases 100000000000 x --fan 16 (the default, 4 n^2) is too many "
+     "probes: each keeps about 10,448 bytes memoized at n = 2, m = 4, and "
+     "MAX_PROBE_BYTES = 4 GiB admits at most 411,080"),
+    (["--fan", "100000000000"],
+     "--bases 4 (the default) x --fan 100000000000 is too many probes"),
+], ids=["bases_huge", "fan_huge"])
+@pytest.mark.parametrize("command", [c for c in SUBCOMMANDS
+                                     if c[0] != "geodesic"],
+                         ids=lambda c: c[0])
+def test_probe_sets_too_large_to_run_exit_two_before_any_draw(
+        command, flags, message, tmp_path, capsys):
+    out = tmp_path / "r.out"
+    argv = [command[0], path("quartic2")] + flags
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _wide_metric(tmp_path, n, probe=""):
+    # A = |y|^2 in n dimensions
+    wide = tmp_path / f"wide{n}.metric"
+    wide.write_text(f"n = {n}\nm = 2\n" + probe
+                    + "".join(f"box.{i} = -1,1\n" for i in range(1, n + 1))
+                    + "".join(f"{i} {i} : 1\n" for i in range(1, n + 1)))
+    return str(wide)
+
+
+def test_the_default_fan_of_a_large_field_is_refused_naming_the_defaults(
+        tmp_path, capsys):
+    # n = 56, m = 2: the default 4 n^2 = 12544 directions at 4 bases would
+    # keep the n^4-float Berwald tensor of every probe, some 3.7 TiB
+    big = _wide_metric(tmp_path, 56)
+    assert main(["report-all", big]) == 2
+    captured = capsys.readouterr()
+    assert ("--bases 4 (the default) x --fan 12544 (the default, 4 n^2) is "
+            "too many probes") in captured.err
+    assert "at n = 56, m = 2" in captured.err
+    assert captured.out == ""
+    assert main(["report-all", big, "--bases", "1", "--fan", "60",
+                 "--seed", "3"]) == 2
+    assert ("--bases 1 x --fan 60 is too many probes"
+            in capsys.readouterr().err)
+
+
+def test_explicit_probes_that_replace_the_probe_set_pass_any_probe_bound(
+        tmp_path, capsys):
+    # n = 18: the default fan's probe set would pass the bound, but the
+    # spray check reads only the explicit probe, so no set is drawn
+    n = 18
+    wide = _wide_metric(tmp_path, n, "probe = " + " ".join(["0"] * n) + " ; "
+                        + " ".join(["1"] + ["0"] * (n - 1)) + "\n")
+    assert main(["spray", wide]) == 0
+    assert main(["geodesic", wide, "--x0", ",".join(["0"] * n),
+                 "--y0", ",".join(["1"] * n), "--t-end", "0.1",
+                 "--steps", "2", "--bases", "100000000000"]) == 0
+    capsys.readouterr()
+    assert main(["curvature", _wide_metric(tmp_path, n)]) == 2
+    assert "(the default, 4 n^2) is too many probes" in capsys.readouterr().err
 
 
 # tol is the only tolerance header: the isotropic check's former

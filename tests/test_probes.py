@@ -172,17 +172,40 @@ def test_probe_sets_past_the_bound_are_refused_before_any_draw(monkeypatch):
         raise AssertionError("drew probes for a refused probe set")
 
     fld = corpus_field("quartic2")
+    fit = probes.MAX_PROBE_BYTES // probes.probe_bytes(2, 4)
     monkeypatch.setattr(np.random, "SeedSequence", boom)
     monkeypatch.setattr(SymTensorField, "keep_bases", boom)
-    for n_base, fan in ((10 ** 11, 1), (1, 10 ** 11),
-                        (probes.MAX_PROBES + 1, 1), (2, probes.MAX_PROBES)):
-        with pytest.raises(ConfigurationError, match="MAX_PROBES"):
+    for n_base, fan in ((10 ** 11, 1), (1, 10 ** 11), (fit + 1, 1),
+                        (2, fit // 2 + 1)):
+        with pytest.raises(ConfigurationError,
+                           match=f"{n_base} base points x {fan} directions "
+                                 "is too many probes"):
             generate_probe_set(fld, n_base, fan, seed=0)
 
 
-def test_the_probe_bound_admits_exactly_max_probes(monkeypatch):
+def test_the_probe_bound_admits_exactly_what_fits(monkeypatch):
     fld = corpus_field("quartic2")
-    monkeypatch.setattr(probes, "MAX_PROBES", 6)
+    monkeypatch.setattr(probes, "MAX_PROBE_BYTES",
+                        6 * probes.probe_bytes(2, 4) + 1)
     assert len(generate_probe_set(fld, 2, 3, seed=0)) == 6
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="admits at most 6$"):
         generate_probe_set(fld, 7, 1, seed=0)
+
+
+def test_the_probe_bound_scales_with_the_arrays_a_probe_keeps():
+    # B (n^4), the connection (n^3) and the contractions below order m
+    assert probes.probe_bytes(1, 2) == 10_000 + 8 * 2
+    assert probes.probe_bytes(12, 2) == 10_000 + 8 * (12 ** 4 + 12 ** 3)
+    assert probes.probe_bytes(8, 4) == 10_000 + 8 * (
+        2 * 8 ** 4 + 3 * 8 ** 3)
+    assert probes.probe_bytes(9, 5) == 10_000 + 8 * (
+        9 ** 5 + 3 * 9 ** 4 + 3 * 9 ** 3)
+    # the default fan (4 n^2 at 4 bases) of an m = 2 field fits up to n = 17
+    fits = [n for n in range(1, 60)
+            if 16 * n * n * probes.probe_bytes(n, 2) <= probes.MAX_PROBE_BYTES]
+    assert fits == list(range(1, 18))
+    probes.check_probe_count(2, 4, 4, 16)
+    with pytest.raises(ConfigurationError,
+                       match="^--bases 4 x --fan 1296 is too many probes"):
+        probes.check_probe_count(18, 2, 4, 4 * 18 ** 2,
+                                 "--bases 4 x --fan 1296")

@@ -1,6 +1,7 @@
 """Spray coefficients and Berwald curvature: oracles and consistency."""
 
 import dataclasses
+import tracemalloc
 from functools import cache
 from itertools import chain
 
@@ -378,3 +379,55 @@ def test_spray_batch_rejects_evaluations_of_different_degrees():
     with pytest.raises(ValueError):
         spray_batch([ev2, ev5])
     assert ev2._spray is None and ev5._spray is None
+
+
+def _wide_field(n, m):
+    # A = sum_i (1 + x_i / 10) y_i^m, plus (|y|^2)^2 when m = 4
+    entries = {(i,) * m: add(1.0, mul(0.1, Coord(i))) for i in range(n)}
+    if m == 4:
+        for i in range(n):
+            for j in range(i + 1, n):
+                entries[(i, i, j, j)] = 1.0 / 3.0
+    return SymTensorField(n, m, entries, [(-0.5, 0.5)] * n)
+
+
+def _wide_fan(fld, size):
+    x = np.full(fld.n, 0.1)
+    ys = np.random.default_rng(0).uniform(0.5, 1.5, (size, fld.n))
+    return [MetricEval.at(fld, x, y) for y in ys]
+
+
+def _batch_peak_bytes(evs):
+    tracemalloc.start()
+    try:
+        spray_batch(evs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_m2_batch_builds_nothing_of_order_five():
+    # every order above m = 2 is an exact zero and is left out, so the
+    # batch's largest arrays are B's n^4 floats a probe
+    n, size = 12, 16
+    evs = _wide_fan(_wide_field(n, 2), size)
+    peak = _batch_peak_bytes(evs)
+    assert peak < size * n ** 5 * 8 / 2
+    assert all(np.all(ev._spray.B == 0.0) for ev in evs)
+
+
+def test_a_batch_is_cut_into_stacks_within_the_byte_budget(monkeypatch):
+    # m = 4: D_4 has n^5 floats a probe, so a stack of 64 would take 16 MiB
+    n, size = 8, 64
+    fld = _wide_field(n, 4)
+    alone = [spray_eval(ev) for ev in _wide_fan(_wide_field(n, 4), size)]
+    monkeypatch.setattr(spray, "BATCH_BYTES", 8 * n ** 5 * 8)
+    evs = _wide_fan(fld, size)
+    peak = _batch_peak_bytes(evs)
+    assert peak < size * n ** 5 * 8 / 2
+    for ev, sp in zip(evs, alone):
+        for part in SPRAY_PARTS:
+            assert np.array_equal(getattr(ev._spray, part), getattr(sp, part))
+    # the chunks are views of separate stacks
+    assert evs[0]._spray.B.base is not evs[-1]._spray.B.base
+    assert evs[0]._spray.B.base is evs[7]._spray.B.base
