@@ -7,6 +7,14 @@ level (1e-12 and below) while a genuine violation is many orders of
 magnitude larger; the pass threshold ``tol`` sits between the two
 regimes and is deliberately loose against rounding noise.
 
+A check first walks a base's probes one by one for their evaluations
+and sprays, then reduces over the base's stacked arrays (``np.array``
+of the per-probe results): one numpy reduction per quantity and base,
+not one per probe.  The entries are the same arithmetic as at one
+probe, so the residuals are bitwise those of a per-probe loop.  The
+maxima keep a NaN, so a non-finite value at any probe fails its
+verdict.
+
 All verdicts are returned as :class:`ClassifierVerdict` records whose
 ``details`` dictionaries are JSON-friendly (floats, lists, strings),
 so reports can serialize them without translation.
@@ -20,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .field import SymTensorField
-from .metric import MetricEval
+from .metric import MetricEval, stacked_g_h
 from .probes import ProbeSet, admissible_at_all
 from .spray import spray_batch, spray_eval, spray_mroot
 
@@ -63,6 +71,17 @@ class ClassifierVerdict:
         word = "PASS" if self.passed else "FAIL"
         return (f"{self.name}: {word} "
                 f"(residual {self.residual:.3e}, tol {self.tol:.1e})")
+
+
+def _absmax(a) -> np.ndarray:
+    """max |a| of each probe of a stack: over every axis but the first."""
+    return np.max(np.abs(a), axis=tuple(range(1, np.ndim(a))))
+
+
+def _worst(*parts) -> float:
+    # the largest value in parts, NaN if any is: Python's max drops a NaN
+    # that follows a number, and a NaN residual would then read as a pass
+    return float(np.max(np.concatenate([np.ravel(p) for p in parts])))
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +127,9 @@ class OneForm:
 def recover_theta(fld: SymTensorField, x, fan) -> OneForm:
     """Least-squares 1-form from A_0 = (theta . y) A over a fan at x."""
     evs = [MetricEval.at(fld, x, y) for y in fan]
-    M = np.array([ev.A * ev.y for ev in evs])
+    A = np.array([ev.A for ev in evs])
+    Y = np.array([ev.y for ev in evs])
+    M = A[:, None] * Y
     b = np.array([ev.A0 for ev in evs])
     if np.linalg.matrix_rank(M) < fld.n:
         raise ConfigurationError(
@@ -116,16 +137,16 @@ def recover_theta(fld: SymTensorField, x, fan) -> OneForm:
             f"in dimension {fld.n}; enlarge the fan")
     theta, *_ = np.linalg.lstsq(M, b, rcond=None)
 
-    fit = max(abs(float(ev.A0 - (theta @ ev.y) * ev.A)) / (1.0 + abs(ev.A))
-              for ev in evs)
-    model = 0.0
-    for ev in evs:
-        th = float(theta @ ev.y)
-        rhs = (2.0 * th * ev.A_i + ev.m * ev.A * theta) / (3.0 * ev.m)
-        model = max(model, float(np.max(np.abs(ev.A_xl - rhs)))
-                    / (1.0 + abs(ev.A)))
+    m = fld.m
+    # one dot product a probe, each as theta @ y
+    th = (Y[:, None] @ theta)[:, 0]
+    scale = 1.0 + np.abs(A)
+    fit = np.abs(b - th * A) / scale
+    rhs = ((2.0 * th)[:, None] * np.array([ev.A_i for ev in evs])
+           + (m * A)[:, None] * theta) / (3.0 * m)
+    model = _absmax(np.array([ev.A_xl for ev in evs]) - rhs) / scale
     return OneForm(x=np.asarray(x, dtype=float), theta=theta,
-                   fit_residual=fit, model_residual=model)
+                   fit_residual=_worst(fit), model_residual=_worst(model))
 
 
 def classify_dually_flat(fld: SymTensorField, probes: ProbeSet,
@@ -138,21 +159,16 @@ def classify_dually_flat(fld: SymTensorField, probes: ProbeSet,
     every base point (the least-squares fit can legitimately fail), so
     theta quality never flips the verdict.
     """
-    defect = 0.0
-    raw = 0.0
-    for p in probes.probes():
-        r = dually_flat_residual(MetricEval.at(fld, p.x, p.y))
-        defect = max(defect, r["defect"])
-        raw = max(raw, r["raw"])
+    rows = [dually_flat_residual(MetricEval.at(fld, p.x, p.y))
+            for p in probes.probes()]
+    defect = _worst(0.0, [r["defect"] for r in rows])
+    raw = _worst(0.0, [r["raw"] for r in rows])
 
-    theta_rows = []
-    theta_fit = 0.0
-    theta_model = 0.0
-    for x, fan in zip(probes.bases, probes.fans):
-        of = recover_theta(fld, x, fan)
-        theta_rows.append([float(v) for v in of.theta])
-        theta_fit = max(theta_fit, of.fit_residual)
-        theta_model = max(theta_model, of.model_residual)
+    forms = [recover_theta(fld, x, fan)
+             for x, fan in zip(probes.bases, probes.fans)]
+    theta_rows = [[float(v) for v in of.theta] for of in forms]
+    theta_fit = _worst(0.0, [of.fit_residual for of in forms])
+    theta_model = _worst(0.0, [of.model_residual for of in forms])
 
     return ClassifierVerdict(
         name="dually_flat",
@@ -184,8 +200,7 @@ def riemann_corollary_check(fld: SymTensorField, probes: ProbeSet,
         raise ConfigurationError(
             f"the quadratic-case check requires m = 2, got m = {fld.m}")
 
-    coeff_res = 0.0
-    spray_res = 0.0
+    coeff_res, spray_res = [0.0], [0.0]
     for x, fan in zip(probes.bases, probes.fans):
         of = recover_theta(fld, x, fan)
         theta = of.theta
@@ -195,18 +210,19 @@ def riemann_corollary_check(fld: SymTensorField, probes: ProbeSet,
         rhs = (np.einsum("l,ij->lij", theta, a)
                + np.einsum("i,lj->lij", theta, a)
                + np.einsum("j,il->lij", theta, a))
-        coeff_res = max(coeff_res, float(np.max(np.abs(lhs - rhs)))
-                        / (1.0 + float(np.max(np.abs(a)))))
-        for y in fan:
-            ev = MetricEval.at(fld, x, y)
-            th = float(theta @ y)
-            theta_up = 2.0 * ev.A_inv @ theta
-            Gc = (ev.A / 12.0) * theta_up + (th / 6.0) * y
-            Gm = spray_mroot(ev)
-            spray_res = max(spray_res, float(np.max(np.abs(Gc - Gm)))
-                            / (1.0 + float(np.max(np.abs(Gm)))))
-
-    residual = max(coeff_res, spray_res)
+        coeff_res.append(float(np.max(np.abs(lhs - rhs)))
+                         / (1.0 + float(np.max(np.abs(a)))))
+        evs = [MetricEval.at(fld, x, y) for y in fan]
+        Gm = np.array([spray_mroot(ev) for ev in evs])
+        Y = np.asarray(fan, dtype=float)
+        # one product a probe, each as theta @ y and A_inv @ theta
+        th = (Y[:, None] @ theta)[:, 0]
+        theta_up = (2.0 * np.array([ev.A_inv for ev in evs])) @ theta
+        A = np.array([ev.A for ev in evs])
+        Gc = (A / 12.0)[:, None] * theta_up + (th / 6.0)[:, None] * Y
+        spray_res.append(_absmax(Gc - Gm) / (1.0 + _absmax(Gm)))
+    coeff_res, spray_res = _worst(*coeff_res), _worst(*spray_res)
+    residual = _worst(coeff_res, spray_res)
     return ClassifierVerdict(
         name="riemann_corollary",
         residual=residual,
@@ -248,27 +264,28 @@ def classify_antonelli(fld: SymTensorField, probes: ProbeSet,
     seq = np.random.SeedSequence(seed, spawn_key=(7,))
     children = seq.spawn(len(probes.bases))
 
-    shift = 0.0
-    identity = 0.0
+    shift, identity = [0.0], [0.0]
     for b in range(1, len(probes.bases)):
         x_b = probes.bases[b]
         shared = admissible_at_all(fld, [x_ref, x_b], fan_size, children[b])
         refs = [MetricEval.at(fld, x_ref, y) for y in shared]
         spray_batch(refs)
-        for y, ev_ref in zip(shared, refs):
-            ev_b = MetricEval.at(fld, x_b, y)
-            G_ref = spray_mroot(ev_ref)
-            G_b = spray_mroot(ev_b)
-            shift = max(shift, float(np.max(np.abs(G_ref - G_b)))
-                        / (1.0 + float(np.max(np.abs(G_ref)))))
-            # the transport Gamma . y = dG/dy frozen at the reference
-            # point (this repeat evaluation of ev_ref's probe is a memo hit)
-            sp = spray_eval(MetricEval.at(fld, x_ref, y))
-            pred = sp.dG_dy.T @ ev_b.A_i
-            identity = max(identity, float(np.max(np.abs(ev_b.A_xl - pred)))
-                           / (1.0 + abs(ev_b.A)))
-
-    residual = max(shift, identity)
+        evs_b = [MetricEval.at(fld, x_b, y) for y in shared]
+        G_ref = np.array([spray_mroot(ev) for ev in refs])
+        G_b = np.array([spray_mroot(ev) for ev in evs_b])
+        shift.append(_absmax(G_ref - G_b) / (1.0 + _absmax(G_ref)))
+        # the transport Gamma . y = dG/dy frozen at the reference point
+        # (this repeat evaluation of each ref is a memo hit), one
+        # matrix-vector product a probe, each as dG_dy.T @ A_i
+        dG = np.array([spray_eval(MetricEval.at(fld, x_ref, y)).dG_dy
+                       for y in shared])
+        pred = (np.swapaxes(dG, 1, 2)
+                @ np.array([ev.A_i for ev in evs_b])[:, :, None])[:, :, 0]
+        identity.append(
+            _absmax(np.array([ev.A_xl for ev in evs_b]) - pred)
+            / (1.0 + np.abs(np.array([ev.A for ev in evs_b]))))
+    shift, identity = _worst(*shift), _worst(*identity)
+    residual = _worst(shift, identity)
     return ClassifierVerdict(
         name="antonelli",
         residual=residual,
@@ -285,18 +302,23 @@ def classify_antonelli(fld: SymTensorField, probes: ProbeSet,
 # mean Berwald curvature
 
 
+def _mean_berwald(fld: SymTensorField, x, fan):
+    """The fan's evaluations, E and h stacked, and each probe's weakly
+    Berwald residual max |E| / (1 + max |g|)."""
+    evs = [MetricEval.at(fld, x, y) for y in fan]
+    spray_batch(evs)
+    E = np.array([spray_eval(ev).E for ev in evs])
+    g, h = stacked_g_h(evs)
+    return evs, E, h, _absmax(E) / (1.0 + _absmax(g))
+
+
 def weakly_berwald_check(fld: SymTensorField, probes: ProbeSet,
                          tol: float = DEFAULT_TOL) -> ClassifierVerdict:
     """Decide E = 0 over the probe set (mean Berwald tensor vanishes)."""
-    residual = 0.0
-    for x, fan in zip(probes.bases, probes.fans):
-        evs = [MetricEval.at(fld, x, y) for y in fan]
-        spray_batch(evs)
-        for ev in evs:
-            sp = spray_eval(ev)
-            residual = max(residual, float(np.max(np.abs(sp.E)))
-                           / (1.0 + float(np.max(np.abs(ev.g)))))
-    return ClassifierVerdict(name="weakly_berwald", residual=residual, tol=tol)
+    worst = [_mean_berwald(fld, x, fan)[3]
+             for x, fan in zip(probes.bases, probes.fans)]
+    return ClassifierVerdict(name="weakly_berwald",
+                             residual=_worst(0.0, *worst), tol=tol)
 
 
 @dataclass(eq=False)
@@ -337,35 +359,28 @@ def isotropic_fit(fld: SymTensorField, probes: ProbeSet,
             f"got {small}")
     cs = []
     fit_res = 0.0
-    max_E = 0.0
+    max_E = [0.0]
     for x, fan in zip(probes.bases, probes.fans):
-        Es = []
-        Ws = []
-        evs = [MetricEval.at(fld, x, y) for y in fan]
-        spray_batch(evs)
-        for ev in evs:
-            sp = spray_eval(ev)
-            W = ((fld.n + 1.0) / 2.0) * ev.h / ev.F
-            Es.append(sp.E)
-            Ws.append(W)
-            max_E = max(max_E, float(np.max(np.abs(sp.E)))
-                        / (1.0 + float(np.max(np.abs(ev.g)))))
+        evs, E, h, worst = _mean_berwald(fld, x, fan)
+        max_E.append(worst)
+        F = np.array([ev.F for ev in evs])
+        W = ((fld.n + 1.0) / 2.0) * h / F[:, None, None]
         # a huge injected scale overflows here; that is reported below
         with np.errstate(over="ignore", invalid="ignore"):
-            Es = [E + inject_c * W for E, W in zip(Es, Ws)]
-            num = sum(float(np.sum(E * W)) for E, W in zip(Es, Ws))
-            den = sum(float(np.sum(W * W)) for W in Ws)
+            E = E + inject_c * W
+            # the per-probe sums, added in fan order as a loop adds them
+            num = sum(np.sum(E * W, axis=(1, 2)).tolist())
+            den = sum(np.sum(W * W, axis=(1, 2)).tolist())
             c = num / den
             cs.append(c)
-            for E, W in zip(Es, Ws):
-                fit_res = max(fit_res, float(np.max(np.abs(E - c * W)))
-                              / (1.0 + float(np.max(np.abs(W)))))
+            fit_res = _worst(fit_res,
+                             _absmax(E - c * W) / (1.0 + _absmax(W)))
         if not (np.isfinite(c) and np.isfinite(fit_res)):
             raise ConfigurationError(
                 f"injected scale inject_c = {inject_c!r} overflows the "
                 f"isotropic fit at x={[float(v) for v in x]}")
     return IsotropicFit(c=cs, fit_residual=fit_res,
-                        c_max=max(abs(v) for v in cs), max_E=max_E)
+                        c_max=max(abs(v) for v in cs), max_E=_worst(*max_E))
 
 
 def classify_isotropic(fld: SymTensorField, probes: ProbeSet,
@@ -390,7 +405,7 @@ def classify_isotropic(fld: SymTensorField, probes: ProbeSet,
     # a good isotropic fit with a clearly nonzero scale contradicts it
     raw_violation = bool(fit_ok and fit.c_max > tol)
     # E is not isotropic when the fit fails: the implication is vacuous
-    residual = max(c_net, fit.max_E) if fit_ok else 0.0
+    residual = _worst(c_net, fit.max_E) if fit_ok else 0.0
     return ClassifierVerdict(
         name="isotropic_mean_berwald",
         residual=float(residual),

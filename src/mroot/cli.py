@@ -29,13 +29,15 @@ import argparse
 import math
 import sys
 from dataclasses import asdict, dataclass, field as dc_field
+from functools import cache
 from itertools import groupby
 
 import numpy as np
 
-from .classify import (DEFAULT_TOL, ClassifierVerdict, classify_antonelli,
-                       classify_dually_flat, classify_isotropic,
-                       riemann_corollary_check, weakly_berwald_check)
+from .classify import (DEFAULT_TOL, ClassifierVerdict, _absmax, _worst,
+                       classify_antonelli, classify_dually_flat,
+                       classify_isotropic, riemann_corollary_check,
+                       weakly_berwald_check)
 from .errors import (AdmissibleConeError, ConfigurationError,
                      DegenerateMetricError, DomainError, MetricFileError,
                      excerpt)
@@ -45,7 +47,8 @@ from .metric import MetricEval, identity_residuals
 from .metricfile import parse_metric_file
 from .probes import ProbeSet, check_probe_count, generate_probe_set
 from .report import render_json, render_table
-from .spray import spray_batch, spray_eval, spray_mroot, spray_variational
+from .spray import (spray_batch, spray_eval, spray_mroot, spray_variational,
+                    stacks)
 
 __all__ = ["main", "build_parser"]
 
@@ -104,6 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
     geo.add_argument("--steps", type=int, required=True,
                      help="number of fixed RK4 steps")
     return parser
+
+
+# parse_args leaves the parser as it found it, so one serves every main()
+_parser = cache(build_parser)
 
 
 @dataclass(eq=False)
@@ -182,24 +189,19 @@ def _emit(report: dict, out_path):
 
 
 def _identities(run):
-    worst = {}
-    for p in run.probes:
-        res = identity_residuals(MetricEval.at(run.fld, p.x, p.y))
-        for k, v in res.items():
-            worst[k] = max(worst.get(k, 0.0), v)
-    residual = float(max(worst.values()))
-    return ClassifierVerdict("identities", residual, run.tol, worst)
+    rows = [identity_residuals(MetricEval.at(run.fld, p.x, p.y))
+            for p in run.probes]
+    worst = {k: _worst(0.0, [r[k] for r in rows]) for k in rows[0]}
+    return ClassifierVerdict("identities", _worst(*worst.values()), run.tol,
+                             worst)
 
 
 def _spray(run):
-    residual = 0.0
-    for p in run.probes:
-        ev = MetricEval.at(run.fld, p.x, p.y)
-        g1 = spray_mroot(ev)
-        g2 = spray_variational(ev)
-        residual = max(residual, float(np.max(np.abs(g1 - g2)))
-                       / (1.0 + float(np.max(np.abs(g1)))))
-    return ClassifierVerdict("spray_agreement", residual, run.tol)
+    evs = [MetricEval.at(run.fld, p.x, p.y) for p in run.probes]
+    G1 = np.array([spray_mroot(ev) for ev in evs])
+    G2 = np.array([spray_variational(ev) for ev in evs])
+    return ClassifierVerdict("spray_agreement", _worst(
+        0.0, _absmax(G1 - G2) / (1.0 + _absmax(G1))), run.tol)
 
 
 def _spray_samples(run):
@@ -218,35 +220,31 @@ def _spray_samples(run):
 
 
 def _curvature(run):
-    sym = 0.0
-    contract = 0.0
-    esym = 0.0
-    max_B = 0.0
-    max_E = 0.0
-    # one spray batch per run of consecutive probes at the same base
+    parts = []
+    # one spray batch per run of consecutive probes at the same base,
+    # reduced in stacks of B cut as the batch cuts them
     for _, group in groupby(run.probes, key=lambda p: p.x.tobytes()):
         evs = [MetricEval.at(run.fld, p.x, p.y) for p in group]
         spray_batch(evs)
-        for ev in evs:
-            sp = spray_eval(ev)
-            B, E = sp.B, sp.E
-            scale = 1.0 + float(np.max(np.abs(B)))
-            for perm in ((0, 2, 1, 3), (0, 1, 3, 2)):
-                sym = max(sym, float(np.max(np.abs(
-                    B - np.transpose(B, perm)))) / scale)
-            contract = max(contract, float(np.max(np.abs(
-                np.einsum("ijkl,l->ijk", B, ev.y)))) / scale)
-            esym = max(esym, float(np.max(np.abs(E - E.T)))
-                       / (1.0 + float(np.max(np.abs(E)))))
-            max_B = max(max_B, float(np.max(np.abs(B))))
-            max_E = max(max_E, float(np.max(np.abs(E))))
-    residual = max(sym, contract, esym)
+        sps = [spray_eval(ev) for ev in evs]
+        for cut in stacks(len(evs), run.fld.n ** 4):
+            B = np.array([sp.B for sp in sps[cut]])
+            E = np.array([sp.E for sp in sps[cut]])
+            Y = np.array([ev.y for ev in evs[cut]])
+            max_B, max_E = _absmax(B), _absmax(E)
+            sym = np.maximum(_absmax(B - np.transpose(B, (0, 1, 3, 2, 4))),
+                             _absmax(B - np.transpose(B, (0, 1, 2, 4, 3))))
+            contract = _absmax(np.einsum("zijkl,zl->zijk", B, Y))
+            parts.append((sym / (1.0 + max_B), contract / (1.0 + max_B),
+                          _absmax(E - np.swapaxes(E, 1, 2)) / (1.0 + max_E),
+                          max_B, max_E))
+    worst = {k: _worst(0.0, *col) for k, col in zip(
+        ("berwald_symmetry", "berwald_y_contraction", "mean_symmetry",
+         "max_berwald", "max_mean_berwald"), zip(*parts))}
+    residual = _worst(worst["berwald_symmetry"],
+                      worst["berwald_y_contraction"], worst["mean_symmetry"])
     return ClassifierVerdict("curvature_consistency", residual, run.tol,
-                             {"berwald_symmetry": sym,
-                              "berwald_y_contraction": contract,
-                              "mean_symmetry": esym,
-                              "max_berwald": max_B,
-                              "max_mean_berwald": max_E})
+                             worst)
 
 
 def _dually_flat(run):
@@ -374,9 +372,8 @@ def _cmd_geodesic(args, cfg):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

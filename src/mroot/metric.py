@@ -46,7 +46,7 @@ import numpy as np
 from .errors import AdmissibleConeError, DegenerateMetricError
 from .field import SymTensorField
 
-__all__ = ["ProbePoint", "MetricEval", "identity_residuals"]
+__all__ = ["ProbePoint", "MetricEval", "identity_residuals", "stacked_g_h"]
 
 
 @dataclass(frozen=True)
@@ -191,21 +191,19 @@ class MetricEval:
 
     # -- Finsler quantities, computed on each read ------------------------------
 
-    def _gh(self, c: float) -> np.ndarray:
-        # A^(2/m - 2)/m^2 (m A A_ij + c A_i A_j): g for c = 2 - m, h for 1 - m
-        m = self.m
-        return (self.apow(2.0 / m - 2.0) / m ** 2) * (
-            m * self.A * self.A_ij + c * np.outer(self.A_i, self.A_i))
-
     @property
     def g(self) -> np.ndarray:
         """Fundamental tensor g_ij = [F^2]_{y^i y^j} / 2."""
-        return self._gh(2.0 - self.m)
+        m = self.m
+        return _gh(m, self.A, self.apow(2.0 / m - 2.0), self.A_i, self.A_ij,
+                   2.0 - m)
 
     @property
     def h(self) -> np.ndarray:
         """Angular metric h_ij = g_ij - y_i y_j / F^2."""
-        return self._gh(1.0 - self.m)
+        m = self.m
+        return _gh(m, self.A, self.apow(2.0 / m - 2.0), self.A_i, self.A_ij,
+                   1.0 - m)
 
     @property
     def g_inv(self) -> np.ndarray:
@@ -220,6 +218,27 @@ class MetricEval:
         """The lowered direction y_i = g_ij y^j = [F^2]_{y^i} / 2."""
         m = self.m
         return (1.0 / m) * self.apow(2.0 / m - 1.0) * self.A_i
+
+
+def _gh(m, A, p, A_i, A_ij, c):
+    # p/m^2 (m A A_ij + c A_i A_j), p = A^(2/m - 2): g for c = 2 - m, h for
+    # 1 - m, at one probe or, with A and p of shape (k, 1, 1), at k of them
+    return (p / m ** 2) * (
+        m * A * A_ij + c * (A_i[..., :, None] * A_i[..., None, :]))
+
+
+def stacked_g_h(evs) -> tuple:
+    """g and h of ``evs`` (of one n and m), stacked along a leading axis.
+
+    The formula of :attr:`MetricEval.g` and ``h`` over the stack: entry
+    i equals ``evs[i].g`` and ``evs[i].h`` exactly.
+    """
+    m = evs[0].m
+    A, p = np.array([(ev.A, ev.apow(2.0 / m - 2.0))
+                     for ev in evs]).T[..., None, None]
+    args = (m, A, p, np.array([ev.A_i for ev in evs]),
+            np.array([ev.A_ij for ev in evs]))
+    return _gh(*args, 2.0 - m), _gh(*args, 1.0 - m)
 
 
 def identity_residuals(ev: MetricEval) -> dict:

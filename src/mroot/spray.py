@@ -47,10 +47,18 @@ __all__ = [
     "spray_variational",
     "spray_batch",
     "spray_eval",
+    "stacks",
 ]
 
-# the most bytes the largest array of one spray_batch stack may take
+# the most bytes the largest array of one stack may take
 BATCH_BYTES = 1 << 24
+
+
+def stacks(count: int, floats: int) -> list:
+    """Slices that cut ``count`` probes into stacks of at least one probe
+    whose array of ``floats`` float64 values a probe fits ``BATCH_BYTES``."""
+    step = max(1, BATCH_BYTES // (8 * floats))
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def spray_mroot(ev: MetricEval) -> np.ndarray:
@@ -111,11 +119,12 @@ def spray_batch(evs) -> None:
 
     The evaluations in ``evs`` that have no spray yet are stacked along
     a leading axis, so each order costs one ``einsum`` per term for the
-    whole stack.  The stack is cut into chunks whose largest array (B,
-    or D_4 and A^(5) once m >= 4) holds at most ``BATCH_BYTES``, so
-    the memory a batch takes does not grow with its length.  Each such
-    evaluation then holds a read-only :class:`SprayEval` whose arrays
-    are views of the stacked results; :func:`spray_eval` reads it.
+    whole stack.  :func:`stacks` cuts it into chunks whose largest
+    array (B, or D_4 and A^(5) once m >= 4) holds at most
+    ``BATCH_BYTES``, so the memory a batch takes does not grow with its
+    length.  Each such evaluation then holds a read-only
+    :class:`SprayEval` whose arrays are views of the stacked results;
+    :func:`spray_eval` reads it.
     Evaluations that already have one keep it.  All evaluations must
     share n and m; they may sit at different base points.  The scaled
     derivative arrays built on the way are not kept.
@@ -126,9 +135,8 @@ def spray_batch(evs) -> None:
     m, n = todo[0].m, todo[0].n
     if any(ev.m != m or ev.n != n for ev in todo):
         raise ValueError("spray_batch needs evaluations of one n and m")
-    step = max(1, BATCH_BYTES // (8 * n ** (5 if m >= 4 else 4)))
-    for i in range(0, len(todo), step):
-        _spray_stack(todo[i:i + step], m)
+    for part in stacks(len(todo), n ** (5 if m >= 4 else 4)):
+        _spray_stack(todo[part], m)
 
 
 def _spray_stack(evs, m):

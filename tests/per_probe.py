@@ -1,0 +1,186 @@
+"""Per-probe reference reductions of the checks, for the stacked ones.
+
+Each function here walks the probes one at a time and folds every
+residual into a running maximum, as the checks did before they reduced
+over stacked arrays.  ``test_reductions.py`` asserts that the checks in
+``mroot.cli`` and ``mroot.classify`` give bitwise the same residuals and
+details.  The running maximum keeps a NaN, as the checks must.
+"""
+
+import numpy as np
+
+from mroot.classify import (ClassifierVerdict, IsotropicFit, OneForm,
+                            dually_flat_residual)
+from mroot.metric import MetricEval, identity_residuals
+from mroot.probes import admissible_at_all
+from mroot.spray import spray_batch, spray_eval, spray_mroot, spray_variational
+
+
+def _max(a, b):
+    return float(np.maximum(a, b))
+
+
+def _ev(run, p):
+    return MetricEval.at(run.fld, p.x, p.y)
+
+
+def identities(run):
+    worst = {}
+    for p in run.probes:
+        for k, v in identity_residuals(_ev(run, p)).items():
+            worst[k] = _max(worst.get(k, 0.0), v)
+    residual = 0.0
+    for v in worst.values():
+        residual = _max(residual, v)
+    return ClassifierVerdict("identities", residual, run.tol, worst)
+
+
+def spray(run):
+    residual = 0.0
+    for p in run.probes:
+        ev = _ev(run, p)
+        g1, g2 = spray_mroot(ev), spray_variational(ev)
+        residual = _max(residual, float(np.max(np.abs(g1 - g2)))
+                        / (1.0 + float(np.max(np.abs(g1)))))
+    return ClassifierVerdict("spray_agreement", residual, run.tol)
+
+
+def curvature(run):
+    sym = contract = esym = max_B = max_E = 0.0
+    for p in run.probes:
+        ev = _ev(run, p)
+        sp = spray_eval(ev)
+        B, E = sp.B, sp.E
+        scale = 1.0 + float(np.max(np.abs(B)))
+        for perm in ((0, 2, 1, 3), (0, 1, 3, 2)):
+            sym = _max(sym, float(np.max(np.abs(
+                B - np.transpose(B, perm)))) / scale)
+        contract = _max(contract, float(np.max(np.abs(
+            np.einsum("ijkl,l->ijk", B, ev.y)))) / scale)
+        esym = _max(esym, float(np.max(np.abs(E - E.T)))
+                    / (1.0 + float(np.max(np.abs(E)))))
+        max_B = _max(max_B, float(np.max(np.abs(B))))
+        max_E = _max(max_E, float(np.max(np.abs(E))))
+    residual = _max(_max(sym, contract), esym)
+    return ClassifierVerdict("curvature_consistency", residual, run.tol,
+                             {"berwald_symmetry": sym,
+                              "berwald_y_contraction": contract,
+                              "mean_symmetry": esym,
+                              "max_berwald": max_B,
+                              "max_mean_berwald": max_E})
+
+
+def recover_theta(fld, x, fan):
+    evs = [MetricEval.at(fld, x, y) for y in fan]
+    M = np.array([ev.A * ev.y for ev in evs])
+    b = np.array([ev.A0 for ev in evs])
+    theta, *_ = np.linalg.lstsq(M, b, rcond=None)
+    fit = model = 0.0
+    for ev in evs:
+        th = float(theta @ ev.y)
+        fit = _max(fit, abs(float(ev.A0 - (theta @ ev.y) * ev.A))
+                   / (1.0 + abs(ev.A)))
+        rhs = (2.0 * th * ev.A_i + ev.m * ev.A * theta) / (3.0 * ev.m)
+        model = _max(model, float(np.max(np.abs(ev.A_xl - rhs)))
+                     / (1.0 + abs(ev.A)))
+    return OneForm(x=np.asarray(x, dtype=float), theta=theta,
+                   fit_residual=fit, model_residual=model)
+
+
+def dually_flat(fld, probes, tol):
+    defect = raw = 0.0
+    for p in probes.probes():
+        r = dually_flat_residual(MetricEval.at(fld, p.x, p.y))
+        defect = _max(defect, r["defect"])
+        raw = _max(raw, r["raw"])
+    rows, fit, model = [], 0.0, 0.0
+    for x, fan in zip(probes.bases, probes.fans):
+        of = recover_theta(fld, x, fan)
+        rows.append([float(v) for v in of.theta])
+        fit = _max(fit, of.fit_residual)
+        model = _max(model, of.model_residual)
+    return ClassifierVerdict("dually_flat", defect, tol, {
+        "raw_pde_residual": raw, "theta": rows,
+        "theta_fit_residual": fit, "theta_model_residual": model,
+        "theta_consistent": bool(fit <= tol and model <= tol)})
+
+
+def riemann(fld, probes, tol):
+    coeff_res = spray_res = 0.0
+    for x, fan in zip(probes.bases, probes.fans):
+        theta = recover_theta(fld, x, fan).theta
+        a = fld.coeff_array(x)
+        da = np.stack([fld.coeff_array(x, l) for l in range(fld.n)])
+        rhs = (np.einsum("l,ij->lij", theta, a)
+               + np.einsum("i,lj->lij", theta, a)
+               + np.einsum("j,il->lij", theta, a))
+        coeff_res = _max(coeff_res, float(np.max(np.abs(3.0 * da - rhs)))
+                         / (1.0 + float(np.max(np.abs(a)))))
+        for y in fan:
+            ev = MetricEval.at(fld, x, y)
+            th = float(theta @ y)
+            theta_up = 2.0 * ev.A_inv @ theta
+            Gc = (ev.A / 12.0) * theta_up + (th / 6.0) * y
+            Gm = spray_mroot(ev)
+            spray_res = _max(spray_res, float(np.max(np.abs(Gc - Gm)))
+                             / (1.0 + float(np.max(np.abs(Gm)))))
+    return ClassifierVerdict("riemann_corollary", _max(coeff_res, spray_res),
+                             tol, {"coefficient_residual": coeff_res,
+                                   "spray_residual": spray_res})
+
+
+def antonelli(fld, probes, tol, seed=0):
+    x_ref = probes.bases[0]
+    fan_size = max(len(f) for f in probes.fans)
+    children = np.random.SeedSequence(seed, spawn_key=(7,)).spawn(
+        len(probes.bases))
+    shift = identity = 0.0
+    for b in range(1, len(probes.bases)):
+        x_b = probes.bases[b]
+        shared = admissible_at_all(fld, [x_ref, x_b], fan_size, children[b])
+        refs = [MetricEval.at(fld, x_ref, y) for y in shared]
+        spray_batch(refs)
+        for y, ev_ref in zip(shared, refs):
+            ev_b = MetricEval.at(fld, x_b, y)
+            G_ref, G_b = spray_mroot(ev_ref), spray_mroot(ev_b)
+            shift = _max(shift, float(np.max(np.abs(G_ref - G_b)))
+                         / (1.0 + float(np.max(np.abs(G_ref)))))
+            pred = spray_eval(ev_ref).dG_dy.T @ ev_b.A_i
+            identity = _max(identity, float(np.max(np.abs(ev_b.A_xl - pred)))
+                            / (1.0 + abs(ev_b.A)))
+    return ClassifierVerdict("antonelli", _max(shift, identity), tol, {
+        "spray_shift": shift, "connection_identity": identity,
+        "reference_base": [float(v) for v in x_ref]})
+
+
+def weakly_berwald(fld, probes, tol):
+    residual = 0.0
+    for x, fan in zip(probes.bases, probes.fans):
+        for y in fan:
+            ev = MetricEval.at(fld, x, y)
+            residual = _max(residual, float(np.max(np.abs(spray_eval(ev).E)))
+                            / (1.0 + float(np.max(np.abs(ev.g)))))
+    return ClassifierVerdict("weakly_berwald", residual, tol)
+
+
+def isotropic_fit(fld, probes, inject_c=0.0):
+    cs, fit_res, max_E = [], 0.0, 0.0
+    for x, fan in zip(probes.bases, probes.fans):
+        Es, Ws = [], []
+        for y in fan:
+            ev = MetricEval.at(fld, x, y)
+            E = spray_eval(ev).E
+            W = ((fld.n + 1.0) / 2.0) * ev.h / ev.F
+            max_E = _max(max_E, float(np.max(np.abs(E)))
+                         / (1.0 + float(np.max(np.abs(ev.g)))))
+            Es.append(E + inject_c * W)
+            Ws.append(W)
+        num = sum(float(np.sum(E * W)) for E, W in zip(Es, Ws))
+        den = sum(float(np.sum(W * W)) for W in Ws)
+        c = num / den
+        cs.append(c)
+        for E, W in zip(Es, Ws):
+            fit_res = _max(fit_res, float(np.max(np.abs(E - c * W)))
+                           / (1.0 + float(np.max(np.abs(W)))))
+    return IsotropicFit(c=cs, fit_residual=fit_res,
+                        c_max=max(abs(v) for v in cs), max_E=max_E)

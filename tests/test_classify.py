@@ -1,6 +1,8 @@
 """Characterization checks over the corpus: the full truth table."""
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,8 +16,9 @@ from mroot.expr import Coord, expn, mul
 from mroot.field import SymTensorField
 from mroot.metric import MetricEval
 from mroot.probes import ProbeSet, admissible_fan, generate_probe_set
+from mroot.spray import spray_eval
 
-from conftest import corpus_field, corpus_probes
+from conftest import corpus_field, corpus_probes, fresh_field
 
 # expected verdicts: (dually_flat, antonelli, weakly_berwald)
 TRUTH = {
@@ -217,6 +220,19 @@ def test_isotropic_fit_requires_overdetermined_fans():
     small = ProbeSet(bases=ps.bases, fans=[ps.fans[0][:2]])
     with pytest.raises(ConfigurationError, match="directions"):
         isotropic_fit(fld, small)
+
+
+def test_a_nan_at_one_probe_fails_the_weakly_berwald_check():
+    # Python's max drops a NaN that follows a number: the residual would
+    # read 0 and pass
+    fld = fresh_field("quartic2")
+    ps = generate_probe_set(fld, 4, 8, 0)
+    ev = MetricEval.at(fld, ps.bases[0], ps.fans[0][4])
+    sp = spray_eval(ev)
+    ev._spray = dataclasses.replace(sp, E=np.full_like(sp.E, np.nan))
+    verdict = weakly_berwald_check(fld, ps)
+    assert math.isnan(verdict.residual)
+    assert not verdict.passed
 
 
 @pytest.mark.parametrize("name", ["euclid2", "quartic2", "hessian2"])

@@ -9,7 +9,7 @@ import pytest
 
 from mroot import spray
 from mroot.classify import classify_dually_flat
-from mroot.cli import main
+from mroot.cli import build_parser, main
 from mroot.errors import ConfigurationError
 from mroot.field import SymTensorField
 from mroot.geodesic import integrate
@@ -101,12 +101,21 @@ def test_bad_usage_exits_two(capsys):
 
 @pytest.mark.parametrize("name", CORE)
 def test_report_all_is_byte_identical_across_runs(name, tmp_path, capsys):
+    # both calls run in this process, so they share the parser main keeps;
+    # a usage error between them must not change it
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
-    main(["report-all", path(name), "--out", str(out1)])
-    main(["report-all", path(name), "--out", str(out2)])
+    code1 = main(["report-all", path(name), "--out", str(out1)])
+    first = capsys.readouterr()
+    assert main(["report-all", "--tol"]) == 2
     capsys.readouterr()
+    assert main(["report-all", path(name), "--out", str(out2)]) == code1
+    assert capsys.readouterr() == first
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
 
 
 def test_different_seed_changes_report(tmp_path, capsys):
@@ -605,6 +614,23 @@ def test_unserializable_residual_exits_two_with_or_without_out(
     assert "cannot serialize report to JSON" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_a_nan_at_one_probe_exits_two(monkeypatch, capsys):
+    # Python's max drops a NaN that follows a number, so the spray
+    # residual would read as a pass; the report must keep the NaN
+    calls = []
+
+    def variational(ev):
+        calls.append(ev)
+        return np.full(ev.n, np.nan) if len(calls) == 5 else \
+            spray.spray_variational(ev)
+
+    monkeypatch.setattr("mroot.cli.spray_variational", variational)
+    assert main(["spray", path("quartic2")]) == 2
+    captured = capsys.readouterr()
+    assert "cannot serialize report to JSON" in captured.err
+    assert captured.out == ""
 
 
 BASE_KEYS = ["command", "metric", "n", "m", "seed", "tol", "fan", "bases"]
