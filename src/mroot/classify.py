@@ -131,11 +131,12 @@ def recover_theta(fld: SymTensorField, x, fan) -> OneForm:
     Y = np.array([ev.y for ev in evs])
     M = A[:, None] * Y
     b = np.array([ev.A0 for ev in evs])
-    if np.linalg.matrix_rank(M) < fld.n:
+    # rcond=None cuts singular values at matrix_rank's default tolerance
+    theta, _, rank, _ = np.linalg.lstsq(M, b, rcond=None)
+    if rank < fld.n:
         raise ConfigurationError(
             f"fan of {len(fan)} directions does not determine a 1-form "
             f"in dimension {fld.n}; enlarge the fan")
-    theta, *_ = np.linalg.lstsq(M, b, rcond=None)
 
     m = fld.m
     # one dot product a probe, each as theta @ y
@@ -342,8 +343,9 @@ def isotropic_fit(fld: SymTensorField, probes: ProbeSet,
 
     ``inject_c`` adds a synthetic isotropic component to E before
     fitting; recovering it is the standard self-test of the fitter.  A
-    scale so large that the fit's products overflow raises
-    :class:`ConfigurationError` naming it.  Requires n >= 2 (in
+    non-finite E raises :class:`ConfigurationError` naming E and the
+    base point; a finite E whose products with a huge injected scale
+    overflow raises it naming the scale.  Requires n >= 2 (in
     dimension 1 the angular metric vanishes, so there is no isotropic
     shape to fit) and fans of at least n(n+1)/2 directions so the
     symmetric shape is overdetermined.
@@ -362,6 +364,10 @@ def isotropic_fit(fld: SymTensorField, probes: ProbeSet,
     max_E = [0.0]
     for x, fan in zip(probes.bases, probes.fans):
         evs, E, h, worst = _mean_berwald(fld, x, fan)
+        if not np.isfinite(E).all():
+            raise ConfigurationError(
+                f"the mean Berwald tensor E is not finite at "
+                f"x={[float(v) for v in x]}")
         max_E.append(worst)
         F = np.array([ev.F for ev in evs])
         W = ((fld.n + 1.0) / 2.0) * h / F[:, None, None]

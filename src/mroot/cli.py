@@ -381,10 +381,7 @@ def main(argv=None) -> int:
         if args.command == "geodesic":
             return _cmd_geodesic(args, cfg)
         return _cmd_checks(args, cfg)
-    except (MetricFileError, ConfigurationError, DomainError) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
-    except OSError as err:
+    except (MetricFileError, ConfigurationError, DomainError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
     except (AdmissibleConeError, DegenerateMetricError) as err:

@@ -4,7 +4,10 @@ The vocabulary is deliberately small: constants, coordinates, sums,
 products, non-negative integer powers, ``exp`` and a reciprocal node.
 It is closed under differentiation, which is what the rest of the
 package relies on: every coefficient of a tensor field is one of these
-trees, and its exact x-derivative is again such a tree.
+trees, and its exact x-derivative is again such a tree.  The smart
+constructors fold zero derivatives: ``mul`` returns zero for a zero
+factor whose fellow constants have a finite product, and ``add`` drops
+a zero term, so only ``IntPow.diff`` checks for zero (see there).
 
 Trees are immutable; evaluation and differentiation are pure, so
 expressions can be shared freely between threads.
@@ -45,6 +48,12 @@ class Expr:
 
     def is_zero(self) -> bool:
         return isinstance(self, Const) and self.value == 0.0
+
+    def __repr__(self):
+        # one argument a slot; a tuple of children prints as a list
+        args = (getattr(self, s) for s in self.__slots__)
+        return "{}({})".format(type(self).__name__, ", ".join(
+            repr(list(a) if isinstance(a, tuple) else a) for a in args))
 
     # arithmetic sugar used when assembling fields programmatically
     def __add__(self, other):
@@ -90,9 +99,6 @@ class Const(Expr):
     def diff(self, l):
         return Const(0.0)
 
-    def __repr__(self):
-        return f"Const({self.value!r})"
-
 
 class Coord(Expr):
     """The coordinate function x^index (0-based)."""
@@ -110,9 +116,6 @@ class Coord(Expr):
     def diff(self, l):
         return Const(1.0 if l == self.index else 0.0)
 
-    def __repr__(self):
-        return f"Coord({self.index})"
-
 
 class Sum(Expr):
     __slots__ = ("children",)
@@ -125,9 +128,6 @@ class Sum(Expr):
 
     def diff(self, l):
         return add(*(c.diff(l) for c in self.children))
-
-    def __repr__(self):
-        return f"Sum({list(self.children)!r})"
 
 
 class Prod(Expr):
@@ -144,17 +144,9 @@ class Prod(Expr):
 
     def diff(self, l):
         # product rule: sum over children with one factor differentiated
-        terms = []
         kids = self.children
-        for k in range(len(kids)):
-            dk = kids[k].diff(l)
-            if dk.is_zero():
-                continue
-            terms.append(mul(*kids[:k], dk, *kids[k + 1:]))
-        return add(*terms)
-
-    def __repr__(self):
-        return f"Prod({list(self.children)!r})"
+        return add(*(mul(*kids[:k], kids[k].diff(l), *kids[k + 1:])
+                     for k in range(len(kids))))
 
 
 class IntPow(Expr):
@@ -176,13 +168,12 @@ class IntPow(Expr):
         k = self.exponent
         if k == 0:
             return Const(0.0)
+        # intpow(u, 1) is u, so for k = 2 mul folds k with u's constant c;
+        # when 2c overflows, a zero du would fold to inf * 0 = NaN
         du = self.child.diff(l)
         if du.is_zero():
             return Const(0.0)
         return mul(Const(float(k)), intpow(self.child, k - 1), du)
-
-    def __repr__(self):
-        return f"IntPow({self.child!r}, {self.exponent})"
 
 
 class Exp(Expr):
@@ -195,13 +186,7 @@ class Exp(Expr):
         return math.exp(self.child.evaluate(x))
 
     def diff(self, l):
-        du = self.child.diff(l)
-        if du.is_zero():
-            return Const(0.0)
-        return mul(self, du)
-
-    def __repr__(self):
-        return f"Exp({self.child!r})"
+        return mul(self, self.child.diff(l))
 
 
 class Recip(Expr):
@@ -217,13 +202,7 @@ class Recip(Expr):
         return 1.0 / self.child.evaluate(x)
 
     def diff(self, l):
-        du = self.child.diff(l)
-        if du.is_zero():
-            return Const(0.0)
-        return mul(Const(-1.0), du, intpow(self, 2))
-
-    def __repr__(self):
-        return f"Recip({self.child!r})"
+        return mul(Const(-1.0), self.child.diff(l), intpow(self, 2))
 
 
 # ---------------------------------------------------------------------------

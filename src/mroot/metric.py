@@ -43,10 +43,15 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import AdmissibleConeError, DegenerateMetricError
+from .errors import (AdmissibleConeError, ConfigurationError,
+                     DegenerateMetricError)
 from .field import SymTensorField
 
 __all__ = ["ProbePoint", "MetricEval", "identity_residuals", "stacked_g_h"]
+
+# g and h multiply pairs of A-sized numbers, which overflow past A ~ 1e154,
+# and the isotropic fit divides by sums of squares that are 0 at A ~ 1e-200
+_A_MIN, _A_MAX = 1e-100, 1e100
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,9 @@ class MetricEval:
             the root is defined.
         DegenerateMetricError
             If A_ij is not positive definite; ``condition`` is inf if singular.
+        ConfigurationError
+            If A lies outside [1e-100, 1e100], where the products the
+            checks form could overflow or vanish.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -144,6 +152,11 @@ class MetricEval:
         if A <= 0.0:
             raise AdmissibleConeError(f"A = {A:.6g} <= 0 at x={x.tolist()}, "
                                       f"y={y.tolist()}: outside the cone")
+        if not _A_MIN <= A <= _A_MAX:
+            raise ConfigurationError(
+                f"A = {A:.6g} at x={x.tolist()}, y={y.tolist()} is outside "
+                f"[{_A_MIN:g}, {_A_MAX:g}], where the checks' products stay "
+                f"finite; rescale the coefficients or y")
         A_i = float(m) * c1
         A_ij = float(math.perm(m, 2)) * c2
         lam = np.linalg.eigvalsh(A_ij)    # ascending; decides PD and cond

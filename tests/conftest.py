@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mroot.expr import Const
 from mroot.metric import MetricEval
@@ -55,6 +56,20 @@ def coeff(fld, idx):
 @pytest.fixture
 def data_dir():
     return DATA_DIR
+
+
+def expression_calls(inner):
+    """Hypothesis strategy: metric-file calls whose arguments ``inner``
+    draws (extend ``inner`` with ``st.recursive`` for nesting)."""
+    some = st.lists(inner, min_size=2, max_size=3).map(", ".join)
+    return st.one_of(
+        some.map("sum({})".format),
+        some.map("mul({})".format),
+        st.tuples(inner, inner).map(lambda a: f"sub({a[0]}, {a[1]})"),
+        st.tuples(inner, st.integers(0, 3)).map(
+            lambda a: f"pow({a[0]}, {a[1]})"),
+        inner.map("exp({})".format),
+        inner.map("recip({})".format))
 
 
 def fd_derivative(e, l, x, h=1e-5):

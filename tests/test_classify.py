@@ -88,6 +88,11 @@ def test_theta_recovery_needs_spanning_fan():
     fan = np.array([[1.0, 0.2], [1.0, 0.2]])  # rank-deficient
     with pytest.raises(ConfigurationError, match="1-form"):
         recover_theta(fld, np.zeros(2), fan)
+    # y and 2y give proportional rows A y: the fit has rank 1 in n = 2
+    with pytest.raises(ConfigurationError,
+                       match="fan of 2 directions does not determine a "
+                             "1-form in dimension 2; enlarge the fan"):
+        recover_theta(fld, np.array([0.3, -0.4]), fan * [[1.0], [2.0]])
 
 
 def test_hessian_metric_is_flat_without_a_one_form():
@@ -233,6 +238,22 @@ def test_a_nan_at_one_probe_fails_the_weakly_berwald_check():
     verdict = weakly_berwald_check(fld, ps)
     assert math.isnan(verdict.residual)
     assert not verdict.passed
+
+
+def test_a_nan_in_the_mean_berwald_tensor_is_named_not_the_scale():
+    # with no scale injected, a NaN in E must not blame inject_c
+    fld = fresh_field("quartic2")
+    ps = generate_probe_set(fld, 4, 16, 0)
+    ev = MetricEval.at(fld, ps.bases[0], ps.fans[0][4])
+    sp = spray_eval(ev)
+    E = sp.E.copy()
+    E[0, 0] = np.nan
+    ev._spray = dataclasses.replace(sp, E=E)
+    x = [float(v) for v in ps.bases[0]]
+    with pytest.raises(ConfigurationError) as info:
+        classify_isotropic(fld, ps)
+    assert str(info.value) == (
+        f"the mean Berwald tensor E is not finite at x={x}")
 
 
 @pytest.mark.parametrize("name", ["euclid2", "quartic2", "hessian2"])

@@ -418,6 +418,32 @@ def test_overflowing_injected_scale_exits_two_naming_it(scale, tmp_path,
     assert not out.exists()
 
 
+def test_a_fan_that_cannot_determine_theta_exits_two(capsys):
+    # one direction a base cannot fit a 1-form in dimension 2
+    assert main(["report-all", path("quartic2"), "--fan", "1"]) == 2
+    captured = capsys.readouterr()
+    assert ("error: fan of 1 directions does not determine a 1-form in "
+            "dimension 2; enlarge the fan") in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("scale", ["8e263", "1e-200"])
+def test_a_metric_outside_the_float_range_exits_two_naming_a(scale, tmp_path,
+                                                              capsys):
+    # finite coefficients this large overflow g's products (numpy
+    # warnings, then a message blaming the injected scale); this small,
+    # the isotropic fit divides by zero (a traceback)
+    bad = tmp_path / "scaled.metric"
+    bad.write_text(f"n = 2\nm = 2\nbox.1 = -0.5,0.5\nbox.2 = -0.5,0.5\n"
+                   f"1 1 : mul({scale}, sum(1, mul(0.1, x1)))\n"
+                   f"2 2 : {scale}\n")
+    assert main(["report-all", str(bad), "--bases", "3", "--fan", "6"]) == 2
+    captured = capsys.readouterr()
+    assert "is outside [1e-100, 1e+100]" in captured.err
+    assert "rescale the coefficients or y" in captured.err
+    assert captured.out == ""
+
+
 def test_long_flag_value_is_quoted_by_a_short_prefix(capsys):
     x0 = "0," + "9" * 5000 + "x"
     assert main(["geodesic", path("quartic2"), "--x0", x0, "--y0", "1,0",

@@ -148,3 +148,17 @@ def test_exp_chain_rule():
     x = np.array([0.4])
     want = 2.0 * 0.4 * math.exp(0.4 ** 2)
     assert e.diff(0).evaluate(x) == pytest.approx(want, rel=1e-14)
+
+
+def test_repr_names_every_node_and_lists_children():
+    e = add(mul(Const(2.0), intpow(Coord(0), 2)),
+            expn(Coord(1)), recip(add(Coord(0), Const(3.0))))
+    assert repr(e) == ("Sum([Prod([Const(2.0), IntPow(Coord(0), 2)]), "
+                       "Exp(Coord(1)), Recip(Sum([Coord(0), Const(3.0)]))])")
+
+
+def test_derivative_along_an_absent_coordinate_is_zero_beside_an_overflow():
+    # d/dx1 of (9e307 x2)^2 would fold 2 * 9e307 = inf with a zero
+    e = intpow(mul(Const(9e307), Coord(1)), 2)
+    assert e.diff(0).is_zero()
+    assert mul(Const(9e307), Coord(1), Coord(1)).diff(0).is_zero()

@@ -10,7 +10,7 @@ from mroot.metric import ProbePoint
 from mroot.metricfile import (dump_metric, format_expr, parse_metric_file,
                               parse_metric_text)
 
-from conftest import coeff, fresh_field
+from conftest import coeff, expression_calls, fresh_field
 
 GOOD = """\
 # a quartic with one position-dependent entry
@@ -307,22 +307,10 @@ def test_header_numbers_validated():
     assert "box interval" in _err("n = 1\nm = 2\nbox.1 = -1,wide\n1 1 : 1\n")
 
 
-def _calls(inner):
-    some = st.lists(inner, min_size=2, max_size=3).map(", ".join)
-    return st.one_of(
-        some.map("sum({})".format),
-        some.map("mul({})".format),
-        st.tuples(inner, inner).map(lambda a: f"sub({a[0]}, {a[1]})"),
-        st.tuples(inner, st.integers(0, 3)).map(
-            lambda a: f"pow({a[0]}, {a[1]})"),
-        inner.map("exp({})".format),
-        inner.map("recip({})".format))
-
-
 EXPRESSIONS = st.recursive(
     st.one_of(st.floats(-4.0, 4.0).map(repr), st.integers(-3, 3).map(str),
               st.sampled_from(["x1", "x2"])),
-    _calls, max_leaves=6)
+    expression_calls, max_leaves=6)
 
 
 def _entry(text):
