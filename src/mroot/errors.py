@@ -24,7 +24,7 @@ class DegenerateMetricError(MrootError):
 
     ``condition`` is the condition number of the offending matrix, its
     largest over its smallest eigenvalue magnitude, and inf when it is
-    singular.  It is None where no matrix was examined: a non-finite A,
+    singular.  It is None where no matrix was examined: a non-finite
     spray or geodesic state.
     """
 

@@ -5,9 +5,9 @@ products, non-negative integer powers, ``exp`` and a reciprocal node.
 It is closed under differentiation, which is what the rest of the
 package relies on: every coefficient of a tensor field is one of these
 trees, and its exact x-derivative is again such a tree.  The smart
-constructors fold zero derivatives: ``mul`` returns zero for a zero
-factor whose fellow constants have a finite product, and ``add`` drops
-a zero term, so only ``IntPow.diff`` checks for zero (see there).
+constructors fold constants exactly, in any argument order: ``mul``
+returns zero for a zero factor and ``add`` drops a zero term, which folds
+zero derivatives away; a fold past the float range raises OverflowError.
 
 Trees are immutable; evaluation and differentiation are pure, so
 expressions can be shared freely between threads.
@@ -16,6 +16,7 @@ expressions can be shared freely between threads.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 __all__ = [
     "Expr",
@@ -168,12 +169,7 @@ class IntPow(Expr):
         k = self.exponent
         if k == 0:
             return Const(0.0)
-        # intpow(u, 1) is u, so for k = 2 mul folds k with u's constant c;
-        # when 2c overflows, a zero du would fold to inf * 0 = NaN
-        du = self.child.diff(l)
-        if du.is_zero():
-            return Const(0.0)
-        return mul(Const(float(k)), intpow(self.child, k - 1), du)
+        return mul(k, intpow(self.child, k - 1), self.child.diff(l))
 
 
 class Exp(Expr):
@@ -210,19 +206,22 @@ class Recip(Expr):
 #
 # These fold constants and drop trivial terms so that repeated
 # differentiation produces compact trees instead of towers of zeros.
-# add and mul flatten a nested sum or product into its parent and fold
-# its constant with the others, so each holds at most one constant.
+
+def _split(items, node, op):
+    # the non-constants in order, and op of the constants done exactly and
+    # rounded once; a lone constant passes as it is (a library NaN too)
+    kids = [c for t in map(_wrap, items)
+            for c in (t.children if isinstance(t, node) else (t,))]
+    consts = [c.value for c in kids if isinstance(c, Const)]
+    flat = [c for c in kids if not isinstance(c, Const)]
+    if len(consts) == 1:
+        return flat, consts[0]
+    return flat, float(op(map(Fraction, consts)))
+
 
 def add(*terms) -> Expr:
-    flat = []
-    acc = 0.0
-    for t in terms:
-        t = _wrap(t)
-        for c in t.children if isinstance(t, Sum) else (t,):
-            if isinstance(c, Const):
-                acc += c.value
-            else:
-                flat.append(c)
+    """Sum of ``terms``; their constants fold into one, dropped if 0."""
+    flat, acc = _split(terms, Sum, sum)
     if acc != 0.0 or not flat:
         flat.append(Const(acc))
     if len(flat) == 1:
@@ -231,15 +230,8 @@ def add(*terms) -> Expr:
 
 
 def mul(*factors) -> Expr:
-    flat = []
-    acc = 1.0
-    for f in factors:
-        f = _wrap(f)
-        for c in f.children if isinstance(f, Prod) else (f,):
-            if isinstance(c, Const):
-                acc *= c.value
-            else:
-                flat.append(c)
+    """Product of ``factors``; their constants fold into one, 0 if 0."""
+    flat, acc = _split(factors, Prod, math.prod)
     if acc == 0.0:
         return Const(0.0)
     if acc != 1.0 or not flat:
@@ -273,5 +265,5 @@ def expn(u) -> Expr:
 def recip(u) -> Expr:
     u = _wrap(u)
     if isinstance(u, Const):
-        return Const(1.0 / u.value)
+        return Const(float(1 / Fraction(u.value)))
     return Recip(u)

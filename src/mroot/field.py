@@ -30,6 +30,13 @@ _MAX_SLOTS = 2 ** 16
 _MAX_ORDER = 31
 
 
+def _diff(e: Expr, l: int) -> Expr:
+    try:
+        return e.diff(l)
+    except OverflowError:       # a folded constant past the float range
+        return Const(math.inf)
+
+
 class PointArrays(tuple):
     """The pair ``(abar, bstack)`` at one base point, plus a memo.
 
@@ -150,7 +157,7 @@ class SymTensorField:
         if trees is None:
             trees = self._trees[l] = [
                 (i, key, d) for i, key, e in self._trees[None]
-                if not (d := e.diff(l)).is_zero()]
+                if not (d := _diff(e, l)).is_zero()]
         # the last value is the zero of every slot with no entry
         vals = [0.0] * (len(self.entries) + 1)
         for i, key, e in trees:

@@ -28,8 +28,9 @@ single character.  A number is a constant, ``x1 .. xn`` a coordinate,
 and a function name followed by ``(``, comma-separated arguments and
 ``)`` a call.  The function table: ``sum`` and ``mul`` take two or more
 arguments, ``sub`` and ``pow`` two (the exponent a non-negative integer
-constant), ``exp`` and ``recip`` one.  Calls nest at most 200 deep, and
-a call on constants folds into one constant, which must be finite.
+constant), ``exp`` and ``recip`` one.  Calls nest at most 200 deep.  A
+call's constants fold exactly, in any argument order (a zero factor
+gives 0); a fold past the float range is an error naming the call.
 
 All syntax errors carry 1-based line and column positions.
 """
@@ -134,21 +135,14 @@ def _parse_expr(text: str, line: int, col0: int, n: int) -> Expr:
             if len(args) < fewest or most is not None and len(args) > most:
                 fail(f"{tok} needs {'exactly' if most else 'at least'} "
                      f"{fewest} argument{'s' if fewest > 1 else ''}", col)
-            # constant arguments fold into one constant, which must be finite
             try:
-                e = build(*args)
-                finite = all(math.isfinite(c.value)
-                             for c in (e,) + getattr(e, "children", ())
-                             if isinstance(c, Const))
+                return build(*args)
             except ValueError as err:       # a builder's rule on its arguments
                 fail(str(err), col)
             except ZeroDivisionError:
                 fail(f"{tok} divides by zero", col)
             except OverflowError:
-                finite = False
-            if not finite:
                 fail(f"{tok} overflows", col)
-            return e
         if kind == "name" and tok[0] == "x" and tok[1:].isdigit():
             # int() refuses over 4300 digits, so a longer index than n's
             # is out of range before it is converted

@@ -444,6 +444,20 @@ def test_a_metric_outside_the_float_range_exits_two_naming_a(scale, tmp_path,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("y0, A", [("1e60,0.5", "1e+240"),
+                                   ("1e200,0.5", "inf")],
+                         ids=["large", "overflowing"])
+def test_a_direction_outside_the_range_of_a_exits_two_naming_y(y0, A,
+                                                                capsys):
+    # an A that overflows is out of range too; numpy warnings are errors
+    # under pytest, so an overflow warning would not reach this message
+    assert main(["geodesic", path("quartic2"), "--x0", "0.1,0.1",
+                 "--y0", y0, "--t-end", "0.1", "--steps", "5"]) == 2
+    y = [float(v) for v in y0.split(",")]
+    assert (f"error: A = {A} at x=[0.1, 0.1], y={y} is outside "
+            f"[1e-100, 1e+100]") in capsys.readouterr().err
+
+
 def test_long_flag_value_is_quoted_by_a_short_prefix(capsys):
     x0 = "0," + "9" * 5000 + "x"
     assert main(["geodesic", path("quartic2"), "--x0", x0, "--y0", "1,0",

@@ -1,5 +1,6 @@
 """Expression trees: exact derivatives against finite differences."""
 
+import itertools
 import math
 import random
 
@@ -158,7 +159,14 @@ def test_repr_names_every_node_and_lists_children():
 
 
 def test_derivative_along_an_absent_coordinate_is_zero_beside_an_overflow():
-    # d/dx1 of (9e307 x2)^2 would fold 2 * 9e307 = inf with a zero
+    # d/dx1 of (9e307 x2)^2 folds 2 * 9e307 * 0, which is 0 exactly
+    # although 2 * 9e307 overflows a float
     e = intpow(mul(Const(9e307), Coord(1)), 2)
     assert e.diff(0).is_zero()
     assert mul(Const(9e307), Coord(1), Coord(1)).diff(0).is_zero()
+
+
+def test_constants_fold_exactly_and_round_once():
+    # in floats, 0.1 + 0.2 - 0.3 depends on the order of the additions
+    assert {add(*t).value for t in itertools.permutations((0.1, 0.2, -0.3))
+            } == {2.7755575615628914e-17}

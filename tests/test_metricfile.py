@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mroot.errors import MetricFileError
@@ -58,6 +58,9 @@ def test_indices_are_one_based_and_order_free():
     text = "n = 2\nm = 2\nbox.1 = -1,1\nbox.2 = -1,1\n2 1 : 3\n"
     fld = parse_metric_text(text).field
     assert coeff(fld, (0, 1)).evaluate([0.0, 0.0]) == 3.0
+
+
+HEAD2 = "n = 2\nm = 2\nbox.1 = -1,1\nbox.2 = -1,1\n"
 
 
 def _err(text):
@@ -207,9 +210,9 @@ def test_comments_and_blank_lines_are_ignored():
     "stretched_euclid2"])
 def test_builtin_members_round_trip(name):
     fld = fresh_field(name)
-    text = dump_metric(fld, seed=3)
+    text = dump_metric(fld, seed=3, tol=1e-7)
     back = parse_metric_text(text, name=name)
-    assert back.seed == 3
+    assert (back.seed, back.tol) == (3, 1e-7)
     assert back.field.n == fld.n and back.field.m == fld.m
     assert np.allclose(back.field.box, fld.box)
     rng = np.random.default_rng(1)
@@ -285,20 +288,52 @@ def test_header_errors_point_at_the_value(header, column):
     ("1e400", "number 1e400 is out of range", 7),
     ("recip(0)", "recip divides by zero", 7),
     ("recip(sub(1, 1))", "recip divides by zero", 7),
+    ("recip(5e-324)", "recip overflows", 7),
     ("exp(1000)", "exp overflows", 7),
     ("pow(1e200, 2)", "pow overflows", 7),
     ("mul(1e200, 1e200)", "mul overflows", 7),
     ("sum(x1, 1e308, 1e308)", "sum overflows", 7),
-    ("mul(x1, 1e200, 1e200, 0)", "mul overflows", 7),
     ("sum(x1, exp(1000))", "exp overflows", 15),
-], ids=["literal", "recip", "recip_folded", "exp", "pow", "mul", "sum",
-        "mul_nan", "nested"])
+], ids=["literal", "recip", "recip_folded", "recip_overflow", "exp", "pow",
+        "mul", "sum", "nested"])
 def test_non_finite_constants_are_positioned(expr, message, column):
     # the literal or the call that folds to a non-finite constant
     text = f"n = 1\nm = 2\nbox.1 = -0.5,0.5\n1 1 : {expr}\n"
     with pytest.raises(MetricFileError, match=message) as info:
         parse_metric_text(text)
     assert (info.value.line, info.value.column) == (4, column)
+
+
+@pytest.mark.parametrize("expr", ["mul(x1, 1e200, 1e200, 0)",
+                                  "mul(0, 1e200, 1e200, x1)"],
+                         ids=["mul_nan", "mul_nan_reversed"])
+def test_a_zero_factor_folds_to_zero(expr):
+    # 1e200 * 1e200 overflows a float, but constants fold exactly, so a
+    # zero factor makes the product 0 in any argument order
+    assert format_expr(_entry(expr)) == "0"
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    (HEAD2 + "1 1 : sum(1 2)\n", "expected ')'", 5, 13),
+    (HEAD2 + "1 1 : sum 1\n", "expected '('", 5, 11),
+    (HEAD2 + "1 1 :\n", "expected an expression", 5, 6),
+    (HEAD2 + "1 1 : )\n", "expected a number, coordinate or function", 5, 7),
+    ("n = 2\nm = 2\nbox.x = -1,1\n", "malformed box index in 'box.x'", 3,
+     1),
+    ("n = 2\n1 1 : 1\nm = 2\n",
+     "n and m must be declared before coefficient entries", 2, 1),
+    (HEAD2 + "1 a : 1\n", "malformed index '1 a'", 5, 1),
+    (HEAD2 + "hello world\n",
+     "expected 'key = value' header or 'i1 .. im : expr' entry", 5, 1),
+    (HEAD2 + "box.3 = -1,1\n1 1 : 1\n", "<string>: box.3 out of range 1..2",
+     None, None),
+], ids=["close_paren", "open_paren", "empty", "stray_close", "box_index",
+        "entry_before_m", "index", "neither", "box_out_of_range"])
+def test_parse_errors_name_the_token(text, message, line, column):
+    with pytest.raises(MetricFileError) as info:
+        parse_metric_text(text)
+    assert str(info.value).endswith(message)
+    assert (info.value.line, info.value.column) == (line, column)
 
 
 def test_header_numbers_validated():
@@ -314,8 +349,7 @@ EXPRESSIONS = st.recursive(
 
 
 def _entry(text):
-    cfg = parse_metric_text("n = 2\nm = 2\nbox.1 = -1,1\nbox.2 = -1,1\n"
-                            f"1 1 : {text}\n")
+    cfg = parse_metric_text(f"{HEAD2}1 1 : {text}\n")
     return coeff(cfg.field, (0, 0))
 
 
@@ -328,3 +362,41 @@ def test_format_expr_is_fixed_by_parsing(text):
         assume(False)       # a constant that overflows or divides by zero
     once = format_expr(e)
     assert format_expr(_entry(once)) == once
+
+
+@st.composite
+def permuted_calls(draw):
+    """One chain of sum and mul calls, written in two argument orders.
+
+    Each call holds constants at the edges of the float range and at
+    most one other argument, x1 or the next call, so its parsed tree and
+    the call that overflows do not depend on the order of its arguments.
+    """
+    texts = [draw(st.sampled_from(["x1", None]))] * 2
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(["sum", "mul"]))
+        consts = draw(st.lists(st.sampled_from(
+            ["0", "1e200", "-1e200", "1e308", "-1e308", "5e-324"]),
+            min_size=1 if texts[0] else 2, max_size=4))
+        for k in (0, 1):
+            args = consts + [texts[k]] if texts[k] else consts
+            texts[k] = f"{name}({', '.join(draw(st.permutations(args)))})"
+    return texts
+
+
+def _folded(text):
+    """The parsed entry's text, or the message without its position,
+    which moves with the call."""
+    try:
+        return format_expr(_entry(text))
+    except MetricFileError as err:
+        return str(err).split(": ", 1)[1]
+
+
+@example(["mul(x1, 1e200, 1e200, 0)", "mul(0, 1e200, 1e200, x1)"])
+@example(["sum(x1, 1e308, 1e308, -1e308)", "sum(x1, 1e308, -1e308, 1e308)"])
+@settings(max_examples=300, deadline=None)
+@given(permuted_calls())
+def test_argument_order_does_not_change_a_fold(texts):
+    a, b = texts
+    assert _folded(a) == _folded(b), texts
