@@ -41,12 +41,15 @@ class PointArrays(tuple):
     """The pair ``(abar, bstack)`` at one base point, plus a memo.
 
     ``evals`` maps ``y.tobytes()`` to the finished evaluation at this
-    base point; it belongs to :meth:`mroot.metric.MetricEval.at`.
+    base point; ``outcomes`` holds the outcome of each row of ``batch``,
+    the last drawn batch evaluated here.  All three belong to
+    :meth:`mroot.metric.MetricEval.at`.
     """
 
     def __new__(cls, abar, bstack):
         self = super().__new__(cls, (abar, bstack))
         self.evals = {}
+        self.batch, self.outcomes = None, {}
         return self
 
 
@@ -128,7 +131,9 @@ class SymTensorField:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             return False
-        return all(lo <= v <= hi for v, (lo, hi) in zip(x, self.box))
+        # Python floats compare about twice as fast as numpy scalars; a
+        # NaN coordinate fails both comparisons, so it is outside
+        return all(lo <= v <= hi for v, (lo, hi) in zip(x.tolist(), self.box))
 
     def _require_inside(self, x):
         if not self.contains(x):

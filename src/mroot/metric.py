@@ -1,8 +1,8 @@
 """Pointwise evaluation of an m-th root metric F = A**(1/m).
 
-Everything here happens at a single probe (x, y).  The coefficient
-field is flattened to dense symmetric arrays once per base point, after
-which every quantity is a numpy contraction:
+Everything here is data at a probe (x, y).  The coefficient field is
+flattened to dense symmetric arrays once per base point, after which
+every quantity is a numpy contraction:
 
 * the k-th y-derivative of A is ``perm(m, k)`` times the coefficient
   array contracted with y in m-k slots,
@@ -34,6 +34,11 @@ without the cycle collector.  The memo is evicted with that cache's
 base points (the last 16, or as many as the largest probe set drawn on
 the field has).  A memoized evaluation is shared by every caller, so
 its stored arrays are read-only.
+
+Probe generation, which on a thin cone rejects most draws, passes each
+drawn batch of directions to :meth:`MetricEval.at`, which evaluates it
+at one base point in one stacked pass (:class:`_Rows`), bitwise as the
+one-probe chain that a call without a batch runs.
 """
 
 from __future__ import annotations
@@ -107,15 +112,26 @@ class MetricEval:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def at(cls, fld: SymTensorField, x, y) -> "MetricEval":
+    def at(cls, fld: SymTensorField, x, y, batch=None) -> "MetricEval":
         """Evaluate the metric data of ``fld`` at the probe (x, y).
 
         The result is memoized with the base point x in the field's
         :meth:`~mroot.field.SymTensorField.point_arrays` cache (16 base
         points, or every base of the largest probe set drawn on it),
         so a repeat call with the same x and the same y bytes returns
-        the identical object.  It holds copies of x and y, and all its
-        stored arrays are read-only.  Failed evaluations are not memoized.
+        the identical object.  It holds read-only copies of x and y,
+        and all its stored arrays are read-only.
+
+        ``batch`` holds the directions at x that the caller will ask
+        for next, y among them, as rows of one array.  On a memo miss
+        the rows not yet memoized are evaluated in one stacked pass (in
+        stacks of :data:`mroot.spray.BATCH_BYTES`), and their outcomes
+        are kept with the base point until a call passes another batch
+        there; calls passing the same array read them.  A row's
+        evaluation is built, from views of the stacks, and memoized only
+        when the row is asked for, and a rejected row raises only then,
+        so each call returns or raises, bit for bit, what it would
+        without ``batch``.
 
         Raises
         ------
@@ -130,58 +146,21 @@ class MetricEval:
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        n, m = fld.n, fld.m
         point = fld.point_arrays(x)
         key = y.tobytes()
         hit = point.evals.get(key)
         if hit is not None:
             return hit
-        abar, bstack = point
-
-        # ya[j] is abar contracted with y in j slots, yb[j] bstack; matmul
-        # contracts the trailing axis, and the trailing m axes of both are
-        # symmetric, so the choice of slot does not matter
-        ya, c1, A = _contract(abar, y, m)
-        if A <= 0.0:
-            raise AdmissibleConeError(f"A = {A:.6g} <= 0 at x={x.tolist()}, "
-                                      f"y={y.tolist()}: outside the cone")
-        if not _A_MIN <= A <= _A_MAX:
-            raise ConfigurationError(
-                f"A = {A:.6g} at x={x.tolist()}, y={y.tolist()} is outside "
-                f"[{_A_MIN:g}, {_A_MAX:g}], where the checks' products stay "
-                f"finite; rescale the coefficients or y")
-        A_i = float(m) * c1
-        A_ij = float(math.perm(m, 2)) * ya[-1]
-        lam = np.linalg.eigvalsh(A_ij)    # ascending; decides PD and cond
-        if not lam[0] > 0.0:              # NaN fails here too
-            lo, hi = np.min(np.abs(lam)), np.max(np.abs(lam))
-            cond = float(hi / lo) if lo > 0.0 else math.inf
-            raise DegenerateMetricError(
-                f"y-Hessian of A is not positive definite at x={x.tolist()}, "
-                f"y={y.tolist()} (condition {cond:.3g})", condition=cond)
-        A_inv = np.linalg.inv(A_ij)
-
-        yb = [bstack]
-        for _ in range(m - 1):
-            yb.append(yb[-1] @ y)
-        d2 = yb[-1]                            # d2[l, j] = A_{x^l y^j} / m
-        A_xl = d2 @ y
-        A_xy = float(m) * d2
-        A0 = float(A_xl @ y)
-        A0l = y @ A_xy                         # A0l[l] = y^k A_{x^k y^l}
-
-        # the contractions left with 3..5 and 2..4 y-slots, fewest first
-        abar_y, bstack_y = tuple(ya[-2:-5:-1]), tuple(yb[-2:-5:-1])
-        x, y = x.copy(), y.copy()
-        # setflags(False) sets write=False; numpy parses the keyword form
-        # about three times slower, and every RK4 stage comes through here
-        for arr in (x, y, A_i, A_ij, A_inv, A_xl, A_xy, A0l,
-                    *abar_y, *bstack_y):
-            arr.setflags(False)
-        ev = cls(x=x, y=y, n=n, m=m, A=A, A_i=A_i, A_ij=A_ij,
-                 A_inv=A_inv, A_xl=A_xl, A_xy=A_xy, A0=A0, A0l=A0l,
-                 cond=float(lam[-1] / lam[0]), abar_y=abar_y,
-                 bstack_y=bstack_y)
+        if batch is not None and point.batch is not batch:
+            point.batch = batch
+            point.outcomes = _outcomes(point, x, np.asarray(batch, float),
+                                       fld.m)
+        found = point.outcomes.get(key) if batch is not None else None
+        if found is None:
+            ev = _evaluate(cls, point, x, y, fld.m)
+        else:
+            rows, r = found
+            ev = rows.take(cls, r)
         point.evals[key] = ev
         return ev
 
@@ -226,16 +205,213 @@ class MetricEval:
         return (1.0 / m) * self.apow(2.0 / m - 1.0) * self.A_i
 
 
+def _frozen(a):
+    a = a.copy()
+    a.setflags(False)
+    return a
+
+
+def _evaluate(cls, point, x, y, m) -> MetricEval:
+    """The evaluation at one probe, or the error it raises: one row of
+    :class:`_Rows`, with each array its own, which costs half as much
+    as a stack of one (every RK4 stage comes through here)."""
+    abar, bstack = point
+    x, y = _frozen(x), _frozen(y)
+    # ya[j] is abar contracted with y in j slots, yb[j] bstack; matmul
+    # contracts the trailing axis, and the trailing m axes of both are
+    # symmetric, so the choice of slot does not matter
+    ya, c1, A = _contract(abar, y, m, np.matmul)
+    A = float(A)
+    if A <= 0.0:
+        raise AdmissibleConeError(_Message(_CONE, A, x, y))
+    if not _A_MIN <= A <= _A_MAX:
+        raise ConfigurationError(_Message(_RANGE, A, x, y))
+    A_i = float(m) * c1
+    A_ij = float(math.perm(m, 2)) * ya[-1]
+    lam = np.linalg.eigvalsh(A_ij)    # ascending; decides PD and cond
+    if not lam[0] > 0.0:              # NaN fails here too
+        raise _degenerate(np.min(np.abs(lam)), np.max(np.abs(lam)), A, x, y)
+    A_inv = np.linalg.inv(A_ij)
+
+    yb = [bstack]
+    for _ in range(m - 1):
+        yb.append(yb[-1] @ y)
+    d2 = yb[-1]                            # d2[l, j] = A_{x^l y^j} / m
+    A_xl = d2 @ y
+    A_xy = float(m) * d2
+    A0 = float(A_xl @ y)
+    A0l = y @ A_xy                         # A0l[l] = y^k A_{x^k y^l}
+
+    # the contractions left with 3..5 and 2..4 y-slots, fewest first
+    abar_y, bstack_y = tuple(ya[-2:-5:-1]), tuple(yb[-2:-5:-1])
+    # setflags(False) sets write=False; numpy parses the keyword form
+    # about three times slower
+    for arr in (A_i, A_ij, A_inv, A_xl, A_xy, A0l, *abar_y, *bstack_y):
+        arr.setflags(False)
+    return cls(x=x, y=y, n=len(y), m=m, A=A, A_i=A_i, A_ij=A_ij,
+               A_inv=A_inv, A_xl=A_xl, A_xy=A_xy, A0=A0, A0l=A0l,
+               cond=float(lam[-1] / lam[0]), abar_y=abar_y,
+               bstack_y=bstack_y)
+
+
+def _degenerate(lo, hi, A, x, y) -> DegenerateMetricError:
+    """The error of a Hessian whose eigenvalues span [lo, hi] in size."""
+    cond = float(hi / lo) if lo > 0.0 else math.inf
+    return DegenerateMetricError(_Message(_DEGENERATE, A, x, y, cond),
+                                 condition=cond)
+
+
+def _outcomes(point, x, ys, m) -> dict:
+    """``y.tobytes()`` -> (stack, row) for each distinct row of ``ys`` that
+    ``point`` has not memoized, run as stacks of ``BATCH_BYTES``."""
+    from .spray import stacks       # mroot.spray imports this module
+    todo = {}
+    buf, w = ys.tobytes(), ys.itemsize * ys.shape[1]
+    for i in range(len(ys)):        # buf holds the rows in C order
+        todo.setdefault(buf[i * w:(i + 1) * w], i)
+    for key in point.evals.keys() & todo.keys():
+        del todo[key]
+    keys = list(todo)
+    x, Y = _frozen(x), _frozen(ys[list(todo.values())])
+    out = {}
+    # the largest array of the pass, bstack with one slot contracted,
+    # holds n^m floats a row, as many as abar
+    for part in stacks(len(keys), point[0].size):
+        rows = _Rows(point, x, Y[part], m)
+        out.update((key, (rows, r)) for r, key in enumerate(keys[part]))
+    return out
+
+
+class _Message:
+    """A rejection's message, formatted when it is read: probe generation
+    rejects most draws of a thin cone and never reads why."""
+
+    __slots__ = ("text", "A", "x", "y", "cond")
+
+    def __init__(self, text, A, x, y, cond=None):
+        self.text, self.A, self.x, self.y, self.cond = text, A, x, y, cond
+
+    def __str__(self):
+        return self.text.format(A=self.A, x=self.x.tolist(),
+                                y=self.y.tolist(), cond=self.cond)
+
+    def __repr__(self):
+        return repr(str(self))
+
+
+_CONE = "A = {A:.6g} <= 0 at x={x}, y={y}: outside the cone"
+_RANGE = (f"A = {{A:.6g}} at x={{x}}, y={{y}} is outside [{_A_MIN:g}, "
+          f"{_A_MAX:g}], where the checks' products stay finite; rescale "
+          f"the coefficients or y")
+_DEGENERATE = ("y-Hessian of A is not positive definite at x={x}, y={y} "
+               "(condition {cond:.3g})")
+
+
+class _Rows:
+    """:meth:`MetricEval.at` at every row of a stack ``Y`` of directions
+    at one base point, in one pass.
+
+    Each step of the one-probe evaluation runs once for the stack: every
+    contraction is one batched ``np.matmul`` (see :func:`_dot`), and
+    ``eigvalsh`` and ``inv`` run over the stacked Hessians, so a row
+    gets the bits its own call would.  The tests come in the one-probe
+    order, cone, range, then positive definiteness, and each step after
+    a test runs only on the rows that passed it.  :meth:`take` builds a
+    row's evaluation, or raises its error.  ``x`` and ``Y`` are
+    read-only; every stacked array is read-only, so the evaluations
+    hold views of them.
+    """
+
+    def __init__(self, point, x, Y, m):
+        abar, bstack = point
+        k = len(Y)
+        ya, c1, A = _contract(abar[None], Y, m, _dot)
+        self.x, self.Y, self.m, self.A = x, Y, m, A.tolist()
+        fit = (_A_MIN <= A) & (A <= _A_MAX)    # so A > 0 and not NaN
+        live = np.flatnonzero(fit)
+        # ya[-1] is abar itself for m = 2, one array for every row
+        A_ij = float(math.perm(m, 2)) * (ya[-1] if m > 2 else np.broadcast_to(
+            abar, (k,) + abar.shape))[live]
+        lam = np.linalg.eigvalsh(A_ij)    # ascending; decides PD and cond
+        pd = lam[:, 0] > 0.0              # NaN fails here too
+        # row -> its index among the live rows, live row -> among the kept
+        self.live = (np.cumsum(fit) - 1).tolist()
+        self.pd, self.kept = pd.tolist(), (np.cumsum(pd) - 1).tolist()
+        if len(live) == k and pd.all():
+            keep = pd = slice(None)       # views, not copies
+        else:
+            keep = live[pd]
+            mag = np.abs(lam)
+            self.lo, self.hi = mag.min(axis=1), mag.max(axis=1)
+        Y, c1, A_ij = Y[keep], c1[keep], A_ij[pd]
+        self.A_i, self.A_ij = float(m) * c1, A_ij
+        self.A_inv = np.linalg.inv(A_ij)
+        self.cond = (lam[pd, -1] / lam[pd, 0]).tolist()
+        yb = [bstack[None]]
+        for _ in range(m - 1):
+            yb.append(_dot(yb[-1], Y))
+        d2 = yb[-1]                  # d2[:, l, j] = A_{x^l y^j} / m
+        self.A_xl = _dot(d2, Y)
+        self.A_xy = float(m) * d2
+        self.A0 = _dot(self.A_xl, Y).tolist()
+        self.A0l = np.matmul(Y[:, None, :], self.A_xy)[:, 0]
+        # the contractions left with 3..5 and 2..4 y-slots, fewest first;
+        # abar and bstack themselves are every row's
+        self.abar, self.bstack = abar, bstack
+        self.abar_y = [abar if a is ya[0] else a[keep] for a in ya[-2:-5:-1]]
+        self.bstack_y = [bstack if b is yb[0] else b
+                         for b in yb[-2:-5:-1]]
+        for arr in (self.A_i, self.A_ij, self.A_inv, self.A_xl, self.A_xy,
+                    self.A0l, *self.abar_y, *self.bstack_y):
+            arr.setflags(False)
+
+    def take(self, cls, r) -> "MetricEval":
+        """Row r's evaluation, or the error its one-probe call raises."""
+        A, x, y = self.A[r], self.x, self.Y[r]
+        if A <= 0.0:
+            raise AdmissibleConeError(_Message(_CONE, A, x, y))
+        if not _A_MIN <= A <= _A_MAX:
+            raise ConfigurationError(_Message(_RANGE, A, x, y))
+        p = self.live[r]
+        if not self.pd[p]:
+            raise _degenerate(self.lo[p], self.hi[p], A, x, y)
+        i = self.kept[p]
+        return cls(x=x, y=y, n=len(y), m=self.m, A=A, A_i=self.A_i[i],
+                   A_ij=self.A_ij[i], A_inv=self.A_inv[i], A_xl=self.A_xl[i],
+                   A_xy=self.A_xy[i], A0=self.A0[i], A0l=self.A0l[i],
+                   cond=self.cond[i],
+                   abar_y=tuple(a if a is self.abar else a[i]
+                                for a in self.abar_y),
+                   bstack_y=tuple(b if b is self.bstack else b[i]
+                                  for b in self.bstack_y))
+
+
+def _dot(t, Y):
+    """``t[i]`` contracted in its last slot with the row ``Y[i]``.
+
+    ``t`` is a stack of one array a row, or of one that every row
+    shares.  A batched ``np.matmul`` multiplies the same (n, n) blocks,
+    or the same vector, with the row as ``t[i] @ y`` does alone, so each
+    row gets that product's bits: ``np.einsum`` sums in another order.
+    """
+    if t.ndim == 2:
+        return np.matmul(t[:, None, :], Y[:, :, None])[:, 0, 0]
+    k, n = Y.shape
+    return np.matmul(t, Y.reshape((k,) + (1,) * (t.ndim - 3) + (n, 1)))[
+        ..., 0]
+
+
 # abar contracted with y in 0 .. m - 2 slots, in m - 1, and A, which may
-# overflow to inf or NaN for MetricEval.at's range test.  errstate costs
-# 0.7 us as a decorator, 1.3 us as a with-statement (numpy 2.4, 2 vCPUs).
+# overflow to inf or NaN for the range test; ``dot`` is np.matmul for one
+# y, _dot for a stack.  errstate costs 0.7 us as a decorator, 1.3 us as a
+# with-statement (numpy 2.4, 2 vCPUs).
 @np.errstate(over="ignore", invalid="ignore")
-def _contract(abar, y, m):
+def _contract(abar, y, m, dot):
     ya = [abar]
     for _ in range(m - 2):
-        ya.append(ya[-1] @ y)
-    c1 = ya[-1] @ y
-    return ya, c1, float(c1 @ y)
+        ya.append(dot(ya[-1], y))
+    c1 = dot(ya[-1], y)
+    return ya, c1, dot(c1, y)
 
 
 def _gh(m, A, p, A_i, A_ij, c):

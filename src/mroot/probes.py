@@ -12,6 +12,13 @@ condition number ``MetricEval.cond`` at most ``COND_CAP``.  Metrics
 with restricted cones (odd m, or degenerate rays) simply reject part
 of the sphere; the generator oversamples adaptively and fails loudly
 if the admissible fraction is too small to fill the request.
+
+Each direction is tested in draw order, one ``MetricEval.at`` call a
+draw and base point, and drawing stops at the requested count.  Each
+call passes the drawn batch it belongs to, so the first call at a base
+point evaluates the whole batch there in one stacked pass and the
+others read its outcome; the directions kept, the errors raised and
+the evaluations memoized are those of evaluating each draw alone.
 """
 
 from __future__ import annotations
@@ -108,10 +115,11 @@ def base_points(fld: SymTensorField, count: int, seed,
     return lo + pad + u * (hi - lo - 2.0 * pad)
 
 
-def _admissible(fld: SymTensorField, x, y, cond_cap: float) -> bool:
-    """Whether ev.cond <= cond_cap at (x, y); a DomainError propagates."""
+def _admissible(fld: SymTensorField, x, y, cond_cap: float, dirs) -> bool:
+    """Whether ev.cond <= cond_cap at (x, y), where y is a row of the drawn
+    batch ``dirs``; a DomainError propagates."""
     try:
-        return MetricEval.at(fld, x, y).cond <= cond_cap
+        return MetricEval.at(fld, x, y, batch=dirs).cond <= cond_cap
     except (AdmissibleConeError, DegenerateMetricError):
         return False
 
@@ -120,10 +128,11 @@ def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
                      cond_cap: float, where: str) -> np.ndarray:
     """``size`` sphere directions admissible at every point of ``xs``.
 
-    Sphere directions are drawn in growing batches and filtered; if
-    fewer than ``size`` survive after drawing 64x the request, the
-    cone is considered too thin and the configuration is rejected,
-    naming ``where`` in the error.
+    Sphere directions are drawn in growing batches and filtered, each
+    batch evaluated in one stacked pass at each point (see
+    :meth:`MetricEval.at`); if fewer than ``size`` survive after drawing
+    64x the request, the cone is considered too thin and the
+    configuration is rejected, naming ``where`` in the error.
     """
     _check_fan_size(size)
     seq = np.random.SeedSequence(seed) if not isinstance(
@@ -138,7 +147,7 @@ def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
         dirs = sphere_fan(fld.n, batch, child)
         drawn += len(dirs)
         for y in dirs:
-            if all(_admissible(fld, x, y, cond_cap) for x in xs):
+            if all(_admissible(fld, x, y, cond_cap, dirs) for x in xs):
                 kept.append(y)
                 if len(kept) == size:
                     return np.array(kept)

@@ -1,18 +1,25 @@
-"""Per-probe reference reductions of the checks, for the stacked ones.
+"""Per-probe references for the stacked paths.
 
-Each function here walks the probes one at a time and folds every
+Each reduction here walks the probes one at a time and folds every
 residual into a running maximum, as the checks did before they reduced
 over stacked arrays.  ``test_reductions.py`` asserts that the checks in
 ``mroot.cli`` and ``mroot.classify`` give bitwise the same residuals and
 details.  The running maximum keeps a NaN, as the checks must.
+
+:func:`draw_admissible` is the admission loop with one one-probe
+evaluation a draw, as it ran before each drawn batch was evaluated in
+one stacked pass; ``test_probes.py`` asserts that probe generation keeps
+exactly its directions and raises its errors.
 """
 
 import numpy as np
 
 from mroot.classify import (ClassifierVerdict, IsotropicFit, OneForm,
                             dually_flat_residual)
+from mroot.errors import (AdmissibleConeError, ConfigurationError,
+                          DegenerateMetricError)
 from mroot.metric import MetricEval, identity_residuals
-from mroot.probes import admissible_at_all
+from mroot.probes import COND_CAP, admissible_at_all, base_points, sphere_fan
 from mroot.spray import spray_batch, spray_eval, spray_mroot, spray_variational
 
 
@@ -184,3 +191,46 @@ def isotropic_fit(fld, probes, inject_c=0.0):
                            / (1.0 + float(np.max(np.abs(W)))))
     return IsotropicFit(c=cs, fit_residual=fit_res,
                         c_max=max(abs(v) for v in cs), max_E=max_E)
+
+
+def draw_admissible(fld, xs, size, seed, cond_cap=COND_CAP, where=None):
+    """``size`` sphere directions admissible at every point of ``xs``,
+    each draw evaluated alone: the draws, their order, the stop at
+    ``size`` keeps and the 64x bound of :mod:`mroot.probes`."""
+    seq = (seed if isinstance(seed, np.random.SeedSequence)
+           else np.random.SeedSequence(seed))
+    if where is None:
+        where = f"all {len(xs)} base points"
+
+    def admissible(x, y):
+        try:
+            return MetricEval.at(fld, x, y).cond <= cond_cap
+        except (AdmissibleConeError, DegenerateMetricError):
+            return False
+
+    kept, drawn, batch = [], 0, max(size, 4)
+    for k in range(64):
+        child = np.random.SeedSequence(seq.entropy, pool_size=seq.pool_size,
+                                       spawn_key=seq.spawn_key + (k,))
+        dirs = sphere_fan(fld.n, batch, child)
+        drawn += len(dirs)
+        for y in dirs:
+            if all(admissible(x, y) for x in xs):
+                kept.append(y)
+                if len(kept) == size:
+                    return np.array(kept)
+        if drawn >= 64 * size:
+            break
+        batch = min(2 * batch, 64 * size)
+    raise ConfigurationError(
+        f"only {len(kept)} of {size} requested directions are admissible "
+        f"at {where} after {drawn} draws")
+
+
+def probe_fans(fld, n_base, fan_size, seed, cond_cap=COND_CAP):
+    """The bases and fans of ``generate_probe_set``, drawn per draw."""
+    children = np.random.SeedSequence(seed).spawn(n_base + 1)
+    bases = base_points(fld, n_base, children[0])
+    return bases, [draw_admissible(fld, [x], fan_size, children[i + 1],
+                                   cond_cap, f"x={x.tolist()}")
+                   for i, x in enumerate(bases)]

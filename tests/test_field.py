@@ -1,5 +1,7 @@
 """Symmetric coefficient fields: index handling and dense arrays."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,10 @@ def test_domain_membership_and_errors():
     assert fld.contains([1.0, -1.0])
     assert not fld.contains([1.1, 0.0])
     assert not fld.contains([0.0])
+    # a NaN or infinite coordinate is outside every box
+    for bad in (math.nan, math.inf, -math.inf):
+        assert not fld.contains([0.0, bad])
+        assert not fld.contains(np.array([bad, 0.0]))
     with pytest.raises(DomainError):
         fld.coeff_array([2.0, 0.0])
     with pytest.raises(DomainError):

@@ -4,17 +4,22 @@ import dataclasses
 import gc
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from mroot.errors import AdmissibleConeError, DegenerateMetricError
+from mroot import spray
+from mroot.corpus import random_cubic3
+from mroot.errors import (AdmissibleConeError, DegenerateMetricError,
+                          MrootError)
 from mroot.geodesic import integrate
 from mroot.metric import MetricEval, identity_residuals
-from mroot.probes import generate_probe_set
+from mroot.metricfile import parse_metric_text
+from mroot.probes import base_points, generate_probe_set, sphere_fan
 from mroot.spray import spray_eval
 
-from conftest import CORE, corpus_field, corpus_probes, fresh_field
+from conftest import CORE, DATA_DIR, corpus_field, corpus_probes, fresh_field
 
 SQ2 = math.sqrt(2.0)
 
@@ -294,6 +299,176 @@ def test_failed_evaluations_are_not_memoized():
 def test_deleting_a_warm_field_frees_it_without_the_collector():
     fld = fresh_field("antonelli_quartic2")
     ev = MetricEval.at(fld, [0.1, -0.2], [1.0, 0.5])
+    spray_eval(ev)
+    ref = weakref.ref(fld)
+    gc.disable()
+    try:
+        del fld, ev
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+# -- drawn batches ------------------------------------------------------------
+
+# n = 2, m = 3 with coefficients near the float range: the contractions of
+# most directions overflow to +-inf or NaN inside the stacked pass
+OVERFLOW = """n = 2
+m = 3
+box.1 = -0.5,0.5
+box.2 = -0.5,0.5
+1 1 2 : -1.7e308
+1 2 2 : -1.7e308
+2 2 2 : 1
+"""
+
+BATCH_MEMBERS = ([p.stem for p in sorted(DATA_DIR.glob("*.metric"))]
+                 + ["cubic0", "cubic1", "cubic2", "overflow"])
+
+
+def _batch_field(name):
+    if name.startswith("cubic"):
+        return random_cubic3(int(name[5:]))
+    if name == "overflow":
+        return parse_metric_text(OVERFLOW).field
+    return fresh_field(name)
+
+
+def _outcome(fld, x, y, **kw):
+    try:
+        return MetricEval.at(fld, x, y, **kw)
+    except MrootError as err:
+        return err
+
+
+def _bits(v):
+    if isinstance(v, np.ndarray):
+        return v.shape, v.dtype, v.tobytes()
+    if isinstance(v, tuple):
+        return tuple(_bits(a) for a in v)
+    if isinstance(v, float):
+        return v.hex()
+    return v
+
+
+def _assert_same_outcome(got, want, where):
+    if isinstance(want, Exception):
+        assert type(got) is type(want), where
+        assert str(got) == str(want), where
+        assert repr(got) == repr(want), where
+        assert (getattr(got, "condition", None)
+                == getattr(want, "condition", None)), where
+        return
+    assert isinstance(got, MetricEval), (where, got)
+    for f in dataclasses.fields(MetricEval):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert type(a) is type(b), (where, f.name)
+        assert _bits(a) == _bits(b), (where, f.name)
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b), (where, f.name)
+            assert not a.flags.writeable, (where, f.name)
+
+
+def _batch_rows_match(name, bases=4, size=64):
+    batched, alone = _batch_field(name), _batch_field(name)
+    kinds = Counter()
+    for b, x in enumerate(base_points(batched, bases, seed=0)):
+        ys = sphere_fan(batched.n, size, seed=b)
+        for r, y in enumerate(ys):
+            got = _outcome(batched, x, y, batch=ys)
+            want = _outcome(alone, x, y)
+            _assert_same_outcome(got, want, (name, b, r))
+            kinds[type(want).__name__] += 1
+            # asked again, a row gives the memoized evaluation or raises
+            # again
+            again = _outcome(batched, x, y, batch=ys)
+            if isinstance(want, MetricEval):
+                assert again is got
+            else:
+                _assert_same_outcome(again, want, (name, b, r))
+    return kinds
+
+
+@pytest.mark.parametrize("name", BATCH_MEMBERS)
+def test_batched_rows_equal_the_one_probe_path_bit_for_bit(name):
+    kinds = _batch_rows_match(name)
+    assert sum(kinds.values()) == 4 * 64
+    if name == "overflow":
+        assert set(kinds) == {"AdmissibleConeError", "ConfigurationError"}
+    elif name.startswith("cubic") or name == "random_cubic3":
+        # odd m: the stack holds admissible, cone and degenerate rows
+        assert {"MetricEval", "AdmissibleConeError",
+                "DegenerateMetricError"} <= set(kinds)
+
+
+def test_a_batch_cut_into_stacks_gives_the_same_rows(monkeypatch):
+    # random_cubic3 has n^m = 27 slots, 216 bytes a row: stacks of 3 rows
+    monkeypatch.setattr(spray, "BATCH_BYTES", 3 * 27 * 8)
+    fld = random_cubic3(1)
+    x, ys = np.zeros(3), sphere_fan(3, 64, seed=5)
+    _outcome(fld, x, ys[0], batch=ys)
+    stacks = {id(rows) for rows, _ in fld.point_arrays(x).outcomes.values()}
+    assert len(stacks) == 22
+    assert _batch_rows_match("cubic1", bases=2)["MetricEval"] > 0
+
+
+def test_a_batch_memoizes_only_the_rows_asked_for():
+    fld = random_cubic3(0)
+    x = np.zeros(3)
+    ys = sphere_fan(3, 32, seed=3)
+    outcomes = [_outcome(_batch_field("cubic0"), x, y) for y in ys]
+    ok = [r for r, o in enumerate(outcomes) if isinstance(o, MetricEval)]
+    bad = [r for r, o in enumerate(outcomes) if not isinstance(o, MetricEval)]
+    assert len(ok) >= 2 and bad
+    point = fld.point_arrays(x)
+    first = MetricEval.at(fld, x, ys[ok[0]], batch=ys)
+    assert isinstance(_outcome(fld, x, ys[bad[0]], batch=ys), MrootError)
+    # the table holds every row; the memo only the success asked for
+    assert point.batch is ys and len(point.outcomes) == len(ys)
+    assert list(point.evals) == [ys[ok[0]].tobytes()]
+    # an unbatched call reads the memo, and a row of the table that was
+    # never asked for is evaluated alone
+    assert MetricEval.at(fld, x, ys[ok[0]]) is first
+    alone = MetricEval.at(fld, x, ys[ok[1]])
+    _assert_same_outcome(alone, outcomes[ok[1]], "alone")
+    # the next batch replaces the table, and skips what is memoized
+    nxt = np.concatenate([ys[ok[:2]], sphere_fan(3, 6, seed=4)])
+    assert MetricEval.at(fld, x, nxt[0], batch=nxt) is first
+    assert point.batch is ys
+    _outcome(fld, x, nxt[2], batch=nxt)
+    assert point.batch is nxt
+    assert sorted(point.outcomes) == sorted(y.tobytes() for y in nxt[2:])
+    # a direction that is not in the batch is evaluated alone
+    y = np.array([0.6, 0.7, 0.8])
+    _assert_same_outcome(MetricEval.at(fld, x, y, batch=nxt),
+                         MetricEval.at(_batch_field("cubic0"), x, y), "y")
+
+
+def test_a_one_dimensional_batch_evaluates_each_sign_once():
+    fld = fresh_field("funk1")
+    x, ys = np.array([0.1]), sphere_fan(1, 8, seed=0)
+    first = MetricEval.at(fld, x, ys[0], batch=ys)
+    point = fld.point_arrays(x)
+    assert len(point.outcomes) == 2
+    assert MetricEval.at(fld, x, ys[2], batch=ys) is first
+
+
+def test_rejection_messages_are_formatted_when_read():
+    fld = random_cubic3(0)
+    ys = np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]])
+    err = _outcome(fld, np.zeros(3), ys[0], batch=ys)
+    assert isinstance(err, AdmissibleConeError)
+    # the stacked pass formats nothing: the message is built on reading
+    assert not isinstance(err.args[0], str)
+    assert str(err) == ("A = -2.969 <= 0 at x=[0.0, 0.0, 0.0], "
+                        "y=[-1.0, -1.0, -1.0]: outside the cone")
+    assert repr(err) == f"AdmissibleConeError({str(err)!r})"
+
+
+def test_a_field_with_a_batch_table_frees_without_the_collector():
+    fld = fresh_field("antonelli_quartic2")
+    ys = sphere_fan(2, 16, seed=0)
+    ev = MetricEval.at(fld, [0.1, -0.2], ys[0], batch=ys)
     spray_eval(ev)
     ref = weakref.ref(fld)
     gc.disable()

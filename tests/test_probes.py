@@ -1,5 +1,7 @@
 """Probe generation: determinism, admissibility, cone handling."""
 
+import functools
+import math
 import os
 import subprocess
 import sys
@@ -7,16 +9,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import mroot
+import per_probe
 from mroot import probes
-from mroot.errors import ConfigurationError, DomainError
+from mroot.corpus import random_cubic3
+from mroot.errors import (AdmissibleConeError, ConfigurationError,
+                          DomainError, MrootError)
 from mroot.field import SymTensorField
 from mroot.metric import MetricEval
-from mroot.probes import (admissible_at_all, admissible_fan, base_points,
-                          generate_probe_set, sphere_fan)
+from mroot.metricfile import parse_metric_text
+from mroot.probes import (ProbeSet, admissible_at_all, admissible_fan,
+                          base_points, generate_probe_set, sphere_fan)
 
-from conftest import corpus_field
+from conftest import DATA_DIR, corpus_field, fresh_field
+from test_generated import metric_files
 
 
 def test_sphere_fan_unit_norm_and_deterministic():
@@ -209,3 +218,160 @@ def test_the_probe_bound_scales_with_the_arrays_a_probe_keeps():
                        match="^--bases 4 x --fan 1296 is too many probes"):
         probes.check_probe_count(18, 2, 4, 4 * 18 ** 2,
                                  "--bases 4 x --fan 1296")
+
+
+# -- admission keeps what the per-draw loop keeps -----------------------------
+
+ADMISSION_MEMBERS = ([p.stem for p in sorted(DATA_DIR.glob("*.metric"))]
+                     + ["cubic0", "cubic1", "cubic2"])
+
+
+def _field(name):
+    if name.startswith("cubic"):
+        return random_cubic3(int(name[5:]))
+    return fresh_field(name)
+
+
+def _drawn(draw, *args, **kw):
+    """The bytes of what ``draw`` returns, or the class and message of the
+    error it raises."""
+    try:
+        out = draw(*args, **kw)
+    except MrootError as err:
+        return type(err), str(err)
+    if isinstance(out, ProbeSet):
+        out = [out.bases, *out.fans]
+    elif isinstance(out, tuple):
+        out = [out[0], *out[1]]
+    else:
+        out = [out]
+    return [(a.shape, a.tobytes()) for a in out]
+
+
+def _same_admission(make, n_base, fan, seed):
+    """generate_probe_set and the shared draws of classify_antonelli on
+    one field against the per-draw reference on another."""
+    fld, ref = make(), make()
+    got = _drawn(generate_probe_set, fld, n_base, fan, seed)
+    assert got == _drawn(per_probe.probe_fans, ref, n_base, fan, seed)
+    if isinstance(got, tuple):
+        return 0
+    bases = generate_probe_set(fld, n_base, fan, seed).bases
+    children = np.random.SeedSequence(seed, spawn_key=(7,)).spawn(n_base)
+    for b in range(1, n_base):
+        xs = [bases[0], bases[b]]
+        assert (_drawn(admissible_at_all, fld, xs, fan, children[b])
+                == _drawn(per_probe.draw_admissible, ref, xs, fan,
+                          children[b]))
+    return 1
+
+
+@pytest.mark.parametrize("name", ADMISSION_MEMBERS)
+@pytest.mark.parametrize("config", ["default", "20x8"])
+def test_admission_keeps_what_the_per_draw_loop_keeps(name, config):
+    make = functools.partial(_field, name)
+    fld = make()
+    n_base, fan = (4, 4 * fld.n ** 2) if config == "default" else (20, 8)
+    drawn = sum(_same_admission(make, n_base, fan, seed)
+                for seed in range(4))
+    assert drawn == 4
+
+
+# n = 2, m = 3: A = -1e150 y1^3 + 0.001 y2^3 is negative for y1 > 0 and
+# past 1e100 for y1 < 0, so each draw is either cone-rejected or raises
+OUT_OF_RANGE = """n = 2
+m = 3
+box.1 = -0.5,0.5
+box.2 = -0.5,0.5
+1 1 1 : -1e150
+2 2 2 : 0.001
+"""
+
+
+def test_an_out_of_range_draw_raises_at_the_same_draw():
+    fld = parse_metric_text(OUT_OF_RANGE).field
+    ref = parse_metric_text(OUT_OF_RANGE).field
+    message = ("A = 2.84343e+149 at x=[0.17803369721661494, "
+               "0.3475596990451962], y=[-0.6575782626825577, "
+               "0.7533862412118959] is outside [1e-100, 1e+100], where the "
+               "checks' products stay finite; rescale the coefficients or y")
+    want = _drawn(per_probe.probe_fans, ref, 4, 16, 0)
+    assert want == (ConfigurationError, message)
+    assert _drawn(generate_probe_set, fld, 4, 16, 0) == want
+    # the first draws of that batch are cone-rejected, not kept
+    children = np.random.SeedSequence(0).spawn(5)
+    x = base_points(fld, 4, children[0])[0]
+    assert x.tolist() == [0.17803369721661494, 0.3475596990451962]
+    first = sphere_fan(2, 16, np.random.SeedSequence(
+        children[1].entropy, spawn_key=children[1].spawn_key + (0,)))
+    y = np.array([-0.6575782626825577, 0.7533862412118959])
+    at = next(r for r, row in enumerate(first) if np.array_equal(row, y))
+    assert at > 0
+    for row in first[:at]:
+        with pytest.raises(AdmissibleConeError):
+            MetricEval.at(ref, x, row)
+
+
+def test_an_out_of_range_row_after_the_last_keep_raises_nothing():
+    # A = 1e101 y1^2 + y2^2 has A past 1e100 once |y1| > 0.32 and
+    # condition 1e101 everywhere: with no cap on it, a direction is kept
+    # exactly when it is in range
+    def make():
+        return SymTensorField(2, 2, {(0, 0): 1e101, (1, 1): 1.0},
+                              [(-1.0, 1.0), (-1.0, 1.0)])
+    x = np.zeros(2)
+    found = 0
+    for seed in range(40):
+        first = sphere_fan(2, 4, np.random.SeedSequence(seed, spawn_key=(0,)))
+        # a keep, then a row that raises, both in the batch the pass
+        # evaluates
+        if not (abs(first[0, 0]) < 0.31 and abs(first[1, 0]) > 0.33):
+            continue
+        found += 1
+        want = per_probe.draw_admissible(make(), [x], 1, seed, math.inf)
+        got = admissible_fan(make(), x, 1, seed, cond_cap=math.inf)
+        assert np.array_equal(got, want) and np.array_equal(got[0], first[0])
+        with pytest.raises(ConfigurationError, match="outside"):
+            admissible_fan(make(), x, 2, seed, cond_cap=math.inf)
+    assert found >= 3
+
+
+def test_the_thin_cone_message_counts_every_draw():
+    # A = y1^3: the y-Hessian diag(6 y1, 0) is singular for every direction
+    def make():
+        return SymTensorField(2, 3, {(0, 0, 0): 1.0},
+                              [(-1.0, 1.0), (-1.0, 1.0)])
+    message = ("only 0 of 4 requested directions are admissible at "
+               "x=[0.0, 0.0] after 508 draws")
+    assert _drawn(admissible_fan, make(), np.zeros(2), 4, 0) == (
+        ConfigurationError, message)
+    assert _drawn(per_probe.draw_admissible, make(), [np.zeros(2)], 4, 0,
+                  where="x=[0.0, 0.0]") == (ConfigurationError, message)
+    assert _drawn(admissible_at_all, make(), [np.zeros(2)] * 2, 3, 0) == (
+        ConfigurationError, "only 0 of 3 requested directions are "
+        "admissible at all 2 base points after 252 draws")
+
+
+def test_a_domain_error_and_a_condition_cap_behave_as_per_draw():
+    for draw in (admissible_fan, per_probe.draw_admissible):
+        x = [5.0, 5.0] if draw is admissible_fan else [[5.0, 5.0]]
+        with pytest.raises(DomainError,
+                           match=r"point \[5\.0, 5\.0\] is outside"):
+            draw(fresh_field("quartic2"), x, 4, 0)
+    for name in ("random_cubic3", "quartic2", "antonelli_quartic2"):
+        make = functools.partial(fresh_field, name)
+        x = np.zeros(make().n)
+        assert (_drawn(admissible_fan, make(), x, 8, 1, cond_cap=5.0)
+                == _drawn(per_probe.draw_admissible, make(), [x], 8, 1, 5.0,
+                          f"x={x.tolist()}"))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=metric_files(), seed=st.integers(0, 3))
+def test_admission_on_generated_fields_keeps_what_per_draw_keeps(text, seed):
+    try:
+        parse_metric_text(text)
+    except MrootError:      # a file that report-all refuses with exit 2
+        assume(False)
+    _same_admission(lambda: parse_metric_text(text).field, 3, 6, seed)
