@@ -36,9 +36,12 @@ the field has).  A memoized evaluation is shared by every caller, so
 its stored arrays are read-only.
 
 Probe generation, which on a thin cone rejects most draws, passes each
-drawn batch of directions to :meth:`MetricEval.at`, which evaluates it
-at one base point in one stacked pass (:class:`_Rows`), bitwise as the
-one-probe chain that a call without a batch runs.
+drawn batch of directions to :meth:`MetricEval.at` as a :class:`Batch`,
+which it evaluates at one base point in one stacked pass (:class:`_Rows`),
+bitwise as the one-probe chain that a call without a batch runs.  The
+batch's table gives each row's verdict as arrays, so a rejected draw
+needs no call of its own; an evaluation is built only for a row asked
+for.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ from .errors import (AdmissibleConeError, ConfigurationError,
                      DegenerateMetricError)
 from .field import SymTensorField
 
-__all__ = ["ProbePoint", "MetricEval", "identity_residuals", "stacked_g_h"]
+__all__ = ["ProbePoint", "MetricEval", "Batch", "identity_residuals",
+           "stacked_g_h"]
 
 # g and h multiply pairs of A-sized numbers, which overflow past A ~ 1e154,
 # and the isotropic fit divides by sums of squares that are 0 at A ~ 1e-200
@@ -112,7 +116,8 @@ class MetricEval:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def at(cls, fld: SymTensorField, x, y, batch=None) -> "MetricEval":
+    def at(cls, fld: SymTensorField, x, y, batch=None,
+           row=None) -> "MetricEval":
         """Evaluate the metric data of ``fld`` at the probe (x, y).
 
         The result is memoized with the base point x in the field's
@@ -123,15 +128,16 @@ class MetricEval:
         and all its stored arrays are read-only.
 
         ``batch`` holds the directions at x that the caller will ask
-        for next, y among them, as rows of one array.  On a memo miss
-        the rows not yet memoized are evaluated in one stacked pass (in
-        stacks of :data:`mroot.spray.BATCH_BYTES`), and their outcomes
-        are kept with the base point until a call passes another batch
-        there; calls passing the same array read them.  A row's
-        evaluation is built, from views of the stacks, and memoized only
-        when the row is asked for, and a rejected row raises only then,
-        so each call returns or raises, bit for bit, what it would
-        without ``batch``.
+        for next, y among them: an array of rows, or a :class:`Batch`.
+        The first call passing it at x evaluates all its rows there in
+        one stacked pass, the batch's table, which stays with the base
+        point until a call passes another batch there; calls passing the
+        same batch read it.  ``row`` is y's row in the batch; without
+        it the row is looked up by y's bytes, and a y that is no row is
+        evaluated alone.  A row's evaluation is built, from views of the
+        stacks, and memoized only when the row is asked for, and a
+        rejected row raises only then, so each call returns or raises,
+        bit for bit, what it would without ``batch``.
 
         Raises
         ------
@@ -147,20 +153,24 @@ class MetricEval:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         point = fld.point_arrays(x)
+        if batch is not None:
+            # filled before the memo is read: a caller reads the table's
+            # verdicts on every row, the memoized ones too
+            table = point.table
+            if table is None or not table.holds(batch, point):
+                table = point.table = (batch if isinstance(batch, Batch)
+                                       else Batch(batch))
+                table.fill(point, x, fld.m)
         key = y.tobytes()
         hit = point.evals.get(key)
         if hit is not None:
             return hit
-        if batch is not None and point.batch is not batch:
-            point.batch = batch
-            point.outcomes = _outcomes(point, x, np.asarray(batch, float),
-                                       fld.m)
-        found = point.outcomes.get(key) if batch is not None else None
-        if found is None:
+        if batch is not None and row is None:
+            row = table.row(key)
+        if batch is None or row is None:
             ev = _evaluate(cls, point, x, y, fld.m)
         else:
-            rows, r = found
-            ev = rows.take(cls, r)
+            ev = table.take(cls, row)
         point.evals[key] = ev
         return ev
 
@@ -261,27 +271,6 @@ def _degenerate(lo, hi, A, x, y) -> DegenerateMetricError:
                                  condition=cond)
 
 
-def _outcomes(point, x, ys, m) -> dict:
-    """``y.tobytes()`` -> (stack, row) for each distinct row of ``ys`` that
-    ``point`` has not memoized, run as stacks of ``BATCH_BYTES``."""
-    from .spray import stacks       # mroot.spray imports this module
-    todo = {}
-    buf, w = ys.tobytes(), ys.itemsize * ys.shape[1]
-    for i in range(len(ys)):        # buf holds the rows in C order
-        todo.setdefault(buf[i * w:(i + 1) * w], i)
-    for key in point.evals.keys() & todo.keys():
-        del todo[key]
-    keys = list(todo)
-    x, Y = _frozen(x), _frozen(ys[list(todo.values())])
-    out = {}
-    # the largest array of the pass, bstack with one slot contracted,
-    # holds n^m floats a row, as many as abar
-    for part in stacks(len(keys), point[0].size):
-        rows = _Rows(point, x, Y[part], m)
-        out.update((key, (rows, r)) for r, key in enumerate(keys[part]))
-    return out
-
-
 class _Message:
     """A rejection's message, formatted when it is read: probe generation
     rejects most draws of a thin cone and never reads why."""
@@ -307,6 +296,69 @@ _DEGENERATE = ("y-Hessian of A is not positive definite at x={x}, y={y} "
                "(condition {cond:.3g})")
 
 
+class Batch:
+    """Directions drawn together, ``ys`` (one a row), and their table at
+    the base point where :meth:`MetricEval.at` was last passed them.
+
+    :meth:`fill` evaluates every row at one base point in one stacked
+    pass (:class:`_Rows`, in stacks of :data:`mroot.spray.BATCH_BYTES`)
+    and leaves each row's verdict:
+
+    * ``cond[r]``: row r's condition number if its call returns (A in
+      range, A_ij positive definite), NaN if it raises, so that
+      ``cond <= cap`` holds exactly where ``MetricEval.at(...).cond <=
+      cap`` does, for any cap, an infinite one too;
+    * ``cut``: the first row whose call raises :class:`ConfigurationError`
+      (A passes the cone test, not A <= 0, but is outside [1e-100,
+      1e100], as a NaN A is), or ``len(ys)`` if none does.
+
+    The tests come in the one-probe order: cone, range, then positive
+    definiteness.
+    """
+
+    def __init__(self, ys):
+        self.source = ys                  # the array a caller passes again
+        self.ys = _frozen(np.asarray(ys, dtype=float))
+        self.abar = None                  # the base point's, once filled
+        self._index = None                # y bytes -> first row, on demand
+
+    def holds(self, batch, point) -> bool:
+        """Whether this is ``batch``'s table at ``point``."""
+        return ((self is batch or self.source is batch)
+                and self.abar is point[0])
+
+    def fill(self, point, x, m):
+        """Evaluate every row at the base point of ``point``."""
+        from .spray import stacks       # mroot.spray imports this module
+        # the largest array of the pass, bstack with one slot contracted,
+        # holds n^m floats a row, as many as abar
+        parts = stacks(len(self.ys), point[0].size)
+        x = _frozen(x)
+        self._stacks = [_Rows(point, x, self.ys[part], m) for part in parts]
+        self._step = parts[0].stop if parts else 1    # rows a stack
+        self.abar = point[0]
+        cuts = [part.start + s.cut for part, s in zip(parts, self._stacks)
+                if s.cut < len(s.Y)]
+        self.cut = cuts[0] if cuts else len(self.ys)
+        self.cond = (self._stacks[0].cond if len(parts) == 1 else
+                     np.concatenate([s.cond for s in self._stacks]
+                                    + [np.zeros(0)]))
+
+    def row(self, key):
+        """The first row whose bytes are ``key``, or None."""
+        if self._index is None:
+            buf, w = self.ys.tobytes(), self.ys.itemsize * self.ys.shape[1]
+            self._index = {}
+            for r in range(len(self.ys)):   # buf holds the rows in C order
+                self._index.setdefault(buf[r * w:(r + 1) * w], r)
+        return self._index.get(key)
+
+    def take(self, cls, r) -> "MetricEval":
+        """Row r's evaluation, or the error its one-probe call raises."""
+        s, r = divmod(r, self._step)
+        return self._stacks[s].take(cls, r)
+
+
 class _Rows:
     """:meth:`MetricEval.at` at every row of a stack ``Y`` of directions
     at one base point, in one pass.
@@ -316,17 +368,18 @@ class _Rows:
     ``eigvalsh`` and ``inv`` run over the stacked Hessians, so a row
     gets the bits its own call would.  The tests come in the one-probe
     order, cone, range, then positive definiteness, and each step after
-    a test runs only on the rows that passed it.  :meth:`take` builds a
-    row's evaluation, or raises its error.  ``x`` and ``Y`` are
-    read-only; every stacked array is read-only, so the evaluations
-    hold views of them.
+    a test runs only on the rows that passed it; ``cond`` and ``cut``
+    are :class:`Batch`'s for the stack.  :meth:`take` builds a row's
+    evaluation, or raises its error.  ``x`` and ``Y`` are read-only;
+    every stacked array is read-only, so the evaluations hold views of
+    them.
     """
 
     def __init__(self, point, x, Y, m):
         abar, bstack = point
         k = len(Y)
         ya, c1, A = _contract(abar[None], Y, m, _dot)
-        self.x, self.Y, self.m, self.A = x, Y, m, A.tolist()
+        self.x, self.Y, self.m, self.A = x, Y, m, A
         fit = (_A_MIN <= A) & (A <= _A_MAX)    # so A > 0 and not NaN
         live = np.flatnonzero(fit)
         # ya[-1] is abar itself for m = 2, one array for every row
@@ -334,26 +387,31 @@ class _Rows:
             abar, (k,) + abar.shape))[live]
         lam = np.linalg.eigvalsh(A_ij)    # ascending; decides PD and cond
         pd = lam[:, 0] > 0.0              # NaN fails here too
-        # row -> its index among the live rows, live row -> among the kept
-        self.live = (np.cumsum(fit) - 1).tolist()
-        self.pd, self.kept = pd.tolist(), (np.cumsum(pd) - 1).tolist()
+        cond = lam[pd, -1] / lam[pd, 0]
+        self.cut = k
         if len(live) == k and pd.all():
             keep = pd = slice(None)       # views, not copies
+            self.keep, self.cond = None, cond
         else:
+            # a row raises if its A fails the range test but not the
+            # cone test: not A <= 0, so a NaN A raises
+            bad = np.flatnonzero(~(fit | (A <= 0.0)))
+            if len(bad):
+                self.cut = int(bad[0])
             keep = live[pd]
-            mag = np.abs(lam)
-            self.lo, self.hi = mag.min(axis=1), mag.max(axis=1)
+            self.live, self.lam, self.keep = live, lam, keep
+            self.cond = np.full(k, np.nan)
+            self.cond[keep] = cond
         Y, c1, A_ij = Y[keep], c1[keep], A_ij[pd]
         self.A_i, self.A_ij = float(m) * c1, A_ij
         self.A_inv = np.linalg.inv(A_ij)
-        self.cond = (lam[pd, -1] / lam[pd, 0]).tolist()
         yb = [bstack[None]]
         for _ in range(m - 1):
             yb.append(_dot(yb[-1], Y))
         d2 = yb[-1]                  # d2[:, l, j] = A_{x^l y^j} / m
         self.A_xl = _dot(d2, Y)
         self.A_xy = float(m) * d2
-        self.A0 = _dot(self.A_xl, Y).tolist()
+        self.A0 = _dot(self.A_xl, Y)
         self.A0l = np.matmul(Y[:, None, :], self.A_xy)[:, 0]
         # the contractions left with 3..5 and 2..4 y-slots, fewest first;
         # abar and bstack themselves are every row's
@@ -367,19 +425,23 @@ class _Rows:
 
     def take(self, cls, r) -> "MetricEval":
         """Row r's evaluation, or the error its one-probe call raises."""
-        A, x, y = self.A[r], self.x, self.Y[r]
+        A, x, y = float(self.A[r]), self.x, self.Y[r]
         if A <= 0.0:
             raise AdmissibleConeError(_Message(_CONE, A, x, y))
         if not _A_MIN <= A <= _A_MAX:
             raise ConfigurationError(_Message(_RANGE, A, x, y))
-        p = self.live[r]
-        if not self.pd[p]:
-            raise _degenerate(self.lo[p], self.hi[p], A, x, y)
-        i = self.kept[p]
+        cond = float(self.cond[r])
+        if self.keep is None:
+            i = r
+        elif cond != cond:                # NaN: not positive definite
+            mag = np.abs(self.lam[np.searchsorted(self.live, r)])
+            raise _degenerate(mag.min(), mag.max(), A, x, y)
+        else:
+            i = int(np.searchsorted(self.keep, r))
         return cls(x=x, y=y, n=len(y), m=self.m, A=A, A_i=self.A_i[i],
                    A_ij=self.A_ij[i], A_inv=self.A_inv[i], A_xl=self.A_xl[i],
-                   A_xy=self.A_xy[i], A0=self.A0[i], A0l=self.A0l[i],
-                   cond=self.cond[i],
+                   A_xy=self.A_xy[i], A0=float(self.A0[i]), A0l=self.A0l[i],
+                   cond=cond,
                    abar_y=tuple(a if a is self.abar else a[i]
                                 for a in self.abar_y),
                    bstack_y=tuple(b if b is self.bstack else b[i]

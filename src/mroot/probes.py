@@ -13,12 +13,13 @@ with restricted cones (odd m, or degenerate rays) simply reject part
 of the sphere; the generator oversamples adaptively and fails loudly
 if the admissible fraction is too small to fill the request.
 
-Each direction is tested in draw order, one ``MetricEval.at`` call a
-draw and base point, and drawing stops at the requested count.  Each
-call passes the drawn batch it belongs to, so the first call at a base
-point evaluates the whole batch there in one stacked pass and the
-others read its outcome; the directions kept, the errors raised and
-the evaluations memoized are those of evaluating each draw alone.
+Each drawn batch is admitted from its stacked tables (:func:`_admit`):
+at each base point one ``MetricEval.at`` call evaluates, in one stacked
+pass, the rows that every earlier base admitted, and numpy reads the
+verdicts; then one call a kept direction and base memoizes its
+evaluation.  A rejected draw costs no call.  The directions kept, the
+errors raised and the calls that raise them are those of testing each
+draw alone, in draw order, up to the requested count.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import (AdmissibleConeError, ConfigurationError,
                      DegenerateMetricError)
 from .field import SymTensorField
-from .metric import MetricEval, ProbePoint
+from .metric import Batch, MetricEval, ProbePoint
 
 __all__ = [
     "sphere_fan",
@@ -93,7 +94,7 @@ def sphere_fan(n: int, size: int, seed) -> np.ndarray:
     if n == 1:
         return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(size)])
     u = np.clip(_kronecker_block(n, size, seed), 1e-12, 1.0 - 1e-12)
-    z = np.reshape([_INV_NORMAL(v) for v in u.ravel()], u.shape)
+    z = np.reshape([_INV_NORMAL(v) for v in u.ravel().tolist()], u.shape)
     norms = np.linalg.norm(z, axis=1)
     norms[norms < 1e-12] = 1.0
     return z / norms[:, None]
@@ -115,13 +116,57 @@ def base_points(fld: SymTensorField, count: int, seed,
     return lo + pad + u * (hi - lo - 2.0 * pad)
 
 
-def _admissible(fld: SymTensorField, x, y, cond_cap: float, dirs) -> bool:
-    """Whether ev.cond <= cond_cap at (x, y), where y is a row of the drawn
-    batch ``dirs``; a DomainError propagates."""
+def _admissible(fld: SymTensorField, x, y, cond_cap: float, table,
+                row) -> bool:
+    """Whether ev.cond <= cond_cap at (x, y), where y is row ``row`` of
+    the batch ``table``; a DomainError propagates."""
     try:
-        return MetricEval.at(fld, x, y, batch=dirs).cond <= cond_cap
+        return MetricEval.at(fld, x, y, batch=table,
+                             row=row).cond <= cond_cap
     except (AdmissibleConeError, DegenerateMetricError):
         return False
+
+
+def _admit(fld: SymTensorField, xs, dirs, need: int,
+           cond_cap: float) -> np.ndarray:
+    """The first ``need`` rows of ``dirs`` admissible at every point of
+    ``xs``, found as testing each draw in turn would find them.
+
+    At each base, one :class:`~mroot.metric.Batch` holds the rows that
+    every earlier base admits and that come before the first row that
+    raises; one ``MetricEval.at`` call on its first row fills its table
+    there, and its verdicts pick the rows the next base gets.  Then each
+    kept row is asked for at every base, which memoizes it.  If fewer
+    than ``need`` rows are kept and a row raises, it is asked for at
+    every base up to the one where it raises, which raises its error.
+    A rejected row costs no call of its own, and a DomainError is
+    raised by the first call at its base point, as testing draws in
+    turn raises it.
+    """
+    rows, stop, tables = np.arange(len(dirs)), None, []
+    for x in xs:
+        if not len(rows):
+            break
+        table = Batch(dirs if len(rows) == len(dirs) else dirs[rows])
+        # fills the table; a row 0 that raises is the first draw to raise
+        _admissible(fld, x, table.ys[0], cond_cap, table, 0)
+        cut = table.cut
+        if cut < len(rows):
+            stop = rows[cut]
+        tables.append((x, table, rows))
+        rows = rows[:cut][table.cond[:cut] <= cond_cap]
+    keep = rows[:need]
+    for x, table, held in tables:
+        # the row that filled the table is memoized already
+        for r in np.searchsorted(held, keep).tolist():
+            if r:
+                MetricEval.at(fld, x, table.ys[r], batch=table, row=r)
+    if len(keep) < need and stop is not None:
+        # admitted at every base before the one where it raises
+        for x, table, held in tables:
+            r = int(np.searchsorted(held, stop))
+            _admissible(fld, x, table.ys[r], cond_cap, table, r)
+    return keep
 
 
 def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
@@ -130,15 +175,14 @@ def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
 
     Sphere directions are drawn in growing batches and filtered, each
     batch evaluated in one stacked pass at each point (see
-    :meth:`MetricEval.at`); if fewer than ``size`` survive after drawing
-    64x the request, the cone is considered too thin and the
-    configuration is rejected, naming ``where`` in the error.
+    :func:`_admit`); if fewer than ``size`` survive after drawing 64x
+    the request, the cone is considered too thin and the configuration
+    is rejected, naming ``where`` in the error.
     """
     _check_fan_size(size)
     seq = np.random.SeedSequence(seed) if not isinstance(
         seed, np.random.SeedSequence) else seed
-    kept = []
-    drawn = 0
+    kept, count, drawn = [], 0, 0
     batch = max(size, 4)
     # the children spawn(64) gives a fresh seq, without advancing seq
     for k in range(64):
@@ -146,16 +190,15 @@ def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
                                        spawn_key=seq.spawn_key + (k,))
         dirs = sphere_fan(fld.n, batch, child)
         drawn += len(dirs)
-        for y in dirs:
-            if all(_admissible(fld, x, y, cond_cap, dirs) for x in xs):
-                kept.append(y)
-                if len(kept) == size:
-                    return np.array(kept)
+        kept.append(dirs[_admit(fld, xs, dirs, size - count, cond_cap)])
+        count += len(kept[-1])
+        if count == size:
+            return np.concatenate(kept)
         if drawn >= 64 * size:
             break
         batch = min(2 * batch, 64 * size)
     raise ConfigurationError(
-        f"only {len(kept)} of {size} requested directions are admissible "
+        f"only {count} of {size} requested directions are admissible "
         f"at {where} after {drawn} draws")
 
 

@@ -11,10 +11,10 @@ import pytest
 
 from mroot import spray
 from mroot.corpus import random_cubic3
-from mroot.errors import (AdmissibleConeError, DegenerateMetricError,
-                          MrootError)
+from mroot.errors import (AdmissibleConeError, ConfigurationError,
+                          DegenerateMetricError, MrootError)
 from mroot.geodesic import integrate
-from mroot.metric import MetricEval, identity_residuals
+from mroot.metric import Batch, MetricEval, identity_residuals
 from mroot.metricfile import parse_metric_text
 from mroot.probes import base_points, generate_probe_set, sphere_fan
 from mroot.spray import spray_eval
@@ -369,16 +369,31 @@ def _assert_same_outcome(got, want, where):
             assert not a.flags.writeable, (where, f.name)
 
 
+def _assert_verdicts(table, wants, where):
+    """The table's ``cond`` and ``cut`` say what each row's call does."""
+    raises = [r for r, w in enumerate(wants)
+              if isinstance(w, ConfigurationError)]
+    assert table.cut == (raises[0] if raises else len(wants)), where
+    assert len(table.cond) == len(wants), where
+    for r, want in enumerate(wants):
+        if isinstance(want, MetricEval):
+            assert float(table.cond[r]).hex() == want.cond.hex(), (where, r)
+        elif not isinstance(want, ConfigurationError):
+            assert math.isnan(table.cond[r]), (where, r)
+
+
 def _batch_rows_match(name, bases=4, size=64):
     batched, alone = _batch_field(name), _batch_field(name)
     kinds = Counter()
     for b, x in enumerate(base_points(batched, bases, seed=0)):
         ys = sphere_fan(batched.n, size, seed=b)
+        wants = []
         for r, y in enumerate(ys):
             got = _outcome(batched, x, y, batch=ys)
             want = _outcome(alone, x, y)
             _assert_same_outcome(got, want, (name, b, r))
             kinds[type(want).__name__] += 1
+            wants.append(want)
             # asked again, a row gives the memoized evaluation or raises
             # again
             again = _outcome(batched, x, y, batch=ys)
@@ -386,6 +401,9 @@ def _batch_rows_match(name, bases=4, size=64):
                 assert again is got
             else:
                 _assert_same_outcome(again, want, (name, b, r))
+        table = batched.point_arrays(x).table
+        assert table.source is ys
+        _assert_verdicts(table, wants, (name, b))
     return kinds
 
 
@@ -407,8 +425,7 @@ def test_a_batch_cut_into_stacks_gives_the_same_rows(monkeypatch):
     fld = random_cubic3(1)
     x, ys = np.zeros(3), sphere_fan(3, 64, seed=5)
     _outcome(fld, x, ys[0], batch=ys)
-    stacks = {id(rows) for rows, _ in fld.point_arrays(x).outcomes.values()}
-    assert len(stacks) == 22
+    assert len(fld.point_arrays(x).table._stacks) == 22
     assert _batch_rows_match("cubic1", bases=2)["MetricEval"] > 0
 
 
@@ -423,34 +440,53 @@ def test_a_batch_memoizes_only_the_rows_asked_for():
     point = fld.point_arrays(x)
     first = MetricEval.at(fld, x, ys[ok[0]], batch=ys)
     assert isinstance(_outcome(fld, x, ys[bad[0]], batch=ys), MrootError)
-    # the table holds every row; the memo only the success asked for
-    assert point.batch is ys and len(point.outcomes) == len(ys)
+    # the table holds a verdict on every row; the memo only the success
+    # asked for
+    table = point.table
+    assert table.source is ys
+    _assert_verdicts(table, outcomes, "ys")
     assert list(point.evals) == [ys[ok[0]].tobytes()]
+    # asking by row gives what asking by bytes does
+    assert MetricEval.at(fld, x, ys[ok[0]], batch=table, row=ok[0]) is first
+    by_row = MetricEval.at(fld, x, ys[ok[1]], batch=table, row=ok[1])
+    _assert_same_outcome(by_row, outcomes[ok[1]], "by row")
+    assert list(point.evals) == [ys[r].tobytes() for r in ok[:2]]
     # an unbatched call reads the memo, and a row of the table that was
     # never asked for is evaluated alone
     assert MetricEval.at(fld, x, ys[ok[0]]) is first
-    alone = MetricEval.at(fld, x, ys[ok[1]])
-    _assert_same_outcome(alone, outcomes[ok[1]], "alone")
-    # the next batch replaces the table, and skips what is memoized
+    alone = MetricEval.at(fld, x, ys[ok[2]])
+    _assert_same_outcome(alone, outcomes[ok[2]], "alone")
+    # the next batch replaces the table, which holds its memoized rows'
+    # verdicts too; their calls still return the memoized evaluations
     nxt = np.concatenate([ys[ok[:2]], sphere_fan(3, 6, seed=4)])
     assert MetricEval.at(fld, x, nxt[0], batch=nxt) is first
-    assert point.batch is ys
-    _outcome(fld, x, nxt[2], batch=nxt)
-    assert point.batch is nxt
-    assert sorted(point.outcomes) == sorted(y.tobytes() for y in nxt[2:])
+    assert point.table is not table and point.table.source is nxt
+    _assert_verdicts(point.table, [outcomes[ok[0]], outcomes[ok[1]]] + [
+        _outcome(_batch_field("cubic0"), x, y) for y in nxt[2:]], "nxt")
+    assert MetricEval.at(fld, x, nxt[1], batch=nxt) is by_row
     # a direction that is not in the batch is evaluated alone
     y = np.array([0.6, 0.7, 0.8])
     _assert_same_outcome(MetricEval.at(fld, x, y, batch=nxt),
                          MetricEval.at(_batch_field("cubic0"), x, y), "y")
 
 
+def test_a_batch_passed_at_another_base_point_is_evaluated_there():
+    fld, ref = random_cubic3(0), random_cubic3(0)
+    ys = sphere_fan(3, 16, seed=3)
+    table = Batch(ys)
+    xs = [np.zeros(3), np.full(3, 0.1)]
+    for x in xs + xs:
+        for r, y in enumerate(ys):
+            _assert_same_outcome(_outcome(fld, x, y, batch=table, row=r),
+                                 _outcome(ref, x, y), (x.tolist(), r))
+
+
 def test_a_one_dimensional_batch_evaluates_each_sign_once():
     fld = fresh_field("funk1")
     x, ys = np.array([0.1]), sphere_fan(1, 8, seed=0)
-    first = MetricEval.at(fld, x, ys[0], batch=ys)
-    point = fld.point_arrays(x)
-    assert len(point.outcomes) == 2
-    assert MetricEval.at(fld, x, ys[2], batch=ys) is first
+    evs = [MetricEval.at(fld, x, y, batch=ys) for y in ys]
+    assert len(fld.point_arrays(x).evals) == 2
+    assert all(ev is evs[r % 2] for r, ev in enumerate(evs))
 
 
 def test_rejection_messages_are_formatted_when_read():

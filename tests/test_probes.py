@@ -1,6 +1,7 @@
 """Probe generation: determinism, admissibility, cone handling."""
 
 import functools
+from collections import Counter
 import math
 import os
 import subprocess
@@ -19,7 +20,7 @@ from mroot.corpus import random_cubic3
 from mroot.errors import (AdmissibleConeError, ConfigurationError,
                           DomainError, MrootError)
 from mroot.field import SymTensorField
-from mroot.metric import MetricEval
+from mroot.metric import Batch, MetricEval
 from mroot.metricfile import parse_metric_text
 from mroot.probes import (ProbeSet, admissible_at_all, admissible_fan,
                           base_points, generate_probe_set, sphere_fan)
@@ -334,6 +335,112 @@ def test_an_out_of_range_row_after_the_last_keep_raises_nothing():
         with pytest.raises(ConfigurationError, match="outside"):
             admissible_fan(make(), x, 2, seed, cond_cap=math.inf)
     assert found >= 3
+
+
+# n = 2, m = 3 with coefficients at the edge of the float range: A
+# overflows to +-inf or NaN for most directions, and the first draw that
+# raises has A = NaN, which the cone test A <= 0 does not reject
+NAN_A = """n = 2
+m = 3
+box.1 = -0.5,0.5
+box.2 = -0.5,0.5
+1 1 1 : 1.7e308
+1 1 2 : 1.7e308
+1 2 2 : -1.7e308
+2 2 2 : -1.7e308
+"""
+
+
+def test_a_nan_a_raises_at_the_same_draw():
+    message = ("A = nan at x=[-0.04147900768482432, 0.2197582311340342], "
+               "y=[0.22630131618692922, 0.9740573465110067] is outside "
+               "[1e-100, 1e+100], where the checks' products stay finite; "
+               "rescale the coefficients or y")
+    want = _drawn(per_probe.probe_fans, parse_metric_text(NAN_A).field, 2,
+                  4, 1)
+    assert want == (ConfigurationError, message)
+    assert _drawn(generate_probe_set, parse_metric_text(NAN_A).field, 2, 4,
+                  1) == want
+
+
+def test_a_repeated_base_point_admits_what_per_draw_admits():
+    for name in ("random_cubic3", "quartic2", "funk1"):
+        fld, ref = fresh_field(name), fresh_field(name)
+        bases = base_points(fld, 2, seed=3)
+        xs = [bases[0], bases[1], bases[0]]
+        for seed in range(3):
+            got = _drawn(admissible_at_all, fld, xs, 6, seed)
+            assert got == _drawn(per_probe.draw_admissible, ref, xs, 6, seed)
+            # each kept direction is memoized at every base
+            for y in admissible_at_all(fld, xs, 6, seed):
+                for x in xs:
+                    assert y.tobytes() in fld.point_arrays(x).evals
+
+
+# n = 2, m = 2: A = 1e101 (x1 y1^2 + x2 y2^2).  At x = (0.11, 0.001) A is
+# past 1e100 once |y1| > 0.953, at (0.001, 0.11) once |y2| > 0.953, and in
+# range at both otherwise; its condition number is past any finite cap
+TWO_RANGES = """n = 2
+m = 2
+box.1 = 0,1
+box.2 = 0,1
+1 1 : mul(1e101, x1)
+2 2 : mul(1e101, x2)
+"""
+
+
+def test_a_row_out_of_range_at_the_second_base_raises_at_the_same_draw():
+    xs = [np.array([0.11, 0.001]), np.array([0.001, 0.11])]
+    where = Counter()
+    for seed in range(8):
+        fld = parse_metric_text(TWO_RANGES).field
+        ref = parse_metric_text(TWO_RANGES).field
+        want = _drawn(per_probe.draw_admissible, ref, xs, 8, seed, math.inf)
+        assert _drawn(admissible_at_all, fld, xs, 8, seed, math.inf) == want
+        assert want[0] is ConfigurationError
+        where[want[1].split(" at x=")[1].split(", y=")[0]] += 1
+    assert set(where) == {"[0.11, 0.001]", "[0.001, 0.11]"}
+
+
+def test_a_condition_cap_of_inf_keeps_no_rejected_draw():
+    # cone and degenerate rows have no condition number: an infinite cap
+    # must still reject them
+    for name in ("random_cubic3", "cubic0", "cubic1"):
+        x = np.zeros(3)
+        assert (_drawn(admissible_fan, _field(name), x, 9, 2,
+                       cond_cap=math.inf)
+                == _drawn(per_probe.draw_admissible, _field(name), [x], 9, 2,
+                          math.inf, f"x={x.tolist()}"))
+
+
+def test_admission_calls_at_once_a_kept_direction_and_base(monkeypatch):
+    # one MetricEval.at call fills each batch's table at a base, and one
+    # more asks for each kept direction there; rejected draws cost none
+    calls, fills, draws = Counter(), Counter(), Counter()
+    at, fill = MetricEval.at.__func__, Batch.fill
+
+    def counted_at(cls, *args, **kw):
+        calls["at"] += 1
+        return at(cls, *args, **kw)
+
+    def counted_fill(self, *args):
+        fills["fill"] += 1
+        return fill(self, *args)
+
+    def counted_fan(*args):
+        out = sphere_fan(*args)
+        draws["draws"] += len(out)
+        return out
+
+    monkeypatch.setattr(MetricEval, "at", classmethod(counted_at))
+    monkeypatch.setattr(Batch, "fill", counted_fill)
+    monkeypatch.setattr(probes, "sphere_fan", counted_fan)
+    ps = generate_probe_set(random_cubic3(0), 4, 9, 0)
+    Q = len(ps)
+    assert Q == 36
+    assert calls["at"] <= Q + fills["fill"]
+    # per draw, the calls would outnumber that bound several times over
+    assert draws["draws"] > 3 * (Q + fills["fill"])
 
 
 def test_the_thin_cone_message_counts_every_draw():
