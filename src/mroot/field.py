@@ -41,15 +41,12 @@ class PointArrays(tuple):
     """The pair ``(abar, bstack)`` at one base point, plus a memo.
 
     ``evals`` maps ``y.tobytes()`` to the finished evaluation at this
-    base point; ``table`` is the :class:`mroot.metric.Batch` last
-    evaluated here, with each of its rows' verdicts.  Both belong to
-    :meth:`mroot.metric.MetricEval.at`.
+    base point; it belongs to :meth:`mroot.metric.MetricEval.at`.
     """
 
     def __new__(cls, abar, bstack):
         self = super().__new__(cls, (abar, bstack))
         self.evals = {}
-        self.table = None
         return self
 
 

@@ -36,12 +36,13 @@ the field has).  A memoized evaluation is shared by every caller, so
 its stored arrays are read-only.
 
 Probe generation, which on a thin cone rejects most draws, passes each
-drawn batch of directions to :meth:`MetricEval.at` as a :class:`Batch`,
-which it evaluates at one base point in one stacked pass (:class:`_Rows`),
-bitwise as the one-probe chain that a call without a batch runs.  The
-batch's table gives each row's verdict as arrays, so a rejected draw
-needs no call of its own; an evaluation is built only for a row asked
-for.
+drawn batch of directions to :meth:`MetricEval.at` as a :class:`Batch`
+with a row, and the first call at a base point fills the batch's table
+there in one stacked pass, bitwise as the one-probe chain that a call
+without a batch runs.  The table gives each row's verdict as arrays, so
+a rejected draw needs no call of its own; an evaluation is built only
+for a row asked for.  The caller holds the table, not the base point's
+cache, so it is freed once admission is done.
 """
 
 from __future__ import annotations
@@ -127,17 +128,13 @@ class MetricEval:
         the identical object.  It holds read-only copies of x and y,
         and all its stored arrays are read-only.
 
-        ``batch`` holds the directions at x that the caller will ask
-        for next, y among them: an array of rows, or a :class:`Batch`.
-        The first call passing it at x evaluates all its rows there in
-        one stacked pass, the batch's table, which stays with the base
-        point until a call passes another batch there; calls passing the
-        same batch read it.  ``row`` is y's row in the batch; without
-        it the row is looked up by y's bytes, and a y that is no row is
-        evaluated alone.  A row's evaluation is built, from views of the
-        stacks, and memoized only when the row is asked for, and a
-        rejected row raises only then, so each call returns or raises,
-        bit for bit, what it would without ``batch``.
+        ``batch`` is a :class:`Batch` of directions at x, and ``row``
+        y's row in it; the two are passed together.  A call fills the
+        batch's table at x in one stacked pass unless it holds x's
+        already, then reads row ``row``: its evaluation is built, from
+        views of the stacks, and memoized only when the row is asked
+        for, and a rejected row raises only then, so each call returns
+        or raises, bit for bit, what it would without ``batch``.
 
         Raises
         ------
@@ -153,24 +150,16 @@ class MetricEval:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         point = fld.point_arrays(x)
-        if batch is not None:
-            # filled before the memo is read: a caller reads the table's
-            # verdicts on every row, the memoized ones too
-            table = point.table
-            if table is None or not table.holds(batch, point):
-                table = point.table = (batch if isinstance(batch, Batch)
-                                       else Batch(batch))
-                table.fill(point, x, fld.m)
+        # filled before the memo is read: a caller reads the table's
+        # verdicts on every row, the memoized ones too
+        if batch is not None and batch.abar is not point[0]:
+            batch.fill(point, x, fld.m)
         key = y.tobytes()
         hit = point.evals.get(key)
         if hit is not None:
             return hit
-        if batch is not None and row is None:
-            row = table.row(key)
-        if batch is None or row is None:
-            ev = _evaluate(cls, point, x, y, fld.m)
-        else:
-            ev = table.take(cls, row)
+        ev = (_evaluate(cls, point, x, y, fld.m) if batch is None
+              else batch.take(cls, row))
         point.evals[key] = ev
         return ev
 
@@ -223,7 +212,7 @@ def _frozen(a):
 
 def _evaluate(cls, point, x, y, m) -> MetricEval:
     """The evaluation at one probe, or the error it raises: one row of
-    :class:`_Rows`, with each array its own, which costs half as much
+    :class:`Batch`, with each array its own, which costs half as much
     as a stack of one (every RK4 stage comes through here)."""
     abar, bstack = point
     x, y = _frozen(x), _frozen(y)
@@ -298,11 +287,15 @@ _DEGENERATE = ("y-Hessian of A is not positive definite at x={x}, y={y} "
 
 class Batch:
     """Directions drawn together, ``ys`` (one a row), and their table at
-    the base point where :meth:`MetricEval.at` was last passed them.
+    one base point: :meth:`MetricEval.at` at every row, in one pass.
 
-    :meth:`fill` evaluates every row at one base point in one stacked
-    pass (:class:`_Rows`, in stacks of :data:`mroot.spray.BATCH_BYTES`)
-    and leaves each row's verdict:
+    :meth:`fill` runs each step of the one-probe evaluation once for the
+    stack: every contraction is one batched ``np.matmul`` (see
+    :func:`_dot`), and ``eigvalsh`` and ``inv`` run over the stacked
+    Hessians, so a row gets the bits its own call would.  The tests come
+    in the one-probe order, cone, range, then positive definiteness, and
+    each step after a test runs only on the rows that passed it.  It
+    leaves each row's verdict:
 
     * ``cond[r]``: row r's condition number if its call returns (A in
       range, A_ij positive definite), NaN if it raises, so that
@@ -312,74 +305,23 @@ class Batch:
       (A passes the cone test, not A <= 0, but is outside [1e-100,
       1e100], as a NaN A is), or ``len(ys)`` if none does.
 
-    The tests come in the one-probe order: cone, range, then positive
-    definiteness.
+    :meth:`take` builds a row's evaluation, or raises its error.  ``ys``
+    and every stacked array are read-only, so the evaluations hold views
+    of them, not the table.  The caller that made a table holds it, and
+    it is freed with the caller's last reference.
     """
 
     def __init__(self, ys):
-        self.source = ys                  # the array a caller passes again
         self.ys = _frozen(np.asarray(ys, dtype=float))
         self.abar = None                  # the base point's, once filled
-        self._index = None                # y bytes -> first row, on demand
-
-    def holds(self, batch, point) -> bool:
-        """Whether this is ``batch``'s table at ``point``."""
-        return ((self is batch or self.source is batch)
-                and self.abar is point[0])
 
     def fill(self, point, x, m):
         """Evaluate every row at the base point of ``point``."""
-        from .spray import stacks       # mroot.spray imports this module
-        # the largest array of the pass, bstack with one slot contracted,
-        # holds n^m floats a row, as many as abar
-        parts = stacks(len(self.ys), point[0].size)
-        x = _frozen(x)
-        self._stacks = [_Rows(point, x, self.ys[part], m) for part in parts]
-        self._step = parts[0].stop if parts else 1    # rows a stack
-        self.abar = point[0]
-        cuts = [part.start + s.cut for part, s in zip(parts, self._stacks)
-                if s.cut < len(s.Y)]
-        self.cut = cuts[0] if cuts else len(self.ys)
-        self.cond = (self._stacks[0].cond if len(parts) == 1 else
-                     np.concatenate([s.cond for s in self._stacks]
-                                    + [np.zeros(0)]))
-
-    def row(self, key):
-        """The first row whose bytes are ``key``, or None."""
-        if self._index is None:
-            buf, w = self.ys.tobytes(), self.ys.itemsize * self.ys.shape[1]
-            self._index = {}
-            for r in range(len(self.ys)):   # buf holds the rows in C order
-                self._index.setdefault(buf[r * w:(r + 1) * w], r)
-        return self._index.get(key)
-
-    def take(self, cls, r) -> "MetricEval":
-        """Row r's evaluation, or the error its one-probe call raises."""
-        s, r = divmod(r, self._step)
-        return self._stacks[s].take(cls, r)
-
-
-class _Rows:
-    """:meth:`MetricEval.at` at every row of a stack ``Y`` of directions
-    at one base point, in one pass.
-
-    Each step of the one-probe evaluation runs once for the stack: every
-    contraction is one batched ``np.matmul`` (see :func:`_dot`), and
-    ``eigvalsh`` and ``inv`` run over the stacked Hessians, so a row
-    gets the bits its own call would.  The tests come in the one-probe
-    order, cone, range, then positive definiteness, and each step after
-    a test runs only on the rows that passed it; ``cond`` and ``cut``
-    are :class:`Batch`'s for the stack.  :meth:`take` builds a row's
-    evaluation, or raises its error.  ``x`` and ``Y`` are read-only;
-    every stacked array is read-only, so the evaluations hold views of
-    them.
-    """
-
-    def __init__(self, point, x, Y, m):
         abar, bstack = point
+        Y = self.ys
         k = len(Y)
         ya, c1, A = _contract(abar[None], Y, m, _dot)
-        self.x, self.Y, self.m, self.A = x, Y, m, A
+        self.x, self.m, self.A = _frozen(x), m, A
         fit = (_A_MIN <= A) & (A <= _A_MAX)    # so A > 0 and not NaN
         live = np.flatnonzero(fit)
         # ya[-1] is abar itself for m = 2, one array for every row
@@ -415,17 +357,17 @@ class _Rows:
         self.A0l = np.matmul(Y[:, None, :], self.A_xy)[:, 0]
         # the contractions left with 3..5 and 2..4 y-slots, fewest first;
         # abar and bstack themselves are every row's
-        self.abar, self.bstack = abar, bstack
         self.abar_y = [abar if a is ya[0] else a[keep] for a in ya[-2:-5:-1]]
         self.bstack_y = [bstack if b is yb[0] else b
                          for b in yb[-2:-5:-1]]
         for arr in (self.A_i, self.A_ij, self.A_inv, self.A_xl, self.A_xy,
                     self.A0l, *self.abar_y, *self.bstack_y):
             arr.setflags(False)
+        self.abar, self.bstack = abar, bstack
 
     def take(self, cls, r) -> "MetricEval":
         """Row r's evaluation, or the error its one-probe call raises."""
-        A, x, y = float(self.A[r]), self.x, self.Y[r]
+        A, x, y = float(self.A[r]), self.x, self.ys[r]
         if A <= 0.0:
             raise AdmissibleConeError(_Message(_CONE, A, x, y))
         if not _A_MIN <= A <= _A_MAX:

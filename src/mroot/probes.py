@@ -17,9 +17,11 @@ Each drawn batch is admitted from its stacked tables (:func:`_admit`):
 at each base point one ``MetricEval.at`` call evaluates, in one stacked
 pass, the rows that every earlier base admitted, and numpy reads the
 verdicts; then one call a kept direction and base memoizes its
-evaluation.  A rejected draw costs no call.  The directions kept, the
-errors raised and the calls that raise them are those of testing each
-draw alone, in draw order, up to the requested count.
+evaluation.  A rejected draw costs no call.  A batch too large for one
+pass of ``BATCH_BYTES`` is admitted in slices, in draw order.  The
+directions kept, the errors raised and the calls that raise them are
+those of testing each draw alone, in draw order, up to the requested
+count.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .errors import (AdmissibleConeError, ConfigurationError,
                      DegenerateMetricError)
 from .field import SymTensorField
 from .metric import Batch, MetricEval, ProbePoint
+from .spray import stacks
 
 __all__ = [
     "sphere_fan",
@@ -116,17 +119,6 @@ def base_points(fld: SymTensorField, count: int, seed,
     return lo + pad + u * (hi - lo - 2.0 * pad)
 
 
-def _admissible(fld: SymTensorField, x, y, cond_cap: float, table,
-                row) -> bool:
-    """Whether ev.cond <= cond_cap at (x, y), where y is row ``row`` of
-    the batch ``table``; a DomainError propagates."""
-    try:
-        return MetricEval.at(fld, x, y, batch=table,
-                             row=row).cond <= cond_cap
-    except (AdmissibleConeError, DegenerateMetricError):
-        return False
-
-
 def _admit(fld: SymTensorField, xs, dirs, need: int,
            cond_cap: float) -> np.ndarray:
     """The first ``need`` rows of ``dirs`` admissible at every point of
@@ -137,11 +129,11 @@ def _admit(fld: SymTensorField, xs, dirs, need: int,
     raises; one ``MetricEval.at`` call on its first row fills its table
     there, and its verdicts pick the rows the next base gets.  Then each
     kept row is asked for at every base, which memoizes it.  If fewer
-    than ``need`` rows are kept and a row raises, it is asked for at
-    every base up to the one where it raises, which raises its error.
-    A rejected row costs no call of its own, and a DomainError is
-    raised by the first call at its base point, as testing draws in
-    turn raises it.
+    than ``need`` rows are kept and a row raises, it is asked for at the
+    base where it raises, which raises its error.  A rejected row costs
+    no call of its own, and a DomainError is raised by the first call at
+    its base point, as testing draws in turn raises it.  The tables are
+    freed on return.
     """
     rows, stop, tables = np.arange(len(dirs)), None, []
     for x in xs:
@@ -149,10 +141,13 @@ def _admit(fld: SymTensorField, xs, dirs, need: int,
             break
         table = Batch(dirs if len(rows) == len(dirs) else dirs[rows])
         # fills the table; a row 0 that raises is the first draw to raise
-        _admissible(fld, x, table.ys[0], cond_cap, table, 0)
+        try:
+            MetricEval.at(fld, x, table.ys[0], batch=table, row=0)
+        except (AdmissibleConeError, DegenerateMetricError):
+            pass
         cut = table.cut
         if cut < len(rows):
-            stop = rows[cut]
+            stop = (x, table, cut)
         tables.append((x, table, rows))
         rows = rows[:cut][table.cond[:cut] <= cond_cap]
     keep = rows[:need]
@@ -163,9 +158,8 @@ def _admit(fld: SymTensorField, xs, dirs, need: int,
                 MetricEval.at(fld, x, table.ys[r], batch=table, row=r)
     if len(keep) < need and stop is not None:
         # admitted at every base before the one where it raises
-        for x, table, held in tables:
-            r = int(np.searchsorted(held, stop))
-            _admissible(fld, x, table.ys[r], cond_cap, table, r)
+        x, table, r = stop
+        MetricEval.at(fld, x, table.ys[r], batch=table, row=r)
     return keep
 
 
@@ -173,11 +167,13 @@ def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
                      cond_cap: float, where: str) -> np.ndarray:
     """``size`` sphere directions admissible at every point of ``xs``.
 
-    Sphere directions are drawn in growing batches and filtered, each
-    batch evaluated in one stacked pass at each point (see
-    :func:`_admit`); if fewer than ``size`` survive after drawing 64x
-    the request, the cone is considered too thin and the configuration
-    is rejected, naming ``where`` in the error.
+    Sphere directions are drawn in growing batches and filtered.  Each
+    batch is admitted in draw order (see :func:`_admit`), in slices whose
+    stacked pass holds at most :data:`mroot.spray.BATCH_BYTES` in its
+    largest array, n^m floats a row, and stops at the ``size``-th keep;
+    if fewer than ``size`` survive after drawing 64x the request, the
+    cone is considered too thin and the configuration is rejected,
+    naming ``where`` in the error.
     """
     _check_fan_size(size)
     seq = np.random.SeedSequence(seed) if not isinstance(
@@ -190,10 +186,12 @@ def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
                                        spawn_key=seq.spawn_key + (k,))
         dirs = sphere_fan(fld.n, batch, child)
         drawn += len(dirs)
-        kept.append(dirs[_admit(fld, xs, dirs, size - count, cond_cap)])
-        count += len(kept[-1])
-        if count == size:
-            return np.concatenate(kept)
+        for part in stacks(len(dirs), fld.n ** fld.m):
+            ys = dirs[part]
+            kept.append(ys[_admit(fld, xs, ys, size - count, cond_cap)])
+            count += len(kept[-1])
+            if count == size:
+                return np.concatenate(kept)
         if drawn >= 64 * size:
             break
         batch = min(2 * batch, 64 * size)

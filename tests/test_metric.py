@@ -9,7 +9,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mroot import spray
 from mroot.corpus import random_cubic3
 from mroot.errors import (AdmissibleConeError, ConfigurationError,
                           DegenerateMetricError, MrootError)
@@ -387,22 +386,21 @@ def _batch_rows_match(name, bases=4, size=64):
     kinds = Counter()
     for b, x in enumerate(base_points(batched, bases, seed=0)):
         ys = sphere_fan(batched.n, size, seed=b)
+        table = Batch(ys)
         wants = []
         for r, y in enumerate(ys):
-            got = _outcome(batched, x, y, batch=ys)
+            got = _outcome(batched, x, y, batch=table, row=r)
             want = _outcome(alone, x, y)
             _assert_same_outcome(got, want, (name, b, r))
             kinds[type(want).__name__] += 1
             wants.append(want)
             # asked again, a row gives the memoized evaluation or raises
             # again
-            again = _outcome(batched, x, y, batch=ys)
+            again = _outcome(batched, x, y, batch=table, row=r)
             if isinstance(want, MetricEval):
                 assert again is got
             else:
                 _assert_same_outcome(again, want, (name, b, r))
-        table = batched.point_arrays(x).table
-        assert table.source is ys
         _assert_verdicts(table, wants, (name, b))
     return kinds
 
@@ -419,16 +417,6 @@ def test_batched_rows_equal_the_one_probe_path_bit_for_bit(name):
                 "DegenerateMetricError"} <= set(kinds)
 
 
-def test_a_batch_cut_into_stacks_gives_the_same_rows(monkeypatch):
-    # random_cubic3 has n^m = 27 slots, 216 bytes a row: stacks of 3 rows
-    monkeypatch.setattr(spray, "BATCH_BYTES", 3 * 27 * 8)
-    fld = random_cubic3(1)
-    x, ys = np.zeros(3), sphere_fan(3, 64, seed=5)
-    _outcome(fld, x, ys[0], batch=ys)
-    assert len(fld.point_arrays(x).table._stacks) == 22
-    assert _batch_rows_match("cubic1", bases=2)["MetricEval"] > 0
-
-
 def test_a_batch_memoizes_only_the_rows_asked_for():
     fld = random_cubic3(0)
     x = np.zeros(3)
@@ -437,16 +425,15 @@ def test_a_batch_memoizes_only_the_rows_asked_for():
     ok = [r for r, o in enumerate(outcomes) if isinstance(o, MetricEval)]
     bad = [r for r, o in enumerate(outcomes) if not isinstance(o, MetricEval)]
     assert len(ok) >= 2 and bad
-    point = fld.point_arrays(x)
-    first = MetricEval.at(fld, x, ys[ok[0]], batch=ys)
-    assert isinstance(_outcome(fld, x, ys[bad[0]], batch=ys), MrootError)
+    point, table = fld.point_arrays(x), Batch(ys)
+    first = MetricEval.at(fld, x, ys[ok[0]], batch=table, row=ok[0])
+    assert isinstance(_outcome(fld, x, ys[bad[0]], batch=table, row=bad[0]),
+                      MrootError)
     # the table holds a verdict on every row; the memo only the success
     # asked for
-    table = point.table
-    assert table.source is ys
     _assert_verdicts(table, outcomes, "ys")
     assert list(point.evals) == [ys[ok[0]].tobytes()]
-    # asking by row gives what asking by bytes does
+    # asked again, a row gives the memoized evaluation
     assert MetricEval.at(fld, x, ys[ok[0]], batch=table, row=ok[0]) is first
     by_row = MetricEval.at(fld, x, ys[ok[1]], batch=table, row=ok[1])
     _assert_same_outcome(by_row, outcomes[ok[1]], "by row")
@@ -456,18 +443,14 @@ def test_a_batch_memoizes_only_the_rows_asked_for():
     assert MetricEval.at(fld, x, ys[ok[0]]) is first
     alone = MetricEval.at(fld, x, ys[ok[2]])
     _assert_same_outcome(alone, outcomes[ok[2]], "alone")
-    # the next batch replaces the table, which holds its memoized rows'
-    # verdicts too; their calls still return the memoized evaluations
+    # a later table holds its memoized rows' verdicts too; their calls
+    # still return the memoized evaluations
     nxt = np.concatenate([ys[ok[:2]], sphere_fan(3, 6, seed=4)])
-    assert MetricEval.at(fld, x, nxt[0], batch=nxt) is first
-    assert point.table is not table and point.table.source is nxt
-    _assert_verdicts(point.table, [outcomes[ok[0]], outcomes[ok[1]]] + [
+    table = Batch(nxt)
+    assert MetricEval.at(fld, x, nxt[0], batch=table, row=0) is first
+    _assert_verdicts(table, [outcomes[ok[0]], outcomes[ok[1]]] + [
         _outcome(_batch_field("cubic0"), x, y) for y in nxt[2:]], "nxt")
-    assert MetricEval.at(fld, x, nxt[1], batch=nxt) is by_row
-    # a direction that is not in the batch is evaluated alone
-    y = np.array([0.6, 0.7, 0.8])
-    _assert_same_outcome(MetricEval.at(fld, x, y, batch=nxt),
-                         MetricEval.at(_batch_field("cubic0"), x, y), "y")
+    assert MetricEval.at(fld, x, nxt[1], batch=table, row=1) is by_row
 
 
 def test_a_batch_passed_at_another_base_point_is_evaluated_there():
@@ -484,7 +467,9 @@ def test_a_batch_passed_at_another_base_point_is_evaluated_there():
 def test_a_one_dimensional_batch_evaluates_each_sign_once():
     fld = fresh_field("funk1")
     x, ys = np.array([0.1]), sphere_fan(1, 8, seed=0)
-    evs = [MetricEval.at(fld, x, y, batch=ys) for y in ys]
+    table = Batch(ys)
+    evs = [MetricEval.at(fld, x, y, batch=table, row=r)
+           for r, y in enumerate(ys)]
     assert len(fld.point_arrays(x).evals) == 2
     assert all(ev is evs[r % 2] for r, ev in enumerate(evs))
 
@@ -492,7 +477,7 @@ def test_a_one_dimensional_batch_evaluates_each_sign_once():
 def test_rejection_messages_are_formatted_when_read():
     fld = random_cubic3(0)
     ys = np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]])
-    err = _outcome(fld, np.zeros(3), ys[0], batch=ys)
+    err = _outcome(fld, np.zeros(3), ys[0], batch=Batch(ys), row=0)
     assert isinstance(err, AdmissibleConeError)
     # the stacked pass formats nothing: the message is built on reading
     assert not isinstance(err.args[0], str)
@@ -503,9 +488,11 @@ def test_rejection_messages_are_formatted_when_read():
 
 def test_a_field_with_a_batch_table_frees_without_the_collector():
     fld = fresh_field("antonelli_quartic2")
-    ys = sphere_fan(2, 16, seed=0)
-    ev = MetricEval.at(fld, [0.1, -0.2], ys[0], batch=ys)
+    table = Batch(sphere_fan(2, 16, seed=0))
+    ev = MetricEval.at(fld, [0.1, -0.2], table.ys[0], batch=table, row=0)
     spray_eval(ev)
+    # the caller still holds the table, which holds no reference to the
+    # field
     ref = weakref.ref(fld)
     gc.disable()
     try:

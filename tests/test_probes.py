@@ -1,11 +1,13 @@
 """Probe generation: determinism, admissibility, cone handling."""
 
 import functools
+import gc
 from collections import Counter
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import mroot
 import per_probe
-from mroot import probes
+from mroot import probes, spray
 from mroot.corpus import random_cubic3
 from mroot.errors import (AdmissibleConeError, ConfigurationError,
                           DomainError, MrootError)
@@ -27,6 +29,7 @@ from mroot.probes import (ProbeSet, admissible_at_all, admissible_fan,
 
 from conftest import DATA_DIR, corpus_field, fresh_field
 from test_generated import metric_files
+from test_metric import OVERFLOW
 
 
 def test_sphere_fan_unit_norm_and_deterministic():
@@ -441,6 +444,67 @@ def test_admission_calls_at_once_a_kept_direction_and_base(monkeypatch):
     assert calls["at"] <= Q + fills["fill"]
     # per draw, the calls would outnumber that bound several times over
     assert draws["draws"] > 3 * (Q + fills["fill"])
+
+
+def test_a_drawn_batch_cut_into_slices_keeps_what_per_draw_keeps(
+        monkeypatch):
+    # random_cubic3 has n^m = 27 slots, 216 bytes a row: slices of 3 rows
+    monkeypatch.setattr(spray, "BATCH_BYTES", 3 * 27 * 8)
+    rows, drawn = [], []
+    fill, fan = Batch.fill, probes.sphere_fan
+
+    def counted_fill(self, *args):
+        rows.append(len(self.ys))
+        return fill(self, *args)
+
+    def counted_fan(*args):
+        out = fan(*args)
+        drawn.append(len(out))
+        return out
+
+    monkeypatch.setattr(Batch, "fill", counted_fill)
+    monkeypatch.setattr(probes, "sphere_fan", counted_fan)
+    for name in ("cubic0", "cubic1"):
+        make = functools.partial(_field, name)
+        x = np.zeros(3)
+        assert (_drawn(admissible_fan, make(), x, 9, 2)
+                == _drawn(per_probe.draw_admissible, make(), [x], 9, 2,
+                          where=f"x={x.tolist()}"))
+        assert sum(_same_admission(make, 4, 9, seed) for seed in range(2))
+    # every pass holds at most 3 rows, so a drawn batch of more ran as
+    # several passes at each base
+    assert max(rows) == 3 and max(drawn) > 3
+    assert len(rows) > 3 * len(drawn)
+    # the overflow field: at 10 rows a slice (n^m = 8) and at 1, the
+    # first out-of-range draw raises per-draw's error
+    for rows_a_slice in (10, 1):
+        monkeypatch.setattr(spray, "BATCH_BYTES", rows_a_slice * 8 * 8)
+        want = _drawn(per_probe.probe_fans,
+                      parse_metric_text(OVERFLOW).field, 4, 16, 0)
+        assert want[0] is ConfigurationError
+        assert "y=[-0.6575782626825577, 0.7533862412118959]" in want[1]
+        assert _drawn(generate_probe_set, parse_metric_text(OVERFLOW).field,
+                      4, 16, 0) == want
+
+
+def test_no_batch_table_outlives_admission(monkeypatch):
+    # each table is held by the admission call that made it, so none is
+    # left behind with the cached base points once drawing ends
+    refs, init = [], Batch.__init__
+
+    def tracked_init(self, *args):
+        refs.append(weakref.ref(self))
+        init(self, *args)
+
+    monkeypatch.setattr(Batch, "__init__", tracked_init)
+    gc.disable()
+    try:
+        fld = random_cubic3(0)
+        assert len(generate_probe_set(fld, 4, 36, 0)) == 4 * 36
+        assert len(refs) == 16
+        assert [r for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
 
 
 def test_the_thin_cone_message_counts_every_draw():
