@@ -126,16 +126,13 @@ class SymTensorField:
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            return False
-        # Python floats compare about twice as fast as numpy scalars; a
-        # NaN coordinate fails both comparisons, so it is outside
-        return all(lo <= v <= hi for v, (lo, hi) in zip(x.tolist(), self.box))
+        return x.shape == (self.n,) and self._inside(x.tolist())
 
-    def _require_inside(self, x):
-        if not self.contains(x):
-            raise DomainError(
-                f"point {np.asarray(x, dtype=float).tolist()} is outside the domain box")
+    def _inside(self, xl) -> bool:
+        # xl is x.tolist() for an x of shape (n,): Python floats compare
+        # about twice as fast as numpy scalars; a NaN coordinate fails
+        # both comparisons, so it is outside
+        return all(lo <= v <= hi for v, (lo, hi) in zip(xl, self.box))
 
     # -- dense arrays ---------------------------------------------------------
 
@@ -153,8 +150,12 @@ class SymTensorField:
             overflow, a division by zero or NaN); the message names the
             1-based entry, the derivative if any, and x.
         """
-        self._require_inside(x)
+        # x is converted once: the box test and the trees read its list,
+        # whose items are Python floats, faster to read than numpy's
         x = np.asarray(x, dtype=float)
+        xl = x.tolist()
+        if x.shape != (self.n,) or not self._inside(xl):
+            raise DomainError(f"point {xl} is outside the domain box")
         trees = self._trees.get(l)
         if trees is None:
             trees = self._trees[l] = [
@@ -164,14 +165,14 @@ class SymTensorField:
         vals = [0.0] * (len(self.entries) + 1)
         for i, key, e in trees:
             try:
-                v = e.evaluate(x)
+                v = e.evaluate(xl)
             except (ArithmeticError, ValueError):
                 v = math.nan
             if not math.isfinite(v):
                 what = "" if l is None else f"d/dx{l + 1} of "
                 raise ConfigurationError(
                     f"{what}coefficient {tuple(i + 1 for i in key)} is not "
-                    f"finite at x={x.tolist()}")
+                    f"finite at x={xl}")
             vals[i] = v
         return np.array(vals)[self._slots]
 
@@ -199,7 +200,8 @@ class SymTensorField:
         if hit is not None:
             return hit
         abar = self.coeff_array(x)
-        bstack = np.stack([self.coeff_array(x, l) for l in range(self.n)])
+        # np.array stacks the same bits as np.stack, with less overhead
+        bstack = np.array([self.coeff_array(x, l) for l in range(self.n)])
         abar.setflags(write=False)
         bstack.setflags(write=False)
         if len(self._point_cache) >= self._point_cap:

@@ -51,6 +51,10 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+# the LAPACK gufuncs under np.linalg.eigvalsh and np.linalg.inv (see
+# _spectrum); a private module, named here and nowhere else.  import numpy
+# loads it already, so this costs no start-up time
+from numpy.linalg import _umath_linalg
 
 from .errors import (AdmissibleConeError, ConfigurationError,
                      DegenerateMetricError)
@@ -140,12 +144,13 @@ class MetricEval:
         ------
         AdmissibleConeError
             If A(x, y) <= 0, i.e. the direction leaves the cone where
-            the root is defined.
+            the root is defined, unless A is 0 only by underflow.
         DegenerateMetricError
             If A_ij is not positive definite; ``condition`` is inf if singular.
         ConfigurationError
-            If A lies outside [1e-100, 1e100] (an A that overflows too),
-            where the products the checks form could overflow or vanish.
+            If A lies outside [1e-100, 1e100] (an A that overflows, or
+            that underflows from a positive value to 0, too), where the
+            products the checks form could overflow or vanish.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -212,8 +217,9 @@ def _frozen(a):
 
 def _evaluate(cls, point, x, y, m) -> MetricEval:
     """The evaluation at one probe, or the error it raises: one row of
-    :class:`Batch`, with each array its own, which costs half as much
-    as a stack of one (every RK4 stage comes through here)."""
+    :class:`Batch`, with each array its own.  Every RK4 stage comes
+    through here, and it costs less than half of a stack of one: 21-25
+    us against 50-54 us on quartic2_scaled (numpy 2.4, 2 vCPUs)."""
     abar, bstack = point
     x, y = _frozen(x), _frozen(y)
     # ya[j] is abar contracted with y in j slots, yb[j] bstack; matmul
@@ -221,16 +227,13 @@ def _evaluate(cls, point, x, y, m) -> MetricEval:
     # symmetric, so the choice of slot does not matter
     ya, c1, A = _contract(abar, y, m, np.matmul)
     A = float(A)
-    if A <= 0.0:
-        raise AdmissibleConeError(_Message(_CONE, A, x, y))
-    if not _A_MIN <= A <= _A_MAX:
-        raise ConfigurationError(_Message(_RANGE, A, x, y))
+    if not _A_MIN <= A <= _A_MAX:      # NaN fails here too
+        raise _rejected(A, abar, x, y, m)
     A_i = float(m) * c1
     A_ij = float(math.perm(m, 2)) * ya[-1]
-    lam = np.linalg.eigvalsh(A_ij)    # ascending; decides PD and cond
-    if not lam[0] > 0.0:              # NaN fails here too
+    lam, pd, A_inv = _spectrum(A_ij)
+    if not pd:
         raise _degenerate(np.min(np.abs(lam)), np.max(np.abs(lam)), A, x, y)
-    A_inv = np.linalg.inv(A_ij)
 
     yb = [bstack]
     for _ in range(m - 1):
@@ -251,6 +254,27 @@ def _evaluate(cls, point, x, y, m) -> MetricEval:
                A_inv=A_inv, A_xl=A_xl, A_xy=A_xy, A0=A0, A0l=A0l,
                cond=float(lam[-1] / lam[0]), abar_y=abar_y,
                bstack_y=bstack_y)
+
+
+def _rejected(A, abar, x, y, m):
+    """The error of a probe whose A fails the range test: a cone error
+    if A <= 0, unless A is a 0 that :func:`_underflows`, else a range
+    error (a NaN A gives a range error)."""
+    if A <= 0.0 and not (A == 0.0 and _underflows(abar, y, m)):
+        return AdmissibleConeError(_Message(_CONE, A, x, y))
+    return ConfigurationError(_Message(_RANGE, A, x, y))
+
+
+def _underflows(abar, y, m) -> bool:
+    """Whether an A of 0 at y is a positive A that underflowed: A is
+    positive at y scaled by the power of two that brings max |y| into
+    [0.5, 1).  The scaling is exact, so an A that is 0 by cancellation
+    is 0 there too."""
+    top = float(np.max(np.abs(y)))
+    if not 0.0 < top < math.inf:
+        return False
+    unit = np.ldexp(y, -math.frexp(top)[1])
+    return float(_contract(abar, unit, m, np.matmul)[2]) > 0.0
 
 
 def _degenerate(lo, hi, A, x, y) -> DegenerateMetricError:
@@ -303,7 +327,8 @@ class Batch:
       cap`` does, for any cap, an infinite one too;
     * ``cut``: the first row whose call raises :class:`ConfigurationError`
       (A passes the cone test, not A <= 0, but is outside [1e-100,
-      1e100], as a NaN A is), or ``len(ys)`` if none does.
+      1e100], as a NaN A is, or A is 0 by underflow), or ``len(ys)`` if
+      none does.
 
     :meth:`take` builds a row's evaluation, or raises its error.  ``ys``
     and every stacked array are read-only, so the evaluations hold views
@@ -327,26 +352,24 @@ class Batch:
         # ya[-1] is abar itself for m = 2, one array for every row
         A_ij = float(math.perm(m, 2)) * (ya[-1] if m > 2 else np.broadcast_to(
             abar, (k,) + abar.shape))[live]
-        lam = np.linalg.eigvalsh(A_ij)    # ascending; decides PD and cond
-        pd = lam[:, 0] > 0.0              # NaN fails here too
+        lam, pd, A_inv = _spectrum(A_ij)
         cond = lam[pd, -1] / lam[pd, 0]
-        self.cut = k
         if len(live) == k and pd.all():
             keep = pd = slice(None)       # views, not copies
-            self.keep, self.cond = None, cond
+            self.keep, self.cond, self.cut = None, cond, k
         else:
-            # a row raises if its A fails the range test but not the
-            # cone test: not A <= 0, so a NaN A raises
-            bad = np.flatnonzero(~(fit | (A <= 0.0)))
-            if len(bad):
-                self.cut = int(bad[0])
+            # a row raises if its A fails the range test and is not
+            # below 0 (a NaN A raises), unless it is a 0 that does not
+            # underflow (see _rejected)
+            bad = np.flatnonzero(~(fit | (A < 0.0))).tolist()
+            self.cut = next((r for r in bad if A[r] != 0.0
+                             or _underflows(abar, Y[r], m)), k)
             keep = live[pd]
             self.live, self.lam, self.keep = live, lam, keep
             self.cond = np.full(k, np.nan)
             self.cond[keep] = cond
         Y, c1, A_ij = Y[keep], c1[keep], A_ij[pd]
-        self.A_i, self.A_ij = float(m) * c1, A_ij
-        self.A_inv = np.linalg.inv(A_ij)
+        self.A_i, self.A_ij, self.A_inv = float(m) * c1, A_ij, A_inv
         yb = [bstack[None]]
         for _ in range(m - 1):
             yb.append(_dot(yb[-1], Y))
@@ -368,10 +391,8 @@ class Batch:
     def take(self, cls, r) -> "MetricEval":
         """Row r's evaluation, or the error its one-probe call raises."""
         A, x, y = float(self.A[r]), self.x, self.ys[r]
-        if A <= 0.0:
-            raise AdmissibleConeError(_Message(_CONE, A, x, y))
         if not _A_MIN <= A <= _A_MAX:
-            raise ConfigurationError(_Message(_RANGE, A, x, y))
+            raise _rejected(A, self.abar, x, y, self.m)
         cond = float(self.cond[r])
         if self.keep is None:
             i = r
@@ -416,6 +437,33 @@ def _contract(abar, y, m, dot):
         ya.append(dot(ya[-1], y))
     c1 = dot(ya[-1], y)
     return ya, c1, dot(c1, y)
+
+
+def _linalg_error(err, flag):
+    raise np.linalg.LinAlgError(
+        "Eigenvalues did not converge, or a matrix is singular")
+
+
+# np.linalg.eigvalsh and np.linalg.inv spend 6 and 3 us converting and
+# checking a 2x2 matrix around gufuncs that run in about 1.1 us each
+# (numpy 2.4, 2 vCPUs).  Here the gufuncs run alone, under the errstate
+# that numpy's wrappers set, so a failed convergence still raises
+# LinAlgError, and the bits are the public calls'.
+@np.errstate(call=_linalg_error, invalid="call", over="ignore",
+             divide="ignore", under="ignore")
+def _spectrum(A_ij):
+    """The eigenvalues of a Hessian, ascending, whether all are positive
+    (a NaN is not), and its inverse if they are, else None; for a stack
+    of Hessians, each one's, with the inverses of those that pass
+    stacked."""
+    lam = _umath_linalg.eigvalsh_lo(A_ij, signature="d->d")
+    if lam.ndim == 1:       # lam[0] and a truth test cost 1/20 of pd.all()
+        pd = lam[0] > 0.0
+        A_inv = _umath_linalg.inv(A_ij, signature="d->d") if pd else None
+        return lam, pd, A_inv
+    pd = lam[:, 0] > 0.0
+    return lam, pd, _umath_linalg.inv(A_ij if pd.all() else A_ij[pd],
+                                      signature="d->d")
 
 
 def _gh(m, A, p, A_i, A_ij, c):

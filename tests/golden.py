@@ -11,11 +11,18 @@ agree to ``RTOL`` relative, or both sit at or below ``FLOOR`` (rounding
 level: a thousandth of the default tol), because numpy and LAPACK
 builds differ in the last bits.
 
+``tests/golden/geodesic.csv`` records the stdout of ``mroot geodesic``
+for one 400-step arc on each of four curved members, from a fixed
+admissible start of condition at most 10, each after a ``#`` line with
+its arguments.  It is compared byte for byte: an arc's bytes move with
+any change to the bits of a stage, so a change meant to keep them must
+keep this file.
+
 Run ``PYTHONPATH=src python tests/golden.py`` from the repository root
-to print the differences against the file; add ``--write`` to rewrite
-it.  A moved
+to print the differences against the files; add ``--write`` to rewrite
+them.  A moved
 residual or a flipped verdict is a finding about the code; rewrite the
-file only for a change that explains every difference it shows.
+files only for a change that explains every difference they show.
 """
 
 from __future__ import annotations
@@ -31,11 +38,26 @@ from pathlib import Path
 HERE = Path(__file__).parent
 DATA_DIR = HERE / "data"
 GOLDEN = HERE / "golden" / "report_all.json"
+GEODESIC = HERE / "golden" / "geodesic.csv"
 
 SEEDS = (0, 1)
 CONFIGS = ((), ("--bases", "20", "--fan", "8"))
 RTOL = 1e-6
 FLOOR = 1e-10
+
+# (member, x0, y0) of each golden arc, integrated for GEODESIC_ARGS
+ARCS = (
+    ("quartic2_scaled", "-0.1449724626131923,0.03611235878954244",
+     "0.45945408683433026,-0.888201521103872"),
+    ("antonelli_quartic2", "0.056387666278341464,-0.1857248398343856",
+     "0.6172404280108207,0.7867745890844586"),
+    ("hessian2", "0.3937650530543243,0.0008782079829320333",
+     "-0.7317386752737446,-0.6815852926146702"),
+    ("random_cubic3",
+     "-0.04698183990009852,0.051903626243490764,0.16827667180077283",
+     "0.7434546590612284,0.6097940168577206,0.2746387207308508"),
+)
+GEODESIC_ARGS = ("--t-end", "0.1", "--steps", "400")
 
 
 def run_specs():
@@ -67,6 +89,25 @@ def run_one(run_id: str, args) -> dict:
                  "residual": v["residual"], "details": v["details"]}
                 for v in report.get("verdicts", [])]
     return {"exit": code, "verdicts": verdicts}
+
+
+def geodesic_text() -> str:
+    """Every golden arc's ``mroot geodesic`` stdout, each after a line
+    ``# <member> <arguments>``."""
+    from mroot.cli import main
+
+    parts = []
+    for member, x0, y0 in ARCS:
+        args = [f"--x0={x0}", f"--y0={y0}", *GEODESIC_ARGS]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["geodesic", str(DATA_DIR / f"{member}.metric"),
+                         *args])
+        if code != 0:
+            raise RuntimeError(f"geodesic on {member} exited {code}")
+        parts.append(f"# {' '.join([member, *args])}\n{out.getvalue()}")
+    return "".join(parts)
 
 
 def collect() -> dict:
@@ -106,11 +147,15 @@ def main(argv) -> int:
     for line in diffs:
         print(line)
     print(f"{len(diffs)} difference(s) against {GOLDEN.name}")
+    arcs = geodesic_text()
+    same = GEODESIC.exists() and GEODESIC.read_bytes() == arcs.encode()
+    print(f"{GEODESIC.name}: {'same bytes' if same else 'differs'}")
     if "--write" in argv:
         GOLDEN.parent.mkdir(exist_ok=True)
         GOLDEN.write_text(json.dumps(got, indent=1) + "\n", encoding="utf-8")
-        print(f"wrote {GOLDEN}")
-    return 1 if diffs else 0
+        GEODESIC.write_bytes(arcs.encode())
+        print(f"wrote {GOLDEN} and {GEODESIC}")
+    return 1 if diffs or not same else 0
 
 
 if __name__ == "__main__":

@@ -458,6 +458,21 @@ def test_a_direction_outside_the_range_of_a_exits_two_naming_y(y0, A,
             f"[1e-100, 1e+100]") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("y0, A", [("1e-80,1e-80", "2.19958e-320"),
+                                   ("1e-90,1e-90", "0")],
+                         ids=["small", "underflowing"])
+def test_a_direction_below_the_range_of_a_exits_two_naming_y(y0, A, capsys):
+    # at 1e-90 A underflows to 0, yet y is the admissible direction of
+    # 1e-80: out of A's range, not outside the cone
+    assert main(["geodesic", path("quartic2_scaled"), "--x0=0.1,0.1",
+                 f"--y0={y0}", "--t-end", "0.1", "--steps", "5"]) == 2
+    y = [float(v) for v in y0.split(",")]
+    err = capsys.readouterr().err
+    assert (f"error: A = {A} at x=[0.1, 0.1], y={y} is outside "
+            f"[1e-100, 1e+100]") in err
+    assert "rescale the coefficients or y" in err
+
+
 def test_long_flag_value_is_quoted_by_a_short_prefix(capsys):
     x0 = "0," + "9" * 5000 + "x"
     assert main(["geodesic", path("quartic2"), "--x0", x0, "--y0", "1,0",

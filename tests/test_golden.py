@@ -1,4 +1,5 @@
-"""report-all against the golden runs in tests/golden/report_all.json.
+"""report-all against the golden runs in tests/golden/report_all.json,
+and geodesic arcs against the golden bytes in tests/golden/geodesic.csv.
 
 See ``golden.py`` for what is recorded, the comparison bounds and how
 to print or rewrite the differences.
@@ -34,3 +35,12 @@ def test_report_all_matches_the_golden_run(run_id, args):
 ])
 def test_compare_bounds(want, got, same):
     assert (golden.compare(want, got) == []) is same
+
+
+def test_geodesic_arcs_match_the_golden_bytes():
+    want = golden.GEODESIC.read_text(encoding="utf-8")
+    got = golden.geodesic_text()
+    assert got == want, next(
+        f"first difference at line {k + 1}: {a!r} != {b!r}"
+        for k, (a, b) in enumerate(zip(got.splitlines() + [""],
+                                       want.splitlines() + [""])) if a != b)

@@ -1,6 +1,7 @@
 """Metric evaluation: frozen values, structural identities, errors."""
 
 import dataclasses
+import functools
 import gc
 import math
 import weakref
@@ -8,17 +9,21 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from mroot.corpus import random_cubic3
 from mroot.errors import (AdmissibleConeError, ConfigurationError,
                           DegenerateMetricError, MrootError)
 from mroot.geodesic import integrate
-from mroot.metric import Batch, MetricEval, identity_residuals
+from mroot.field import SymTensorField
+from mroot.metric import Batch, MetricEval, _spectrum, identity_residuals
 from mroot.metricfile import parse_metric_text
 from mroot.probes import base_points, generate_probe_set, sphere_fan
 from mroot.spray import spray_eval
 
 from conftest import CORE, DATA_DIR, corpus_field, corpus_probes, fresh_field
+from test_generated import metric_files
 
 SQ2 = math.sqrt(2.0)
 
@@ -381,17 +386,19 @@ def _assert_verdicts(table, wants, where):
             assert math.isnan(table.cond[r]), (where, r)
 
 
-def _batch_rows_match(name, bases=4, size=64):
-    batched, alone = _batch_field(name), _batch_field(name)
+def _batch_rows_match(make, bases=4, size=64, seed=0):
+    """Each row of a fan's table at each base point against its call
+    alone, on two fields from ``make``; the count of each outcome."""
+    batched, alone = make(), make()
     kinds = Counter()
-    for b, x in enumerate(base_points(batched, bases, seed=0)):
-        ys = sphere_fan(batched.n, size, seed=b)
+    for b, x in enumerate(base_points(batched, bases, seed=seed)):
+        ys = sphere_fan(batched.n, size, seed=seed * bases + b)
         table = Batch(ys)
         wants = []
         for r, y in enumerate(ys):
             got = _outcome(batched, x, y, batch=table, row=r)
             want = _outcome(alone, x, y)
-            _assert_same_outcome(got, want, (name, b, r))
+            _assert_same_outcome(got, want, (b, r))
             kinds[type(want).__name__] += 1
             wants.append(want)
             # asked again, a row gives the memoized evaluation or raises
@@ -400,14 +407,17 @@ def _batch_rows_match(name, bases=4, size=64):
             if isinstance(want, MetricEval):
                 assert again is got
             else:
-                _assert_same_outcome(again, want, (name, b, r))
-        _assert_verdicts(table, wants, (name, b))
+                _assert_same_outcome(again, want, (b, r))
+        # a base point where a coefficient is not finite raises before
+        # the table is filled
+        if table.abar is not None:
+            _assert_verdicts(table, wants, b)
     return kinds
 
 
 @pytest.mark.parametrize("name", BATCH_MEMBERS)
 def test_batched_rows_equal_the_one_probe_path_bit_for_bit(name):
-    kinds = _batch_rows_match(name)
+    kinds = _batch_rows_match(functools.partial(_batch_field, name))
     assert sum(kinds.values()) == 4 * 64
     if name == "overflow":
         assert set(kinds) == {"AdmissibleConeError", "ConfigurationError"}
@@ -415,6 +425,119 @@ def test_batched_rows_equal_the_one_probe_path_bit_for_bit(name):
         # odd m: the stack holds admissible, cone and degenerate rows
         assert {"MetricEval", "AdmissibleConeError",
                 "DegenerateMetricError"} <= set(kinds)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=metric_files(), seed=st.integers(0, 3))
+def test_batched_rows_equal_the_one_probe_path_on_generated_fields(text,
+                                                                   seed):
+    try:
+        parse_metric_text(text)
+    except MrootError:      # a file that report-all refuses with exit 2
+        assume(False)
+    _batch_rows_match(lambda: parse_metric_text(text).field, 2, 32, seed)
+
+
+def test_an_a_that_underflows_to_zero_is_out_of_range_in_both_kernels():
+    # A = y1^3 + y2^3 with powers of two, so every product is exact
+    # where it does not underflow: 0 by cancellation on y2 = -y1 at any
+    # scale, so outside the cone there; at t = 2^-400, A(t, t/2) =
+    # 1.125 * 2^-1200 is below the smallest float, so 0, as it is at its
+    # negative, which is outside the cone
+    fld = SymTensorField(2, 3, {(0, 0, 0): 1.0, (1, 1, 1): 1.0},
+                         [(-1.0, 1.0), (-1.0, 1.0)])
+    x, t = np.zeros(2), 2.0 ** -400
+    ys = np.array([[1.0, -1.0], [t, -t], [-t, -t / 2], [t, t / 2],
+                   [1.0, 0.5]])
+    wants = [_outcome(fld, x, y) for y in ys]
+    assert [type(w) for w in wants] == [
+        AdmissibleConeError, AdmissibleConeError, AdmissibleConeError,
+        ConfigurationError, MetricEval]
+    assert wants[4].A == 1.125
+    assert str(wants[3]).startswith(
+        f"A = 0 at x=[0.0, 0.0], y={[t, t / 2]} is outside [1e-100, "
+        f"1e+100]")
+    assert str(wants[2]).startswith("A = 0 <= 0 at")
+    table = Batch(ys)
+    for r, y in enumerate(ys):
+        _assert_same_outcome(_outcome(fld, x, y, batch=table, row=r),
+                             wants[r], r)
+    _assert_verdicts(table, wants, "ys")
+    assert table.cut == 3
+    # without the underflowing row no row raises ConfigurationError
+    table = Batch(ys[[0, 1, 2, 4]])
+    MetricEval.at(fld, x, table.ys[3], batch=table, row=3)
+    assert table.cut == 4
+    # A = y1^2 - y2^2 - y3^2 is 0 at (25, 7, 24), and dividing y by 25
+    # would round A there to 4.3e-17: scaled by 2^-5, it stays 0
+    fld = SymTensorField(3, 2, {(0, 0): 1.0, (1, 1): -1.0, (2, 2): -1.0},
+                         [(-1.0, 1.0)] * 3)
+    x, y = np.zeros(3), [25.0, 7.0, 24.0]
+    want = _outcome(fld, x, y)
+    assert isinstance(want, AdmissibleConeError)
+    table = Batch([y])
+    _assert_same_outcome(_outcome(fld, x, y, batch=table, row=0), want, y)
+    assert table.cut == 1
+
+
+def _matrices(rng, n, k):
+    """k random symmetric n x n matrices of each kind, positive definite,
+    indefinite and nearly singular (one eigenvalue 1e-13 of the rest),
+    then a singular one."""
+    q = np.linalg.qr(rng.standard_normal((3 * k, n, n)))[0]
+    lam = rng.uniform(0.5, 2.0, (3 * k, n))
+    lam[k:2 * k, 0] *= -1.0
+    lam[2 * k:, 0] *= 1e-13
+    singular = np.diag(np.arange(n, dtype=float))
+    return np.concatenate([(q * lam[:, None, :]) @ q.transpose(0, 2, 1),
+                           singular[None]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_spectrum_equals_eigvalsh_and_inv_bit_for_bit(n):
+    stack = _matrices(np.random.default_rng(n), n, 8)
+    for a in [*stack, stack]:
+        lam, pd, inv = _spectrum(a)
+        want = np.linalg.eigvalsh(a)
+        assert _bits(lam) == _bits(want)
+        assert _bits(pd) == _bits(want[..., 0] > 0.0)
+        if a.ndim == 3:
+            assert _bits(inv) == _bits(np.linalg.inv(a[pd]))
+        elif pd:
+            assert _bits(inv) == _bits(np.linalg.inv(a))
+        else:
+            assert inv is None
+    # the positive definite and the nearly singular ones pass
+    assert int(_spectrum(stack)[1].sum()) == 16
+
+
+def _eig_outcome(a):
+    try:
+        return _bits(np.linalg.eigvalsh(a))
+    except np.linalg.LinAlgError as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("n, full", [(2, False), (2, True), (3, False),
+                                     (3, True)])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_spectrum_meets_a_nan_as_eigvalsh_does(n, full, stacked):
+    # LAPACK returns NaN eigenvalues for some NaN matrices and fails to
+    # converge on others, which numpy raises as LinAlgError (with
+    # OpenBLAS, the full 3 x 3 ones)
+    a = np.full((n, n), np.nan) if full else np.eye(n)
+    a[0, 1] = a[1, 0] = np.nan
+    if stacked:
+        a = np.stack([np.eye(n), a])
+    want = _eig_outcome(a)
+    if want is np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            _spectrum(a)
+    else:
+        lam, pd, _ = _spectrum(a)
+        assert _bits(lam) == want
+        assert not np.asarray(pd).flat[-1]
 
 
 def test_a_batch_memoizes_only_the_rows_asked_for():
