@@ -22,6 +22,7 @@ so reports can serialize them without translation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -75,7 +76,8 @@ class ClassifierVerdict:
 
 def _absmax(a) -> np.ndarray:
     """max |a| of each probe of a stack: over every axis but the first."""
-    return np.max(np.abs(a), axis=tuple(range(1, np.ndim(a))))
+    a = np.abs(a)
+    return a.max(axis=tuple(range(1, a.ndim)))
 
 
 def _worst(*parts) -> float:
@@ -97,15 +99,16 @@ def dually_flat_residual(ev: MetricEval) -> dict:
     [F^2]_{x^k y^l} y^k - 2 [F^2]_{x^l} directly.  The two vanish
     together; both are reported since they scale differently.
     """
-    m, A = ev.m, ev.A
+    m, A, A_xl = ev.m, ev.A, ev.A_xl
     t = 2.0 / m
-    rhs = ((t - 1.0) * ev.A_i * ev.A0 + A * ev.A0l) / (2.0 * A)
-    defect = np.abs(ev.A_xl - rhs) / (1.0 + np.abs(ev.A_xl))
-    raw = t * ev.apow(t - 2.0) * (
-        (t - 1.0) * ev.A_i * ev.A0 + A * ev.A0l) - 2.0 * t * ev.apow(t - 1.0) * ev.A_xl
+    log_A = math.log(A)     # ev.apow(s) is exp(s log A)
+    num = (t - 1.0) * ev.A_i * ev.A0 + A * ev.A0l
+    defect = np.abs(A_xl - num / (2.0 * A)) / (1.0 + np.abs(A_xl))
+    raw = (t * math.exp((t - 2.0) * log_A) * num
+           - 2.0 * t * math.exp((t - 1.0) * log_A) * A_xl)
     return {
-        "defect": float(np.max(defect)),
-        "raw": float(np.max(np.abs(raw))) / (1.0 + ev.apow(t)),
+        "defect": float(defect.max()),
+        "raw": float(np.abs(raw).max()) / (1.0 + math.exp(t * log_A)),
     }
 
 

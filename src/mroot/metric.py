@@ -47,6 +47,7 @@ cache, so it is freed once admission is done.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -356,7 +357,7 @@ class Batch:
         cond = lam[pd, -1] / lam[pd, 0]
         if len(live) == k and pd.all():
             keep = pd = slice(None)       # views, not copies
-            self.keep, self.cond, self.cut = None, cond, k
+            self.index, self.cond, self.cut = None, cond, k
         else:
             # a row raises if its A fails the range test and is not
             # below 0 (a NaN A raises), unless it is a 0 that does not
@@ -365,7 +366,15 @@ class Batch:
             self.cut = next((r for r in bad if A[r] != 0.0
                              or _underflows(abar, Y[r], m)), k)
             keep = live[pd]
-            self.live, self.lam, self.keep = live, lam, keep
+            # row r's index into the stacks its take reads: the kept
+            # rows' if it passes, lam's if it is not positive definite
+            # (a row that fails the range test raises before it reads).
+            # A kept row's cond is not NaN: its least eigenvalue is > 0
+            # and at most a diagonal entry of A_ij, so finite
+            index = np.zeros(k, dtype=np.intp)
+            index[live] = np.arange(len(live))
+            index[keep] = np.arange(len(keep))
+            self.lam, self.index = lam, index.tolist()
             self.cond = np.full(k, np.nan)
             self.cond[keep] = cond
         Y, c1, A_ij = Y[keep], c1[keep], A_ij[pd]
@@ -394,13 +403,10 @@ class Batch:
         if not _A_MIN <= A <= _A_MAX:
             raise _rejected(A, self.abar, x, y, self.m)
         cond = float(self.cond[r])
-        if self.keep is None:
-            i = r
-        elif cond != cond:                # NaN: not positive definite
-            mag = np.abs(self.lam[np.searchsorted(self.live, r)])
+        i = r if self.index is None else self.index[r]
+        if cond != cond:                  # NaN: not positive definite
+            mag = np.abs(self.lam[i])
             raise _degenerate(mag.min(), mag.max(), A, x, y)
-        else:
-            i = int(np.searchsorted(self.keep, r))
         return cls(x=x, y=y, n=len(y), m=self.m, A=A, A_i=self.A_i[i],
                    A_ij=self.A_ij[i], A_inv=self.A_inv[i], A_xl=self.A_xl[i],
                    A_xy=self.A_xy[i], A0=float(self.A0[i]), A0l=self.A0l[i],
@@ -492,23 +498,46 @@ def identity_residuals(ev: MetricEval) -> dict:
 
     Each residual is the max-norm of one identity's defect, normalized
     by 1 + |A| so that large and small metrics are comparable.  All six
-    stay at rounding level for a correct evaluation; perturbing any
-    single derivative array breaks at least one of them.
+    stay at rounding level for a correct evaluation.  They read only A,
+    A_i, A_ij and A_inv (and y):
+
+    * ``euler_degree``: y . A_i = m A;
+    * ``euler_gradient``: A_ij y = (m - 1) A_i;
+    * ``lowered_direction``: g y = y_low, g and y_low built from A, A_i
+      and A_ij;
+    * ``hessian_inverse``: A_inv A_ij = I;
+    * ``inverse_gradient``: A_inv A_i = y / (m - 1);
+    * ``gradient_norm``: A_i . A_inv A_i = m A / (m - 1).
+
+    No identity reads ``A_xl``, ``A_xy``, ``A0`` or ``A0l``, so a defect
+    in the x-derivatives goes unseen here.
     """
     y, A, m = ev.y, ev.A, ev.m
+    A_i, A_ij, A_inv = ev.A_i, ev.A_ij, ev.A_inv
     scale = 1.0 + abs(A)
-    delta = np.eye(ev.n)
+    # g and y_low as the properties build them, on one log A
+    log_A = math.log(A)
+    g = _gh(m, A, math.exp((2.0 / m - 2.0) * log_A), A_i, A_ij, 2.0 - m)
+    y_low = (1.0 / m) * math.exp((2.0 / m - 1.0) * log_A) * A_i
+    # ndarray.max, not np.max: the same reduction without the wrapper
     res = {
-        "euler_degree": abs(float(y @ ev.A_i) - m * A) / scale,
-        "euler_gradient": float(np.max(np.abs(
-            ev.A_ij @ y - (m - 1.0) * ev.A_i))) / scale,
-        "lowered_direction": float(np.max(np.abs(
-            ev.g @ y - ev.y_low))) / scale,
-        "hessian_inverse": float(np.max(np.abs(
-            ev.A_inv @ ev.A_ij - delta))) / scale,
-        "inverse_gradient": float(np.max(np.abs(
-            ev.A_inv @ ev.A_i - y / (m - 1.0)))) / scale,
-        "gradient_norm": abs(float(ev.A_i @ ev.A_inv @ ev.A_i)
+        "euler_degree": abs(float(y @ A_i) - m * A) / scale,
+        "euler_gradient": float(np.abs(
+            A_ij @ y - (m - 1.0) * A_i).max()) / scale,
+        "lowered_direction": float(np.abs(g @ y - y_low).max()) / scale,
+        "hessian_inverse": float(np.abs(
+            A_inv @ A_ij - _eye(ev.n)).max()) / scale,
+        "inverse_gradient": float(np.abs(
+            A_inv @ A_i - y / (m - 1.0)).max()) / scale,
+        "gradient_norm": abs(float(A_i @ A_inv @ A_i)
                              - m * A / (m - 1.0)) / scale,
     }
     return res
+
+
+@functools.cache
+def _eye(n):
+    """np.eye(n), one read-only array per n."""
+    delta = np.eye(n)
+    delta.setflags(False)
+    return delta

@@ -26,8 +26,15 @@ count.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from statistics import NormalDist
+from itertools import repeat
+# the C function of AS241 that NormalDist.inv_cdf calls once it has
+# checked 0 < p < 1; sphere_fan clips p inside (0, 1), so it maps this
+# over its points and skips the check and method call per point.  A
+# private name, imported here and nowhere else; test_inv_cdf.py pins it
+# to NormalDist().inv_cdf bit for bit
+from statistics import _normal_dist_inv_cdf
 
 import numpy as np
 
@@ -52,20 +59,23 @@ COND_CAP = 1e6
 # every probe's evaluation and spray stay memoized for the whole run; the
 # most bytes (by probe_bytes) the probes of one probe set may keep
 MAX_PROBE_BYTES = 4 * 2 ** 30
-_INV_NORMAL = NormalDist().inv_cdf
 
 
+@functools.cache
 def _rd_alphas(d: int) -> np.ndarray:
     """Step vector of the R_d sequence: powers of 1/phi_d.
 
     phi_d is the unique positive root of x^(d+1) = x + 1 (the golden
     ratio for d = 1); the fixed-point iteration below is a contraction
-    and converges to double precision well within 64 steps.
+    and converges to double precision well within 64 steps.  Computed
+    once per d; the array is read-only, since every caller shares it.
     """
     phi = 2.0
     for _ in range(64):
         phi = (1.0 + phi) ** (1.0 / (d + 1))
-    return phi ** -np.arange(1.0, d + 1.0)
+    alphas = phi ** -np.arange(1.0, d + 1.0)
+    alphas.setflags(False)
+    return alphas
 
 
 def _kronecker_block(d: int, size: int, seed) -> np.ndarray:
@@ -97,7 +107,9 @@ def sphere_fan(n: int, size: int, seed) -> np.ndarray:
     if n == 1:
         return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(size)])
     u = np.clip(_kronecker_block(n, size, seed), 1e-12, 1.0 - 1e-12)
-    z = np.reshape([_INV_NORMAL(v) for v in u.ravel().tolist()], u.shape)
+    p = u.ravel().tolist()
+    z = np.fromiter(map(_normal_dist_inv_cdf, p, repeat(0.0, len(p)),
+                        repeat(1.0)), float, len(p)).reshape(u.shape)
     norms = np.linalg.norm(z, axis=1)
     norms[norms < 1e-12] = 1.0
     return z / norms[:, None]

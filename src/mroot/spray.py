@@ -1,6 +1,6 @@
 """Geodesic spray and Berwald curvature of an m-th root metric.
 
-Two independent routes to the spray coefficients are provided:
+Two routes to the spray coefficients are provided:
 
 * :func:`spray_mroot` uses the closed form specific to m-th root
   metrics, G^i = (A_{0j} - A_{x^j}) A^{ij} / 2, where A^{ij} inverts
@@ -9,9 +9,14 @@ Two independent routes to the spray coefficients are provided:
   G^i = g^{il} ([F^2]_{x^k y^l} y^k - [F^2]_{x^l}) / 4 with the
   x-derivatives of F^2 written out through A.
 
-They must agree at every admissible probe, which makes the pair a
-strong self-check: they share no intermediate beyond the raw
-coefficient arrays.
+They must agree at every admissible probe.  Both read the evaluation's
+x-derivatives ``A_xl`` and ``A0l`` and its ``A_inv`` (the variational
+route also ``A``, ``A_i`` and ``A0``), so a defect in those arrays can
+move both alike: a change to ``A_xl`` orthogonal to y moves each route
+by the same solve with ``A_inv`` and leaves their agreement at rounding
+level.  What the agreement checks is the algebra between the routes:
+g^{ij} written through A^{ij}, and the Finsler formula reduced to the
+closed form by the homogeneity of A.
 
 The y-derivatives of G up to the Berwald tensor
 B^i_{jkl} = d^3 G^i / dy^j dy^k dy^l come from one recurrence: the
@@ -54,6 +59,12 @@ __all__ = [
 BATCH_BYTES = 1 << 24
 
 
+# the axes of np.moveaxis(D_k, 1, s + 1) for a transpose, by (k, s): the
+# x-slot of a stack of D_k moved behind its s-th y-slot
+_SLOT_AXES = {(k, s): (0, *range(2, s + 2), 1, *range(s + 2, k + 2))
+              for k in range(1, 4) for s in range(1, k + 1)}
+
+
 def stacks(count: int, floats: int) -> list:
     """Slices that cut ``count`` probes into stacks of at least one probe
     whose array of ``floats`` float64 values a probe fits ``BATCH_BYTES``."""
@@ -72,12 +83,16 @@ def spray_variational(ev: MetricEval) -> np.ndarray:
     [F^2]_{x^l} and [F^2]_{x^k y^l} y^k are expanded through A and its
     contractions, then contracted with the inverse fundamental tensor.
     """
-    m, A = ev.m, ev.A
+    m, A, y = ev.m, ev.A, ev.y
     t = 2.0 / m
+    log_A = math.log(A)     # ev.apow(s) is exp(s log A)
     # (2/m) A^(2/m - 2) [ (2/m - 1) A_l A_0 + A (A_{0l} - A_{x^l}) ]
-    rhs = t * ev.apow(t - 2.0) * (
+    rhs = t * math.exp((t - 2.0) * log_A) * (
         (t - 1.0) * ev.A_i * ev.A0 + A * (ev.A0l - ev.A_xl))
-    return 0.25 * ev.g_inv @ rhs
+    # ev.g_inv, with np.outer(y, y)'s broadcast product
+    g_inv = math.exp(-2.0 / m * log_A) * (
+        m * A * ev.A_inv + ((m - 2.0) / (m - 1.0)) * (y[:, None] * y))
+    return 0.25 * g_inv @ rhs
 
 
 @dataclass(eq=False)
@@ -158,7 +173,7 @@ def _spray_stack(evs, m):
             P = (np.einsum("zp,zpa...->za...", y, D[k + 1]) - D[k]
                  if k + 1 < len(D) else -D[k])
             for s in range(1, k + 1):
-                P = P + np.moveaxis(D[k], 1, s + 1)
+                P = P + D[k].transpose(_SLOT_AXES[k, s])
             rhs = 0.5 * P
         else:
             rhs = np.zeros(y.shape + y.shape[1:] * k)

@@ -10,7 +10,18 @@ details.  The running maximum keeps a NaN, as the checks must.
 evaluation a draw, as it ran before each drawn batch was evaluated in
 one stacked pass; ``test_probes.py`` asserts that probe generation keeps
 exactly its directions and raises its errors.
+
+:func:`identity_residuals_ref`, :func:`dually_flat_residual_ref`,
+:func:`spray_variational_ref`, :func:`sphere_fan_ref` and
+:func:`rd_alphas_ref` are the functions of ``mroot`` without the suffix
+(the last is ``probes._rd_alphas``, uncached), written over numpy's
+reduction wrappers, ``np.eye``, ``np.outer``, the
+:class:`~mroot.metric.MetricEval` properties and ``NormalDist.inv_cdf``;
+``test_per_probe.py`` asserts that the forms in ``mroot`` give their
+bits.
 """
+
+from statistics import NormalDist
 
 import numpy as np
 
@@ -234,3 +245,67 @@ def probe_fans(fld, n_base, fan_size, seed, cond_cap=COND_CAP):
     return bases, [draw_admissible(fld, [x], fan_size, children[i + 1],
                                    cond_cap, f"x={x.tolist()}")
                    for i, x in enumerate(bases)]
+
+
+def identity_residuals_ref(ev):
+    y, A, m = ev.y, ev.A, ev.m
+    scale = 1.0 + abs(A)
+    delta = np.eye(ev.n)
+    res = {
+        "euler_degree": abs(float(y @ ev.A_i) - m * A) / scale,
+        "euler_gradient": float(np.max(np.abs(
+            ev.A_ij @ y - (m - 1.0) * ev.A_i))) / scale,
+        "lowered_direction": float(np.max(np.abs(
+            ev.g @ y - ev.y_low))) / scale,
+        "hessian_inverse": float(np.max(np.abs(
+            ev.A_inv @ ev.A_ij - delta))) / scale,
+        "inverse_gradient": float(np.max(np.abs(
+            ev.A_inv @ ev.A_i - y / (m - 1.0)))) / scale,
+        "gradient_norm": abs(float(ev.A_i @ ev.A_inv @ ev.A_i)
+                             - m * A / (m - 1.0)) / scale,
+    }
+    return res
+
+
+def dually_flat_residual_ref(ev):
+    m, A = ev.m, ev.A
+    t = 2.0 / m
+    rhs = ((t - 1.0) * ev.A_i * ev.A0 + A * ev.A0l) / (2.0 * A)
+    defect = np.abs(ev.A_xl - rhs) / (1.0 + np.abs(ev.A_xl))
+    raw = t * ev.apow(t - 2.0) * (
+        (t - 1.0) * ev.A_i * ev.A0 + A * ev.A0l) - 2.0 * t * ev.apow(t - 1.0) * ev.A_xl
+    return {
+        "defect": float(np.max(defect)),
+        "raw": float(np.max(np.abs(raw))) / (1.0 + ev.apow(t)),
+    }
+
+
+def spray_variational_ref(ev):
+    m, A = ev.m, ev.A
+    t = 2.0 / m
+    rhs = t * ev.apow(t - 2.0) * (
+        (t - 1.0) * ev.A_i * ev.A0 + A * (ev.A0l - ev.A_xl))
+    return 0.25 * ev.g_inv @ rhs
+
+
+_INV_NORMAL = NormalDist().inv_cdf
+
+
+def rd_alphas_ref(d):
+    phi = 2.0
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (d + 1))
+    return phi ** -np.arange(1.0, d + 1.0)
+
+
+def sphere_fan_ref(n, size, seed):
+    if n == 1:
+        return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(size)])
+    rng = np.random.Generator(np.random.PCG64(seed))
+    shift = rng.random(n)
+    steps = np.arange(1.0, size + 1.0)[:, None] * rd_alphas_ref(n)
+    u = np.clip(np.mod(shift + steps, 1.0), 1e-12, 1.0 - 1e-12)
+    z = np.reshape([_INV_NORMAL(v) for v in u.ravel().tolist()], u.shape)
+    norms = np.linalg.norm(z, axis=1)
+    norms[norms < 1e-12] = 1.0
+    return z / norms[:, None]
