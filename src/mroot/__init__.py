@@ -3,10 +3,10 @@
 The package evaluates Finsler metrics of the form F = A**(1/m), where
 A is a degree-m form in the direction with position-dependent symmetric
 coefficients.  It provides exact pointwise metric data, the geodesic
-spray through two independent routes, Berwald and mean Berwald
-curvature, geodesic integration, and residual-based classification of
-dual flatness, direction-only sprays and isotropic mean Berwald
-curvature.
+spray through two routes whose agreement checks the A^ij against g^ij
+algebra, Berwald and mean Berwald curvature, geodesic integration, and
+residual-based classification of dual flatness, direction-only sprays
+and isotropic mean Berwald curvature.
 """
 
 from .errors import (AdmissibleConeError, ConfigurationError,

@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("identities", parents=[common],
                    help="structural identity residuals at probes")
     sub.add_parser("spray", parents=[common],
-                   help="spray coefficients via two independent routes")
+                   help="spray coefficients via two routes, whose "
+                        "agreement checks the A^ij against g^ij algebra")
     sub.add_parser("curvature", parents=[common],
                    help="Berwald and mean Berwald tensors with "
                         "consistency residuals")

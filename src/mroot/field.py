@@ -26,6 +26,7 @@ from .expr import Expr, Const
 
 __all__ = ["PointArrays", "SymTensorField"]
 
+_FLOAT = np.dtype(float)        # a native float64 array's dtype object
 _MAX_SLOTS = 2 ** 16
 _MAX_ORDER = 31
 
@@ -195,7 +196,9 @@ class SymTensorField:
         :meth:`mroot.metric.MetricEval.at` memoizes at that base point,
         so they are evicted with it.  Cached arrays are read-only.
         """
-        key = tuple(np.asarray(x, dtype=float).tolist())
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT:
+            x = np.asarray(x, dtype=float)
+        key = tuple(x.tolist())
         hit = self._point_cache.get(key)
         if hit is not None:
             return hit

@@ -16,33 +16,23 @@ higher derivatives, so none is computed twice.
 Fractional powers of A are evaluated as exp(t*log A), which is valid on
 the admissible cone where A > 0 and keeps odd m well defined.
 
-:meth:`MetricEval.at` stores only the A-data that admission and the
-spray read.  g, h, g^-1 and the lowered direction, which only the
-self-checks and the mean Berwald fits read, are derived from it on
-each read.
-
 Each probe is evaluated once per run: :meth:`MetricEval.at` memoizes
-its result in the field's base-point cache (see
-:meth:`mroot.field.SymTensorField.point_arrays`), keyed by the bytes of
-y, and the spray is stored on the evaluation.  The spray is built by
-:func:`mroot.spray.spray_batch`, one stacked recurrence for a batch of
-evaluations (a check passes one base's fan), which gives each of them
-its result as views of the stacked arrays; :func:`mroot.spray.spray_eval`
-is its one-probe case and returns the stored result.  An evaluation
-holds no reference to the memo or to its batch, so a field is freed
-without the cycle collector.  The memo is evicted with that cache's
-base points (the last 16, or as many as the largest probe set drawn on
-the field has).  A memoized evaluation is shared by every caller, so
-its stored arrays are read-only.
+its result, keyed by the bytes of y, in the field's base-point cache
+(:meth:`mroot.field.SymTensorField.point_arrays`: the last 16 bases, or
+as many as the largest probe set drawn on the field has), and it is
+evicted with its base point.  :func:`mroot.spray.spray_batch` stores
+each probe's spray on its evaluation, as views of one stacked
+recurrence over a base's fan.  An evaluation holds no reference to the
+memo or to its batch, so a field is freed without the cycle collector,
+and every caller shares it, so its stored arrays are read-only.
 
 Probe generation, which on a thin cone rejects most draws, passes each
-drawn batch of directions to :meth:`MetricEval.at` as a :class:`Batch`
-with a row, and the first call at a base point fills the batch's table
-there in one stacked pass, bitwise as the one-probe chain that a call
-without a batch runs.  The table gives each row's verdict as arrays, so
-a rejected draw needs no call of its own; an evaluation is built only
-for a row asked for.  The caller holds the table, not the base point's
-cache, so it is freed once admission is done.
+prefix of a drawn batch to :meth:`MetricEval.at` as a :class:`Batch`
+with a row; the first call at a base point fills the batch's table
+there in one stacked pass, bitwise as the one-probe chain.  The table
+gives each row's verdict as arrays, so a rejected draw needs no call of
+its own and only a row asked for is built.  The caller holds the
+table, so it is freed once admission is done.
 """
 
 from __future__ import annotations
@@ -59,7 +49,7 @@ from numpy.linalg import _umath_linalg
 
 from .errors import (AdmissibleConeError, ConfigurationError,
                      DegenerateMetricError)
-from .field import SymTensorField
+from .field import _FLOAT, SymTensorField
 
 __all__ = ["ProbePoint", "MetricEval", "Batch", "identity_residuals",
            "stacked_g_h"]
@@ -153,8 +143,11 @@ class MetricEval:
             that underflows from a positive value to 0, too), where the
             products the checks form could overflow or vanish.
         """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        # np.asarray only if not float64: 40 ns against 85 (numpy 2.4, 2 vCPUs)
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT:
+            x = np.asarray(x, dtype=float)
+        if type(y) is not np.ndarray or y.dtype is not _FLOAT:
+            y = np.asarray(y, dtype=float)
         point = fld.point_arrays(x)
         # filled before the memo is read: a caller reads the table's
         # verdicts on every row, the memoized ones too
@@ -333,8 +326,7 @@ class Batch:
 
     :meth:`take` builds a row's evaluation, or raises its error.  ``ys``
     and every stacked array are read-only, so the evaluations hold views
-    of them, not the table.  The caller that made a table holds it, and
-    it is freed with the caller's last reference.
+    of them, not the table, which its caller holds.
     """
 
     def __init__(self, ys):
@@ -349,15 +341,16 @@ class Batch:
         ya, c1, A = _contract(abar[None], Y, m, _dot)
         self.x, self.m, self.A = _frozen(x), m, A
         fit = (_A_MIN <= A) & (A <= _A_MAX)    # so A > 0 and not NaN
-        live = np.flatnonzero(fit)
+        # every row in range: slices, so views and no index arrays
+        whole = fit.all()
+        live = slice(None) if whole else np.flatnonzero(fit)
         # ya[-1] is abar itself for m = 2, one array for every row
         A_ij = float(math.perm(m, 2)) * (ya[-1] if m > 2 else np.broadcast_to(
             abar, (k,) + abar.shape))[live]
         lam, pd, A_inv = _spectrum(A_ij)
-        cond = lam[pd, -1] / lam[pd, 0]
-        if len(live) == k and pd.all():
-            keep = pd = slice(None)       # views, not copies
-            self.index, self.cond, self.cut = None, cond, k
+        if whole and pd.all():
+            keep = pd = slice(None)
+            self.index, self.cut, self.cond = None, k, lam[:, -1] / lam[:, 0]
         else:
             # a row raises if its A fails the range test and is not
             # below 0 (a NaN A raises), unless it is a 0 that does not
@@ -365,18 +358,18 @@ class Batch:
             bad = np.flatnonzero(~(fit | (A < 0.0))).tolist()
             self.cut = next((r for r in bad if A[r] != 0.0
                              or _underflows(abar, Y[r], m)), k)
-            keep = live[pd]
+            keep = np.flatnonzero(pd) if whole else live[pd]
             # row r's index into the stacks its take reads: the kept
             # rows' if it passes, lam's if it is not positive definite
             # (a row that fails the range test raises before it reads).
             # A kept row's cond is not NaN: its least eigenvalue is > 0
             # and at most a diagonal entry of A_ij, so finite
             index = np.zeros(k, dtype=np.intp)
-            index[live] = np.arange(len(live))
+            index[live] = np.arange(len(lam))
             index[keep] = np.arange(len(keep))
             self.lam, self.index = lam, index.tolist()
             self.cond = np.full(k, np.nan)
-            self.cond[keep] = cond
+            self.cond[keep] = lam[pd, -1] / lam[pd, 0]
         Y, c1, A_ij = Y[keep], c1[keep], A_ij[pd]
         self.A_i, self.A_ij, self.A_inv = float(m) * c1, A_ij, A_inv
         yb = [bstack[None]]
@@ -407,14 +400,13 @@ class Batch:
         if cond != cond:                  # NaN: not positive definite
             mag = np.abs(self.lam[i])
             raise _degenerate(mag.min(), mag.max(), A, x, y)
-        return cls(x=x, y=y, n=len(y), m=self.m, A=A, A_i=self.A_i[i],
-                   A_ij=self.A_ij[i], A_inv=self.A_inv[i], A_xl=self.A_xl[i],
-                   A_xy=self.A_xy[i], A0=float(self.A0[i]), A0l=self.A0l[i],
-                   cond=cond,
-                   abar_y=tuple(a if a is self.abar else a[i]
-                                for a in self.abar_y),
-                   bstack_y=tuple(b if b is self.bstack else b[i]
-                                  for b in self.bstack_y))
+        # positional, tuples of lists: keywords and generators cost 1/3
+        return cls(x, y, len(y), self.m, A, self.A_i[i], self.A_ij[i],
+                   self.A_inv[i], self.A_xl[i], self.A_xy[i],
+                   float(self.A0[i]), self.A0l[i], cond,
+                   tuple([a if a is self.abar else a[i] for a in self.abar_y]),
+                   tuple([b if b is self.bstack else b[i]
+                          for b in self.bstack_y]))
 
 
 def _dot(t, Y):

@@ -17,11 +17,11 @@ Each drawn batch is admitted from its stacked tables (:func:`_admit`):
 at each base point one ``MetricEval.at`` call evaluates, in one stacked
 pass, the rows that every earlier base admitted, and numpy reads the
 verdicts; then one call a kept direction and base memoizes its
-evaluation.  A rejected draw costs no call.  A batch too large for one
-pass of ``BATCH_BYTES`` is admitted in slices, in draw order.  The
-directions kept, the errors raised and the calls that raise them are
-those of testing each draw alone, in draw order, up to the requested
-count.
+evaluation.  A rejected draw costs no call.  A batch is admitted in
+prefixes sized by the request's keep rate, so few rows are stacked
+past the one that completes it.  The directions kept, the errors raised
+and the calls that raise them are those of testing each draw alone, in
+draw order, up to the requested count.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def sphere_fan(n: int, size: int, seed) -> np.ndarray:
     p = u.ravel().tolist()
     z = np.fromiter(map(_normal_dist_inv_cdf, p, repeat(0.0, len(p)),
                         repeat(1.0)), float, len(p)).reshape(u.shape)
-    norms = np.linalg.norm(z, axis=1)
+    norms = np.sqrt(np.add.reduce(z * z, axis=1))   # np.linalg.norm's bits
     norms[norms < 1e-12] = 1.0
     return z / norms[:, None]
 
@@ -133,8 +133,8 @@ def base_points(fld: SymTensorField, count: int, seed,
 
 def _admit(fld: SymTensorField, xs, dirs, need: int,
            cond_cap: float) -> np.ndarray:
-    """The first ``need`` rows of ``dirs`` admissible at every point of
-    ``xs``, found as testing each draw in turn would find them.
+    """The first ``need`` rows of the prefix ``dirs`` admissible at every
+    point of ``xs``, found as testing each draw in turn would find them.
 
     At each base, one :class:`~mroot.metric.Batch` holds the rows that
     every earlier base admits and that come before the first row that
@@ -176,16 +176,16 @@ def _admit(fld: SymTensorField, xs, dirs, need: int,
 
 
 def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
-                     cond_cap: float, where: str) -> np.ndarray:
+                     cond_cap: float, where) -> np.ndarray:
     """``size`` sphere directions admissible at every point of ``xs``.
 
-    Sphere directions are drawn in growing batches and filtered.  Each
-    batch is admitted in draw order (see :func:`_admit`), in slices whose
-    stacked pass holds at most :data:`mroot.spray.BATCH_BYTES` in its
-    largest array, n^m floats a row, and stops at the ``size``-th keep;
-    if fewer than ``size`` survive after drawing 64x the request, the
+    Sphere directions are drawn in growing batches and admitted in draw
+    order (see :func:`_admit`), in prefixes: whole while none is kept,
+    then ceil(need * tested / kept) rows by the request's own counts, each
+    pass at most :data:`mroot.spray.BATCH_BYTES` in its largest array.
+    If fewer than ``size`` survive after drawing 64x the request, the
     cone is considered too thin and the configuration is rejected,
-    naming ``where`` in the error.
+    naming ``where()`` in the error.
     """
     _check_fan_size(size)
     seq = np.random.SeedSequence(seed) if not isinstance(
@@ -197,19 +197,23 @@ def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
         child = np.random.SeedSequence(seq.entropy, pool_size=seq.pool_size,
                                        spawn_key=seq.spawn_key + (k,))
         dirs = sphere_fan(fld.n, batch, child)
-        drawn += len(dirs)
         for part in stacks(len(dirs), fld.n ** fld.m):
             ys = dirs[part]
-            kept.append(ys[_admit(fld, xs, ys, size - count, cond_cap)])
-            count += len(kept[-1])
-            if count == size:
-                return np.concatenate(kept)
+            while len(ys):
+                # drawn: the rows tested so far; rounding up keeps cut >= 1
+                cut = -(-(size - count) * drawn // count) if count else len(ys)
+                pre, ys = ys[:cut], ys[cut:]
+                kept.append(pre[_admit(fld, xs, pre, size - count, cond_cap)])
+                count += len(kept[-1])
+                drawn += len(pre)
+                if count == size:
+                    return np.concatenate(kept)
         if drawn >= 64 * size:
             break
         batch = min(2 * batch, 64 * size)
     raise ConfigurationError(
         f"only {count} of {size} requested directions are admissible "
-        f"at {where} after {drawn} draws")
+        f"at {where()} after {drawn} draws")
 
 
 def admissible_fan(fld: SymTensorField, x, size: int, seed,
@@ -217,7 +221,7 @@ def admissible_fan(fld: SymTensorField, x, size: int, seed,
     """``size`` admissible unit directions at the base point x."""
     return _draw_admissible(
         fld, [x], size, seed, cond_cap,
-        f"x={np.asarray(x, dtype=float).tolist()}")
+        lambda: f"x={np.asarray(x, dtype=float).tolist()}")
 
 
 def admissible_at_all(fld: SymTensorField, xs, size: int, seed,
@@ -227,7 +231,7 @@ def admissible_at_all(fld: SymTensorField, xs, size: int, seed,
     Used by checks that compare the same direction across base points.
     """
     return _draw_admissible(fld, xs, size, seed, cond_cap,
-                            f"all {len(xs)} base points")
+                            lambda: f"all {len(xs)} base points")
 
 
 @dataclass(eq=False)

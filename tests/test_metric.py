@@ -243,6 +243,26 @@ def test_repeat_evaluation_is_the_same_read_only_object():
         assert getattr(ev, name).tobytes() == second.tobytes()
 
 
+def test_a_memo_read_takes_the_probe_in_any_array_form():
+    # lists, tuples, int and float32 arrays and strided views of the same
+    # numbers read the float64 call's point_arrays entry and memo
+    fld = fresh_field("antonelli_quartic2")
+    x, y = np.array([1.0, 0.0]), np.array([1.0, -2.0])
+    ev = MetricEval.at(fld, x, y)
+    point = fld.point_arrays(x)
+    wide = np.zeros((2, 4))
+    wide[0, ::2], wide[1, ::2] = x, y
+    forms = [(x.tolist(), y.tolist()), (tuple(x), tuple(y)),
+             (x.astype(int), y.astype(int)),
+             (x.astype(np.float32), y.astype(np.float32)),
+             (wide[0, ::2], wide[1, ::2]),
+             (x[::-1].copy()[::-1], y[::-1].copy()[::-1])]
+    for fx, fy in forms:
+        assert MetricEval.at(fld, fx, fy) is ev
+        assert fld.point_arrays(fx) is point
+    assert len(point.evals) == 1
+
+
 def test_mutating_the_callers_direction_leaves_the_memo_intact():
     # berwald_fd reuses one buffer for many displaced directions
     fld = fresh_field("quartic2_scaled")
