@@ -7,13 +7,13 @@ level (1e-12 and below) while a genuine violation is many orders of
 magnitude larger; the pass threshold ``tol`` sits between the two
 regimes and is deliberately loose against rounding noise.
 
-A check first walks a base's probes one by one for their evaluations
-and sprays, then reduces over the base's stacked arrays (``np.array``
-of the per-probe results): one numpy reduction per quantity and base,
-not one per probe.  The entries are the same arithmetic as at one
-probe, so the residuals are bitwise those of a per-probe loop.  The
-maxima keep a NaN, so a non-finite value at any probe fails its
-verdict.
+A check first walks its probes one by one for their evaluations, sprays
+them all in one batch, then reduces over each base's stacked arrays
+(``np.array`` of the per-probe results): one numpy reduction per
+quantity and base, not one per probe.  The entries are the same
+arithmetic as at one probe, so the residuals are bitwise those of a
+per-probe loop.  The maxima keep a NaN, so a non-finite value at any
+probe fails its verdict.
 
 All verdicts are returned as :class:`ClassifierVerdict` records whose
 ``details`` dictionaries are JSON-friendly (floats, lists, strings),
@@ -257,7 +257,9 @@ def classify_antonelli(fld: SymTensorField, probes: ProbeSet,
       and A evaluated at the other.  At a single point this holds
       identically, so its content is exactly the cross-point transport.
 
-    Needs at least two base points.
+    Every pair's directions are evaluated first, so one spray batch
+    covers the reference evaluations of all pairs.  Needs at least two
+    base points.
     """
     if len(probes.bases) < 2:
         raise ConfigurationError(
@@ -265,16 +267,17 @@ def classify_antonelli(fld: SymTensorField, probes: ProbeSet,
     x_ref = probes.bases[0]
     fan_size = max(len(f) for f in probes.fans)
     # independent of the probe-set streams: same entropy, distinct key
-    seq = np.random.SeedSequence(seed, spawn_key=(7,))
-    children = seq.spawn(len(probes.bases))
+    children = np.random.SeedSequence(seed, spawn_key=(7,)).spawn(
+        len(probes.bases))
 
+    pairs = []
+    for x_b, child in zip(probes.bases[1:], children[1:]):
+        shared = admissible_at_all(fld, [x_ref, x_b], fan_size, child)
+        pairs.append((shared, [MetricEval.at(fld, x_ref, y) for y in shared],
+                      [MetricEval.at(fld, x_b, y) for y in shared]))
+    spray_batch([ev for _, refs, _ in pairs for ev in refs])
     shift, identity = [0.0], [0.0]
-    for b in range(1, len(probes.bases)):
-        x_b = probes.bases[b]
-        shared = admissible_at_all(fld, [x_ref, x_b], fan_size, children[b])
-        refs = [MetricEval.at(fld, x_ref, y) for y in shared]
-        spray_batch(refs)
-        evs_b = [MetricEval.at(fld, x_b, y) for y in shared]
+    for shared, refs, evs_b in pairs:
         G_ref = np.array([spray_mroot(ev) for ev in refs])
         G_b = np.array([spray_mroot(ev) for ev in evs_b])
         shift.append(_absmax(G_ref - G_b) / (1.0 + _absmax(G_ref)))
@@ -289,10 +292,9 @@ def classify_antonelli(fld: SymTensorField, probes: ProbeSet,
             _absmax(np.array([ev.A_xl for ev in evs_b]) - pred)
             / (1.0 + np.abs(np.array([ev.A for ev in evs_b]))))
     shift, identity = _worst(*shift), _worst(*identity)
-    residual = _worst(shift, identity)
     return ClassifierVerdict(
         name="antonelli",
-        residual=residual,
+        residual=_worst(shift, identity),
         tol=tol,
         details={
             "spray_shift": shift,
@@ -306,21 +308,26 @@ def classify_antonelli(fld: SymTensorField, probes: ProbeSet,
 # mean Berwald curvature
 
 
-def _mean_berwald(fld: SymTensorField, x, fan):
-    """The fan's evaluations, E and h stacked, and each probe's weakly
-    Berwald residual max |E| / (1 + max |g|)."""
-    evs = [MetricEval.at(fld, x, y) for y in fan]
-    spray_batch(evs)
+def _probe_evals(fld: SymTensorField, probes: ProbeSet) -> list:
+    """Each base's evaluations, after one spray batch over all of them."""
+    evs = [[MetricEval.at(fld, x, y) for y in fan]
+           for x, fan in zip(probes.bases, probes.fans)]
+    spray_batch([ev for base in evs for ev in base])
+    return evs
+
+
+def _mean_berwald(evs):
+    """One base's E and h stacked, and each probe's weakly Berwald
+    residual max |E| / (1 + max |g|)."""
     E = np.array([spray_eval(ev).E for ev in evs])
     g, h = stacked_g_h(evs)
-    return evs, E, h, _absmax(E) / (1.0 + _absmax(g))
+    return E, h, _absmax(E) / (1.0 + _absmax(g))
 
 
 def weakly_berwald_check(fld: SymTensorField, probes: ProbeSet,
                          tol: float = DEFAULT_TOL) -> ClassifierVerdict:
     """Decide E = 0 over the probe set (mean Berwald tensor vanishes)."""
-    worst = [_mean_berwald(fld, x, fan)[3]
-             for x, fan in zip(probes.bases, probes.fans)]
+    worst = [_mean_berwald(evs)[2] for evs in _probe_evals(fld, probes)]
     return ClassifierVerdict(name="weakly_berwald",
                              residual=_worst(0.0, *worst), tol=tol)
 
@@ -362,11 +369,9 @@ def isotropic_fit(fld: SymTensorField, probes: ProbeSet,
         raise ConfigurationError(
             f"isotropic fit needs fans of >= {need} directions for n={fld.n}, "
             f"got {small}")
-    cs = []
-    fit_res = 0.0
-    max_E = [0.0]
-    for x, fan in zip(probes.bases, probes.fans):
-        evs, E, h, worst = _mean_berwald(fld, x, fan)
+    cs, fit_res, max_E = [], 0.0, [0.0]
+    for x, evs in zip(probes.bases, _probe_evals(fld, probes)):
+        E, h, worst = _mean_berwald(evs)
         if not np.isfinite(E).all():
             raise ConfigurationError(
                 f"the mean Berwald tensor E is not finite at "

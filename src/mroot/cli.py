@@ -28,9 +28,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from functools import cache
-from itertools import groupby
 
 import numpy as np
 
@@ -208,37 +207,31 @@ def _spray(run):
 def _spray_samples(run):
     """The spray at each explicit probe, as report samples."""
     if run.explicit:
-        samples = []
-        for p in run.probes:
-            ev = MetricEval.at(run.fld, p.x, p.y)
-            samples.append({
-                "x": [float(v) for v in p.x],
-                "y": [float(v) for v in p.y],
-                "G": [float(v) for v in spray_mroot(ev)],
-            })
-        run.report["samples"] = samples
+        run.report["samples"] = [
+            {"x": p.x.tolist(), "y": p.y.tolist(),
+             "G": spray_mroot(MetricEval.at(run.fld, p.x, p.y)).tolist()}
+            for p in run.probes]
     return None
 
 
 def _curvature(run):
+    # one spray batch over the whole probe list, every base at once, then
+    # the reductions over stacks of B cut to BATCH_BYTES
+    evs = [MetricEval.at(run.fld, p.x, p.y) for p in run.probes]
+    spray_batch(evs)
+    sps = [spray_eval(ev) for ev in evs]
     parts = []
-    # one spray batch per run of consecutive probes at the same base,
-    # reduced in stacks of B cut as the batch cuts them
-    for _, group in groupby(run.probes, key=lambda p: p.x.tobytes()):
-        evs = [MetricEval.at(run.fld, p.x, p.y) for p in group]
-        spray_batch(evs)
-        sps = [spray_eval(ev) for ev in evs]
-        for cut in stacks(len(evs), run.fld.n ** 4):
-            B = np.array([sp.B for sp in sps[cut]])
-            E = np.array([sp.E for sp in sps[cut]])
-            Y = np.array([ev.y for ev in evs[cut]])
-            max_B, max_E = _absmax(B), _absmax(E)
-            sym = np.maximum(_absmax(B - np.transpose(B, (0, 1, 3, 2, 4))),
-                             _absmax(B - np.transpose(B, (0, 1, 2, 4, 3))))
-            contract = _absmax(np.einsum("zijkl,zl->zijk", B, Y))
-            parts.append((sym / (1.0 + max_B), contract / (1.0 + max_B),
-                          _absmax(E - np.swapaxes(E, 1, 2)) / (1.0 + max_E),
-                          max_B, max_E))
+    for cut in stacks(len(evs), run.fld.n ** 4):
+        B = np.array([sp.B for sp in sps[cut]])
+        E = np.array([sp.E for sp in sps[cut]])
+        Y = np.array([ev.y for ev in evs[cut]])
+        max_B, max_E = _absmax(B), _absmax(E)
+        sym = np.maximum(_absmax(B - np.transpose(B, (0, 1, 3, 2, 4))),
+                         _absmax(B - np.transpose(B, (0, 1, 2, 4, 3))))
+        contract = _absmax(np.einsum("zijkl,zl->zijk", B, Y))
+        parts.append((sym / (1.0 + max_B), contract / (1.0 + max_B),
+                      _absmax(E - np.swapaxes(E, 1, 2)) / (1.0 + max_E),
+                      max_B, max_E))
     worst = {k: _worst(0.0, *col) for k, col in zip(
         ("berwald_symmetry", "berwald_y_contraction", "mean_symmetry",
          "max_berwald", "max_mean_berwald"), zip(*parts))}
@@ -323,7 +316,9 @@ def _cmd_checks(args, cfg):
         if verdict is not None:
             run.verdicts[verdict.name] = verdict
     report = run.report
-    report["verdicts"] = [asdict(v) for v in run.verdicts.values()]
+    # shallow, in field order: asdict would deep-copy every details list
+    report["verdicts"] = [{f.name: getattr(v, f.name) for f in fields(v)}
+                          for v in run.verdicts.values()]
     report["overall"] = all(v.passed for v in run.verdicts.values())
     _emit(report, args.out)
     return 0 if report["overall"] else 1

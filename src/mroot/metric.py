@@ -22,7 +22,7 @@ its result, keyed by the bytes of y, in the field's base-point cache
 as many as the largest probe set drawn on the field has), and it is
 evicted with its base point.  :func:`mroot.spray.spray_batch` stores
 each probe's spray on its evaluation, as views of one stacked
-recurrence over a base's fan.  An evaluation holds no reference to the
+recurrence over a check's probes.  An evaluation holds no reference to the
 memo or to its batch, so a field is freed without the cycle collector,
 and every caller shares it, so its stored arrays are read-only.
 

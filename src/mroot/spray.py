@@ -27,7 +27,7 @@ arrays that :meth:`mroot.metric.MetricEval.at` kept, so no fractional
 powers enter and the m = 2 case collapses to exactly zero.
 
 The recurrence runs over a stack of evaluations: :func:`spray_batch`
-stacks a batch of probes (the checks pass one base's fan) along a
+stacks a batch of probes (the checks pass every probe they read) along a
 leading axis, so each ``einsum`` runs once for the whole stack instead
 of once per probe, and stores the result on each evaluation.  The
 orders above m, which vanish, are never built, and a stack is capped

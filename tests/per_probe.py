@@ -19,19 +19,27 @@ reduction wrappers, ``np.eye``, ``np.outer``, the
 :class:`~mroot.metric.MetricEval` properties and ``NormalDist.inv_cdf``;
 ``test_per_probe.py`` asserts that the forms in ``mroot`` give their
 bits.
+
+:func:`curvature_per_base`, :func:`antonelli_per_pair`,
+:func:`weakly_berwald_per_base` and :func:`isotropic_fit_per_base` are
+the checks as they ran one spray stack per base (or per base pair), with
+their stacked reductions; ``test_reductions.py`` asserts that the checks,
+which spray every probe they read in one stack, give their bits.
 """
 
+from itertools import groupby
 from statistics import NormalDist
 
 import numpy as np
 
 from mroot.classify import (ClassifierVerdict, IsotropicFit, OneForm,
-                            dually_flat_residual)
+                            _absmax, _worst, dually_flat_residual)
 from mroot.errors import (AdmissibleConeError, ConfigurationError,
                           DegenerateMetricError)
-from mroot.metric import MetricEval, identity_residuals
+from mroot.metric import MetricEval, identity_residuals, stacked_g_h
 from mroot.probes import COND_CAP, admissible_at_all, base_points, sphere_fan
-from mroot.spray import spray_batch, spray_eval, spray_mroot, spray_variational
+from mroot.spray import (spray_batch, spray_eval, spray_mroot,
+                         spray_variational, stacks)
 
 
 def _max(a, b):
@@ -202,6 +210,115 @@ def isotropic_fit(fld, probes, inject_c=0.0):
                            / (1.0 + float(np.max(np.abs(W)))))
     return IsotropicFit(c=cs, fit_residual=fit_res,
                         c_max=max(abs(v) for v in cs), max_E=max_E)
+
+
+def curvature_per_base(run):
+    parts = []
+    for _, group in groupby(run.probes, key=lambda p: p.x.tobytes()):
+        evs = [MetricEval.at(run.fld, p.x, p.y) for p in group]
+        spray_batch(evs)
+        sps = [spray_eval(ev) for ev in evs]
+        for cut in stacks(len(evs), run.fld.n ** 4):
+            B = np.array([sp.B for sp in sps[cut]])
+            E = np.array([sp.E for sp in sps[cut]])
+            Y = np.array([ev.y for ev in evs[cut]])
+            max_B, max_E = _absmax(B), _absmax(E)
+            sym = np.maximum(_absmax(B - np.transpose(B, (0, 1, 3, 2, 4))),
+                             _absmax(B - np.transpose(B, (0, 1, 2, 4, 3))))
+            contract = _absmax(np.einsum("zijkl,zl->zijk", B, Y))
+            parts.append((sym / (1.0 + max_B), contract / (1.0 + max_B),
+                          _absmax(E - np.swapaxes(E, 1, 2)) / (1.0 + max_E),
+                          max_B, max_E))
+    worst = {k: _worst(0.0, *col) for k, col in zip(
+        ("berwald_symmetry", "berwald_y_contraction", "mean_symmetry",
+         "max_berwald", "max_mean_berwald"), zip(*parts))}
+    residual = _worst(worst["berwald_symmetry"],
+                      worst["berwald_y_contraction"], worst["mean_symmetry"])
+    return ClassifierVerdict("curvature_consistency", residual, run.tol,
+                             worst)
+
+
+def antonelli_per_pair(fld, probes, tol, seed=0):
+    if len(probes.bases) < 2:
+        raise ConfigurationError(
+            "the direction-only spray check needs at least 2 base points")
+    x_ref = probes.bases[0]
+    fan_size = max(len(f) for f in probes.fans)
+    seq = np.random.SeedSequence(seed, spawn_key=(7,))
+    children = seq.spawn(len(probes.bases))
+    shift, identity = [0.0], [0.0]
+    for b in range(1, len(probes.bases)):
+        x_b = probes.bases[b]
+        shared = admissible_at_all(fld, [x_ref, x_b], fan_size, children[b])
+        refs = [MetricEval.at(fld, x_ref, y) for y in shared]
+        spray_batch(refs)
+        evs_b = [MetricEval.at(fld, x_b, y) for y in shared]
+        G_ref = np.array([spray_mroot(ev) for ev in refs])
+        G_b = np.array([spray_mroot(ev) for ev in evs_b])
+        shift.append(_absmax(G_ref - G_b) / (1.0 + _absmax(G_ref)))
+        dG = np.array([spray_eval(MetricEval.at(fld, x_ref, y)).dG_dy
+                       for y in shared])
+        pred = (np.swapaxes(dG, 1, 2)
+                @ np.array([ev.A_i for ev in evs_b])[:, :, None])[:, :, 0]
+        identity.append(
+            _absmax(np.array([ev.A_xl for ev in evs_b]) - pred)
+            / (1.0 + np.abs(np.array([ev.A for ev in evs_b]))))
+    shift, identity = _worst(*shift), _worst(*identity)
+    return ClassifierVerdict("antonelli", _worst(shift, identity), tol, {
+        "spray_shift": shift, "connection_identity": identity,
+        "reference_base": [float(v) for v in x_ref]})
+
+
+def _mean_berwald_per_base(fld, x, fan):
+    evs = [MetricEval.at(fld, x, y) for y in fan]
+    spray_batch(evs)
+    E = np.array([spray_eval(ev).E for ev in evs])
+    g, h = stacked_g_h(evs)
+    return evs, E, h, _absmax(E) / (1.0 + _absmax(g))
+
+
+def weakly_berwald_per_base(fld, probes, tol):
+    worst = [_mean_berwald_per_base(fld, x, fan)[3]
+             for x, fan in zip(probes.bases, probes.fans)]
+    return ClassifierVerdict("weakly_berwald", _worst(0.0, *worst), tol)
+
+
+def isotropic_fit_per_base(fld, probes, inject_c=0.0):
+    if fld.n < 2:
+        raise ConfigurationError(
+            "the isotropic mean Berwald check requires dimension n >= 2")
+    need = fld.n * (fld.n + 1) // 2
+    small = min((len(f) for f in probes.fans), default=0)
+    if small < need:
+        raise ConfigurationError(
+            f"isotropic fit needs fans of >= {need} directions for n={fld.n}, "
+            f"got {small}")
+    cs = []
+    fit_res = 0.0
+    max_E = [0.0]
+    for x, fan in zip(probes.bases, probes.fans):
+        evs, E, h, worst = _mean_berwald_per_base(fld, x, fan)
+        if not np.isfinite(E).all():
+            raise ConfigurationError(
+                f"the mean Berwald tensor E is not finite at "
+                f"x={[float(v) for v in x]}")
+        max_E.append(worst)
+        F = np.array([ev.F for ev in evs])
+        W = ((fld.n + 1.0) / 2.0) * h / F[:, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            E = E + inject_c * W
+            num = sum(np.sum(E * W, axis=(1, 2)).tolist())
+            den = sum(np.sum(W * W, axis=(1, 2)).tolist())
+            c = num / den
+            cs.append(c)
+            fit_res = _worst(fit_res,
+                             _absmax(E - c * W) / (1.0 + _absmax(W)))
+        if not (np.isfinite(c) and np.isfinite(fit_res)):
+            raise ConfigurationError(
+                f"injected scale inject_c = {inject_c!r} overflows the "
+                f"isotropic fit at x={[float(v) for v in x]}")
+    return IsotropicFit(c=cs, fit_residual=fit_res,
+                        c_max=max(abs(v) for v in cs), max_E=_worst(*max_E))
 
 
 def draw_admissible(fld, xs, size, seed, cond_cap=COND_CAP, where=None):

@@ -603,22 +603,49 @@ SINGLE_CHECKS = {
 }
 
 
+# the seed and probe-set flags each member's subcommands run under
+SINGLE_CHECK_RUNS = [["--seed", "3"]] + [
+    ["--seed", seed, *config] for seed in ("0", "1")
+    for config in ([], ["--bases", "20", "--fan", "8"])]
+
+
 @pytest.mark.parametrize("name", CHECKED_MEMBERS)
 def test_single_check_subcommands_match_report_all(name, tmp_path, capsys):
-    def run(command):
+    def run(command, flags):
         out = tmp_path / f"{command}.json"
-        main([command, path(name), "--seed", "3", "--out", str(out)])
+        main([command, path(name), *flags, "--out", str(out)])
         return json.loads(out.read_text())
 
-    full = {v["name"]: v for v in run("report-all")["verdicts"]}
-    for command, verdict in SINGLE_CHECKS.items():
-        if verdict in full:
-            assert run(command)["verdicts"] == [full[verdict]], command
-    # the isotropic check is the only one report-all leaves out, and only
-    # in dimension 1
-    missing = set(SINGLE_CHECKS.values()) - set(full)
     n = parse_metric_file(path(name)).field.n
-    assert missing == ({"isotropic_mean_berwald"} if n == 1 else set())
+    for flags in SINGLE_CHECK_RUNS:
+        full = {v["name"]: v for v in run("report-all", flags)["verdicts"]}
+        for command, verdict in SINGLE_CHECKS.items():
+            if verdict in full:
+                assert run(command, flags)["verdicts"] == [full[verdict]], \
+                    (command, flags)
+        # the isotropic check is the only one report-all leaves out, and
+        # only in dimension 1
+        missing = set(SINGLE_CHECKS.values()) - set(full)
+        assert missing == ({"isotropic_mean_berwald"} if n == 1 else set())
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", SINGLE_CHECK_RUNS[1:], ids=[
+    "seed0", "seed0-b20f8", "seed1", "seed1-b20f8"])
+def test_single_check_subcommands_stop_where_report_all_stops(flags,
+                                                              capsys):
+    # quartic2_degenerate's explicit probe sits on the singular axis:
+    # every subcommand that reads the probe list exits 3 as report-all
+    # does, with its message, and the others run on the generated set
+    argv = [path("quartic2_degenerate"), *flags]
+    assert main(["report-all", *argv]) == 3
+    err = capsys.readouterr().err
+    for command in ("identities", "spray", "curvature"):
+        assert main([command, *argv]) == 3
+        assert capsys.readouterr().err == err, command
+    for command in ("classify-dually-flat", "classify-antonelli",
+                    "classify-isotropic"):
+        assert main([command, *argv]) in (0, 1), command
     capsys.readouterr()
 
 
@@ -749,3 +776,4 @@ def test_report_all_computes_each_probe_once_with_many_bases(monkeypatch,
     shared = (bases - 1) * fan           # S: antonelli's shared directions
     assert counts["coeff_array"] == (1 + n) * bases
     assert counts["spray"] == probes + shared
+

@@ -96,8 +96,44 @@ def test_stacked_reductions_equal_the_per_probe_reference(
     _assert_same_reductions(_run(path, ["--seed", str(seed), *config]))
 
 
+# each check that sprays every probe it reads in one stack, its copy in
+# per_probe.py that sprays one stack a base (or base pair), and their
+# arguments from a run
+PER_BASE = (
+    (cli._curvature, per_probe.curvature_per_base, lambda r: (r,)),
+    (classify_antonelli, per_probe.antonelli_per_pair,
+     lambda r: (r.fld, r.probe_set, r.tol, r.seed)),
+    (weakly_berwald_check, per_probe.weakly_berwald_per_base,
+     lambda r: (r.fld, r.probe_set, r.tol)),
+    (isotropic_fit, per_probe.isotropic_fit_per_base,
+     lambda r: (r.fld, r.probe_set, 0.0)),
+    (isotropic_fit, per_probe.isotropic_fit_per_base,
+     lambda r: (r.fld, r.probe_set, 0.1)))
+
+
+def _assert_same_as_per_base(path, argv):
+    # each side on its own fresh run, so that every spray it reads is
+    # one it built
+    for check, copy, args in PER_BASE:
+        got = _outcome(check, *args(_run(path, argv)))
+        assert got == _outcome(copy, *args(_run(path, argv))), check.__name__
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=["default", "b20f8"])
+@pytest.mark.parametrize("member", MEMBERS
+                         + [f"cubic{s}" for s in CUBIC_SEEDS])
+def test_one_spray_stack_gives_the_per_base_bits(member, config,
+                                                tmp_path_factory):
+    if member.startswith("cubic"):
+        path = _cubic_path(tmp_path_factory, int(member[5:]))
+    else:
+        path = DATA_DIR / f"{member}.metric"
+    _assert_same_as_per_base(path, list(config))
+
+
 def test_explicit_probes_alternating_between_two_bases(tmp_path):
-    # every run of consecutive probes at one base is a stack of one
+    # probes that alternate between two bases: a spray stack a base
+    # would cut them into stacks of one
     path = tmp_path / "alternating.metric"
     xs = ("0.1 -0.2", "-0.3 0.25")
     ys = ("1 0.5", "0.3 -1", "-0.7 0.2", "0.6 0.9", "-1 -0.4", "0.2 1")
@@ -110,6 +146,7 @@ def test_explicit_probes_alternating_between_two_bases(tmp_path):
     assert [p.x.tolist() for p in run.probes[:3]] == [
         [0.1, -0.2], [-0.3, 0.25], [0.1, -0.2]]
     _assert_same_reductions(run)
+    _assert_same_as_per_base(path, [])
 
 
 def _wide_field_path(tmp_path, n):
