@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ConfigurationError
-from .field import SymTensorField
+from .field import SymTensorField, dense_index
 from .metric import MetricEval, stacked_g_h
 from .probes import ProbeSet, admissible_at_all
 from .spray import spray_batch, spray_eval, spray_mroot
@@ -205,11 +205,13 @@ def riemann_corollary_check(fld: SymTensorField, probes: ProbeSet,
             f"the quadratic-case check requires m = 2, got m = {fld.m}")
 
     coeff_res, spray_res = [0.0], [0.0]
+    # a_ij and da_ij/dx^l as dense arrays of the coefficient vectors
+    dense = dense_index(fld.n, 2)
     for x, fan in zip(probes.bases, probes.fans):
         of = recover_theta(fld, x, fan)
         theta = of.theta
-        a = fld.coeff_array(x)
-        da = np.stack([fld.coeff_array(x, l) for l in range(fld.n)])
+        a = fld.coeff_array(x)[dense]
+        da = np.array([fld.coeff_array(x, l) for l in range(fld.n)])[:, dense]
         lhs = 3.0 * da
         rhs = (np.einsum("l,ij->lij", theta, a)
                + np.einsum("i,lj->lij", theta, a)

@@ -4,27 +4,28 @@ A field stores one expression tree per *sorted* multi-index; every
 permutation of that index refers to the same entry, so the tensor is
 symmetric by construction.  Missing indices are identically zero.
 
-The evaluators in :mod:`mroot.metric` never touch expression trees in
-their inner loops.  Instead they ask the field for dense symmetric
-arrays at a base point (:meth:`SymTensorField.coeff_array` and
-:meth:`SymTensorField.point_arrays`), after which every directional
-quantity is a numpy contraction.  The x-derivative arrays da/dx^l come
-from ``coeff_array(x, l)``: the field differentiates its trees once per
-coordinate and scatters their values through the same slot index as
-the coefficients.
+The metric on a field is the degree-m form A = a_{i1..im} y^{i1}..y^{im}
+of C(n+m-1, m) distinct coefficients: :meth:`SymTensorField.coeff_array`
+evaluates them, or their derivatives da/dx^l, as a vector.  The
+y-derivatives of A are forms too; :class:`FormTables` lists their terms
+once per (n, m), and :meth:`SymTensorField.point_arrays` gathers the
+terms' coefficients at a base point, so no expression tree is evaluated
+per direction.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .expr import Expr, Const
 
-__all__ = ["PointArrays", "SymTensorField"]
+__all__ = ["FormTables", "PointArrays", "SymTensorField", "dense_index",
+           "form_tables"]
 
 _FLOAT = np.dtype(float)        # a native float64 array's dtype object
 _MAX_SLOTS = 2 ** 16
@@ -38,17 +39,126 @@ def _diff(e: Expr, l: int) -> Expr:
         return Const(math.inf)
 
 
-class PointArrays(tuple):
-    """The pair ``(abar, bstack)`` at one base point, plus a memo.
+@functools.cache
+def dense_index(n, r):
+    """The (n,)*r array of each entry's position among the sorted
+    multi-indices of length r (``combinations_with_replacement`` order):
+    a vector over those, taken at it, is its dense symmetric array."""
+    where = {J: p for p, J in enumerate(
+        combinations_with_replacement(range(n), r))}
+    index = np.array([where[tuple(sorted(J))] for J in product(
+        range(n), repeat=r)], dtype=np.intp).reshape((n,) * r)
+    index.setflags(write=False)
+    return index
 
-    ``evals`` maps ``y.tobytes()`` to the finished evaluation at this
-    base point; it belongs to :meth:`mroot.metric.MetricEval.at`.
+
+class FormTables:
+    """The integer tables of the degree-m form in n variables.
+
+    ``where[key]`` places sorted multi-index ``key`` in a coefficient
+    vector, as :func:`dense_index` does.  A direction's derivatives that
+    depend on y make one dense row: A^(r) at ``A_orders[r]``, D_r (x-slot
+    first) at ``D_orders[r]``, then A0 and A0l.  Those of degree 0 above,
+    A^(m) for 3 <= m <= 5 and D_m for m <= 4, are m! times the arrays
+    that ``top`` takes from the coefficient vectors [a, da/dx^1, ..]
+    stacked and flat.  A row is taken at ``expand`` from its distinct entries,
+    the columns: column c, of degree ``degree[c]`` in y, sums terms
+    ``starts[c]`` on, each the stacked coefficient at ``gather[t]`` times
+    m!/beta! (``weight[t]``) times y^beta, whose factors y_i^e sit at
+    ``factors[:, term_mono[t]]`` in a direction's powers (n, m + 2),
+    flattened.  ``cone`` is the prefix of A, A_i and A_ij.
     """
 
-    def __new__(cls, abar, bstack):
-        self = super().__new__(cls, (abar, bstack))
+    def __init__(self, n, m):
+        self.m = m
+        self.where = where = {J: p for p, J in enumerate(
+            combinations_with_replacement(range(n), m))}
+        size, fact = len(where), [math.factorial(k) for k in range(m + 1)]
+        # each beta of degree d with its weight m!/beta!
+        betas = {d: [(b, fact[m] // math.prod(fact[b.count(i)]
+                                              for i in set(b)))
+                     for b in combinations_with_replacement(range(n), d)]
+                 for d in range(max(0, m - 5), m + 1)}
+        monos, gather, term_mono, weight, starts, degree, expand = (
+            {}, [], [], [], [], [], [])
+
+        # a column of degree d in y, of (position, weight, monomial) terms
+        def column(d, terms):
+            starts.append(len(gather))
+            degree.append(d)
+            for p, w, mono in terms:
+                gather.append(p)
+                weight.append(w)
+                term_mono.append(monos.setdefault(mono, len(monos)))
+
+        # the terms of entry J over vector v: a (0) or da/dx^(v - 1)
+        def entry(v, J):
+            return [(v * size + where[tuple(sorted(b + J))], w, b)
+                    for b, w in betas[m - len(J)]]
+
+        # A^(r) (vectors (0,)) or D_r (1 .. n): its slice of the row
+        def block(r, vectors):
+            first, keys = len(starts), list(
+                combinations_with_replacement(range(n), r))
+            for v in vectors:
+                for J in keys:
+                    column(m - r, entry(v, J))
+            expand.extend((first + np.add.outer(
+                np.arange(len(vectors)) * len(keys),
+                dense_index(n, r).ravel())).ravel().tolist())
+            return slice(len(expand) - len(vectors) * n ** r, len(expand))
+
+        self.A_orders = [block(r, (0,)) for r in range(max(3, min(m, 6)))]
+        self.D_orders = [block(r, range(1, n + 1))
+                         for r in range(max(2, min(m, 5)))]
+        # A0 = y^k D_0[k] and A0l[l] = y^k D_1[k, l]
+        for J in ((), *((l,) for l in range(n))):
+            column(m + 1 - len(J), [(p, w, tuple(sorted(b + (k,))))
+                                    for k in range(n)
+                                    for p, w, b in entry(1 + k, J)])
+            expand.append(len(starts) - 1)
+        self.A0, self.A0l = len(expand) - n - 1, slice(len(expand) - n, None)
+        self.A, self.A_i, self.A_ij = 0, *self.A_orders[1:3]
+        self.A_xl, self.A_xy = self.D_orders[:2]
+        self.gather = np.array(gather, dtype=np.intp)
+        factors = np.array([[mono.count(i) + (m + 2) * i for mono in monos]
+                            for i in range(n)], dtype=np.intp)
+        self.terms = (factors, *(np.array(t, dtype=d) for t, d in (
+            (term_mono, np.intp), (weight, float), (starts, np.intp),
+            (degree, np.intp), (expand, np.intp))))
+        # A, A_i and A_ij come first, and so do their columns, monomials
+        # and terms
+        cols = 1 + n + math.comb(n + 1, 2)
+        cut = starts[cols]
+        self.cone = (factors[:, :max(term_mono[:cut]) + 1],
+                     *(t[:cut] for t in self.terms[1:3]),
+                     *(t[:cols] for t in self.terms[3:5]),
+                     self.terms[5][:self.A_ij.stop])
+        index = dense_index(n, m) if m <= 5 else None
+        self.top = ((index,) if 3 <= m <= 5 else ()) + ((np.add.outer(
+            np.arange(1, n + 1) * size, index),) if m <= 4 else ())
+        self.zero_power = np.arange(m + 2) == 0
+        self.row_floats = max(len(gather), factors.size, len(expand))
+        for table in (self.gather, *self.terms, *self.top,
+                      self.zero_power):
+            table.setflags(write=False)
+
+
+# the FormTables of (n, m), built once and shared
+form_tables = functools.cache(FormTables)
+
+
+class PointArrays:
+    """At one base point: the coefficient of every term of ``tables``,
+    the coefficient vectors [a, da/dx^1, ..] stacked and flat (both
+    read-only), and the evaluations that
+    :meth:`mroot.metric.MetricEval.at` memoizes by ``y.tobytes()``."""
+
+    __slots__ = ("coeffs", "vectors", "tables", "evals")
+
+    def __init__(self, coeffs, vectors, tables):
+        self.coeffs, self.vectors, self.tables = coeffs, vectors, tables
         self.evals = {}
-        return self
 
 
 class SymTensorField:
@@ -75,10 +185,8 @@ class SymTensorField:
             raise ConfigurationError("dimension n must be >= 1")
         if self.m < 2:
             raise ConfigurationError("tensor order m must be >= 2")
-        # point_arrays keeps (1 + n) * n^m floats per cached base point, for
-        # up to max(16, bases) points: 2^16 slots admit every corpus member
-        # and n = 2 up to m = 16.  bstack has m + 1 axes, and numpy 1 allows
-        # 32; testing m first also keeps n ** m a small number.
+        # the parser's bound: 2^16 slots admit every corpus member and n = 2
+        # up to m = 16; testing m first also keeps n ** m a small number
         if self.m > _MAX_ORDER or self.n ** self.m > _MAX_SLOTS:
             raise ConfigurationError(
                 f"n = {self.n}, m = {self.m} is too large: the coefficient "
@@ -109,17 +217,10 @@ class SymTensorField:
                 e = Const(float(e))
             self.entries[key] = e
 
-        # slot -> position of its sorted index among the entries, or
-        # len(entries) for the zero that fills every slot with no entry
-        where = {key: i for i, key in enumerate(self.entries)}
-        self._slots = np.array(
-            [where.get(tuple(sorted(s)), len(where))
-             for s in itertools.product(range(self.n), repeat=self.m)],
-            dtype=np.intp).reshape((self.n,) * self.m)
-        # l -> (position, index, tree) for each entry of da/dx^l that is
-        # not identically zero, in entry order; None -> the entries of a
-        self._trees = {None: [(i, key, e) for i, (key, e)
-                              in enumerate(self.entries.items())]}
+        self._size = math.comb(self.n + self.m - 1, self.m)
+        # l -> (position, index, tree) for each entry of da/dx^l (of a for
+        # None) that is not identically zero, in entry order, on first use
+        self._trees = {}
         self._point_cache = {}
         self._point_cap = 16            # base points point_arrays keeps
 
@@ -135,14 +236,14 @@ class SymTensorField:
         # both comparisons, so it is outside
         return all(lo <= v <= hi for v, (lo, hi) in zip(xl, self.box))
 
-    # -- dense arrays ---------------------------------------------------------
+    # -- coefficient vectors --------------------------------------------------
 
     def coeff_array(self, x, l=None) -> np.ndarray:
-        """Dense symmetric array of shape (n,)*m evaluated at x.
-
-        With ``l`` given, the array of coordinate derivatives da/dx^l
-        instead; each l's derivative trees are built once and kept, and
-        those that are identically zero are never evaluated.
+        """The coefficients at x: a_key at ``where[key]`` of the field's
+        :class:`FormTables`, 0 where the field has no entry.  With ``l``
+        given, the derivatives da/dx^l instead; each l's derivative trees
+        are built once and kept, and those identically zero never
+        evaluated.
 
         Raises
         ------
@@ -159,12 +260,12 @@ class SymTensorField:
             raise DomainError(f"point {xl} is outside the domain box")
         trees = self._trees.get(l)
         if trees is None:
+            where = form_tables(self.n, self.m).where
             trees = self._trees[l] = [
-                (i, key, d) for i, key, e in self._trees[None]
-                if not (d := _diff(e, l)).is_zero()]
-        # the last value is the zero of every slot with no entry
-        vals = [0.0] * (len(self.entries) + 1)
-        for i, key, e in trees:
+                (where[key], key, d) for key, e in self.entries.items()
+                if not (d := e if l is None else _diff(e, l)).is_zero()]
+        vals = [0.0] * self._size
+        for p, key, e in trees:
             try:
                 v = e.evaluate(xl)
             except (ArithmeticError, ValueError):
@@ -174,27 +275,20 @@ class SymTensorField:
                 raise ConfigurationError(
                     f"{what}coefficient {tuple(i + 1 for i in key)} is not "
                     f"finite at x={xl}")
-            vals[i] = v
-        return np.array(vals)[self._slots]
+            vals[p] = v
+        return np.array(vals)
 
     def keep_bases(self, k: int):
         """Let :meth:`point_arrays` keep at least ``k`` base points."""
         self._point_cap = max(self._point_cap, int(k))
 
     def point_arrays(self, x):
-        """(abar, bstack) at the base point x, with a small cache.
-
-        ``abar`` is the dense coefficient array, shape (n,)*m;
-        ``bstack[l]`` is the dense array of da/dx^l, shape (n,)+(n,)*m.
-        All directional derivatives at x are contractions of these two
-        arrays with y, so one call serves a whole fan of directions.
-
-        The last ``max(16, k)`` base points are cached, where k is the
-        largest count passed to :meth:`keep_bases` (the most bases of a
-        probe set drawn on this field).  Each entry is a
-        :class:`PointArrays`, which also carries the evaluations that
-        :meth:`mroot.metric.MetricEval.at` memoizes at that base point,
-        so they are evicted with it.  Cached arrays are read-only.
+        """The :class:`PointArrays` at x: one gather takes the coefficient
+        of every term of :class:`FormTables` from the 1 + n vectors of
+        :meth:`coeff_array`.  The
+        last ``max(16, k)`` base points are cached, k the most passed to
+        :meth:`keep_bases` (the most bases of a probe set drawn on this
+        field), each with its memoized evaluations.
         """
         if type(x) is not np.ndarray or x.dtype is not _FLOAT:
             x = np.asarray(x, dtype=float)
@@ -202,14 +296,16 @@ class SymTensorField:
         hit = self._point_cache.get(key)
         if hit is not None:
             return hit
-        abar = self.coeff_array(x)
-        # np.array stacks the same bits as np.stack, with less overhead
-        bstack = np.array([self.coeff_array(x, l) for l in range(self.n)])
-        abar.setflags(write=False)
-        bstack.setflags(write=False)
+        vecs = np.array([self.coeff_array(x)]
+                        + [self.coeff_array(x, l) for l in range(self.n)])
+        tables = form_tables(self.n, self.m)
+        vecs = vecs.ravel()
+        coeffs = vecs[tables.gather]
+        coeffs.setflags(False)
+        vecs.setflags(False)
         if len(self._point_cache) >= self._point_cap:
             self._point_cache.pop(next(iter(self._point_cache)))
-        entry = self._point_cache[key] = PointArrays(abar, bstack)
+        entry = self._point_cache[key] = PointArrays(coeffs, vecs, tables)
         return entry
 
     def __repr__(self):

@@ -1,38 +1,22 @@
 """Pointwise evaluation of an m-th root metric F = A**(1/m).
 
-Everything here is data at a probe (x, y).  The coefficient field is
-flattened to dense symmetric arrays once per base point, after which
-every quantity is a numpy contraction:
-
-* the k-th y-derivative of A is ``perm(m, k)`` times the coefficient
-  array contracted with y in m-k slots,
-* mixed derivatives (one x, several y) contract the stack of
-  x-derivative arrays da/dx^l the same way.
-
-:meth:`MetricEval.at` keeps the contractions it passes on its way to
-A_ij and A_xy that :func:`mroot.spray.spray_eval` scales into the
-higher derivatives, so none is computed twice.
+Everything here is data at a probe (x, y).  A is a degree-m form in y,
+and A^(r), its r-th y-derivative, and D_r = d^(r+1) A / dx dy^r are
+forms of degree m - r: at a direction, sums of monomials times the
+coefficients that the field gathers once per base point, one routine
+(:func:`_orders`) for one direction or a stack.  :meth:`MetricEval.at`
+stores every order that :func:`mroot.spray.spray_eval` reads.
 
 Fractional powers of A are evaluated as exp(t*log A), which is valid on
 the admissible cone where A > 0 and keeps odd m well defined.
 
 Each probe is evaluated once per run: :meth:`MetricEval.at` memoizes
-its result, keyed by the bytes of y, in the field's base-point cache
-(:meth:`mroot.field.SymTensorField.point_arrays`: the last 16 bases, or
-as many as the largest probe set drawn on the field has), and it is
-evicted with its base point.  :func:`mroot.spray.spray_batch` stores
-each probe's spray on its evaluation, as views of one stacked
-recurrence over a check's probes.  An evaluation holds no reference to the
-memo or to its batch, so a field is freed without the cycle collector,
-and every caller shares it, so its stored arrays are read-only.
-
-Probe generation, which on a thin cone rejects most draws, passes each
-prefix of a drawn batch to :meth:`MetricEval.at` as a :class:`Batch`
-with a row; the first call at a base point fills the batch's table
-there in one stacked pass, bitwise as the one-probe chain.  The table
-gives each row's verdict as arrays, so a rejected draw needs no call of
-its own and only a row asked for is built.  The caller holds the
-table, so it is freed once admission is done.
+it with its base point, and :func:`mroot.spray.spray_batch` stores its
+spray on it.  An evaluation holds no reference to the memo or to its
+batch, so a field is freed without the cycle collector, and every
+caller shares it, so its stored arrays are read-only.  Probe generation
+evaluates the draws at a base point in one stacked pass, a
+:class:`Batch`, bitwise as one by one.
 """
 
 from __future__ import annotations
@@ -79,11 +63,12 @@ class MetricEval:
     * ``A0 = A_xl . y`` and ``A0l[l] = y . A_xy[:, l]`` are the standard
       contractions of the x-derivative with the direction.
     * ``cond`` = max / min eigenvalue of ``A_ij``: the probe's cone margin.
-    * ``abar_y[r - 3]`` is the coefficient array contracted with y down
-      to r free slots, for r = 3 .. min(m, 5); ``bstack_y[k - 2]`` is
-      the x-derivative stack contracted down to k y-slots after its
-      x-slot, for k = 2 .. min(m, 4).  The k-th y-derivative is
-      ``perm(m, k)`` times them.
+    * ``orders``: A^(r) (the r-th y-derivative of A) and D_r =
+      d^(r+1) A / dx^l dy^r for r <= 5 and 4 that depend on y, laid out
+      by :class:`~mroot.field.FormTables`; the arrays above view it.
+      ``vectors``: the base point's coefficient vectors (see
+      :class:`~mroot.field.PointArrays`), m! times which, taken at
+      ``FormTables.top``, are the orders of degree 0.
 
     These fields are what :meth:`at` stores.  ``F``, ``g``, ``h``,
     ``g_inv`` and ``y_low`` are computed from them on each read; every
@@ -103,8 +88,8 @@ class MetricEval:
     A0: float
     A0l: np.ndarray
     cond: float
-    abar_y: tuple = dc_field(repr=False, default=())
-    bstack_y: tuple = dc_field(repr=False, default=())
+    orders: np.ndarray = dc_field(repr=False, default=None)
+    vectors: np.ndarray = dc_field(repr=False, default=None)
 
     def __post_init__(self):
         self._spray = None     # set by mroot.spray.spray_batch
@@ -125,11 +110,9 @@ class MetricEval:
 
         ``batch`` is a :class:`Batch` of directions at x, and ``row``
         y's row in it; the two are passed together.  A call fills the
-        batch's table at x in one stacked pass unless it holds x's
-        already, then reads row ``row``: its evaluation is built, from
-        views of the stacks, and memoized only when the row is asked
-        for, and a rejected row raises only then, so each call returns
-        or raises, bit for bit, what it would without ``batch``.
+        batch's table at x unless it holds x's already, then builds and
+        memoizes row ``row`` or raises its error, bit for bit what it
+        would without ``batch``.
 
         Raises
         ------
@@ -151,13 +134,13 @@ class MetricEval:
         point = fld.point_arrays(x)
         # filled before the memo is read: a caller reads the table's
         # verdicts on every row, the memoized ones too
-        if batch is not None and batch.abar is not point[0]:
-            batch.fill(point, x, fld.m)
+        if batch is not None and batch.point is not point:
+            batch.fill(point, x)
         key = y.tobytes()
         hit = point.evals.get(key)
         if hit is not None:
             return hit
-        ev = (_evaluate(cls, point, x, y, fld.m) if batch is None
+        ev = (_evaluate(cls, point, x, y) if batch is None
               else batch.take(cls, row))
         point.evals[key] = ev
         return ev
@@ -209,98 +192,95 @@ def _frozen(a):
     return a
 
 
-def _evaluate(cls, point, x, y, m) -> MetricEval:
-    """The evaluation at one probe, or the error it raises: one row of
-    :class:`Batch`, with each array its own.  Every RK4 stage comes
-    through here, and it costs less than half of a stack of one: 21-25
-    us against 50-54 us on quartic2_scaled (numpy 2.4, 2 vCPUs)."""
-    abar, bstack = point
+def _evaluate(cls, point, x, y) -> MetricEval:
+    """The evaluation at one probe, or its error, as a Batch row gets it."""
     x, y = _frozen(x), _frozen(y)
-    # ya[j] is abar contracted with y in j slots, yb[j] bstack; matmul
-    # contracts the trailing axis, and the trailing m axes of both are
-    # symmetric, so the choice of slot does not matter
-    ya, c1, A = _contract(abar, y, m, np.matmul)
-    A = float(A)
+    tables = point.tables
+    # the e of Batch.fill, in Python: numpy's per-call cost is 3 us
+    e = math.frexp(max(map(abs, y.tolist())))[1] or None
+    row = _orders(point, y[None], e)[0]
+    A = float(row[tables.A])
     if not _A_MIN <= A <= _A_MAX:      # NaN fails here too
-        raise _rejected(A, abar, x, y, m)
-    A_i = float(m) * c1
-    A_ij = float(math.perm(m, 2)) * ya[-1]
-    lam, pd, A_inv = _spectrum(A_ij)
+        raise _rejected(A, point, x, y)
+    lam, pd, A_inv = _spectrum(row[tables.A_ij].reshape(len(y), -1))
     if not pd:
         raise _degenerate(np.min(np.abs(lam)), np.max(np.abs(lam)), A, x, y)
-
-    yb = [bstack]
-    for _ in range(m - 1):
-        yb.append(yb[-1] @ y)
-    d2 = yb[-1]                            # d2[l, j] = A_{x^l y^j} / m
-    A_xl = d2 @ y
-    A_xy = float(m) * d2
-    A0 = float(A_xl @ y)
-    A0l = y @ A_xy                         # A0l[l] = y^k A_{x^k y^l}
-
-    # the contractions left with 3..5 and 2..4 y-slots, fewest first
-    abar_y, bstack_y = tuple(ya[-2:-5:-1]), tuple(yb[-2:-5:-1])
-    # setflags(False) sets write=False; numpy parses the keyword form
-    # about three times slower
-    for arr in (A_i, A_ij, A_inv, A_xl, A_xy, A0l, *abar_y, *bstack_y):
-        arr.setflags(False)
-    return cls(x=x, y=y, n=len(y), m=m, A=A, A_i=A_i, A_ij=A_ij,
-               A_inv=A_inv, A_xl=A_xl, A_xy=A_xy, A0=A0, A0l=A0l,
-               cond=float(lam[-1] / lam[0]), abar_y=abar_y,
-               bstack_y=bstack_y)
+    A_inv.setflags(False)
+    return _row(cls, x, y, point, row, A_inv, float(lam[-1] / lam[0]))
 
 
-def _rejected(A, abar, x, y, m):
+def _row(cls, x, y, point, row, A_inv, cond) -> MetricEval:
+    """The evaluation whose ``orders`` are ``row``, its arrays views."""
+    n, tables = len(y), point.tables
+    # positional: keywords cost 1/3
+    return cls(x, y, n, tables.m, float(row[tables.A]), row[tables.A_i],
+               row[tables.A_ij].reshape(n, n), A_inv, row[tables.A_xl],
+               row[tables.A_xy].reshape(n, n), float(row[tables.A0]),
+               row[tables.A0l], cond, row, point.vectors)
+
+
+def _rejected(A, point, x, y):
     """The error of a probe whose A fails the range test: a cone error
     if A <= 0, unless A is a 0 that :func:`_underflows`, else a range
     error (a NaN A gives a range error)."""
-    if A <= 0.0 and not (A == 0.0 and _underflows(abar, y, m)):
-        return AdmissibleConeError(_Message(_CONE, A, x, y))
-    return ConfigurationError(_Message(_RANGE, A, x, y))
+    if A <= 0.0 and not (A == 0.0 and _underflows(point, y)):
+        # + 0.0 prints a negative A that underflowed, -0, as 0
+        return AdmissibleConeError(
+            f"A = {A + 0.0:.6g} <= 0 at x={x.tolist()}, y={y.tolist()}: "
+            f"outside the cone")
+    return ConfigurationError(
+        f"A = {A:.6g} at x={x.tolist()}, y={y.tolist()} is outside "
+        f"[{_A_MIN:g}, {_A_MAX:g}], where the checks' products stay finite; "
+        f"rescale the coefficients or y")
 
 
-def _underflows(abar, y, m) -> bool:
+def _underflows(point, y) -> bool:
     """Whether an A of 0 at y is a positive A that underflowed: A is
-    positive at y scaled by the power of two that brings max |y| into
-    [0.5, 1).  The scaling is exact, so an A that is 0 by cancellation
-    is 0 there too."""
-    top = float(np.max(np.abs(y)))
-    if not 0.0 < top < math.inf:
-        return False
-    unit = np.ldexp(y, -math.frexp(top)[1])
-    return float(_contract(abar, unit, m, np.matmul)[2]) > 0.0
+    positive at y scaled as :func:`_orders` scales it, exactly, so an A
+    that is 0 by cancellation is 0 there too."""
+    unit = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
+    return float(_orders(point, unit[None], None, cone=True)[0, 0]) > 0.0
 
 
 def _degenerate(lo, hi, A, x, y) -> DegenerateMetricError:
     """The error of a Hessian whose eigenvalues span [lo, hi] in size."""
     cond = float(hi / lo) if lo > 0.0 else math.inf
-    return DegenerateMetricError(_Message(_DEGENERATE, A, x, y, cond),
-                                 condition=cond)
+    return DegenerateMetricError(
+        f"y-Hessian of A is not positive definite at x={x.tolist()}, "
+        f"y={y.tolist()} (condition {cond:.3g})", condition=cond)
 
 
-class _Message:
-    """A rejection's message, formatted when it is read: probe generation
-    rejects most draws of a thin cone and never reads why."""
-
-    __slots__ = ("text", "A", "x", "y", "cond")
-
-    def __init__(self, text, A, x, y, cond=None):
-        self.text, self.A, self.x, self.y, self.cond = text, A, x, y, cond
-
-    def __str__(self):
-        return self.text.format(A=self.A, x=self.x.tolist(),
-                                y=self.y.tolist(), cond=self.cond)
-
-    def __repr__(self):
-        return repr(str(self))
-
-
-_CONE = "A = {A:.6g} <= 0 at x={x}, y={y}: outside the cone"
-_RANGE = (f"A = {{A:.6g}} at x={{x}}, y={{y}} is outside [{_A_MIN:g}, "
-          f"{_A_MAX:g}], where the checks' products stay finite; rescale "
-          f"the coefficients or y")
-_DEGENERATE = ("y-Hessian of A is not positive definite at x={x}, y={y} "
-               "(condition {cond:.3g})")
+# A overflows to inf for the range test, or to NaN where terms of both
+# signs do; errstate costs 0.7 us as a decorator, 1.3 us as a
+# with-statement (numpy 2.4, 2 vCPUs)
+@np.errstate(over="ignore", invalid="ignore")
+def _orders(point, Y, e, cone=False) -> np.ndarray:
+    """The read-only ``orders`` rows of the directions ``Y`` at
+    ``point``; with ``cone``, their A, A_i and A_ij only.  A row is summed
+    at y 2^-e, max |y 2^-e| in [0.5, 1) (``e`` a column, an int for one
+    row, None if all are 0), where its monomials neither overflow nor
+    underflow, and scaled back by 2^(e d) at degree d, exactly.
+    ``reduceat`` sums a row alone, so its bits do not depend on the
+    stack (BLAS sums by the operands' alignment)."""
+    tables = point.tables
+    factors, term_mono, weight, starts, degree, expand = (
+        tables.cone if cone else tables.terms)
+    k, n = Y.shape
+    # 1, y, .. y^(m + 1) of each coordinate
+    powers = np.multiply.accumulate(np.where(
+        tables.zero_power, 1.0, (Y if e is None else np.ldexp(Y, -e))[
+            :, :, None]), axis=-1)
+    mono = np.multiply.reduce(powers.reshape(k, n * (tables.m + 2)).take(
+        factors, axis=1), axis=1)
+    terms = mono.take(term_mono, axis=1)
+    terms *= weight
+    terms *= point.coeffs[:len(weight)]
+    out = np.add.reduceat(terms, starts, axis=1)
+    if e is not None:
+        out = np.ldexp(out, e * degree)
+    out = out.take(expand, axis=1)
+    out.setflags(False)
+    return out
 
 
 class Batch:
@@ -308,12 +288,9 @@ class Batch:
     one base point: :meth:`MetricEval.at` at every row, in one pass.
 
     :meth:`fill` runs each step of the one-probe evaluation once for the
-    stack: every contraction is one batched ``np.matmul`` (see
-    :func:`_dot`), and ``eigvalsh`` and ``inv`` run over the stacked
-    Hessians, so a row gets the bits its own call would.  The tests come
-    in the one-probe order, cone, range, then positive definiteness, and
-    each step after a test runs only on the rows that passed it.  It
-    leaves each row's verdict:
+    stack, so a row gets the bits its own call would: A, A_i and A_ij on
+    every row, ``eigvalsh`` and ``inv`` on the rows whose A is in range,
+    and the rest on the rows that pass.  It leaves each row's verdict:
 
     * ``cond[r]``: row r's condition number if its call returns (A in
       range, A_ij positive definite), NaN if it raises, so that
@@ -331,110 +308,55 @@ class Batch:
 
     def __init__(self, ys):
         self.ys = _frozen(np.asarray(ys, dtype=float))
-        self.abar = None                  # the base point's, once filled
+        self.point = None                 # the base point's, once filled
 
-    def fill(self, point, x, m):
+    def fill(self, point, x):
         """Evaluate every row at the base point of ``point``."""
-        abar, bstack = point
         Y = self.ys
-        k = len(Y)
-        ya, c1, A = _contract(abar[None], Y, m, _dot)
-        self.x, self.m, self.A = _frozen(x), m, A
+        k, n = Y.shape
+        # each row's exponent of max |y|, for _orders to scale by
+        e = np.frexp(np.maximum.reduce(np.abs(Y), axis=1, keepdims=True))[1]
+        e = e if e.any() else None
+        cone = _orders(point, Y, e, cone=True)
+        self.x, self.point = _frozen(x), point
+        self.A = A = cone[:, point.tables.A]
         fit = (_A_MIN <= A) & (A <= _A_MAX)    # so A > 0 and not NaN
-        # every row in range: slices, so views and no index arrays
-        whole = fit.all()
-        live = slice(None) if whole else np.flatnonzero(fit)
-        # ya[-1] is abar itself for m = 2, one array for every row
-        A_ij = float(math.perm(m, 2)) * (ya[-1] if m > 2 else np.broadcast_to(
-            abar, (k,) + abar.shape))[live]
-        lam, pd, A_inv = _spectrum(A_ij)
-        if whole and pd.all():
-            keep = pd = slice(None)
-            self.index, self.cut, self.cond = None, k, lam[:, -1] / lam[:, 0]
-        else:
-            # a row raises if its A fails the range test and is not
-            # below 0 (a NaN A raises), unless it is a 0 that does not
-            # underflow (see _rejected)
-            bad = np.flatnonzero(~(fit | (A < 0.0))).tolist()
-            self.cut = next((r for r in bad if A[r] != 0.0
-                             or _underflows(abar, Y[r], m)), k)
-            keep = np.flatnonzero(pd) if whole else live[pd]
-            # row r's index into the stacks its take reads: the kept
-            # rows' if it passes, lam's if it is not positive definite
-            # (a row that fails the range test raises before it reads).
-            # A kept row's cond is not NaN: its least eigenvalue is > 0
-            # and at most a diagonal entry of A_ij, so finite
-            index = np.zeros(k, dtype=np.intp)
-            index[live] = np.arange(len(lam))
-            index[keep] = np.arange(len(keep))
-            self.lam, self.index = lam, index.tolist()
-            self.cond = np.full(k, np.nan)
-            self.cond[keep] = lam[pd, -1] / lam[pd, 0]
-        Y, c1, A_ij = Y[keep], c1[keep], A_ij[pd]
-        self.A_i, self.A_ij, self.A_inv = float(m) * c1, A_ij, A_inv
-        yb = [bstack[None]]
-        for _ in range(m - 1):
-            yb.append(_dot(yb[-1], Y))
-        d2 = yb[-1]                  # d2[:, l, j] = A_{x^l y^j} / m
-        self.A_xl = _dot(d2, Y)
-        self.A_xy = float(m) * d2
-        self.A0 = _dot(self.A_xl, Y)
-        self.A0l = np.matmul(Y[:, None, :], self.A_xy)[:, 0]
-        # the contractions left with 3..5 and 2..4 y-slots, fewest first;
-        # abar and bstack themselves are every row's
-        self.abar_y = [abar if a is ya[0] else a[keep] for a in ya[-2:-5:-1]]
-        self.bstack_y = [bstack if b is yb[0] else b
-                         for b in yb[-2:-5:-1]]
-        for arr in (self.A_i, self.A_ij, self.A_inv, self.A_xl, self.A_xy,
-                    self.A0l, *self.abar_y, *self.bstack_y):
-            arr.setflags(False)
-        self.abar, self.bstack = abar, bstack
+        live = np.flatnonzero(fit)
+        lam, pd, self.A_inv = _spectrum(
+            cone[live, point.tables.A_ij].reshape(-1, n, n))
+        self.A_inv.setflags(False)
+        # a row raises if its A fails the range test and is not below 0
+        # (a NaN A raises), unless it is a 0 that does not underflow (see
+        # _rejected)
+        bad = np.flatnonzero(~(fit | (A < 0.0))).tolist()
+        self.cut = next((r for r in bad if A[r] != 0.0
+                         or _underflows(point, Y[r])), k)
+        keep = live[pd]
+        # row r's index into the kept rows and A_inv if it passes, into
+        # lam if it is not positive definite (a row that fails the range
+        # test raises before it reads).  A kept row's cond is not NaN: its
+        # least eigenvalue is > 0 and at most a diagonal entry of A_ij, so
+        # finite
+        index = np.zeros(k, dtype=np.intp)
+        index[live] = np.arange(len(lam))
+        index[keep] = np.arange(len(keep))
+        self.lam, self.index = lam, index.tolist()
+        self.cond = np.full(k, np.nan)
+        self.cond[keep] = lam[pd, -1] / lam[pd, 0]
+        self.rows = _orders(point, Y[keep], None if e is None else e[keep])
 
     def take(self, cls, r) -> "MetricEval":
         """Row r's evaluation, or the error its one-probe call raises."""
         A, x, y = float(self.A[r]), self.x, self.ys[r]
         if not _A_MIN <= A <= _A_MAX:
-            raise _rejected(A, self.abar, x, y, self.m)
+            raise _rejected(A, self.point, x, y)
         cond = float(self.cond[r])
-        i = r if self.index is None else self.index[r]
+        i = self.index[r]
         if cond != cond:                  # NaN: not positive definite
             mag = np.abs(self.lam[i])
             raise _degenerate(mag.min(), mag.max(), A, x, y)
-        # positional, tuples of lists: keywords and generators cost 1/3
-        return cls(x, y, len(y), self.m, A, self.A_i[i], self.A_ij[i],
-                   self.A_inv[i], self.A_xl[i], self.A_xy[i],
-                   float(self.A0[i]), self.A0l[i], cond,
-                   tuple([a if a is self.abar else a[i] for a in self.abar_y]),
-                   tuple([b if b is self.bstack else b[i]
-                          for b in self.bstack_y]))
-
-
-def _dot(t, Y):
-    """``t[i]`` contracted in its last slot with the row ``Y[i]``.
-
-    ``t`` is a stack of one array a row, or of one that every row
-    shares.  A batched ``np.matmul`` multiplies the same (n, n) blocks,
-    or the same vector, with the row as ``t[i] @ y`` does alone, so each
-    row gets that product's bits: ``np.einsum`` sums in another order.
-    """
-    if t.ndim == 2:
-        return np.matmul(t[:, None, :], Y[:, :, None])[:, 0, 0]
-    k, n = Y.shape
-    return np.matmul(t, Y.reshape((k,) + (1,) * (t.ndim - 3) + (n, 1)))[
-        ..., 0]
-
-
-# abar contracted with y in 0 .. m - 2 slots, in m - 1, and A, which may
-# overflow to inf or NaN for the range test; ``dot`` is np.matmul for one
-# y, _dot for a stack.  errstate costs 0.7 us as a decorator, 1.3 us as a
-# with-statement (numpy 2.4, 2 vCPUs).
-@np.errstate(over="ignore", invalid="ignore")
-def _contract(abar, y, m, dot):
-    ya = [abar]
-    for _ in range(m - 2):
-        ya.append(dot(ya[-1], y))
-    c1 = dot(ya[-1], y)
-    return ya, c1, dot(c1, y)
+        return _row(cls, x, y, self.point, self.rows[i], self.A_inv[i],
+                    cond)
 
 
 def _linalg_error(err, flag):

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import (AdmissibleConeError, ConfigurationError,
                      DegenerateMetricError)
-from .field import SymTensorField
+from .field import SymTensorField, form_tables
 from .metric import Batch, MetricEval, ProbePoint
 from .spray import stacks
 
@@ -176,16 +176,17 @@ def _admit(fld: SymTensorField, xs, dirs, need: int,
 
 
 def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
-                     cond_cap: float, where) -> np.ndarray:
+                     cond_cap: float, where: str) -> np.ndarray:
     """``size`` sphere directions admissible at every point of ``xs``.
 
     Sphere directions are drawn in growing batches and admitted in draw
     order (see :func:`_admit`), in prefixes: whole while none is kept,
     then ceil(need * tested / kept) rows by the request's own counts, each
-    pass at most :data:`mroot.spray.BATCH_BYTES` in its largest array.
-    If fewer than ``size`` survive after drawing 64x the request, the
-    cone is considered too thin and the configuration is rejected,
-    naming ``where()`` in the error.
+    pass at most :data:`mroot.spray.BATCH_BYTES` in its largest array
+    (``row_floats`` of :class:`~mroot.field.FormTables` a row).  If fewer
+    than ``size`` survive after drawing 64x the request, the cone is
+    considered too thin and the configuration is rejected, naming
+    ``where`` in the error.
     """
     _check_fan_size(size)
     seq = np.random.SeedSequence(seed) if not isinstance(
@@ -197,7 +198,7 @@ def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
         child = np.random.SeedSequence(seq.entropy, pool_size=seq.pool_size,
                                        spawn_key=seq.spawn_key + (k,))
         dirs = sphere_fan(fld.n, batch, child)
-        for part in stacks(len(dirs), fld.n ** fld.m):
+        for part in stacks(len(dirs), form_tables(fld.n, fld.m).row_floats):
             ys = dirs[part]
             while len(ys):
                 # drawn: the rows tested so far; rounding up keeps cut >= 1
@@ -213,15 +214,14 @@ def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
         batch = min(2 * batch, 64 * size)
     raise ConfigurationError(
         f"only {count} of {size} requested directions are admissible "
-        f"at {where()} after {drawn} draws")
+        f"at {where} after {drawn} draws")
 
 
 def admissible_fan(fld: SymTensorField, x, size: int, seed,
                    cond_cap: float = COND_CAP) -> np.ndarray:
     """``size`` admissible unit directions at the base point x."""
-    return _draw_admissible(
-        fld, [x], size, seed, cond_cap,
-        lambda: f"x={np.asarray(x, dtype=float).tolist()}")
+    return _draw_admissible(fld, [x], size, seed, cond_cap,
+                            f"x={np.asarray(x, dtype=float).tolist()}")
 
 
 def admissible_at_all(fld: SymTensorField, xs, size: int, seed,
@@ -231,7 +231,7 @@ def admissible_at_all(fld: SymTensorField, xs, size: int, seed,
     Used by checks that compare the same direction across base points.
     """
     return _draw_admissible(fld, xs, size, seed, cond_cap,
-                            lambda: f"all {len(xs)} base points")
+                            f"all {len(xs)} base points")
 
 
 @dataclass(eq=False)
@@ -254,8 +254,9 @@ def probe_bytes(n: int, m: int) -> int:
     """Estimated bytes one probe keeps memoized: evaluation and spray.
 
     The large arrays are the Berwald tensor (n^4 floats), the connection
-    (n^3) and the contractions ``abar_y`` and ``bstack_y`` below order m
-    (up to n^5); 10 KB covers the objects and the small arrays.
+    (n^3) and the stored derivative arrays A^(3..5) and D_2..D_4 below
+    degree 0 (up to n^5; those of degree 0 are the base point's); 10 KB
+    covers the objects and the small arrays.
     """
     floats = (n ** 4 + n ** 3 + sum(n ** r for r in range(3, min(m, 6)))
               + sum(n ** (k + 1) for k in range(2, min(m, 5))))

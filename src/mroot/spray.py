@@ -22,9 +22,9 @@ The y-derivatives of G up to the Berwald tensor
 B^i_{jkl} = d^3 G^i / dy^j dy^k dy^l come from one recurrence: the
 closed form A_ij G^j = P_i / 2 differentiated k times in y by the
 Leibniz rule (see :func:`spray_batch`).  Each order costs one solve with
-the Hessian inverse and needs only the contractions of the coefficient
-arrays that :meth:`mroot.metric.MetricEval.at` kept, so no fractional
-powers enter and the m = 2 case collapses to exactly zero.
+the Hessian inverse and reads only the derivatives of A that
+:meth:`mroot.metric.MetricEval.at` stores, so no fractional powers
+enter; at m = 2, B and E are exact zeros.
 
 The recurrence runs over a stack of evaluations: :func:`spray_batch`
 stacks a batch of probes (the checks pass every probe they read) along a
@@ -44,6 +44,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .field import form_tables
 from .metric import MetricEval
 
 __all__ = [
@@ -125,23 +126,21 @@ def spray_batch(evs) -> None:
     summed over the nonempty subsets S of the slots, with
     P^(k)_{aJ} = y^p D_{k+1}[p,a,J] - D_k[a,J] + sum_s D_k[j_s,a,J - j_s],
     A^(r) the r-th y-derivative of A and D_k = d^(k+1) A / dx dy^k
-    (``A_inv``, ``A_xl`` and ``A_xy`` supply A^(2)^{-1}, D_0 and D_1;
-    A^(3..5) and D_2..D_4 are ``perm(m, r)`` times the contractions
-    ``abar_y`` and ``bstack_y``).  One loop over k = 0 .. 3 yields G,
-    dG/dy, the connection and B in turn.  Every A^(r) and D_k above the
-    degree m is an exact zero, so its terms are left out; for m = 2 B is
-    exactly 0.
+    (``A_inv`` supplies A^(2)^{-1}, and ``orders`` and ``vectors`` the
+    rest).  One loop over k = 0 .. 3 yields G, dG/dy, the connection and
+    B in turn.  Every A^(r) and D_k above the degree m is an exact zero, so
+    its terms are left out; for m = 2, B and E are exact zeros.
 
     The evaluations in ``evs`` that have no spray yet are stacked along
     a leading axis, so each order costs one ``einsum`` per term for the
     whole stack.  :func:`stacks` cuts it into chunks whose largest
-    array (B, or D_4 and A^(5) once m >= 4) holds at most
-    ``BATCH_BYTES``, so the memory a batch takes does not grow with its
-    length.  Each such evaluation then holds a read-only
+    array (B, D_4 once m >= 4, or the stacked ``orders`` rows) holds at
+    most ``BATCH_BYTES``, so the memory a batch takes does not grow with
+    its length.  Each such evaluation then holds a read-only
     :class:`SprayEval` whose arrays are views of the stacked results;
     :func:`spray_eval` reads it.
     Evaluations that already have one keep it.  All evaluations must
-    share n and m; they may sit at different base points.  The scaled
+    share n and m; they may sit at different base points.  The stacked
     derivative arrays built on the way are not kept.
     """
     todo = list({id(ev): ev for ev in evs if ev._spray is None}.values())
@@ -150,41 +149,57 @@ def spray_batch(evs) -> None:
     m, n = todo[0].m, todo[0].n
     if any(ev.m != m or ev.n != n for ev in todo):
         raise ValueError("spray_batch needs evaluations of one n and m")
-    for part in stacks(len(todo), n ** (5 if m >= 4 else 4)):
-        _spray_stack(todo[part], m)
+    # the orders of degree 0, m! times the dense coefficients, taken once
+    # a base point from the vectors its evaluations share; pick[i] is
+    # todo[i]'s base
+    bases, tables = {}, form_tables(n, m)
+    pick = np.array([bases.setdefault(id(ev.vectors), (len(bases),
+                                                       ev.vectors))[0]
+                     for ev in todo])
+    vectors = np.array([v for _, v in bases.values()])
+    top = [float(math.factorial(m)) * vectors[:, t] for t in tables.top]
+    floats = max(n ** 4, todo[0].orders.size,
+                 *(t.size for t in tables.top))
+    for part in stacks(len(todo), floats):
+        _spray_stack(todo[part], m, [t[pick[part]] for t in top])
 
 
-def _spray_stack(evs, m):
-    """The recurrence of :func:`spray_batch` over one stack."""
+def _spray_stack(evs, m, top):
+    """The recurrence of :func:`spray_batch` over one stack, whose orders
+    of degree 0 are ``top``."""
     y = np.array([ev.y for ev in evs])
     A_inv = np.array([ev.A_inv for ev in evs])
-    # D[k] for k = 0 .. min(m, 4) and A[r] for r = 3 .. min(m, 5); the
-    # orders above m are zero
-    D = [np.array([ev.A_xl for ev in evs]),
-         np.array([ev.A_xy for ev in evs])] + [
-        float(math.perm(m, k)) * np.array([ev.bstack_y[k - 2] for ev in evs])
-        for k in range(2, min(m, 4) + 1)]
-    A = {r: float(math.perm(m, r)) * np.array([ev.abar_y[r - 3] for ev in evs])
-         for r in range(3, min(m, 5) + 1)}
+    # D[k] for k = 0 .. min(m, 4) and A[r] for r = 0 .. min(m, 5): those
+    # that depend on y out of the stacked rows, then those of degree 0,
+    # A^(m) for 3 <= m <= 5 and D_m for m <= 4, m! times the coefficient
+    # arrays; the orders above m are zero
+    rows, (z, n) = np.array([ev.orders for ev in evs]), y.shape
+    tables = form_tables(n, m)
+    D = [rows[:, c].reshape((z, n) + (n,) * k)
+         for k, c in enumerate(tables.D_orders)]
+    A = [rows[:, c].reshape((z,) + (n,) * r)
+         for r, c in enumerate(tables.A_orders)]
+    cut = int(3 <= m <= 5)
+    A += top[:cut]
+    D += top[cut:]
     Gk = []
-    for k in range(4):
+    for k in range(4 if m > 2 else 3):
         J = "jkl"[:k]
-        if k < len(D):
-            P = (np.einsum("zp,zpa...->za...", y, D[k + 1]) - D[k]
-                 if k + 1 < len(D) else -D[k])
-            for s in range(1, k + 1):
-                P = P + D[k].transpose(_SLOT_AXES[k, s])
-            rhs = 0.5 * P
-        else:
-            rhs = np.zeros(y.shape + y.shape[1:] * k)
+        P = (np.einsum("zp,zpa...->za...", y, D[k + 1]) - D[k]
+             if k + 1 < len(D) else -D[k])
+        for s in range(1, k + 1):
+            P = P + D[k].transpose(_SLOT_AXES[k, s])
+        rhs = 0.5 * P
         for r in range(1, min(k, m - 2) + 1):
             for S in combinations(J, r):
                 rest = "".join(c for c in J if c not in S)
                 rhs = rhs - np.einsum(f"zab{''.join(S)},zb{rest}->za{J}",
                                       A[2 + r], Gk[k - r])
         Gk.append(np.einsum("zia,za...->zi...", A_inv, rhs))
+    if m == 2:                  # A^(3) vanishes, and so do B and E
+        Gk.append(np.zeros(Gk[2].shape + y.shape[1:]))
     G, dG, d2G, B = Gk
-    E = 0.5 * np.einsum("zijki->zjk", B)
+    E = 0.5 * np.einsum("zijki->zjk", B) if m > 2 else np.zeros(dG.shape)
     for arr in (G, dG, d2G, B, E):
         arr.setflags(write=False)
     for i, ev in enumerate(evs):

@@ -20,6 +20,13 @@ reduction wrappers, ``np.eye``, ``np.outer``, the
 ``test_per_probe.py`` asserts that the forms in ``mroot`` give their
 bits.
 
+:func:`dense` scatters a coefficient vector of a field to its dense
+symmetric array, and :func:`derivatives_ref` computes every derivative a
+:class:`~mroot.metric.MetricEval` stores by contracting those arrays
+with y one slot at a time, as the evaluation did before it summed
+monomials; ``test_per_probe.py`` holds the two to rounding.
+:func:`high_orders` reads A^(3..) and D_2.. out of an evaluation.
+
 :func:`curvature_per_base`, :func:`antonelli_per_pair`,
 :func:`weakly_berwald_per_base` and :func:`isotropic_fit_per_base` are
 the checks as they ran one spray stack per base (or per base pair), with
@@ -27,7 +34,8 @@ their stacked reductions; ``test_reductions.py`` asserts that the checks,
 which spray every probe they read in one stack, give their bits.
 """
 
-from itertools import groupby
+import math
+from itertools import groupby, product
 from statistics import NormalDist
 
 import numpy as np
@@ -36,6 +44,7 @@ from mroot.classify import (ClassifierVerdict, IsotropicFit, OneForm,
                             _absmax, _worst, dually_flat_residual)
 from mroot.errors import (AdmissibleConeError, ConfigurationError,
                           DegenerateMetricError)
+from mroot.field import form_tables
 from mroot.metric import MetricEval, identity_residuals, stacked_g_h
 from mroot.probes import COND_CAP, admissible_at_all, base_points, sphere_fan
 from mroot.spray import (spray_batch, spray_eval, spray_mroot,
@@ -131,12 +140,60 @@ def dually_flat(fld, probes, tol):
         "theta_consistent": bool(fit <= tol and model <= tol)})
 
 
+def dense(fld, vec):
+    """The coefficient vector ``vec`` of ``fld`` (of a, or of one da/dx^l)
+    as a dense symmetric array of shape (n,)*m: every ordering of an
+    index holds the entry of its sorted index."""
+    where = form_tables(fld.n, fld.m).where
+    return np.array([vec[where[tuple(sorted(s))]]
+                     for s in product(range(fld.n), repeat=fld.m)]).reshape(
+        (fld.n,) * fld.m)
+
+
+def high_orders(ev):
+    """A^(3..min(m, 5)) and D_2..D_min(m, 4) of ``ev``: views of its
+    ``orders`` row, then the orders of degree 0, A^(m) for 3 <= m <= 5
+    and D_m for m <= 4, from its ``vectors``."""
+    tables, n, cut = form_tables(ev.n, ev.m), ev.n, int(3 <= ev.m <= 5)
+    top = tuple(float(math.factorial(ev.m)) * ev.vectors[t]
+                for t in tables.top)
+    return (tuple(ev.orders[c].reshape((n,) * r)
+                  for r, c in enumerate(tables.A_orders) if r >= 3)
+            + top[:cut],
+            tuple(ev.orders[c].reshape((n,) * (k + 1))
+                  for k, c in enumerate(tables.D_orders) if k >= 2)
+            + top[cut:])
+
+
+def derivatives_ref(fld, x, y, size=False):
+    """What ``MetricEval.at(fld, x, y)`` stores, by the dense chain: the
+    coefficient array and the stack of its x-derivatives contracted with
+    y one slot at a time, the k-th y-derivative ``perm(m, k)`` times the
+    array left with k free y-slots.  With ``size``, the same chain over
+    |a|, |da/dx| and |y|: the size of the terms each entry sums."""
+    m, y = fld.m, np.asarray(y, dtype=float)
+    part = np.abs if size else (lambda a: a)
+    a = part(dense(fld, fld.coeff_array(x)))
+    da = part(np.array([dense(fld, fld.coeff_array(x, l))
+                        for l in range(fld.n)]))
+    ya, yb, y = [a], [da], part(y)
+    for _ in range(m):
+        ya.append(ya[-1] @ y)
+        yb.append(yb[-1] @ y)
+    A = [math.perm(m, r) * ya[m - r] for r in range(min(m, 5) + 1)]
+    D = [math.perm(m, r) * yb[m - r] for r in range(min(m, 4) + 1)]
+    return {"A": A[0], "A_i": A[1], "A_ij": A[2], "A_xl": D[0],
+            "A_xy": D[1], "A0": D[0] @ y, "A0l": y @ D[1],
+            "A_high": A[3:], "D_high": D[2:]}
+
+
 def riemann(fld, probes, tol):
     coeff_res = spray_res = 0.0
     for x, fan in zip(probes.bases, probes.fans):
         theta = recover_theta(fld, x, fan).theta
-        a = fld.coeff_array(x)
-        da = np.stack([fld.coeff_array(x, l) for l in range(fld.n)])
+        a = dense(fld, fld.coeff_array(x))
+        da = np.stack([dense(fld, fld.coeff_array(x, l))
+                       for l in range(fld.n)])
         rhs = (np.einsum("l,ij->lij", theta, a)
                + np.einsum("i,lj->lij", theta, a)
                + np.einsum("j,il->lij", theta, a))

@@ -458,12 +458,14 @@ def test_a_direction_outside_the_range_of_a_exits_two_naming_y(y0, A,
             f"[1e-100, 1e+100]") in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("y0, A", [("1e-80,1e-80", "2.19958e-320"),
+@pytest.mark.parametrize("y0, A", [("1e-80,1e-80", "2.20007e-320"),
                                    ("1e-90,1e-90", "0")],
                          ids=["small", "underflowing"])
 def test_a_direction_below_the_range_of_a_exits_two_naming_y(y0, A, capsys):
     # at 1e-90 A underflows to 0, yet y is the admissible direction of
-    # 1e-80: out of A's range, not outside the cone
+    # 1e-80: out of A's range, not outside the cone.  At 1e-80, A = 2.2e-320
+    # is subnormal: the nearest float to 2.2 (1e-80)^4, as A is summed at y
+    # scaled by a power of two and scaled back once
     assert main(["geodesic", path("quartic2_scaled"), "--x0=0.1,0.1",
                  f"--y0={y0}", "--t-end", "0.1", "--steps", "5"]) == 2
     y = [float(v) for v in y0.split(",")]

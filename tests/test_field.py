@@ -1,13 +1,17 @@
-"""Symmetric coefficient fields: index handling and dense arrays."""
+"""Symmetric coefficient fields: index handling and coefficient vectors."""
 
 import math
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
 
 from mroot.errors import ConfigurationError, DomainError
 from mroot.expr import Const, Coord, Exp, Recip, intpow, mul
-from mroot.field import SymTensorField
+from mroot.field import SymTensorField, dense_index, form_tables
+from mroot.metric import _orders
+
+import per_probe
 
 from conftest import DATA_DIR, coeff, corpus_field
 
@@ -25,14 +29,39 @@ BOX2 = [(-1.0, 1.0), (-1.0, 1.0)]
     ((0,) * 7 + (1,) * 7, 3432),
 ])
 def test_multiindex_multiplicity(indices, mult):
-    # one stored entry fills exactly one slot per distinct ordering
+    # one stored entry is one coefficient, at its sorted index; it fills
+    # one slot per distinct ordering of the dense array, and A weighs it
+    # as many times
     n = max(indices) + 1
     fld = SymTensorField(n, len(indices), {indices: 1.0}, [(-1.0, 1.0)] * n)
-    arr = fld.coeff_array(np.zeros(n))
+    vec = fld.coeff_array(np.zeros(n))
+    assert vec.tolist() == [float(key == indices) for key
+                            in form_tables(fld.n, fld.m).where]
+    arr = per_probe.dense(fld, vec)
     slots = list(zip(*np.nonzero(arr)))
     assert len(slots) == mult
     assert all(sorted(p) == list(indices) for p in slots)
-    assert np.all(arr[tuple(np.transpose(slots))] == 1.0)
+    y = np.linspace(0.9, 0.6, n)
+    A = _orders(fld.point_arrays(np.zeros(n)), y[None], None)[0][0]
+    assert A == pytest.approx(mult * np.prod(y[list(indices)]), rel=1e-14)
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (1, 31), (2, 2), (2, 16), (3, 4),
+                                  (3, 10), (4, 3), (10, 2)])
+def test_coefficients_follow_the_sorted_multi_indices(n, m):
+    tables = form_tables(n, m)
+    keys = list(combinations_with_replacement(range(n), m))
+    assert list(tables.where) == keys
+    assert list(tables.where.values()) == list(range(len(keys)))
+    assert len(keys) == math.comb(n + m - 1, m)
+    assert form_tables(n, m) is tables
+    assert not tables.gather.flags.writeable
+    # a vector taken at dense_index is the dense symmetric array
+    if n ** m <= 1024:
+        index = dense_index(n, m)
+        assert index.shape == (n,) * m and not index.flags.writeable
+        assert all(index[J] == tables.where[tuple(sorted(J))]
+                   for J in product(range(n), repeat=m))
 
 
 def test_entries_are_symmetrized():
@@ -40,7 +69,7 @@ def test_entries_are_symmetrized():
     x = np.zeros(2)
     assert coeff(fld, (0, 1)).evaluate(x) == 0.5
     assert coeff(fld, (1, 0)).evaluate(x) == 0.5
-    arr = fld.coeff_array(x)
+    arr = per_probe.dense(fld, fld.coeff_array(x))
     assert arr[0, 1] == arr[1, 0] == 0.5
 
 
@@ -90,7 +119,10 @@ def test_domain_membership_and_errors():
 
 def test_coeff_array_spreads_over_permutations():
     fld = SymTensorField(2, 3, {(0, 0, 1): 2.0, (0, 0, 0): 1.0}, BOX2)
-    arr = fld.coeff_array(np.zeros(2))
+    vec = fld.coeff_array(np.zeros(2))
+    # (0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)
+    assert vec.tolist() == [1.0, 2.0, 0.0, 0.0]
+    arr = per_probe.dense(fld, vec)
     assert arr.shape == (2, 2, 2)
     assert arr[0, 0, 0] == 1.0
     for p in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
@@ -104,10 +136,11 @@ def test_coeff_array_spreads_over_permutations():
 def test_coeff_array_evaluates_expressions():
     fld = SymTensorField(2, 2, {(0, 0): Coord(0), (1, 1): intpow(Coord(1), 2)},
                          BOX2)
+    # a_11, a_12, a_22
     arr = fld.coeff_array(np.array([0.5, -0.4]))
-    assert arr[0, 0] == pytest.approx(0.5)
-    assert arr[1, 1] == pytest.approx(0.16)
-    assert arr[0, 1] == 0.0
+    assert arr[0] == pytest.approx(0.5)
+    assert arr[2] == pytest.approx(0.16)
+    assert arr[1] == 0.0
 
 
 def test_coeff_array_differentiates_entrywise():
@@ -115,10 +148,11 @@ def test_coeff_array_differentiates_entrywise():
                          BOX2)
     x = np.array([0.3, 0.0])
     d0 = fld.coeff_array(x, 0)
-    assert d0.shape == (2, 2)
-    assert d0[0, 0] == pytest.approx(0.6)
-    # constant entries and slots with no entry differentiate to exact zeros
-    assert d0[1, 1] == d0[0, 1] == d0[1, 0] == 0.0
+    assert d0.shape == (3,)
+    assert d0[0] == pytest.approx(0.6)
+    # constant entries and indices with no entry differentiate to exact
+    # zeros
+    assert d0[2] == d0[1] == 0.0
     assert np.all(fld.coeff_array(x, 1) == 0.0)
     # the derivative trees of each coordinate are built once and kept
     trees = fld._trees[0]
@@ -141,7 +175,7 @@ def test_coeff_array_derivative_matches_central_difference(name):
             xm[l] -= h
             fd = (fld.coeff_array(xp) - fld.coeff_array(xm)) / (2.0 * h)
             exact = fld.coeff_array(x, l)
-            assert exact.shape == (fld.n,) * fld.m
+            assert exact.shape == (math.comb(fld.n + fld.m - 1, fld.m),)
             scale = 1.0 + float(np.max(np.abs(exact)))
             assert float(np.max(np.abs(exact - fd))) <= 1e-6 * scale, l
 
@@ -149,14 +183,26 @@ def test_coeff_array_derivative_matches_central_difference(name):
 def test_point_arrays_consistent_with_coeff_array():
     fld = SymTensorField(2, 2, {(0, 0): Coord(0) + 1.0, (0, 1): 0.25}, BOX2)
     x = np.array([0.2, -0.1])
-    abar, bstack = fld.point_arrays(x)
-    assert np.array_equal(abar, fld.coeff_array(x))
-    assert bstack.shape == (2, 2, 2)
-    assert np.array_equal(bstack[0], fld.coeff_array(x, 0))
-    assert np.array_equal(bstack[1], fld.coeff_array(x, 1))
-    # repeated lookups hit the cache and return identical arrays
-    abar2, _ = fld.point_arrays(x)
-    assert abar2 is abar
+    point = fld.point_arrays(x)
+    # each term's coefficient is gathered from a or a da/dx^l
+    stacked = np.concatenate([fld.coeff_array(x), fld.coeff_array(x, 0),
+                              fld.coeff_array(x, 1)])
+    gather = form_tables(fld.n, fld.m).gather
+    assert np.array_equal(point.coeffs, stacked[gather])
+    assert not point.coeffs.flags.writeable
+    # the orders of degree 0 at m = 2, as dense arrays: A_ij = 2 a_ij in
+    # each row, and D_2 / 2 = [da_ij/dx^l] once for the base point
+    orders = _orders(point, np.array([[1.0, 0.5]]), None)[0]
+    A_ij = orders[form_tables(fld.n, fld.m).A_ij].reshape(2, 2)
+    assert np.array_equal(A_ij, 2.0 * per_probe.dense(fld,
+                                                      fld.coeff_array(x)))
+    assert np.array_equal(point.vectors, stacked)
+    assert not point.vectors.flags.writeable
+    (D_2,) = form_tables(fld.n, fld.m).top
+    assert np.array_equal(point.vectors[D_2], np.array(
+        [per_probe.dense(fld, fld.coeff_array(x, l)) for l in range(2)]))
+    # repeated lookups hit the cache and return the identical entry
+    assert fld.point_arrays(x) is point
 
 
 def test_plain_numbers_become_constant_expressions():
@@ -185,8 +231,8 @@ def test_non_finite_derivative_names_the_derivative():
     # overflows
     entry = mul(1e307, Exp(mul(100.0, Coord(0))))
     fld = SymTensorField(1, 2, {(0, 0): entry}, [(-1e-3, 1e-3)])
-    abar = fld.coeff_array([0.0])
-    assert abar[0, 0] == 1e307
+    a = fld.coeff_array([0.0])
+    assert a[0] == 1e307
     with pytest.raises(ConfigurationError,
                        match=r"d/dx1 of coefficient \(1, 1\) is not finite"):
         fld.point_arrays([0.0])

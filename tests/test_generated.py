@@ -1,7 +1,8 @@
 """Generated metric files through ``report-all``: exit codes, self-checks,
 the paper's two checkable statements and the dump/parse round trip.
 
-Each example is a metric file with n = 1..3, m = 2..4, a random box, a
+Each example is a metric file with n = 1..3, m = 2..4 (or up to
+``max_m``), a random box, a
 positive diagonal and a few sparse off-diagonal entries, every entry an
 expression over sum, mul, sub, pow, exp and recip.  ``report-all`` runs
 in process with a small probe set.  Numpy warnings are errors under
@@ -35,9 +36,9 @@ SELF_CHECKS = ("identities", "spray_agreement", "curvature_consistency",
 
 
 @st.composite
-def metric_files(draw):
+def metric_files(draw, max_m=4):
     n = draw(st.integers(1, 3))
-    m = draw(st.integers(2, 4))
+    m = draw(st.integers(2, max_m))
     leaves = st.one_of(st.floats(-2.0, 2.0).map(repr),
                        st.integers(-3, 3).map(str),
                        st.sampled_from([f"x{i}" for i in range(1, n + 1)]))

@@ -22,6 +22,7 @@ from mroot.metricfile import parse_metric_text
 from mroot.probes import base_points, generate_probe_set, sphere_fan
 from mroot.spray import spray_eval
 
+import per_probe
 from conftest import CORE, DATA_DIR, corpus_field, corpus_probes, fresh_field
 from test_generated import metric_files
 
@@ -153,37 +154,43 @@ def test_singular_hessian_raises_degeneracy():
 
 
 def test_y_derivatives_vanish_above_degree():
-    # A is a degree-m form in y: the contractions kept for the spray stop
-    # at m free y-slots, where they are the coefficient arrays themselves,
-    # so they do not depend on y and every higher y-derivative is zero
+    # A is a degree-m form in y: the stored orders stop at A^(min(m, 5))
+    # and D_min(m, 4), and an order of degree 0 (A^(m) for m >= 3, D_m)
+    # is m! times the coefficients, one array for every y of a base point
     for name in ("euclid2", "random_cubic3", "quartic2"):
         fld = fresh_field(name)
         m = fld.m
         x = np.zeros(fld.n)
-        abar, bstack = fld.point_arrays(x)
-        for y in (np.ones(fld.n), np.linspace(1.0, 0.5, fld.n)):
-            ev = MetricEval.at(fld, x, y)
-            assert len(ev.abar_y) == min(m, 5) - 2, name
-            assert len(ev.bstack_y) == min(m, 4) - 1, name
-            assert ev.bstack_y[-1] is bstack
-            if m >= 3:
-                assert ev.abar_y[-1] is abar
+        evs = [MetricEval.at(fld, x, y)
+               for y in (np.ones(fld.n), np.linspace(1.0, 0.5, fld.n))]
+        highs = [per_probe.high_orders(ev) for ev in evs]
+        for A_high, D_high in highs:
+            assert len(A_high) == min(m, 5) - 2, name
+            assert len(D_high) == min(m, 4) - 1, name
+        assert evs[0].vectors is evs[1].vectors, name
+        assert np.array_equal(highs[0][1][-1], math.factorial(m) * np.array(
+            [per_probe.dense(fld, fld.coeff_array(x, l))
+             for l in range(fld.n)])), name
+        top = highs[0][0][-1] if m >= 3 else evs[0].A_ij
+        assert np.array_equal(top, math.factorial(m) * per_probe.dense(
+            fld, fld.coeff_array(x))), name
 
 
 def test_y_derivative_shapes_and_caching():
     fld = fresh_field("quartic2")
     ev = MetricEval.at(fld, [0.0, 0.0], [1.0, 1.0])
-    # abar_y holds 3 and 4 y-slots; bstack_y an x-slot and 2, 3, 4 y-slots
-    assert [a.shape for a in ev.abar_y] == [(2,) * 3, (2,) * 4]
-    assert [b.shape for b in ev.bstack_y] == [(2,) * 3, (2,) * 4, (2,) * 5]
+    A_high, D_high = per_probe.high_orders(ev)
+    # A^(3) and A^(4); D_2, D_3, D_4 an x-slot and 2, 3, 4 y-slots
+    assert [a.shape for a in A_high] == [(2,) * 3, (2,) * 4]
+    assert [b.shape for b in D_high] == [(2,) * 3, (2,) * 4, (2,) * 5]
     # kept on the memoized evaluation, read-only like its other arrays
-    assert MetricEval.at(fld, [0.0, 0.0], [1.0, 1.0]).abar_y is ev.abar_y
-    for arr in ev.abar_y + ev.bstack_y:
+    assert MetricEval.at(fld, [0.0, 0.0], [1.0, 1.0]).orders is ev.orders
+    for arr in (ev.orders, ev.vectors, *A_high[:-1], *D_high[:-1]):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
-        ev.abar_y[0][0, 0, 0] = 0.0
+        A_high[0][0, 0, 0] = 0.0
     # third derivative of y1^4 + y2^4: diagonal entries 24 y_i
-    t3 = math.perm(4, 3) * ev.abar_y[0]
+    t3 = A_high[0]
     assert t3[0, 0, 0] == pytest.approx(24.0)
     assert t3[1, 1, 1] == pytest.approx(24.0)
     assert t3[0, 0, 1] == 0.0
@@ -196,21 +203,22 @@ def test_y_derivative_shapes_and_caching():
 
 
 def test_low_order_y_derivatives_match_fields():
-    # one more contraction with y walks each kept array down to the next,
-    # and on to the A-data at orders 2, 1, 0
+    # A^(r) and D_r are homogeneous of degree m - r in y, so by Euler one
+    # more contraction with y walks each order down to the next:
+    # y . A^(r+1) = (m - r) A^(r), and the same for D, to rounding
     ev = MetricEval.at(corpus_field("quartic2_scaled"), [0.2, -0.1],
                        [0.9, 0.7])
     y, m = ev.y, ev.m
-    for chain in (ev.abar_y, ev.bstack_y):
-        for low, high in zip(chain, chain[1:]):
-            assert np.array_equal(high @ y, low)
-    a2 = ev.abar_y[0] @ y
-    assert np.allclose(math.perm(m, 2) * a2, ev.A_ij, atol=1e-14)
-    assert np.allclose(m * (a2 @ y), ev.A_i, atol=1e-14)
-    assert a2 @ y @ y == pytest.approx(ev.A)
-    d1 = ev.bstack_y[0] @ y
-    assert np.allclose(m * d1, ev.A_xy, atol=1e-14)
-    assert np.allclose(d1 @ y, ev.A_xl, atol=1e-14)
+    A_high, D_high = per_probe.high_orders(ev)
+    A = [ev.A, ev.A_i, ev.A_ij, *A_high]
+    D = [ev.A_xl, ev.A_xy, *D_high]
+    for chain in (A, D):
+        for r, (low, high) in enumerate(zip(chain, chain[1:])):
+            scale = 1.0 + float(np.max(np.abs(high)))
+            assert np.allclose(high @ y, (m - r) * np.asarray(low),
+                               rtol=0.0, atol=1e-14 * scale), r
+    assert ev.A0 == pytest.approx(float(ev.A_xl @ y), rel=1e-15)
+    assert np.allclose(ev.A0l, y @ ev.A_xy, atol=1e-14)
 
 
 # -- the evaluation memo ------------------------------------------------------
@@ -430,7 +438,7 @@ def _batch_rows_match(make, bases=4, size=64, seed=0):
                 _assert_same_outcome(again, want, (b, r))
         # a base point where a coefficient is not finite raises before
         # the table is filled
-        if table.abar is not None:
+        if table.point is not None:
             _assert_verdicts(table, wants, b)
     return kinds
 
@@ -457,6 +465,26 @@ def test_batched_rows_equal_the_one_probe_path_on_generated_fields(text,
     except MrootError:      # a file that report-all refuses with exit 2
         assume(False)
     _batch_rows_match(lambda: parse_metric_text(text).field, 2, 32, seed)
+
+
+def test_an_a_in_range_at_a_tiny_y_is_admitted_in_both_kernels():
+    # A = 1e300 (y1^4 + y2^4) at y = (t, t), t = 2^-300: y1^4 = 2^-1200 is
+    # below the smallest float, yet A = 1e300 * 2^-1199 is in range.  A
+    # row is evaluated at y scaled by a power of two into [0.5, 1) and
+    # scaled back exactly, so the monomials do not underflow
+    fld = SymTensorField(2, 4, {(0,) * 4: 1e300, (1,) * 4: 1e300},
+                         [(-1.0, 1.0), (-1.0, 1.0)])
+    x, t = np.zeros(2), 2.0 ** -300
+    ys = np.array([[t, t], [-t, t / 2], [t / 4, -t]])
+    wants = [_outcome(fld, x, y) for y in ys]
+    assert all(type(w) is MetricEval for w in wants)
+    assert wants[0].A == math.ldexp(1e300, -1199)
+    assert wants[0].A_ij.tolist() == [[math.ldexp(12e300, -600), 0.0],
+                                      [0.0, math.ldexp(12e300, -600)]]
+    table = Batch(ys)
+    for r, y in enumerate(ys):
+        _assert_same_outcome(_outcome(fld, x, y, batch=table, row=r),
+                             wants[r], r)
 
 
 def test_an_a_that_underflows_to_zero_is_out_of_range_in_both_kernels():
@@ -617,13 +645,13 @@ def test_a_one_dimensional_batch_evaluates_each_sign_once():
     assert all(ev is evs[r % 2] for r, ev in enumerate(evs))
 
 
-def test_rejection_messages_are_formatted_when_read():
+def test_rejection_messages_are_plain_strings():
     fld = random_cubic3(0)
     ys = np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]])
     err = _outcome(fld, np.zeros(3), ys[0], batch=Batch(ys), row=0)
     assert isinstance(err, AdmissibleConeError)
-    # the stacked pass formats nothing: the message is built on reading
-    assert not isinstance(err.args[0], str)
+    # formatted when the error is made, from the stacked pass too
+    assert isinstance(err.args[0], str)
     assert str(err) == ("A = -2.969 <= 0 at x=[0.0, 0.0, 0.0], "
                         "y=[-1.0, -1.0, -1.0]: outside the cone")
     assert repr(err) == f"AdmissibleConeError({str(err)!r})"

@@ -1,5 +1,6 @@
 """The per-probe self-checks and the direction sampler give the bits of
-their references in ``per_probe.py``.
+their references in ``per_probe.py``, and the stored derivatives of A
+equal the dense contraction chain to rounding.
 
 ``identity_residuals``, ``dually_flat_residual`` and
 ``spray_variational`` take log A once and reduce with ``ndarray.max``;
@@ -8,6 +9,7 @@ return what the reference returns, bit for bit, NaN included: floats are
 compared by ``repr`` and arrays by their bytes.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -17,10 +19,11 @@ from mroot.classify import dually_flat_residual
 from mroot.errors import MrootError
 from mroot.metric import MetricEval, identity_residuals
 from mroot.metricfile import parse_metric_text
-from mroot.probes import _rd_alphas, generate_probe_set, sphere_fan
+from mroot.probes import (_rd_alphas, base_points, generate_probe_set,
+                          sphere_fan)
 from mroot.spray import spray_variational
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, fresh_field
 from test_generated import metric_files
 from test_reductions import MEMBERS, _run
 
@@ -72,6 +75,59 @@ def test_per_probe_checks_give_the_reference_bits_on_generated_fields(
     except MrootError:      # a file or cone that report-all refuses
         assume(False)
     _assert_same_bits(fld, probes.probes())
+
+
+# each stored entry within 1e-13 of the size of the terms it sums (the
+# dense chain over |a|, |da/dx| and |y|): a few hundred units in the last
+# place of the largest term, where both sums round at most m + C(n+m-1, m)
+# times.  Products of subnormal coefficients keep fewer bits, so below
+# 1e-300, far under the smallest A in range (1e-100), only the size counts
+DERIVATIVE_RTOL, DERIVATIVE_FLOOR = 1e-13, 1e-300
+DERIVATIVES = ("A", "A_i", "A_ij", "A_xl", "A_xy", "A0", "A0l")
+
+
+def _assert_derivatives_match(fld, seed):
+    """Every stored derivative at each admissible probe of two bases and
+    a fan of 8 against the dense chain; the count of those probes."""
+    count = 0
+    for x in base_points(fld, 2, seed):
+        for y in sphere_fan(fld.n, 8, seed):
+            try:
+                ev = MetricEval.at(fld, x, y)
+            except MrootError:
+                continue
+            want = per_probe.derivatives_ref(fld, x, y)
+            size = per_probe.derivatives_ref(fld, x, y, size=True)
+            pairs = [(name, getattr(ev, name), want[name], size[name])
+                     for name in DERIVATIVES]
+            for name, got in zip(("A_high", "D_high"),
+                                 per_probe.high_orders(ev)):
+                assert len(got) == len(want[name]), name
+                pairs += [(f"{name}[{i}]", *arrays) for i, arrays
+                          in enumerate(zip(got, want[name], size[name]))]
+            for name, got, ref, bound in pairs:
+                assert np.shape(got) == np.shape(ref), name
+                assert np.all(np.abs(got - ref) <= DERIVATIVE_RTOL * bound
+                              + DERIVATIVE_FLOOR), (name, x, y)
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("member", MEMBERS)
+def test_stored_derivatives_equal_the_dense_chain(member):
+    assert _assert_derivatives_match(fresh_field(member), 0) > 0
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=metric_files(max_m=6), seed=st.integers(0, 3))
+def test_stored_derivatives_equal_the_dense_chain_on_generated_fields(
+        text, seed):
+    try:
+        fld = parse_metric_text(text).field
+    except MrootError:      # a file that report-all refuses
+        assume(False)
+    _assert_derivatives_match(fld, seed)
 
 
 @settings(max_examples=50, deadline=None)

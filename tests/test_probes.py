@@ -21,7 +21,7 @@ from mroot import probes, spray
 from mroot.corpus import random_cubic3
 from mroot.errors import (AdmissibleConeError, ConfigurationError,
                           DomainError, MrootError)
-from mroot.field import SymTensorField
+from mroot.field import SymTensorField, form_tables
 from mroot.metric import Batch, MetricEval
 from mroot.metricfile import parse_metric_text
 from mroot.probes import (ProbeSet, admissible_at_all, admissible_fan,
@@ -341,9 +341,9 @@ def test_an_out_of_range_row_after_the_last_keep_raises_nothing():
 
 
 # n = 2, m = 3 with coefficients at the edge of the float range: A
-# overflows to +-inf or NaN for most directions, and the first draw that
-# raises has A = NaN, which the cone test A <= 0 does not reject
-NAN_A = """n = 2
+# overflows to +-inf for most directions, and the first draw that raises
+# has A = inf, which the cone test A <= 0 lets through
+INF_A = """n = 2
 m = 3
 box.1 = -0.5,0.5
 box.2 = -0.5,0.5
@@ -353,17 +353,33 @@ box.2 = -0.5,0.5
 2 2 2 : -1.7e308
 """
 
+# n = 2, m = 4: A = 6c y1^2 y2^2 - 4c y1^3 y2 at c = 1.79e308, whose two
+# terms overflow to inf and -inf together near the diagonal: A = NaN,
+# which the cone test does not reject either
+NAN_A = """n = 2
+m = 4
+box.1 = -0.5,0.5
+box.2 = -0.5,0.5
+1 1 2 2 : 1.79e308
+1 1 1 2 : -1.79e308
+"""
+
 
 def test_a_nan_a_raises_at_the_same_draw():
-    message = ("A = nan at x=[-0.04147900768482432, 0.2197582311340342], "
-               "y=[0.22630131618692922, 0.9740573465110067] is outside "
-               "[1e-100, 1e+100], where the checks' products stay finite; "
-               "rescale the coefficients or y")
-    want = _drawn(per_probe.probe_fans, parse_metric_text(NAN_A).field, 2,
-                  4, 1)
-    assert want == (ConfigurationError, message)
-    assert _drawn(generate_probe_set, parse_metric_text(NAN_A).field, 2, 4,
-                  1) == want
+    tail = (" is outside [1e-100, 1e+100], where the checks' products stay "
+            "finite; rescale the coefficients or y")
+    for text, seed, message in (
+            (INF_A, 1, "A = inf at x=[-0.04147900768482432, "
+             "0.2197582311340342], y=[-0.453429175808779, "
+             "0.8912923103703809]"),
+            (NAN_A, 6, "A = nan at x=[0.05721981410715643, "
+             "0.24258416239066755], y=[0.796010995667848, "
+             "0.6052821612899898]")):
+        want = _drawn(per_probe.probe_fans, parse_metric_text(text).field, 2,
+                      4, seed)
+        assert want == (ConfigurationError, message + tail)
+        assert _drawn(generate_probe_set, parse_metric_text(text).field, 2,
+                      4, seed) == want
 
 
 def test_a_repeated_base_point_admits_what_per_draw_admits():
@@ -448,8 +464,10 @@ def test_admission_calls_at_once_a_kept_direction_and_base(monkeypatch):
 
 def test_a_drawn_batch_cut_into_slices_keeps_what_per_draw_keeps(
         monkeypatch):
-    # random_cubic3 has n^m = 27 slots, 216 bytes a row: slices of 3 rows
-    monkeypatch.setattr(spray, "BATCH_BYTES", 3 * 27 * 8)
+    # slices of 3 rows: a row of random_cubic3's admission pass holds
+    # row_floats floats in its largest array
+    floats = form_tables(3, 3).row_floats
+    monkeypatch.setattr(spray, "BATCH_BYTES", 3 * floats * 8)
     rows, drawn = [], []
     fill, fan = Batch.fill, probes.sphere_fan
 
@@ -475,10 +493,11 @@ def test_a_drawn_batch_cut_into_slices_keeps_what_per_draw_keeps(
     # several passes at each base
     assert max(rows) == 3 and max(drawn) > 3
     assert len(rows) > 3 * len(drawn)
-    # the overflow field: at 10 rows a slice (n^m = 8) and at 1, the
-    # first out-of-range draw raises per-draw's error
+    # the overflow field: at 10 rows a slice and at 1, the first
+    # out-of-range draw raises per-draw's error
+    floats = form_tables(2, 3).row_floats
     for rows_a_slice in (10, 1):
-        monkeypatch.setattr(spray, "BATCH_BYTES", rows_a_slice * 8 * 8)
+        monkeypatch.setattr(spray, "BATCH_BYTES", rows_a_slice * floats * 8)
         want = _drawn(per_probe.probe_fans,
                       parse_metric_text(OVERFLOW).field, 4, 16, 0)
         assert want[0] is ConfigurationError
