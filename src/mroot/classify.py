@@ -22,7 +22,6 @@ so reports can serialize them without translation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -101,14 +100,12 @@ def dually_flat_residual(ev: MetricEval) -> dict:
     """
     m, A, A_xl = ev.m, ev.A, ev.A_xl
     t = 2.0 / m
-    log_A = math.log(A)     # ev.apow(s) is exp(s log A)
     num = (t - 1.0) * ev.A_i * ev.A0 + A * ev.A0l
     defect = np.abs(A_xl - num / (2.0 * A)) / (1.0 + np.abs(A_xl))
-    raw = (t * math.exp((t - 2.0) * log_A) * num
-           - 2.0 * t * math.exp((t - 1.0) * log_A) * A_xl)
+    raw = t * ev.apow(t - 2.0) * num - 2.0 * t * ev.apow(t - 1.0) * A_xl
     return {
         "defect": float(defect.max()),
-        "raw": float(np.abs(raw).max()) / (1.0 + math.exp(t * log_A)),
+        "raw": float(np.abs(raw).max()) / (1.0 + ev.apow(t)),
     }
 
 

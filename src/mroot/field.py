@@ -224,18 +224,6 @@ class SymTensorField:
         self._point_cache = {}
         self._point_cap = 16            # base points point_arrays keeps
 
-    # -- point membership ---------------------------------------------------
-
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return x.shape == (self.n,) and self._inside(x.tolist())
-
-    def _inside(self, xl) -> bool:
-        # xl is x.tolist() for an x of shape (n,): Python floats compare
-        # about twice as fast as numpy scalars; a NaN coordinate fails
-        # both comparisons, so it is outside
-        return all(lo <= v <= hi for v, (lo, hi) in zip(xl, self.box))
-
     # -- coefficient vectors --------------------------------------------------
 
     def coeff_array(self, x, l=None) -> np.ndarray:
@@ -253,10 +241,12 @@ class SymTensorField:
             1-based entry, the derivative if any, and x.
         """
         # x is converted once: the box test and the trees read its list,
-        # whose items are Python floats, faster to read than numpy's
+        # whose items are Python floats, faster to read than numpy's; a
+        # NaN coordinate fails both comparisons, so it is outside
         x = np.asarray(x, dtype=float)
         xl = x.tolist()
-        if x.shape != (self.n,) or not self._inside(xl):
+        if x.shape != (self.n,) or not all(
+                lo <= v <= hi for v, (lo, hi) in zip(xl, self.box)):
             raise DomainError(f"point {xl} is outside the domain box")
         trees = self._trees.get(l)
         if trees is None:

@@ -8,7 +8,10 @@ coefficients that the field gathers once per base point, one routine
 stores every order that :func:`mroot.spray.spray_eval` reads.
 
 Fractional powers of A are evaluated as exp(t*log A), which is valid on
-the admissible cone where A > 0 and keeps odd m well defined.
+the admissible cone where A > 0 and keeps odd m well defined.  log A is
+taken once per evaluation, into :attr:`MetricEval.log_A`, and ``F``,
+:meth:`MetricEval.apow`, ``g``, ``h``, ``g_inv`` and ``y_low`` are the
+one statement of each power; the checks read them.
 
 Each probe is evaluated once per run: :meth:`MetricEval.at` memoizes
 it with its base point, and :func:`mroot.spray.spray_batch` stores its
@@ -63,6 +66,7 @@ class MetricEval:
     * ``A0 = A_xl . y`` and ``A0l[l] = y . A_xy[:, l]`` are the standard
       contractions of the x-derivative with the direction.
     * ``cond`` = max / min eigenvalue of ``A_ij``: the probe's cone margin.
+    * ``log_A`` = log A, which every power of A reads.
     * ``orders``: A^(r) (the r-th y-derivative of A) and D_r =
       d^(r+1) A / dx^l dy^r for r <= 5 and 4 that depend on y, laid out
       by :class:`~mroot.field.FormTables`; the arrays above view it.
@@ -70,9 +74,10 @@ class MetricEval:
       :class:`~mroot.field.PointArrays`), m! times which, taken at
       ``FormTables.top``, are the orders of degree 0.
 
-    These fields are what :meth:`at` stores.  ``F``, ``g``, ``h``,
-    ``g_inv`` and ``y_low`` are computed from them on each read; every
-    read of an array returns a new, writable one.
+    These fields are what :meth:`at` stores.  ``F``, :meth:`apow`,
+    ``g``, ``h``, ``g_inv`` and ``y_low`` are computed from them on each
+    read, every power of A as exp(t ``log_A``); every read of an array
+    returns a new, writable one.
     """
 
     x: np.ndarray
@@ -88,6 +93,7 @@ class MetricEval:
     A0: float
     A0l: np.ndarray
     cond: float
+    log_A: float
     orders: np.ndarray = dc_field(repr=False, default=None)
     vectors: np.ndarray = dc_field(repr=False, default=None)
 
@@ -149,11 +155,11 @@ class MetricEval:
 
     @property
     def F(self) -> float:
-        return math.exp(math.log(self.A) / self.m)
+        return math.exp(self.log_A / self.m)
 
     def apow(self, t: float) -> float:
         """A**t via exp(t log A), defined since A > 0 on the cone."""
-        return math.exp(t * math.log(self.A))
+        return math.exp(t * self.log_A)
 
     # -- Finsler quantities, computed on each read ------------------------------
 
@@ -177,7 +183,7 @@ class MetricEval:
         m = self.m
         return self.apow(-2.0 / m) * (
             m * self.A * self.A_inv
-            + ((m - 2.0) / (m - 1.0)) * np.outer(self.y, self.y))
+            + ((m - 2.0) / (m - 1.0)) * (self.y[:, None] * self.y))
 
     @property
     def y_low(self) -> np.ndarray:
@@ -212,11 +218,12 @@ def _evaluate(cls, point, x, y) -> MetricEval:
 def _row(cls, x, y, point, row, A_inv, cond) -> MetricEval:
     """The evaluation whose ``orders`` are ``row``, its arrays views."""
     n, tables = len(y), point.tables
+    A = float(row[tables.A])
     # positional: keywords cost 1/3
-    return cls(x, y, n, tables.m, float(row[tables.A]), row[tables.A_i],
+    return cls(x, y, n, tables.m, A, row[tables.A_i],
                row[tables.A_ij].reshape(n, n), A_inv, row[tables.A_xl],
                row[tables.A_xy].reshape(n, n), float(row[tables.A0]),
-               row[tables.A0l], cond, row, point.vectors)
+               row[tables.A0l], cond, math.log(A), row, point.vectors)
 
 
 def _rejected(A, point, x, y):
@@ -429,16 +436,12 @@ def identity_residuals(ev: MetricEval) -> dict:
     y, A, m = ev.y, ev.A, ev.m
     A_i, A_ij, A_inv = ev.A_i, ev.A_ij, ev.A_inv
     scale = 1.0 + abs(A)
-    # g and y_low as the properties build them, on one log A
-    log_A = math.log(A)
-    g = _gh(m, A, math.exp((2.0 / m - 2.0) * log_A), A_i, A_ij, 2.0 - m)
-    y_low = (1.0 / m) * math.exp((2.0 / m - 1.0) * log_A) * A_i
     # ndarray.max, not np.max: the same reduction without the wrapper
     res = {
         "euler_degree": abs(float(y @ A_i) - m * A) / scale,
         "euler_gradient": float(np.abs(
             A_ij @ y - (m - 1.0) * A_i).max()) / scale,
-        "lowered_direction": float(np.abs(g @ y - y_low).max()) / scale,
+        "lowered_direction": float(np.abs(ev.g @ y - ev.y_low).max()) / scale,
         "hessian_inverse": float(np.abs(
             A_inv @ A_ij - _eye(ev.n)).max()) / scale,
         "inverse_gradient": float(np.abs(

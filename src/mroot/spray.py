@@ -84,16 +84,11 @@ def spray_variational(ev: MetricEval) -> np.ndarray:
     [F^2]_{x^l} and [F^2]_{x^k y^l} y^k are expanded through A and its
     contractions, then contracted with the inverse fundamental tensor.
     """
-    m, A, y = ev.m, ev.A, ev.y
-    t = 2.0 / m
-    log_A = math.log(A)     # ev.apow(s) is exp(s log A)
+    t = 2.0 / ev.m
     # (2/m) A^(2/m - 2) [ (2/m - 1) A_l A_0 + A (A_{0l} - A_{x^l}) ]
-    rhs = t * math.exp((t - 2.0) * log_A) * (
-        (t - 1.0) * ev.A_i * ev.A0 + A * (ev.A0l - ev.A_xl))
-    # ev.g_inv, with np.outer(y, y)'s broadcast product
-    g_inv = math.exp(-2.0 / m * log_A) * (
-        m * A * ev.A_inv + ((m - 2.0) / (m - 1.0)) * (y[:, None] * y))
-    return 0.25 * g_inv @ rhs
+    rhs = t * ev.apow(t - 2.0) * (
+        (t - 1.0) * ev.A_i * ev.A0 + ev.A * (ev.A0l - ev.A_xl))
+    return 0.25 * ev.g_inv @ rhs
 
 
 @dataclass(eq=False)
@@ -133,10 +128,12 @@ def spray_batch(evs) -> None:
 
     The evaluations in ``evs`` that have no spray yet are stacked along
     a leading axis, so each order costs one ``einsum`` per term for the
-    whole stack.  :func:`stacks` cuts it into chunks whose largest
-    array (B, D_4 once m >= 4, or the stacked ``orders`` rows) holds at
-    most ``BATCH_BYTES``, so the memory a batch takes does not grow with
-    its length.  Each such evaluation then holds a read-only
+    whole stack; the orders of degree 0 are read per row, from each
+    evaluation's ``vectors``, as every other input is.  :func:`stacks`
+    cuts it into chunks whose largest array (B, D_4 once m >= 4, or the
+    stacked ``orders`` rows; the stacked ``vectors`` are never larger)
+    holds at most ``BATCH_BYTES``, so the memory a batch takes does not
+    grow with its length.  Each such evaluation then holds a read-only
     :class:`SprayEval` whose arrays are views of the stacked results;
     :func:`spray_eval` reads it.
     Evaluations that already have one keep it.  All evaluations must
@@ -149,36 +146,29 @@ def spray_batch(evs) -> None:
     m, n = todo[0].m, todo[0].n
     if any(ev.m != m or ev.n != n for ev in todo):
         raise ValueError("spray_batch needs evaluations of one n and m")
-    # the orders of degree 0, m! times the dense coefficients, taken once
-    # a base point from the vectors its evaluations share; pick[i] is
-    # todo[i]'s base
-    bases, tables = {}, form_tables(n, m)
-    pick = np.array([bases.setdefault(id(ev.vectors), (len(bases),
-                                                       ev.vectors))[0]
-                     for ev in todo])
-    vectors = np.array([v for _, v in bases.values()])
-    top = [float(math.factorial(m)) * vectors[:, t] for t in tables.top]
     floats = max(n ** 4, todo[0].orders.size,
-                 *(t.size for t in tables.top))
+                 *(t.size for t in form_tables(n, m).top))
     for part in stacks(len(todo), floats):
-        _spray_stack(todo[part], m, [t[pick[part]] for t in top])
+        _spray_stack(todo[part], m)
 
 
-def _spray_stack(evs, m, top):
-    """The recurrence of :func:`spray_batch` over one stack, whose orders
-    of degree 0 are ``top``."""
+def _spray_stack(evs, m):
+    """The recurrence of :func:`spray_batch` over one stack."""
     y = np.array([ev.y for ev in evs])
     A_inv = np.array([ev.A_inv for ev in evs])
     # D[k] for k = 0 .. min(m, 4) and A[r] for r = 0 .. min(m, 5): those
     # that depend on y out of the stacked rows, then those of degree 0,
-    # A^(m) for 3 <= m <= 5 and D_m for m <= 4, m! times the coefficient
-    # arrays; the orders above m are zero
+    # A^(m) for 3 <= m <= 5 and D_m for m <= 4, m! times the stacked
+    # coefficient vectors taken at FormTables.top; the orders above m are
+    # zero
     rows, (z, n) = np.array([ev.orders for ev in evs]), y.shape
+    vectors = np.array([ev.vectors for ev in evs])
     tables = form_tables(n, m)
     D = [rows[:, c].reshape((z, n) + (n,) * k)
          for k, c in enumerate(tables.D_orders)]
     A = [rows[:, c].reshape((z,) + (n,) * r)
          for r, c in enumerate(tables.A_orders)]
+    top = [float(math.factorial(m)) * vectors[:, t] for t in tables.top]
     cut = int(3 <= m <= 5)
     A += top[:cut]
     D += top[cut:]

@@ -17,8 +17,9 @@ exactly its directions and raises its errors.
 (the last is ``probes._rd_alphas``, uncached), written over numpy's
 reduction wrappers, ``np.eye``, ``np.outer``, the
 :class:`~mroot.metric.MetricEval` properties and ``NormalDist.inv_cdf``;
-``test_per_probe.py`` asserts that the forms in ``mroot`` give their
-bits.
+:func:`powers_ref` is those properties, each power of A from its own
+log A.  ``test_per_probe.py`` asserts that the forms in ``mroot`` give
+their bits.
 
 :func:`dense` scatters a coefficient vector of a field to its dense
 symmetric array, and :func:`derivatives_ref` computes every derivative a
@@ -451,6 +452,30 @@ def dually_flat_residual_ref(ev):
     return {
         "defect": float(np.max(defect)),
         "raw": float(np.max(np.abs(raw))) / (1.0 + ev.apow(t)),
+    }
+
+
+def powers_ref(ev):
+    """F, A**t at the exponents the checks read, g, h, g_inv and y_low of
+    ``ev``, each from its own log A, with ``np.outer``."""
+    m, A, y, A_i = ev.m, ev.A, ev.y, ev.A_i
+
+    def apow(t):
+        return math.exp(t * math.log(A))
+
+    def gh(c):
+        return (apow(2.0 / m - 2.0) / m ** 2) * (
+            m * A * ev.A_ij + c * np.outer(A_i, A_i))
+
+    return {
+        "F": math.exp(math.log(A) / m),
+        **{f"apow({t!r})": apow(t)
+           for t in (2.0 / m - 2.0, 2.0 / m - 1.0, 2.0 / m, -2.0 / m)},
+        "g": gh(2.0 - m),
+        "h": gh(1.0 - m),
+        "g_inv": apow(-2.0 / m) * (
+            m * A * ev.A_inv + ((m - 2.0) / (m - 1.0)) * np.outer(y, y)),
+        "y_low": (1.0 / m) * apow(2.0 / m - 1.0) * A_i,
     }
 
 

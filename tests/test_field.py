@@ -103,18 +103,20 @@ def test_invalid_construction_rejected(bad):
 
 def test_domain_membership_and_errors():
     fld = SymTensorField(2, 2, {(0, 0): 1.0}, BOX2)
-    assert fld.contains([0.0, 0.0])
-    assert fld.contains([1.0, -1.0])
-    assert not fld.contains([1.1, 0.0])
-    assert not fld.contains([0.0])
-    # a NaN or infinite coordinate is outside every box
-    for bad in (math.nan, math.inf, -math.inf):
-        assert not fld.contains([0.0, bad])
-        assert not fld.contains(np.array([bad, 0.0]))
-    with pytest.raises(DomainError):
-        fld.coeff_array([2.0, 0.0])
-    with pytest.raises(DomainError):
-        fld.coeff_array([0.0, 3.0])
+    # the box is closed: its centre and a face point evaluate
+    for x in ([0.0, 0.0], [1.0, -1.0]):
+        assert fld.coeff_array(x).tolist() == [1.0, 0.0, 0.0]
+        assert fld.point_arrays(x).vectors[0] == 1.0
+    # past a face, of the wrong shape, or with a NaN or infinite
+    # coordinate, which is outside every box
+    bad = [[1.1, 0.0], [2.0, 0.0], [0.0, 3.0], [0.0], [0.0, 0.0, 0.0]]
+    for v in (math.nan, math.inf, -math.inf):
+        bad += [[0.0, v], np.array([v, 0.0])]
+    for x in bad:
+        with pytest.raises(DomainError):
+            fld.coeff_array(x)
+        with pytest.raises(DomainError):
+            fld.point_arrays(x)
 
 
 def test_coeff_array_spreads_over_permutations():

@@ -1,13 +1,17 @@
-"""The per-probe self-checks and the direction sampler give the bits of
-their references in ``per_probe.py``, and the stored derivatives of A
-equal the dense contraction chain to rounding.
+"""The per-probe self-checks, the powers of A and the direction sampler
+give the bits of their references in ``per_probe.py``, and the stored
+derivatives of A equal the dense contraction chain to rounding.
 
 ``identity_residuals``, ``dually_flat_residual`` and
-``spray_variational`` take log A once and reduce with ``ndarray.max``;
-``sphere_fan`` maps the C inverse normal CDF over its points.  Each must
-return what the reference returns, bit for bit, NaN included: floats are
-compared by ``repr`` and arrays by their bytes.
+``spray_variational`` read the powers of A from the
+:class:`~mroot.metric.MetricEval` properties, which share the log A the
+evaluation stores, and reduce with ``ndarray.max``; ``sphere_fan`` maps
+the C inverse normal CDF over its points.  Each must return what the
+reference returns, bit for bit, NaN included: floats are compared by
+``repr`` and arrays by their bytes.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -75,6 +79,53 @@ def test_per_probe_checks_give_the_reference_bits_on_generated_fields(
     except MrootError:      # a file or cone that report-all refuses
         assume(False)
     _assert_same_bits(fld, probes.probes())
+
+
+def _assert_powers(fld, probes):
+    """Every power of A of each probe that evaluates has the bits of
+    ``per_probe.powers_ref``, and its ``log_A`` is math.log(A); the count
+    of those probes."""
+    count = 0
+    for p in probes:
+        try:
+            ev = MetricEval.at(fld, p.x, p.y)
+        except MrootError:      # an explicit probe off the cone
+            continue
+        assert ev.log_A == math.log(ev.A), p
+        m = ev.m
+        got = {"F": ev.F, "g": ev.g, "h": ev.h, "g_inv": ev.g_inv,
+               "y_low": ev.y_low}
+        got.update({f"apow({t!r})": ev.apow(t) for t in (
+            2.0 / m - 2.0, 2.0 / m - 1.0, 2.0 / m, -2.0 / m)})
+        want = per_probe.powers_ref(ev)
+        assert got.keys() == want.keys()
+        for name, ref in want.items():
+            bits = repr if isinstance(ref, float) else _bits
+            assert bits(got[name]) == bits(ref), (name, p)
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("member", MEMBERS)
+def test_powers_of_A_give_the_reference_bits(member):
+    run = _run(DATA_DIR / f"{member}.metric", [])
+    probes = list(run.probe_set.probes())
+    assert _assert_powers(run.fld, probes) == len(probes)
+    if run.explicit:
+        _assert_powers(run.fld, run.probes)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=metric_files(), seed=st.integers(0, 3))
+def test_powers_of_A_give_the_reference_bits_on_generated_fields(
+        text, seed):
+    try:
+        fld = parse_metric_text(text).field
+        probes = generate_probe_set(fld, 2, 8, seed)
+    except MrootError:      # a file or cone that report-all refuses
+        assume(False)
+    _assert_powers(fld, probes.probes())
 
 
 # each stored entry within 1e-13 of the size of the terms it sums (the
