@@ -3,11 +3,12 @@
 Every subcommand reads a metric file, runs one family of checks and
 prints a human-readable verdict table to stdout; ``--out`` additionally
 writes the full report as deterministic JSON.  The check table
-``_CHECKS`` maps each check subcommand to an ordered tuple of check
-functions, and ``_cmd_checks`` runs that tuple over one resolved run:
-a check returns a verdict, or None where it does not apply (the m = 2
-corollary before dual flatness holds, the isotropic check in
-``report-all`` when n = 1).  ``report-all`` runs every check.
+``_CHECKS`` is the one list of check subcommands: it maps each to its
+help line and an ordered tuple of check functions.  ``build_parser``
+adds one subparser per entry, and ``_cmd_checks`` runs the tuple over
+one resolved run: a check returns a verdict, or None where it does not
+apply (the m = 2 corollary before dual flatness holds, the isotropic
+check in ``report-all`` when n = 1).  ``report-all`` runs every check.
 ``geodesic`` writes CSV samples instead, with a one-line summary on
 stderr.  Exit codes:
 
@@ -76,25 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "(geodesic: write the CSV here instead of "
                              "stdout)")
 
-    sub.add_parser("identities", parents=[common],
-                   help="structural identity residuals at probes")
-    sub.add_parser("spray", parents=[common],
-                   help="spray coefficients via two routes, whose "
-                        "agreement checks the A^ij against g^ij algebra")
-    sub.add_parser("curvature", parents=[common],
-                   help="Berwald and mean Berwald tensors with "
-                        "consistency residuals")
-    sub.add_parser("classify-dually-flat", parents=[common],
-                   help="dual flatness residual test")
-    sub.add_parser("classify-antonelli", parents=[common],
-                   help="direction-only spray residual test")
-    iso = sub.add_parser("classify-isotropic", parents=[common],
-                         help="isotropic mean Berwald fit and collapse test")
-    iso.add_argument("--inject-c", type=float, default=0.0,
-                     help="add a synthetic isotropic component before "
-                          "fitting (fitter self-test)")
-    sub.add_parser("report-all", parents=[common],
-                   help="run every check and combine the verdicts")
+    for name, (text, _) in _CHECKS.items():
+        cmd = sub.add_parser(name, parents=[common], help=text)
+        if name == "classify-isotropic":
+            cmd.add_argument("--inject-c", type=float, default=0.0,
+                             help="add a synthetic isotropic component "
+                                  "before fitting (fitter self-test)")
 
     geo = sub.add_parser("geodesic", parents=[common],
                          help="integrate a geodesic, write CSV samples")
@@ -275,22 +263,29 @@ def _isotropic_if_n_ge_2(run):
 # read the generated probe set
 _ON_PROBE_LIST = frozenset({_identities, _spray, _spray_samples, _curvature})
 
+# each check subcommand: its help line and its checks, in run order
 _CHECKS = {
-    "identities": (_identities,),
-    "spray": (_spray, _spray_samples),
-    "curvature": (_curvature,),
-    "classify-dually-flat": (_dually_flat,),
-    "classify-antonelli": (_antonelli,),
-    "classify-isotropic": (_isotropic,),
-    "report-all": (_identities, _spray, _curvature, _dually_flat, _riemann,
-                   _antonelli, _weakly_berwald, _isotropic_if_n_ge_2),
+    "identities": ("structural identity residuals at probes",
+                   (_identities,)),
+    "spray": ("spray coefficients via two routes, whose agreement checks "
+              "the A^ij against g^ij algebra", (_spray, _spray_samples)),
+    "curvature": ("Berwald and mean Berwald tensors with consistency "
+                  "residuals", (_curvature,)),
+    "classify-dually-flat": ("dual flatness residual test", (_dually_flat,)),
+    "classify-antonelli": ("direction-only spray residual test",
+                           (_antonelli,)),
+    "classify-isotropic": ("isotropic mean Berwald fit and collapse test",
+                           (_isotropic,)),
+    "report-all": ("run every check and combine the verdicts",
+                   (_identities, _spray, _curvature, _dually_flat, _riemann,
+                    _antonelli, _weakly_berwald, _isotropic_if_n_ge_2)),
 }
 
 
 def _cmd_checks(args, cfg):
     """Run the subcommand's checks in order and emit one report."""
     run = _resolve(args, cfg)
-    checks = _CHECKS[args.command]
+    checks = _CHECKS[args.command][1]
     on_list = _ON_PROBE_LIST.intersection(checks)
     # explicit probes replace the generated set only where every check
     # reads the probe list
@@ -348,17 +343,10 @@ def _cmd_geodesic(args, cfg):
 
     header = (["t"] + [f"x{i + 1}" for i in range(fld.n)]
               + [f"y{i + 1}" for i in range(fld.n)] + ["F"])
-    rows = [",".join(header)]
-    for k in range(len(path.t)):
-        vals = ([path.t[k]] + list(path.x[k]) + list(path.y[k])
-                + [path.metric_speed[k]])
-        rows.append(",".join(format(float(v), ".17g") for v in vals))
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    np.savetxt(args.out or sys.stdout,
+               np.column_stack((path.t, path.x, path.y, path.metric_speed)),
+               fmt="%.17g", delimiter=",", header=",".join(header),
+               comments="")
 
     drift = float(np.max(np.abs(path.metric_speed - path.metric_speed[0])))
     note = f", exited early ({path.exit_reason})" if path.exited else ""

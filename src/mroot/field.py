@@ -185,14 +185,14 @@ class SymTensorField:
             raise ConfigurationError("dimension n must be >= 1")
         if self.m < 2:
             raise ConfigurationError("tensor order m must be >= 2")
-        # the parser's bound: 2^16 slots admit every corpus member and n = 2
-        # up to m = 16; testing m first also keeps n ** m a small number
+        # n^m <= 2^16 and m <= 31 admit every corpus member and n = 2 up
+        # to m = 16; testing m first also keeps n ** m a small number
         if self.m > _MAX_ORDER or self.n ** self.m > _MAX_SLOTS:
             raise ConfigurationError(
-                f"n = {self.n}, m = {self.m} is too large: the coefficient "
-                f"array would have n^m = {self.n}^{self.m} slots in m axes, "
-                f"and at most {_MAX_SLOTS} slots and {_MAX_ORDER} axes are "
-                f"supported")
+                f"n = {self.n}, m = {self.m} is too large: a field is "
+                f"admitted when n^m <= {_MAX_SLOTS} and m <= {_MAX_ORDER}, "
+                f"counting the slots a dense order-m array would have, and "
+                f"here n^m = {self.n}^{self.m} slots")
         self.box = tuple((float(lo), float(hi)) for lo, hi in box)
         if len(self.box) != self.n:
             raise ConfigurationError(

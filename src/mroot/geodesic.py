@@ -32,7 +32,7 @@ _EXITS = (DomainError, AdmissibleConeError, DegenerateMetricError)
 
 
 class _Blowup(DegenerateMetricError):
-    """A non-finite spray at an admissible probe: an error, not an exit."""
+    """A non-finite spray or state inside the region: an error, not an exit."""
 
 
 @dataclass(eq=False)
@@ -94,18 +94,14 @@ def integrate(fld: SymTensorField, x0, y0, t_end: float,
             k2x, k2y = _rhs(fld, x + 0.5 * h * k1x, y + 0.5 * h * k1y)
             k3x, k3y = _rhs(fld, x + 0.5 * h * k2x, y + 0.5 * h * k2y)
             k4x, k4y = _rhs(fld, x + h * k3x, y + h * k3y)
+            xn = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            yn = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(yn))):
+                raise _Blowup(
+                    f"geodesic state became non-finite at t={ts[-1] + h:.6g}")
+            speed = MetricEval.at(fld, xn, yn).F
         except _Blowup:
             raise
-        except _EXITS as err:
-            reason = err.__class__.__name__
-            break
-        xn = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        yn = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(yn))):
-            raise DegenerateMetricError(
-                f"geodesic state became non-finite at t={ts[-1] + h:.6g}")
-        try:
-            speed = MetricEval.at(fld, xn, yn).F
         except _EXITS as err:
             reason = err.__class__.__name__
             break

@@ -257,6 +257,13 @@ def probe_bytes(n: int, m: int) -> int:
     (n^3) and the stored derivative arrays A^(3..5) and D_2..D_4 below
     degree 0 (up to n^5; those of degree 0 are the base point's); 10 KB
     covers the objects and the small arrays.
+
+    Only the drawn probes are counted.  ``report-all`` and
+    ``classify-antonelli`` also memoize Antonelli's (B - 1) * f shared
+    directions at two bases each, so a run of B bases and fans of f
+    keeps B*f + 2(B - 1)*f evaluations and B*f + (B - 1)*f sprays: on
+    tridiagonal m = 2 fields at n = 6 and 10 the memo's arrays held
+    1.13 to 1.67 times B * f * probe_bytes(n, 2).
     """
     floats = (n ** 4 + n ** 3 + sum(n ** r for r in range(3, min(m, 6)))
               + sum(n ** (k + 1) for k in range(2, min(m, 5))))
@@ -271,7 +278,9 @@ def check_probe_count(n: int, m: int, n_base: int, fan_size: int,
     n-dimensional degree-m field would keep more than ``MAX_PROBE_BYTES``
     memoized (by :func:`probe_bytes`).  ``what`` names the two counts in
     the message; the default is "<n_base> base points x <fan_size>
-    directions".
+    directions".  The bound counts the drawn set only, not the shared
+    directions Antonelli's check memoizes on top of it (see
+    :func:`probe_bytes`), so a run can keep more than the bound.
     """
     per = probe_bytes(n, m)
     fit = MAX_PROBE_BYTES // per

@@ -61,6 +61,13 @@ def test_operator_sugar_matches_plain_arithmetic():
     assert abs(e.evaluate(x) - want) <= 1e-14
 
 
+def test_reflected_subtraction_and_negation():
+    x = np.array([0.3])
+    assert (1.0 - Coord(0)).evaluate(x) == 1.0 - 0.3
+    assert (-Coord(0)).evaluate(x) == -0.3
+    assert (-(1.0 - Coord(0))).diff(0).evaluate(x) == 1.0
+
+
 @pytest.mark.parametrize("builder, expected_type", [
     (lambda: add(Const(1.0), Const(2.0)), Const),
     (lambda: mul(Const(2.0), Const(3.0)), Const),

@@ -117,3 +117,29 @@ def test_non_finite_spray_raises_instead_of_exiting(monkeypatch):
                         lambda ev: np.full(len(ev.y), np.nan))
     with pytest.raises(DegenerateMetricError, match="non-finite"):
         integrate(corpus_field("quartic2"), [0.1, 0.2], [0.6, 0.8], 0.1, 10)
+
+
+def test_exit_at_the_new_node_truncates_before_it(monkeypatch):
+    # all four stages of the first step stay in hessian2's box, but the
+    # node they build does not: its speed evaluation is the exit
+    stages = []
+    rhs = mroot.geodesic._rhs
+    monkeypatch.setattr(mroot.geodesic, "_rhs",
+                        lambda fld, x, y: stages.append(x) or rhs(fld, x, y))
+    path = integrate(corpus_field("hessian2"), (0, 0), (1, 0.2), 4.1, 3)
+    assert len(stages) == 4
+    assert path.exited
+    assert path.exit_reason == "DomainError"
+    assert path.t.tolist() == [0.0]
+    assert path.x.shape == (1, 2) and path.metric_speed.shape == (1,)
+
+
+def test_non_finite_state_raises_instead_of_exiting(monkeypatch):
+    # no real field reaches a non-finite node: a finite but huge
+    # derivative overflows the RK4 sum, which is a blowup, not an exit
+    monkeypatch.setattr(mroot.geodesic, "_rhs",
+                        lambda fld, x, y: (np.full(len(x), 1e308), 0.0 * y))
+    with np.errstate(over="ignore"), \
+            pytest.raises(DegenerateMetricError,
+                          match="state became non-finite at t=0.01$"):
+        integrate(corpus_field("quartic2"), [0.1, 0.2], [0.6, 0.8], 0.1, 10)
