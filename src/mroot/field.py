@@ -40,12 +40,18 @@ def _diff(e: Expr, l: int) -> Expr:
 
 
 @functools.cache
-def dense_index(n, r):
-    """The (n,)*r array of each entry's position among the sorted
-    multi-indices of length r (``combinations_with_replacement`` order):
-    a vector over those, taken at it, is its dense symmetric array."""
-    where = {J: p for p, J in enumerate(
+def _positions(n, r):
+    """Each sorted multi-index of length r over range(n) -> its position,
+    in ``combinations_with_replacement`` order."""
+    return {J: p for p, J in enumerate(
         combinations_with_replacement(range(n), r))}
+
+
+@functools.cache
+def dense_index(n, r):
+    """The (n,)*r array of each entry's :func:`_positions` (n, r): a
+    vector over those, taken at it, is its dense symmetric array."""
+    where = _positions(n, r)
     index = np.array([where[tuple(sorted(J))] for J in product(
         range(n), repeat=r)], dtype=np.intp).reshape((n,) * r)
     index.setflags(write=False)
@@ -71,13 +77,12 @@ class FormTables:
 
     def __init__(self, n, m):
         self.m = m
-        self.where = where = {J: p for p, J in enumerate(
-            combinations_with_replacement(range(n), m))}
+        self.where = where = _positions(n, m)
         size, fact = len(where), [math.factorial(k) for k in range(m + 1)]
         # each beta of degree d with its weight m!/beta!
         betas = {d: [(b, fact[m] // math.prod(fact[b.count(i)]
                                               for i in set(b)))
-                     for b in combinations_with_replacement(range(n), d)]
+                     for b in _positions(n, d)]
                  for d in range(max(0, m - 5), m + 1)}
         monos, gather, term_mono, weight, starts, degree, expand = (
             {}, [], [], [], [], [], [])
@@ -98,8 +103,7 @@ class FormTables:
 
         # A^(r) (vectors (0,)) or D_r (1 .. n): its slice of the row
         def block(r, vectors):
-            first, keys = len(starts), list(
-                combinations_with_replacement(range(n), r))
+            first, keys = len(starts), list(_positions(n, r))
             for v in vectors:
                 for J in keys:
                     column(m - r, entry(v, J))
@@ -250,7 +254,7 @@ class SymTensorField:
             raise DomainError(f"point {xl} is outside the domain box")
         trees = self._trees.get(l)
         if trees is None:
-            where = form_tables(self.n, self.m).where
+            where = _positions(self.n, self.m)
             trees = self._trees[l] = [
                 (where[key], key, d) for key, e in self.entries.items()
                 if not (d := e if l is None else _diff(e, l)).is_zero()]

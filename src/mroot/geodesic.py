@@ -55,22 +55,24 @@ class GeodesicPath:
     exit_reason: str | None
 
 
-def _rhs(fld: SymTensorField, x: np.ndarray, y: np.ndarray):
-    ev = MetricEval.at(fld, x, y)
-    ydot = -2.0 * spray_mroot(ev)
+def _rhs(fld: SymTensorField, s: np.ndarray) -> np.ndarray:
+    """The rate (y, -2 G(x, y)) of the state s = (x, y), one array."""
+    x, y = s[:fld.n], s[fld.n:]
+    ydot = -2.0 * spray_mroot(MetricEval.at(fld, x, y))
     if not np.isfinite(ydot).all():
         raise _Blowup(f"geodesic spray became non-finite at x={x.tolist()}")
-    return y, ydot
+    return np.concatenate((y, ydot))
 
 
 def integrate(fld: SymTensorField, x0, y0, t_end: float,
               steps: int) -> GeodesicPath:
     """Integrate the geodesic from (x0, y0) for time t_end in ``steps`` steps.
 
-    The initial probe must be admissible; errors there propagate.
-    Later cone or box exits truncate the path instead.  A non-finite
-    spray or state aborts with a degeneracy error since it indicates
-    blowup inside the admissible region, not a clean exit.
+    RK4 steps the state s = (x, y), one array, at the rate of :func:`_rhs`.
+    (x0, y0) must be admissible, and is evaluated as passed, so its
+    errors propagate.  Later cone or box exits truncate the path instead.
+    A non-finite spray or state aborts with a degeneracy error since it
+    indicates blowup inside the admissible region, not a clean exit.
     """
     if steps < 1:
         raise ConfigurationError("step count must be >= 1")
@@ -78,40 +80,33 @@ def integrate(fld: SymTensorField, x0, y0, t_end: float,
     if not 0.0 < t_end < math.inf:
         raise ConfigurationError(
             f"integration time must be positive and finite, got {t_end!r}")
-    x = np.asarray(x0, dtype=float).copy()
-    y = np.asarray(y0, dtype=float).copy()
     h = t_end / steps
-
-    ts = [0.0]
-    xs = [x.copy()]
-    ys = [y.copy()]
-    speeds = [MetricEval.at(fld, x, y).F]
+    speeds = [MetricEval.at(fld, x0, y0).F]
+    s = np.concatenate((x0, y0), dtype=float)
+    states = [s]
 
     reason = None
     for k in range(steps):
         try:
-            k1x, k1y = _rhs(fld, x, y)
-            k2x, k2y = _rhs(fld, x + 0.5 * h * k1x, y + 0.5 * h * k1y)
-            k3x, k3y = _rhs(fld, x + 0.5 * h * k2x, y + 0.5 * h * k2y)
-            k4x, k4y = _rhs(fld, x + h * k3x, y + h * k3y)
-            xn = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            yn = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(yn))):
+            k1 = _rhs(fld, s)
+            k2 = _rhs(fld, s + 0.5 * h * k1)
+            k3 = _rhs(fld, s + 0.5 * h * k2)
+            k4 = _rhs(fld, s + h * k3)
+            s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(s).all():
                 raise _Blowup(
-                    f"geodesic state became non-finite at t={ts[-1] + h:.6g}")
-            speed = MetricEval.at(fld, xn, yn).F
+                    f"geodesic state became non-finite at t={k * h + h:.6g}")
+            speed = MetricEval.at(fld, s[:fld.n], s[fld.n:]).F
         except _Blowup:
             raise
         except _EXITS as err:
             reason = err.__class__.__name__
             break
-        x, y = xn, yn
-        ts.append((k + 1) * h)
-        xs.append(x.copy())
-        ys.append(y.copy())
+        states.append(s)
         speeds.append(speed)
 
+    states = np.array(states)
     return GeodesicPath(
-        t=np.array(ts), x=np.array(xs), y=np.array(ys),
-        metric_speed=np.array(speeds), step=h,
+        t=h * np.arange(len(states)), x=states[:, :fld.n],
+        y=states[:, fld.n:], metric_speed=np.array(speeds), step=h,
         exited=reason is not None, exit_reason=reason)

@@ -128,9 +128,10 @@ class MetricEval:
         DegenerateMetricError
             If A_ij is not positive definite; ``condition`` is inf if singular.
         ConfigurationError
-            If A lies outside [1e-100, 1e100] (an A that overflows, or
-            that underflows from a positive value to 0, too), where the
-            products the checks form could overflow or vanish.
+            If y's shape is not (n,), or if A lies outside [1e-100,
+            1e100] (an A that overflows, or that underflows from a
+            positive value to 0, too), where the products the checks
+            form could overflow or vanish.
         """
         # np.asarray only if not float64: 40 ns against 85 (numpy 2.4, 2 vCPUs)
         if type(x) is not np.ndarray or x.dtype is not _FLOAT:
@@ -138,6 +139,9 @@ class MetricEval:
         if type(y) is not np.ndarray or y.dtype is not _FLOAT:
             y = np.asarray(y, dtype=float)
         point = fld.point_arrays(x)
+        if y.shape != x.shape:    # before the memo, keyed by y's bytes
+            raise ConfigurationError(
+                f"y has shape {y.shape}, expected ({fld.n},) for n = {fld.n}")
         # filled before the memo is read: a caller reads the table's
         # verdicts on every row, the memoized ones too
         if batch is not None and batch.point is not point:
@@ -210,7 +214,7 @@ def _evaluate(cls, point, x, y) -> MetricEval:
         raise _rejected(A, point, x, y)
     lam, pd, A_inv = _spectrum(row[tables.A_ij].reshape(len(y), -1))
     if not pd:
-        raise _degenerate(np.min(np.abs(lam)), np.max(np.abs(lam)), A, x, y)
+        raise _degenerate(lam, x, y)
     A_inv.setflags(False)
     return _row(cls, x, y, point, row, A_inv, float(lam[-1] / lam[0]))
 
@@ -228,9 +232,15 @@ def _row(cls, x, y, point, row, A_inv, cond) -> MetricEval:
 
 def _rejected(A, point, x, y):
     """The error of a probe whose A fails the range test: a cone error
-    if A <= 0, unless A is a 0 that :func:`_underflows`, else a range
-    error (a NaN A gives a range error)."""
-    if A <= 0.0 and not (A == 0.0 and _underflows(point, y)):
+    if A <= 0, else a range error (a NaN A gives a range error).  A 0 is
+    a range error if a positive A underflowed to it: A is positive at y
+    scaled as :func:`_orders` scales it, exactly, where an A that is 0
+    by cancellation is 0 too."""
+    cone_error = A <= 0.0
+    if A == 0.0:
+        unit = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
+        cone_error = not _orders(point, unit[None], None, cone=True)[0, 0] > 0
+    if cone_error:
         # + 0.0 prints a negative A that underflowed, -0, as 0
         return AdmissibleConeError(
             f"A = {A + 0.0:.6g} <= 0 at x={x.tolist()}, y={y.tolist()}: "
@@ -241,17 +251,10 @@ def _rejected(A, point, x, y):
         f"rescale the coefficients or y")
 
 
-def _underflows(point, y) -> bool:
-    """Whether an A of 0 at y is a positive A that underflowed: A is
-    positive at y scaled as :func:`_orders` scales it, exactly, so an A
-    that is 0 by cancellation is 0 there too."""
-    unit = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
-    return float(_orders(point, unit[None], None, cone=True)[0, 0]) > 0.0
-
-
-def _degenerate(lo, hi, A, x, y) -> DegenerateMetricError:
-    """The error of a Hessian whose eigenvalues span [lo, hi] in size."""
-    cond = float(hi / lo) if lo > 0.0 else math.inf
+def _degenerate(lam, x, y) -> DegenerateMetricError:
+    """The error of a Hessian whose eigenvalues ``lam`` are not all > 0."""
+    mag = np.abs(lam)
+    cond = float(mag.max() / mag.min()) if mag.min() > 0.0 else math.inf
     return DegenerateMetricError(
         f"y-Hessian of A is not positive definite at x={x.tolist()}, "
         f"y={y.tolist()} (condition {cond:.3g})", condition=cond)
@@ -304,9 +307,9 @@ class Batch:
       ``cond <= cap`` holds exactly where ``MetricEval.at(...).cond <=
       cap`` does, for any cap, an infinite one too;
     * ``cut``: the first row whose call raises :class:`ConfigurationError`
-      (A passes the cone test, not A <= 0, but is outside [1e-100,
-      1e100], as a NaN A is, or A is 0 by underflow), or ``len(ys)`` if
-      none does.
+      (A outside [1e-100, 1e100] and not a cone error, as
+      :func:`_rejected` tells the two apart), or ``len(ys)`` if none
+      does.
 
     :meth:`take` builds a row's evaluation, or raises its error.  ``ys``
     and every stacked array are read-only, so the evaluations hold views
@@ -332,12 +335,11 @@ class Batch:
         lam, pd, self.A_inv = _spectrum(
             cone[live, point.tables.A_ij].reshape(-1, n, n))
         self.A_inv.setflags(False)
-        # a row raises if its A fails the range test and is not below 0
-        # (a NaN A raises), unless it is a 0 that does not underflow (see
-        # _rejected)
+        # a row whose A is below 0 raises a cone error; _rejected tells
+        # which of the others that fail the range test raise a range one
         bad = np.flatnonzero(~(fit | (A < 0.0))).tolist()
-        self.cut = next((r for r in bad if A[r] != 0.0
-                         or _underflows(point, Y[r])), k)
+        self.cut = next((r for r in bad if isinstance(_rejected(
+            float(A[r]), point, self.x, Y[r]), ConfigurationError)), k)
         keep = live[pd]
         # row r's index into the kept rows and A_inv if it passes, into
         # lam if it is not positive definite (a row that fails the range
@@ -360,8 +362,7 @@ class Batch:
         cond = float(self.cond[r])
         i = self.index[r]
         if cond != cond:                  # NaN: not positive definite
-            mag = np.abs(self.lam[i])
-            raise _degenerate(mag.min(), mag.max(), A, x, y)
+            raise _degenerate(self.lam[i], x, y)
         return _row(cls, x, y, self.point, self.rows[i], self.A_inv[i],
                     cond)
 

@@ -30,9 +30,10 @@ def test_exp_at_zero():
 
 
 def test_constant_derivative_is_zero():
-    e = Const(3.5)
-    assert e.diff(0).is_zero()
-    assert e.diff(0).evaluate(np.array([7.0])) == 0.0
+    # a zeroth power node, which intpow folds away, is constant too
+    for e in (Const(3.5), IntPow(Coord(0), 0)):
+        assert e.diff(0).is_zero()
+        assert e.diff(0).evaluate(np.array([7.0])) == 0.0
 
 
 def test_reciprocal_square_derivative():
@@ -50,8 +51,14 @@ def test_recip_raises_at_pole():
 
 
 def test_intpow_rejects_negative_exponent():
-    with pytest.raises(ValueError):
-        intpow(Coord(0), -1)
+    for build in (intpow, IntPow):
+        with pytest.raises(ValueError, match="exponent must be >= 0"):
+            build(Coord(0), -1)
+
+
+def test_coordinate_rejects_negative_index():
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        Coord(-1)
 
 
 def test_operator_sugar_matches_plain_arithmetic():

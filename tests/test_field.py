@@ -213,6 +213,11 @@ def test_plain_numbers_become_constant_expressions():
     assert coeff(fld, (0, 0)).evaluate([0.0]) == 2.0
 
 
+def test_repr_names_the_shape_and_entry_count():
+    fld = SymTensorField(2, 4, {(0, 0, 0, 0): 1.0, (1, 1, 1, 1): 2.0}, BOX2)
+    assert repr(fld) == "SymTensorField(n=2, m=4, 2 entries)"
+
+
 @pytest.mark.parametrize("entry, x, message", [
     (Recip(Coord(0)), [0.0, 0.5],
      r"coefficient \(2, 2\) is not finite at x=\[0.0, 0.5\]"),

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import gc
 import math
+import re
 import weakref
 from collections import Counter
 
@@ -144,6 +145,20 @@ def test_negative_form_raises_cone_error():
     with pytest.raises(AdmissibleConeError):
         MetricEval.at(corpus_field("random_cubic3"), [0.0, 0.0, 0.0],
                       [-1.0, -1.0, -1.0])
+
+
+@pytest.mark.parametrize("y", [[0.6, 0.8, 0.1], [0.6], [[0.6, 0.8]]],
+                         ids=["long", "short", "row"])
+def test_a_direction_of_the_wrong_shape_is_a_configuration_error(y):
+    # checked before the memo is read: the (1, 2) row has the bytes of
+    # the (2,) direction evaluated first
+    fld = fresh_field("quartic2")
+    MetricEval.at(fld, [0.1, 0.2], [0.6, 0.8])
+    message = re.escape(f"y has shape {np.shape(y)}, expected (2,) for n = 2")
+    with pytest.raises(ConfigurationError, match=message):
+        MetricEval.at(fld, [0.1, 0.2], y)
+    with pytest.raises(ConfigurationError, match=message):
+        integrate(fld, [0.1, 0.2], y, 0.1, 3)
 
 
 def test_singular_hessian_raises_degeneracy():

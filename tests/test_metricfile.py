@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mroot.errors import MetricFileError
+from mroot.errors import ConfigurationError, MetricFileError
+from mroot.expr import Coord, Expr, add
 from mroot.metric import ProbePoint
 from mroot.metricfile import (dump_metric, format_expr, parse_metric_file,
                               parse_metric_text)
@@ -242,6 +243,15 @@ def test_format_expr_round_trips_nested_tree():
         x = np.array([xv])
         assert coeff(cfg.field, (0, 0)).evaluate(x) == pytest.approx(
             e.evaluate(x), rel=1e-15)
+
+
+def test_format_expr_rejects_a_node_it_cannot_write():
+    class Opaque(Expr):
+        __slots__ = ()
+
+    with pytest.raises(ConfigurationError,
+                       match=r"cannot serialize node Opaque\(\)"):
+        format_expr(add(Coord(0), Opaque()))
 
 
 def test_parse_metric_file_reads_data_files(data_dir):
