@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .field import SymTensorField, dense_index
 from .metric import MetricEval, stacked_g_h
-from .probes import ProbeSet, admissible_at_all
+from .probes import ProbeSet, _stream, admissible_at_all
 from .spray import spray_batch, spray_eval, spray_mroot
 
 __all__ = [
@@ -265,13 +265,11 @@ def classify_antonelli(fld: SymTensorField, probes: ProbeSet,
             "the direction-only spray check needs at least 2 base points")
     x_ref = probes.bases[0]
     fan_size = max(len(f) for f in probes.fans)
-    # independent of the probe-set streams: same entropy, distinct key
-    children = np.random.SeedSequence(seed, spawn_key=(7,)).spawn(
-        len(probes.bases))
-
     pairs = []
-    for x_b, child in zip(probes.bases[1:], children[1:]):
-        shared = admissible_at_all(fld, [x_ref, x_b], fan_size, child)
+    for b, x_b in enumerate(probes.bases[1:], 1):
+        # independent of the probe-set streams: same entropy, key (7, b)
+        shared = admissible_at_all(fld, [x_ref, x_b], fan_size,
+                                   _stream(seed, 7, b))
         pairs.append((shared, [MetricEval.at(fld, x_ref, y) for y in shared],
                       [MetricEval.at(fld, x_b, y) for y in shared]))
     spray_batch([ev for _, refs, _ in pairs for ev in refs])

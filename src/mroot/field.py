@@ -39,6 +39,10 @@ def _diff(e: Expr, l: int) -> Expr:
         return Const(math.inf)
 
 
+def _outside(xl) -> DomainError:
+    return DomainError(f"point {xl} is outside the domain box")
+
+
 @functools.cache
 def _positions(n, r):
     """Each sorted multi-index of length r over range(n) -> its position,
@@ -65,12 +69,12 @@ class FormTables:
     vector, as :func:`dense_index` does.  A direction's derivatives that
     depend on y make one dense row: A^(r) at ``A_orders[r]``, D_r (x-slot
     first) at ``D_orders[r]``, then A0 and A0l.  Those of degree 0 above,
-    A^(m) for 3 <= m <= 5 and D_m for m <= 4, are m! times the arrays
-    that ``top`` takes from the coefficient vectors [a, da/dx^1, ..]
-    stacked and flat.  A row is taken at ``expand`` from its distinct entries,
-    the columns: column c, of degree ``degree[c]`` in y, sums terms
-    ``starts[c]`` on, each the stacked coefficient at ``gather[t]`` times
-    m!/beta! (``weight[t]``) times y^beta, whose factors y_i^e sit at
+    A^(m) for 3 <= m <= 5 and D_m for m <= 4, are m! times the coefficient
+    vectors [a, da/dx^1, ..], stacked and flat, at ``A_top`` and ``D_top``.
+    A row is taken at ``expand`` from its distinct entries, the columns:
+    column c, of degree ``degree[c]`` in y, sums terms ``starts[c]`` on,
+    each the stacked coefficient at ``gather[t]`` times m!/beta!
+    (``weight[t]``) times y^beta, whose factors y_i^e sit at
     ``factors[:, term_mono[t]]`` in a direction's powers (n, m + 2),
     flattened.  ``cone`` is the prefix of A, A_i and A_ij.
     """
@@ -139,11 +143,12 @@ class FormTables:
                      *(t[:cols] for t in self.terms[3:5]),
                      self.terms[5][:self.A_ij.stop])
         index = dense_index(n, m) if m <= 5 else None
-        self.top = ((index,) if 3 <= m <= 5 else ()) + ((np.add.outer(
-            np.arange(1, n + 1) * size, index),) if m <= 4 else ())
+        self.A_top = (index,) if 3 <= m <= 5 else ()
+        self.D_top = ((np.add.outer(np.arange(1, n + 1) * size, index),)
+                      if m <= 4 else ())
         self.zero_power = np.arange(m + 2) == 0
         self.row_floats = max(len(gather), factors.size, len(expand))
-        for table in (self.gather, *self.terms, *self.top,
+        for table in (self.gather, *self.terms, *self.A_top, *self.D_top,
                       self.zero_power):
             table.setflags(write=False)
 
@@ -239,10 +244,13 @@ class SymTensorField:
 
         Raises
         ------
+        DomainError
+            If x is not of shape (n,) or lies outside the domain box.
         ConfigurationError
-            If an entry evaluates to a non-finite number at x (an
-            overflow, a division by zero or NaN); the message names the
-            1-based entry, the derivative if any, and x.
+            If ``l`` is neither None nor one of 0 .. n - 1, or if an entry
+            evaluates to a non-finite number at x (an overflow, a
+            division by zero or NaN); the message names the 1-based
+            entry, the derivative if any, and x.
         """
         # x is converted once: the box test and the trees read its list,
         # whose items are Python floats, faster to read than numpy's; a
@@ -251,9 +259,13 @@ class SymTensorField:
         xl = x.tolist()
         if x.shape != (self.n,) or not all(
                 lo <= v <= hi for v, (lo, hi) in zip(xl, self.box)):
-            raise DomainError(f"point {xl} is outside the domain box")
+            raise _outside(xl)
         trees = self._trees.get(l)
         if trees is None:
+            if l is not None and l not in range(self.n):
+                raise ConfigurationError(
+                    f"derivative index l = {l!r} must be in 0 .. "
+                    f"{self.n - 1} for n = {self.n}")
             where = _positions(self.n, self.m)
             trees = self._trees[l] = [
                 (where[key], key, d) for key, e in self.entries.items()
@@ -286,6 +298,10 @@ class SymTensorField:
         """
         if type(x) is not np.ndarray or x.dtype is not _FLOAT:
             x = np.asarray(x, dtype=float)
+        # a row or a scalar cannot be hashed; a wrong length misses the
+        # cache, and coeff_array raises
+        if x.ndim != 1:
+            raise _outside(x.tolist())
         key = tuple(x.tolist())
         hit = self._point_cache.get(key)
         if hit is not None:

@@ -15,6 +15,7 @@ instead of raising.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,11 @@ def integrate(fld: SymTensorField, x0, y0, t_end: float,
     A non-finite spray or state aborts with a degeneracy error since it
     indicates blowup inside the admissible region, not a clean exit.
     """
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise ConfigurationError(
+            f"step count must be an integer, got {steps!r}") from None
     if steps < 1:
         raise ConfigurationError("step count must be >= 1")
     t_end = float(t_end)

@@ -72,7 +72,7 @@ class MetricEval:
       by :class:`~mroot.field.FormTables`; the arrays above view it.
       ``vectors``: the base point's coefficient vectors (see
       :class:`~mroot.field.PointArrays`), m! times which, taken at
-      ``FormTables.top``, are the orders of degree 0.
+      ``FormTables.A_top`` and ``D_top``, are the orders of degree 0.
 
     These fields are what :meth:`at` stores.  ``F``, :meth:`apow`,
     ``g``, ``h``, ``g_inv`` and ``y_low`` are computed from them on each

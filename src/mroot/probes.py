@@ -3,8 +3,7 @@
 Sampling uses randomly shifted R_d (Kronecker) sequences so that probe
 sets are low discrepancy yet fully reproducible from a single integer
 seed, with numpy's PCG64 and the standard library as the only sources.
-Seeds are fanned out with numpy's SeedSequence, so the base-point stream
-and every per-base direction fan are independent.
+Each stream is a child of the seed (:func:`_stream`), so all are independent.
 
 Directions are drawn on the unit sphere and then filtered for
 admissibility: A(x, y) > 0, positive definite y-Hessian, and its
@@ -27,6 +26,7 @@ draw order, up to the requested count.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 # the C function of AS241 that NormalDist.inv_cdf calls once it has
@@ -78,6 +78,26 @@ def _rd_alphas(d: int) -> np.ndarray:
     return alphas
 
 
+def _stream(seed, *key) -> np.random.SeedSequence:
+    """Child ``key`` of ``seed`` (an int or a ``SeedSequence``, not
+    advanced) as ``SeedSequence.spawn`` numbers children, or ``seed`` as
+    a ``SeedSequence`` if no key: every draw takes its stream here.  A
+    seed neither a ``SeedSequence`` nor an integer >= 0 raises
+    :class:`ConfigurationError`."""
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(
+            seed.entropy, pool_size=seed.pool_size,
+            spawn_key=seed.spawn_key + key) if key else seed
+    try:
+        entropy = operator.index(seed)
+    except TypeError:
+        entropy = None
+    if entropy is None or entropy < 0:
+        raise ConfigurationError(
+            f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.SeedSequence(entropy, spawn_key=key)
+
+
 def _kronecker_block(d: int, size: int, seed) -> np.ndarray:
     """First ``size`` points of a randomly shifted R_d sequence in [0, 1)^d.
 
@@ -85,7 +105,7 @@ def _kronecker_block(d: int, size: int, seed) -> np.ndarray:
     stream seeded with ``seed``, so every seed gives an independent yet
     reproducible low-discrepancy block.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(_stream(seed)))
     shift = rng.random(d)
     steps = np.arange(1.0, size + 1.0)[:, None] * _rd_alphas(d)
     return np.mod(shift + steps, 1.0)
@@ -189,15 +209,10 @@ def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
     ``where`` in the error.
     """
     _check_fan_size(size)
-    seq = np.random.SeedSequence(seed) if not isinstance(
-        seed, np.random.SeedSequence) else seed
     kept, count, drawn = [], 0, 0
     batch = max(size, 4)
-    # the children spawn(64) gives a fresh seq, without advancing seq
     for k in range(64):
-        child = np.random.SeedSequence(seq.entropy, pool_size=seq.pool_size,
-                                       spawn_key=seq.spawn_key + (k,))
-        dirs = sphere_fan(fld.n, batch, child)
+        dirs = sphere_fan(fld.n, batch, _stream(seed, k))
         for part in stacks(len(dirs), form_tables(fld.n, fld.m).row_floats):
             ys = dirs[part]
             while len(ys):
@@ -301,9 +316,7 @@ def generate_probe_set(fld: SymTensorField, n_base: int, fan_size: int,
     """
     check_probe_count(fld.n, fld.m, n_base, fan_size)
     fld.keep_bases(n_base)
-    seq = np.random.SeedSequence(seed)
-    children = seq.spawn(n_base + 1)
-    bases = base_points(fld, n_base, children[0])
-    fans = [admissible_fan(fld, x, fan_size, children[i + 1], cond_cap)
+    bases = base_points(fld, n_base, _stream(seed, 0))
+    fans = [admissible_fan(fld, x, fan_size, _stream(seed, i + 1), cond_cap)
             for i, x in enumerate(bases)]
     return ProbeSet(bases=bases, fans=fans)

@@ -128,14 +128,14 @@ def spray_batch(evs) -> None:
 
     The evaluations in ``evs`` that have no spray yet are stacked along
     a leading axis, so each order costs one ``einsum`` per term for the
-    whole stack; the orders of degree 0 are read per row, from each
-    evaluation's ``vectors``, as every other input is.  :func:`stacks`
-    cuts it into chunks whose largest array (B, D_4 once m >= 4, or the
-    stacked ``orders`` rows; the stacked ``vectors`` are never larger)
-    holds at most ``BATCH_BYTES``, so the memory a batch takes does not
-    grow with its length.  Each such evaluation then holds a read-only
-    :class:`SprayEval` whose arrays are views of the stacked results;
-    :func:`spray_eval` reads it.
+    whole stack; the orders of degree 0 (see ``FormTables``) are read
+    per row, from each evaluation's ``vectors``, as every other input
+    is.  :func:`stacks` cuts it into chunks whose largest array (B, D_4
+    once m >= 4, or the stacked ``orders`` rows; the stacked ``vectors``
+    are never larger) holds at most ``BATCH_BYTES``, so the memory a
+    batch takes does not grow with its length.  Each such evaluation
+    then holds a read-only :class:`SprayEval` whose arrays are views of
+    the stacked results; :func:`spray_eval` reads it.
     Evaluations that already have one keep it.  All evaluations must
     share n and m; they may sit at different base points.  The stacked
     derivative arrays built on the way are not kept.
@@ -146,8 +146,9 @@ def spray_batch(evs) -> None:
     m, n = todo[0].m, todo[0].n
     if any(ev.m != m or ev.n != n for ev in todo):
         raise ValueError("spray_batch needs evaluations of one n and m")
+    tables = form_tables(n, m)
     floats = max(n ** 4, todo[0].orders.size,
-                 *(t.size for t in form_tables(n, m).top))
+                 *(t.size for t in tables.A_top + tables.D_top))
     for part in stacks(len(todo), floats):
         _spray_stack(todo[part], m)
 
@@ -156,11 +157,9 @@ def _spray_stack(evs, m):
     """The recurrence of :func:`spray_batch` over one stack."""
     y = np.array([ev.y for ev in evs])
     A_inv = np.array([ev.A_inv for ev in evs])
-    # D[k] for k = 0 .. min(m, 4) and A[r] for r = 0 .. min(m, 5): those
-    # that depend on y out of the stacked rows, then those of degree 0,
-    # A^(m) for 3 <= m <= 5 and D_m for m <= 4, m! times the stacked
-    # coefficient vectors taken at FormTables.top; the orders above m are
-    # zero
+    # D[k] for k = 0 .. min(m, 4) and A[r] for r = 0 .. min(m, 5): the
+    # stacked rows, then m! times the stacked vectors at A_top and D_top
+    # (the orders of degree 0, see FormTables); those above m are zero
     rows, (z, n) = np.array([ev.orders for ev in evs]), y.shape
     vectors = np.array([ev.vectors for ev in evs])
     tables = form_tables(n, m)
@@ -168,10 +167,9 @@ def _spray_stack(evs, m):
          for k, c in enumerate(tables.D_orders)]
     A = [rows[:, c].reshape((z,) + (n,) * r)
          for r, c in enumerate(tables.A_orders)]
-    top = [float(math.factorial(m)) * vectors[:, t] for t in tables.top]
-    cut = int(3 <= m <= 5)
-    A += top[:cut]
-    D += top[cut:]
+    fact = float(math.factorial(m))
+    A += [fact * vectors[:, t] for t in tables.A_top]
+    D += [fact * vectors[:, t] for t in tables.D_top]
     Gk = []
     for k in range(4 if m > 2 else 3):
         J = "jkl"[:k]

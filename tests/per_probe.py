@@ -153,17 +153,16 @@ def dense(fld, vec):
 
 def high_orders(ev):
     """A^(3..min(m, 5)) and D_2..D_min(m, 4) of ``ev``: views of its
-    ``orders`` row, then the orders of degree 0, A^(m) for 3 <= m <= 5
-    and D_m for m <= 4, from its ``vectors``."""
-    tables, n, cut = form_tables(ev.n, ev.m), ev.n, int(3 <= ev.m <= 5)
-    top = tuple(float(math.factorial(ev.m)) * ev.vectors[t]
-                for t in tables.top)
+    ``orders`` row, then the orders of degree 0 (see ``FormTables``)
+    from its ``vectors``."""
+    tables, n = form_tables(ev.n, ev.m), ev.n
+    fact = float(math.factorial(ev.m))
     return (tuple(ev.orders[c].reshape((n,) * r)
                   for r, c in enumerate(tables.A_orders) if r >= 3)
-            + top[:cut],
+            + tuple(fact * ev.vectors[t] for t in tables.A_top),
             tuple(ev.orders[c].reshape((n,) * (k + 1))
                   for k, c in enumerate(tables.D_orders) if k >= 2)
-            + top[cut:])
+            + tuple(fact * ev.vectors[t] for t in tables.D_top))
 
 
 def derivatives_ref(fld, x, y, size=False):

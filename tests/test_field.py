@@ -1,6 +1,7 @@
 """Symmetric coefficient fields: index handling and coefficient vectors."""
 
 import math
+import re
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -109,7 +110,8 @@ def test_domain_membership_and_errors():
         assert fld.point_arrays(x).vectors[0] == 1.0
     # past a face, of the wrong shape, or with a NaN or infinite
     # coordinate, which is outside every box
-    bad = [[1.1, 0.0], [2.0, 0.0], [0.0, 3.0], [0.0], [0.0, 0.0, 0.0]]
+    bad = [[1.1, 0.0], [2.0, 0.0], [0.0, 3.0], [0.0], [0.0, 0.0, 0.0],
+           [[0.0, 0.0]], 0.0]
     for v in (math.nan, math.inf, -math.inf):
         bad += [[0.0, v], np.array([v, 0.0])]
     for x in bad:
@@ -133,6 +135,16 @@ def test_coeff_array_spreads_over_permutations():
     # full symmetry of the dense array
     assert np.array_equal(arr, np.transpose(arr, (1, 0, 2)))
     assert np.array_equal(arr, np.transpose(arr, (0, 2, 1)))
+
+
+@pytest.mark.parametrize("l", [2, 5, -1, 1.5])
+def test_coeff_array_rejects_a_derivative_index_out_of_range(l):
+    fld = SymTensorField(2, 2, {(0, 0): Coord(0)}, BOX2)
+    message = re.escape(f"derivative index l = {l!r} must be in 0 .. 1 "
+                        "for n = 2")
+    with pytest.raises(ConfigurationError, match=message):
+        fld.coeff_array([0.0, 0.0], l)
+    assert l not in fld._trees
 
 
 def test_coeff_array_evaluates_expressions():
@@ -200,7 +212,7 @@ def test_point_arrays_consistent_with_coeff_array():
                                                       fld.coeff_array(x)))
     assert np.array_equal(point.vectors, stacked)
     assert not point.vectors.flags.writeable
-    (D_2,) = form_tables(fld.n, fld.m).top
+    (D_2,) = form_tables(fld.n, fld.m).D_top
     assert np.array_equal(point.vectors[D_2], np.array(
         [per_probe.dense(fld, fld.coeff_array(x, l)) for l in range(2)]))
     # repeated lookups hit the cache and return the identical entry

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 
 from mroot.corpus import random_cubic3
 from mroot.errors import (AdmissibleConeError, ConfigurationError,
-                          DegenerateMetricError, MrootError)
+                          DegenerateMetricError, DomainError, MrootError)
 from mroot.geodesic import integrate
 from mroot.field import SymTensorField
 from mroot.metric import Batch, MetricEval, _spectrum, identity_residuals
 from mroot.metricfile import parse_metric_text
-from mroot.probes import base_points, generate_probe_set, sphere_fan
+from mroot.probes import (admissible_fan, base_points, generate_probe_set,
+                          sphere_fan)
 from mroot.spray import spray_eval
 
 import per_probe
@@ -159,6 +160,20 @@ def test_a_direction_of_the_wrong_shape_is_a_configuration_error(y):
         MetricEval.at(fld, [0.1, 0.2], y)
     with pytest.raises(ConfigurationError, match=message):
         integrate(fld, [0.1, 0.2], y, 0.1, 3)
+
+
+@pytest.mark.parametrize("x", [[[0.1, 0.2]], 0.1], ids=["row", "scalar"])
+def test_a_base_point_of_the_wrong_rank_is_a_domain_error(x):
+    # checked before point_arrays hashes x for its cache
+    fld = fresh_field("quartic2")
+    message = re.escape(f"point {np.asarray(x).tolist()} is outside the "
+                        "domain box")
+    with pytest.raises(DomainError, match=message):
+        MetricEval.at(fld, x, [0.6, 0.8])
+    with pytest.raises(DomainError, match=message):
+        integrate(fld, x, [0.6, 0.8], 0.1, 3)
+    with pytest.raises(DomainError, match=message):
+        admissible_fan(fld, x, 3, 0)
 
 
 def test_singular_hessian_raises_degeneracy():

@@ -5,6 +5,7 @@ import gc
 from collections import Counter
 import math
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import mroot
 import per_probe
 from mroot import probes, spray
+from mroot.classify import classify_antonelli
 from mroot.corpus import random_cubic3
 from mroot.errors import (AdmissibleConeError, ConfigurationError,
                           DomainError, MrootError)
@@ -135,6 +137,42 @@ def test_a_seed_sequence_is_not_advanced_by_a_draw():
     assert np.array_equal(admissible_fan(fld, x, 3, ss), first)
     assert np.array_equal(admissible_fan(fld, x, 3, 5), first)
     assert ss.n_children_spawned == 0
+
+
+@pytest.mark.parametrize("i", [0, 1, 4])
+def test_a_stream_is_the_child_spawn_gives(i):
+    def bits(seq):
+        return seq.generate_state(4).tolist()
+
+    for s in (0, 5, np.int64(5), 2 ** 70):
+        assert bits(probes._stream(s, i)) == bits(
+            np.random.SeedSequence(s).spawn(i + 1)[i])
+        assert bits(probes._stream(s, 7, i)) == bits(
+            np.random.SeedSequence(s, spawn_key=(7,)).spawn(i + 1)[i])
+        assert bits(probes._stream(s)) == bits(np.random.SeedSequence(s))
+    # a SeedSequence's children, and the sequence itself with no key
+    ss = np.random.SeedSequence(5, spawn_key=(3,))
+    assert probes._stream(ss) is ss
+    assert bits(probes._stream(ss, i)) == bits(
+        np.random.SeedSequence(5, spawn_key=(3,)).spawn(i + 1)[i])
+    assert ss.n_children_spawned == 0
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "0", None],
+                         ids=["negative", "float", "str", "none"])
+def test_a_seed_that_is_not_an_integer_from_0_is_a_configuration_error(seed):
+    fld = corpus_field("quartic2")
+    x = np.array([0.1, 0.2])
+    probe_set = generate_probe_set(fld, 2, 3, seed=0)
+    message = re.escape(f"seed must be an integer >= 0, got {seed!r}")
+    for call in (lambda: sphere_fan(2, 3, seed),
+                 lambda: base_points(fld, 2, seed),
+                 lambda: admissible_fan(fld, x, 3, seed),
+                 lambda: admissible_at_all(fld, [x], 3, seed),
+                 lambda: generate_probe_set(fld, 2, 3, seed=seed),
+                 lambda: classify_antonelli(fld, probe_set, seed=seed)):
+        with pytest.raises(ConfigurationError, match=message):
+            call()
 
 
 def test_admissible_at_all_checks_every_base():
