@@ -40,7 +40,7 @@ from .classify import (DEFAULT_TOL, ClassifierVerdict, _absmax, _worst,
                        weakly_berwald_check)
 from .errors import (AdmissibleConeError, ConfigurationError,
                      DegenerateMetricError, DomainError, MetricFileError,
-                     excerpt)
+                     excerpt, integer)
 from .field import SymTensorField
 from .geodesic import integrate
 from .metric import MetricEval, identity_residuals
@@ -134,19 +134,13 @@ def _resolve(args, cfg) -> _Run:
     """
     run = _Run(
         fld=cfg.field,
-        seed=_first(args.seed, cfg.seed, 0),
+        seed=integer(_first(args.seed, cfg.seed, 0), "seed", 0),
         tol=_first(args.tol, cfg.tol, DEFAULT_TOL),
         # overdetermined for every fit that runs downstream
-        fan=_first(args.fan, 4 * cfg.field.n ** 2),
-        bases=_first(args.bases, DEFAULT_BASES),
+        fan=integer(_first(args.fan, 4 * cfg.field.n ** 2), "fan size", 1),
+        bases=integer(_first(args.bases, DEFAULT_BASES), "base count", 1),
         inject_c=getattr(args, "inject_c", 0.0),
         explicit=bool(cfg.probes))
-    if run.seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {run.seed}")
-    if run.fan < 1:
-        raise ConfigurationError(f"fan size must be >= 1, got {run.fan}")
-    if run.bases < 1:
-        raise ConfigurationError(f"base count must be >= 1, got {run.bases}")
     if not (math.isfinite(run.tol) and run.tol >= 0.0):
         raise ConfigurationError(
             f"tol must be finite and >= 0, got {run.tol!r}")

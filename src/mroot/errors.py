@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer rule."""
+
+import operator
 
 
 def excerpt(text) -> str:
@@ -52,3 +54,19 @@ class MetricFileError(MrootError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+def integer(value, what, least):
+    """``value`` as an int, if it is an integer (``operator.index``
+    accepts it) of at least ``least``; otherwise
+    :class:`ConfigurationError` naming ``what``.  Every count, seed,
+    index and exponent a caller passes is read here, so none is
+    truncated."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(
+            f"{what} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ConfigurationError(f"{what} must be >= {least}, got {value}")
+    return value

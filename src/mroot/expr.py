@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import integer
+
 __all__ = [
     "Expr",
     "Const",
@@ -102,14 +104,13 @@ class Const(Expr):
 
 
 class Coord(Expr):
-    """The coordinate function x^index (0-based)."""
+    """The coordinate function x^index (0-based); an index that is not an
+    integer >= 0 raises :class:`~mroot.errors.ConfigurationError`."""
 
     __slots__ = ("index",)
 
     def __init__(self, index):
-        if index < 0:
-            raise ValueError("coordinate index must be >= 0")
-        self.index = int(index)
+        self.index = integer(index, "coordinate index", 0)
 
     def evaluate(self, x):
         return float(x[self.index])
@@ -151,16 +152,14 @@ class Prod(Expr):
 
 
 class IntPow(Expr):
-    """child raised to a fixed non-negative integer exponent."""
+    """child raised to a fixed integer exponent >= 0; any other exponent
+    raises :class:`~mroot.errors.ConfigurationError`."""
 
     __slots__ = ("child", "exponent")
 
     def __init__(self, child, exponent):
-        exponent = int(exponent)
-        if exponent < 0:
-            raise ValueError("integer power exponent must be >= 0")
         self.child = child
-        self.exponent = exponent
+        self.exponent = integer(exponent, "integer power exponent", 0)
 
     def evaluate(self, x):
         return self.child.evaluate(x) ** self.exponent
@@ -242,10 +241,10 @@ def mul(*factors) -> Expr:
 
 
 def intpow(u, k) -> Expr:
+    """u ** k, folded for k = 0, k = 1 and a constant u; an exponent that
+    is not an integer >= 0 raises :class:`~mroot.errors.ConfigurationError`."""
     u = _wrap(u)
-    k = int(k)
-    if k < 0:
-        raise ValueError("integer power exponent must be >= 0")
+    k = integer(k, "integer power exponent", 0)
     if k == 0:
         return Const(1.0)
     if k == 1:

@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, excerpt, integer
 from .expr import Expr, Const
 
 __all__ = ["FormTables", "PointArrays", "SymTensorField", "dense_index",
@@ -157,6 +157,17 @@ class FormTables:
 form_tables = functools.cache(FormTables)
 
 
+def _interval(iv) -> tuple:
+    """A box interval as two floats (lo, hi), or ConfigurationError."""
+    try:
+        lo, hi = iv
+        return float(lo), float(hi)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(
+            f"box interval {excerpt(repr(iv))} must be two numbers "
+            f"(lo, hi)") from None
+
+
 class PointArrays:
     """At one base point: the coefficient of every term of ``tables``,
     the coefficient vectors [a, da/dx^1, ..] stacked and flat (both
@@ -185,15 +196,20 @@ class SymTensorField:
         assigning two orderings of the same index is rejected.
     box : sequence of (lo, hi)
         The domain box, one closed interval per coordinate.
+
+    Raises
+    ------
+    ConfigurationError
+        If n, m or an index component is not an integer of at least 1, 2
+        and 0 (by :func:`mroot.errors.integer`), a component is >= n, an
+        index has not m components, a box interval is not two numbers
+        lo < hi, an entry is neither an Expr nor a number, or the field
+        is too large.
     """
 
     def __init__(self, n, m, entries, box):
-        self.n = int(n)
-        self.m = int(m)
-        if self.n < 1:
-            raise ConfigurationError("dimension n must be >= 1")
-        if self.m < 2:
-            raise ConfigurationError("tensor order m must be >= 2")
+        self.n = integer(n, "dimension n", 1)
+        self.m = integer(m, "tensor order m", 2)
         # n^m <= 2^16 and m <= 31 admit every corpus member and n = 2 up
         # to m = 16; testing m first also keeps n ** m a small number
         if self.m > _MAX_ORDER or self.n ** self.m > _MAX_SLOTS:
@@ -202,7 +218,7 @@ class SymTensorField:
                 f"admitted when n^m <= {_MAX_SLOTS} and m <= {_MAX_ORDER}, "
                 f"counting the slots a dense order-m array would have, and "
                 f"here n^m = {self.n}^{self.m} slots")
-        self.box = tuple((float(lo), float(hi)) for lo, hi in box)
+        self.box = tuple(map(_interval, box))
         if len(self.box) != self.n:
             raise ConfigurationError(
                 f"box has {len(self.box)} intervals, expected {self.n}")
@@ -212,18 +228,24 @@ class SymTensorField:
 
         self.entries = {}
         for idx, e in entries.items():
-            key = tuple(sorted(int(i) for i in idx))
+            key = tuple(sorted(integer(i, "index component", 0)
+                               for i in idx))
             if len(key) != self.m:
                 raise ConfigurationError(
                     f"index {tuple(idx)} has length {len(key)}, expected m={self.m}")
-            if any(i < 0 or i >= self.n for i in key):
+            if key[-1] >= self.n:
                 raise ConfigurationError(
                     f"index {tuple(idx)} out of range for n={self.n}")
             if key in self.entries:
                 raise ConfigurationError(
                     f"duplicate entry for symmetric index {key}")
             if not isinstance(e, Expr):
-                e = Const(float(e))
+                try:
+                    e = Const(e)
+                except (TypeError, ValueError, OverflowError):
+                    raise ConfigurationError(
+                        f"entry {tuple(idx)} must be a number or an Expr, "
+                        f"got {excerpt(repr(e))}") from None
             self.entries[key] = e
 
         self._size = math.comb(self.n + self.m - 1, self.m)
@@ -260,12 +282,18 @@ class SymTensorField:
         if x.shape != (self.n,) or not all(
                 lo <= v <= hi for v, (lo, hi) in zip(xl, self.box)):
             raise _outside(xl)
-        trees = self._trees.get(l)
+        try:
+            trees = self._trees.get(l)
+        except TypeError:               # an unhashable l: a list, an array
+            trees = None
         if trees is None:
-            if l is not None and l not in range(self.n):
-                raise ConfigurationError(
-                    f"derivative index l = {l!r} must be in 0 .. "
-                    f"{self.n - 1} for n = {self.n}")
+            if l is not None:
+                try:
+                    l = range(self.n).index(l)
+                except ValueError:
+                    raise ConfigurationError(
+                        f"derivative index l = {l!r} must be in 0 .. "
+                        f"{self.n - 1} for n = {self.n}") from None
             where = _positions(self.n, self.m)
             trees = self._trees[l] = [
                 (where[key], key, d) for key, e in self.entries.items()
@@ -286,7 +314,7 @@ class SymTensorField:
 
     def keep_bases(self, k: int):
         """Let :meth:`point_arrays` keep at least ``k`` base points."""
-        self._point_cap = max(self._point_cap, int(k))
+        self._point_cap = max(self._point_cap, integer(k, "base count", 1))
 
     def point_arrays(self, x):
         """The :class:`PointArrays` at x: one gather takes the coefficient

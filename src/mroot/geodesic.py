@@ -15,13 +15,12 @@ instead of raising.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (AdmissibleConeError, ConfigurationError,
-                     DegenerateMetricError, DomainError)
+                     DegenerateMetricError, DomainError, integer)
 from .field import SymTensorField
 from .metric import MetricEval
 from .spray import spray_mroot
@@ -75,18 +74,15 @@ def integrate(fld: SymTensorField, x0, y0, t_end: float,
     A non-finite spray or state aborts with a degeneracy error since it
     indicates blowup inside the admissible region, not a clean exit.
     """
+    steps = integer(steps, "step count", 1)
     try:
-        steps = operator.index(steps)
-    except TypeError:
-        raise ConfigurationError(
-            f"step count must be an integer, got {steps!r}") from None
-    if steps < 1:
-        raise ConfigurationError("step count must be >= 1")
-    t_end = float(t_end)
-    if not 0.0 < t_end < math.inf:
+        time = float(t_end)
+    except (TypeError, ValueError, OverflowError):
+        time = math.nan
+    if not 0.0 < time < math.inf:
         raise ConfigurationError(
             f"integration time must be positive and finite, got {t_end!r}")
-    h = t_end / steps
+    h = time / steps
     speeds = [MetricEval.at(fld, x0, y0).F]
     s = np.concatenate((x0, y0), dtype=float)
     states = [s]

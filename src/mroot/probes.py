@@ -26,7 +26,6 @@ draw order, up to the requested count.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from itertools import repeat
 # the C function of AS241 that NormalDist.inv_cdf calls once it has
@@ -39,7 +38,7 @@ from statistics import _normal_dist_inv_cdf
 import numpy as np
 
 from .errors import (AdmissibleConeError, ConfigurationError,
-                     DegenerateMetricError)
+                     DegenerateMetricError, integer)
 from .field import SymTensorField, form_tables
 from .metric import Batch, MetricEval, ProbePoint
 from .spray import stacks
@@ -83,19 +82,12 @@ def _stream(seed, *key) -> np.random.SeedSequence:
     advanced) as ``SeedSequence.spawn`` numbers children, or ``seed`` as
     a ``SeedSequence`` if no key: every draw takes its stream here.  A
     seed neither a ``SeedSequence`` nor an integer >= 0 raises
-    :class:`ConfigurationError`."""
+    :class:`ConfigurationError` (by :func:`~mroot.errors.integer`)."""
     if isinstance(seed, np.random.SeedSequence):
         return np.random.SeedSequence(
             seed.entropy, pool_size=seed.pool_size,
             spawn_key=seed.spawn_key + key) if key else seed
-    try:
-        entropy = operator.index(seed)
-    except TypeError:
-        entropy = None
-    if entropy is None or entropy < 0:
-        raise ConfigurationError(
-            f"seed must be an integer >= 0, got {seed!r}")
-    return np.random.SeedSequence(entropy, spawn_key=key)
+    return np.random.SeedSequence(integer(seed, "seed", 0), spawn_key=key)
 
 
 def _kronecker_block(d: int, size: int, seed) -> np.ndarray:
@@ -111,20 +103,19 @@ def _kronecker_block(d: int, size: int, seed) -> np.ndarray:
     return np.mod(shift + steps, 1.0)
 
 
-def _check_fan_size(size: int):
-    if size < 1:
-        raise ConfigurationError(f"fan size must be >= 1, got {size}")
-
-
 def sphere_fan(n: int, size: int, seed) -> np.ndarray:
     """``size`` unit directions in R^n from a shifted R_d stream.
 
     Uniform points in the cube are pushed through the inverse normal
     CDF and normalized, giving a uniform distribution on the sphere.
     For n = 1 the sphere is {+1, -1} and the fan alternates signs.
+    An n or a size that is not an integer >= 1, or a bad seed, raises
+    :class:`ConfigurationError` (see :func:`mroot.errors.integer`).
     """
-    _check_fan_size(size)
+    n = integer(n, "dimension n", 1)
+    size = integer(size, "fan size", 1)
     if n == 1:
+        _stream(seed)           # the fan reads no stream; the seed is checked
         return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(size)])
     u = np.clip(_kronecker_block(n, size, seed), 1e-12, 1.0 - 1e-12)
     p = u.ravel().tolist()
@@ -140,11 +131,11 @@ def base_points(fld: SymTensorField, count: int, seed,
     """``count`` low-discrepancy base points strictly inside the domain box.
 
     A relative margin keeps the points away from the box faces so that
-    finite differences and short geodesic arcs stay in bounds.
+    finite differences and short geodesic arcs stay in bounds.  A count
+    that is not an integer >= 1, or a bad seed, raises
+    :class:`ConfigurationError` (see :func:`mroot.errors.integer`).
     """
-    if count < 1:
-        raise ConfigurationError("base point count must be >= 1")
-    u = _kronecker_block(fld.n, count, seed)
+    u = _kronecker_block(fld.n, integer(count, "base count", 1), seed)
     lo = np.array([b[0] for b in fld.box])
     hi = np.array([b[1] for b in fld.box])
     pad = margin * (hi - lo)
@@ -208,7 +199,7 @@ def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
     considered too thin and the configuration is rejected, naming
     ``where`` in the error.
     """
-    _check_fan_size(size)
+    size = integer(size, "fan size", 1)
     kept, count, drawn = [], 0, 0
     batch = max(size, 4)
     for k in range(64):
@@ -314,6 +305,8 @@ def generate_probe_set(fld: SymTensorField, n_base: int, fan_size: int,
     Raises :class:`ConfigurationError` before drawing anything when the
     probes would pass ``MAX_PROBE_BYTES`` (see :func:`check_probe_count`).
     """
+    n_base = integer(n_base, "base count", 1)
+    fan_size = integer(fan_size, "fan size", 1)
     check_probe_count(fld.n, fld.m, n_base, fan_size)
     fld.keep_bases(n_base)
     bases = base_points(fld, n_base, _stream(seed, 0))

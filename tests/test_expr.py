@@ -3,12 +3,14 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mroot.errors import ConfigurationError
 from mroot.expr import (Const, Coord, Exp, IntPow, Prod, Recip, Sum, add,
                         expn, intpow, mul, recip)
 
@@ -52,13 +54,27 @@ def test_recip_raises_at_pole():
 
 def test_intpow_rejects_negative_exponent():
     for build in (intpow, IntPow):
-        with pytest.raises(ValueError, match="exponent must be >= 0"):
+        with pytest.raises(ConfigurationError, match="exponent must be >= 0"):
             build(Coord(0), -1)
 
 
 def test_coordinate_rejects_negative_index():
-    with pytest.raises(ValueError, match="index must be >= 0"):
+    with pytest.raises(ConfigurationError, match="index must be >= 0"):
         Coord(-1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Coord(0) ** 0.5,
+     "integer power exponent must be an integer, got 0.5"),
+    (lambda: intpow(Coord(0), 2.5),
+     "integer power exponent must be an integer, got 2.5"),
+    (lambda: IntPow(Coord(0), 2.5),
+     "integer power exponent must be an integer, got 2.5"),
+    (lambda: Coord(1.5), "coordinate index must be an integer, got 1.5"),
+], ids=["pow_half", "intpow_float", "IntPow_float", "coord_float"])
+def test_a_non_integer_exponent_or_index_is_not_truncated(build, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        build()
 
 
 def test_operator_sugar_matches_plain_arithmetic():

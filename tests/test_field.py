@@ -96,6 +96,14 @@ def test_duplicate_orderings_rejected():
     dict(n=2, m=17, entries={}, box=BOX2),
     dict(n=1, m=32, entries={}, box=[(-1.0, 1.0)]),
     dict(n=2, m=10 ** 9, entries={}, box=BOX2),
+    dict(n=2, m=2, entries={}, box=[(-1.0, 1.0), (0.0,)]),
+    dict(n=2, m=2, entries={}, box=[(-1.0, 1.0), None]),
+    dict(n=2, m=2, entries={}, box=[(-1.0, 1.0), ("a", 1.0)]),
+    dict(n=2, m=2, entries={(0, 0): "a"}, box=BOX2),
+    dict(n=2, m=2, entries={(0, 0): None}, box=BOX2),
+    dict(n=2.5, m=2, entries={}, box=BOX2),
+    dict(n=2, m=2.5, entries={}, box=BOX2),
+    dict(n=2, m=2, entries={(0.5, 1): 1.0}, box=BOX2),
 ])
 def test_invalid_construction_rejected(bad):
     with pytest.raises(ConfigurationError):
@@ -145,6 +153,19 @@ def test_coeff_array_rejects_a_derivative_index_out_of_range(l):
     with pytest.raises(ConfigurationError, match=message):
         fld.coeff_array([0.0, 0.0], l)
     assert l not in fld._trees
+
+
+def test_coeff_array_reads_an_array_index_and_rejects_an_unhashable_one():
+    fld = SymTensorField(2, 2, {(0, 0): Coord(0), (1, 1): Coord(1)}, BOX2)
+    x = [0.5, -0.25]
+    for l in (0, 1):
+        assert np.array_equal(fld.coeff_array(x, np.array(l)),
+                              fld.coeff_array(x, l))
+    for l in ([0], np.array(2)):
+        message = re.escape(f"derivative index l = {l!r} must be in 0 .. 1 "
+                            "for n = 2")
+        with pytest.raises(ConfigurationError, match=message):
+            fld.coeff_array(x, l)
 
 
 def test_coeff_array_evaluates_expressions():

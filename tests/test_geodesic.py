@@ -99,6 +99,8 @@ def test_path_grid_matches_request():
     dict(t_end=-1.0, steps=10),
     dict(t_end=1.0, steps=2.5),
     dict(t_end=1.0, steps="10"),
+    dict(t_end=None, steps=3),
+    dict(t_end="abc", steps=3),
 ])
 def test_invalid_requests_are_rejected(bad_kwargs):
     with pytest.raises(ConfigurationError):

@@ -67,6 +67,27 @@ def test_fan_size_is_checked_before_drawing(size):
         admissible_at_all(fld, [x], size, seed=0)
 
 
+@pytest.mark.parametrize("count", [2.5, "3"], ids=["float", "str"])
+def test_a_count_that_is_not_an_integer_is_a_configuration_error(count):
+    fld = corpus_field("quartic2")
+    x = np.array([0.1, 0.2])
+    calls = {
+        "dimension n": [lambda: sphere_fan(count, 3, 0)],
+        "fan size": [lambda: sphere_fan(2, count, 0),
+                     lambda: admissible_fan(fld, x, count, 0),
+                     lambda: admissible_at_all(fld, [x], count, 0),
+                     lambda: generate_probe_set(fld, 2, count, 0)],
+        "base count": [lambda: base_points(fld, count, 0),
+                       lambda: generate_probe_set(fld, count, 2, 0),
+                       lambda: fld.keep_bases(count)],
+    }
+    for what, builds in calls.items():
+        message = re.escape(f"{what} must be an integer, got {count!r}")
+        for call in builds:
+            with pytest.raises(ConfigurationError, match=message):
+                call()
+
+
 def test_importing_mroot_loads_no_scipy():
     # a fresh interpreter: the test process itself may have scipy loaded
     src = str(Path(mroot.__file__).resolve().parents[1])
@@ -164,8 +185,10 @@ def test_a_seed_that_is_not_an_integer_from_0_is_a_configuration_error(seed):
     fld = corpus_field("quartic2")
     x = np.array([0.1, 0.2])
     probe_set = generate_probe_set(fld, 2, 3, seed=0)
-    message = re.escape(f"seed must be an integer >= 0, got {seed!r}")
+    message = re.escape(f"seed must be >= 0, got {seed}" if seed == -1
+                        else f"seed must be an integer, got {seed!r}")
     for call in (lambda: sphere_fan(2, 3, seed),
+                 lambda: sphere_fan(1, 3, seed),
                  lambda: base_points(fld, 2, seed),
                  lambda: admissible_fan(fld, x, 3, seed),
                  lambda: admissible_at_all(fld, [x], 3, seed),
