@@ -6,7 +6,8 @@ symmetric by construction.  Missing indices are identically zero.
 
 The metric on a field is the degree-m form A = a_{i1..im} y^{i1}..y^{im}
 of C(n+m-1, m) distinct coefficients: :meth:`SymTensorField.coeff_array`
-evaluates them, or their derivatives da/dx^l, as a vector.  The
+evaluates them, or their derivatives da/dx^l, as a vector, by one Python
+function per field and derivative generated from the trees.  The
 y-derivatives of A are forms too; :class:`FormTables` lists their terms
 once per (n, m), and :meth:`SymTensorField.point_arrays` gathers the
 terms' coefficients at a base point, so no expression tree is evaluated
@@ -17,12 +18,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, excerpt, integer
-from .expr import Expr, Const
+from .expr import Const, Coord, Exp, Expr, IntPow, Prod, Recip, Sum
 
 __all__ = ["FormTables", "PointArrays", "SymTensorField", "dense_index",
            "form_tables"]
@@ -41,6 +43,110 @@ def _diff(e: Expr, l: int) -> Expr:
 
 def _outside(xl) -> DomainError:
     return DomainError(f"point {xl} is outside the domain box")
+
+
+# Each inner node as an expression of its children's values, the operation
+# its ``evaluate`` applies; a product drops evaluate's leading 1.0 *, which
+# changes no bit
+_INNER = {
+    Sum: lambda node, args: "fsum((" + "".join(a + ", " for a in args) + "))",
+    Prod: lambda node, args: " * ".join(args) or "1.0",
+    IntPow: lambda node, args: f"{args[0]} ** {node.exponent!r}",
+    Exp: lambda node, args: f"exp({args[0]})",
+    Recip: lambda node, args: f"1.0 / {args[0]}",
+}
+_NAMES = {"fsum": math.fsum, "exp": math.exp, "inf": math.inf,
+          "nan": math.nan}
+
+
+def _children(node):
+    kind = type(node)
+    if kind is Sum or kind is Prod:
+        return node.children
+    return (node.child,)
+
+
+def _check_nodes(root, n, idx, seen):
+    """ConfigurationError naming entry ``idx`` if ``root`` holds anything
+    but nodes of mroot.expr over x0 .. x{n-1}.  ``seen`` holds the ids of
+    the inner nodes walked, so a shared subtree is walked once; the walk
+    keeps its own stack, so a tree of any depth is walked."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Coord:
+            if node.index >= n:
+                raise ConfigurationError(
+                    f"entry {idx} reads coordinate index {node.index}, out "
+                    f"of range for n={n}")
+        elif kind in _INNER:
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack += _children(node)
+        elif kind is not Const:
+            raise ConfigurationError(
+                f"entry {idx} holds a {kind.__name__}, which is not a node "
+                f"of mroot.expr")
+
+
+def _vector_source(n, size, entries):
+    """The source of ``f(x0, .., x{n-1})``, which returns the list of
+    ``size`` values with tree ``tree`` at ``p`` for each (p, tree) of
+    ``entries`` and 0.0 elsewhere.  Each inner node is one statement, after
+    its children's, a node shared within an entry is evaluated once, and
+    an entry that raises ArithmeticError or ValueError is NaN.  The text
+    holds only float reprs, integers and the names of ``_NAMES``."""
+    lines = [f"def f({', '.join(f'x{i}' for i in range(n))}):"]
+    slots = ["0.0"] * size
+    temps = 0
+    for p, tree in entries:
+        body, names, stack = [], {}, [tree]
+        while stack:
+            node = stack[-1]
+            if id(node) in names:
+                stack.pop()
+                continue
+            kind = type(node)
+            if kind is Const:
+                names[id(node)] = f"({node.value!r})"
+            elif kind is Coord:
+                names[id(node)] = f"x{node.index}"
+            else:
+                kids = _children(node)
+                todo = [c for c in kids if id(c) not in names]
+                if todo:
+                    stack += todo
+                    continue
+                names[id(node)] = f"t{temps}"
+                body.append(f"        t{temps} = "
+                            f"{_INNER[kind](node, [names[id(c)] for c in kids])}")
+                temps += 1
+            stack.pop()
+        slots[p] = names[id(tree)]
+        if body:                        # an entry that is not a leaf
+            lines += ["    try:", *body,
+                      "    except (ArithmeticError, ValueError):",
+                      f"        {slots[p]} = nan"]
+    lines.append(f"    return [{', '.join(slots)}]")
+    return "\n".join(lines) + "\n"
+
+
+def _inside_source(box):
+    """The source of ``f(x0, .., x{n-1})``, which tells whether x lies in
+    ``box``; a NaN coordinate fails both comparisons, so it is outside."""
+    return (f"def f({', '.join(f'x{i}' for i in range(len(box)))}):\n"
+            f"    return " + " and ".join(f"{lo!r} <= x{i} <= {hi!r}" for i, (
+                lo, hi) in enumerate(box)) + "\n")
+
+
+@functools.lru_cache(maxsize=1024)
+def _function(source):
+    """The function that ``source`` defines, compiled once per text, so a
+    field parsed again reuses it."""
+    names = dict(_NAMES)
+    exec(compile(source, "<coefficients>", "exec"), names)
+    return names["f"]
 
 
 @functools.cache
@@ -202,9 +308,11 @@ class SymTensorField:
     ConfigurationError
         If n, m or an index component is not an integer of at least 1, 2
         and 0 (by :func:`mroot.errors.integer`), a component is >= n, an
-        index has not m components, a box interval is not two numbers
-        lo < hi, an entry is neither an Expr nor a number, or the field
-        is too large.
+        index has not m components, the box or an index is not a
+        sequence, entries is not a mapping, a box interval is not two
+        numbers lo < hi, an entry is neither an Expr nor a number, holds
+        anything but :mod:`mroot.expr` nodes or reads a coordinate index
+        >= n, or the field is too large.
     """
 
     def __init__(self, n, m, entries, box):
@@ -218,24 +326,43 @@ class SymTensorField:
                 f"admitted when n^m <= {_MAX_SLOTS} and m <= {_MAX_ORDER}, "
                 f"counting the slots a dense order-m array would have, and "
                 f"here n^m = {self.n}^{self.m} slots")
-        self.box = tuple(map(_interval, box))
+        try:
+            self.box = tuple(map(_interval, box))
+        except TypeError:
+            raise ConfigurationError(
+                f"box {excerpt(repr(box))} must be a sequence of n = "
+                f"{self.n} intervals (lo, hi)") from None
         if len(self.box) != self.n:
             raise ConfigurationError(
                 f"box has {len(self.box)} intervals, expected {self.n}")
         for lo, hi in self.box:
             if not lo < hi:
                 raise ConfigurationError(f"empty box interval ({lo}, {hi})")
+        self._inside = _function(_inside_source(self.box))
 
+        try:
+            items = entries.items()
+        except AttributeError:
+            raise ConfigurationError(
+                f"entries must be a mapping from index tuples to entries, "
+                f"got {excerpt(repr(entries))}") from None
         self.entries = {}
-        for idx, e in entries.items():
+        seen = set()                    # the ids of the inner nodes checked
+        for idx, e in items:
+            try:
+                idx = tuple(idx)
+            except TypeError:
+                raise ConfigurationError(
+                    f"index {excerpt(repr(idx))} must be a sequence of "
+                    f"m = {self.m} integers") from None
             key = tuple(sorted(integer(i, "index component", 0)
                                for i in idx))
             if len(key) != self.m:
                 raise ConfigurationError(
-                    f"index {tuple(idx)} has length {len(key)}, expected m={self.m}")
+                    f"index {idx} has length {len(key)}, expected m={self.m}")
             if key[-1] >= self.n:
                 raise ConfigurationError(
-                    f"index {tuple(idx)} out of range for n={self.n}")
+                    f"index {idx} out of range for n={self.n}")
             if key in self.entries:
                 raise ConfigurationError(
                     f"duplicate entry for symmetric index {key}")
@@ -244,14 +371,17 @@ class SymTensorField:
                     e = Const(e)
                 except (TypeError, ValueError, OverflowError):
                     raise ConfigurationError(
-                        f"entry {tuple(idx)} must be a number or an Expr, "
+                        f"entry {idx} must be a number or an Expr, "
                         f"got {excerpt(repr(e))}") from None
+            # the coefficient functions are generated from its nodes
+            _check_nodes(e, self.n, idx, seen)
             self.entries[key] = e
 
         self._size = math.comb(self.n + self.m - 1, self.m)
-        # l -> (position, index, tree) for each entry of da/dx^l (of a for
-        # None) that is not identically zero, in entry order, on first use
-        self._trees = {}
+        # l -> (the generated function of da/dx^l, of a for None, and the
+        # (position, index) of each entry it evaluates, in entry order),
+        # on first use
+        self._compiled = {}
         self._point_cache = {}
         self._point_cap = 16            # base points point_arrays keeps
 
@@ -260,57 +390,81 @@ class SymTensorField:
     def coeff_array(self, x, l=None) -> np.ndarray:
         """The coefficients at x: a_key at ``where[key]`` of the field's
         :class:`FormTables`, 0 where the field has no entry.  With ``l``
-        given, the derivatives da/dx^l instead; each l's derivative trees
-        are built once and kept, and those identically zero never
-        evaluated.
+        given, the derivatives da/dx^l instead.  On an l's first use, one
+        Python function is generated from its trees (each l's derivative
+        trees are built then; those identically zero are never
+        evaluated) and kept; it computes what ``Expr.evaluate`` would,
+        bit for bit.
 
         Raises
         ------
         DomainError
             If x is not of shape (n,) or lies outside the domain box.
         ConfigurationError
-            If ``l`` is neither None nor one of 0 .. n - 1, or if an entry
-            evaluates to a non-finite number at x (an overflow, a
-            division by zero or NaN); the message names the 1-based
-            entry, the derivative if any, and x.
+            If ``l`` is neither None nor an integer in 0 .. n - 1, or if
+            an entry evaluates to a non-finite number at x (an overflow, a
+            division by zero or NaN); the message names the first such
+            1-based entry in entry order, the derivative if any, and x.
         """
-        # x is converted once: the box test and the trees read its list,
-        # whose items are Python floats, faster to read than numpy's; a
-        # NaN coordinate fails both comparisons, so it is outside
-        x = np.asarray(x, dtype=float)
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT:
+            x = np.asarray(x, dtype=float)
+        # the functions read x's list, whose items are Python floats
         xl = x.tolist()
-        if x.shape != (self.n,) or not all(
-                lo <= v <= hi for v, (lo, hi) in zip(xl, self.box)):
+        if x.shape != (self.n,) or not self._inside(*xl):
             raise _outside(xl)
-        try:
-            trees = self._trees.get(l)
-        except TypeError:               # an unhashable l: a list, an array
-            trees = None
-        if trees is None:
-            if l is not None:
-                try:
-                    l = range(self.n).index(l)
-                except ValueError:
+        if l is not None:
+            l = self._derivative_index(l)
+        compiled = self._compiled.get(l)
+        if compiled is None:
+            compiled = self._compile(l)
+        function, order = compiled
+        vals = function(*xl)
+        # a sum of finite values is finite unless it overflows; then each
+        # entry is tested
+        if not math.isfinite(sum(vals)):
+            for p, key in order:
+                if not math.isfinite(vals[p]):
+                    what = "" if l is None else f"d/dx{l + 1} of "
                     raise ConfigurationError(
-                        f"derivative index l = {l!r} must be in 0 .. "
-                        f"{self.n - 1} for n = {self.n}") from None
-            where = _positions(self.n, self.m)
-            trees = self._trees[l] = [
-                (where[key], key, d) for key, e in self.entries.items()
-                if not (d := e if l is None else _diff(e, l)).is_zero()]
-        vals = [0.0] * self._size
-        for p, key, e in trees:
-            try:
-                v = e.evaluate(xl)
-            except (ArithmeticError, ValueError):
-                v = math.nan
-            if not math.isfinite(v):
-                what = "" if l is None else f"d/dx{l + 1} of "
-                raise ConfigurationError(
-                    f"{what}coefficient {tuple(i + 1 for i in key)} is not "
-                    f"finite at x={xl}")
-            vals[p] = v
+                        f"{what}coefficient {tuple(i + 1 for i in key)} is "
+                        f"not finite at x={xl}")
         return np.array(vals)
+
+    def _derivative_index(self, l):
+        """``l`` as an int in 0 .. n - 1, or ConfigurationError."""
+        try:
+            k = operator.index(l)
+        except TypeError:
+            k = -1
+        if not 0 <= k < self.n:
+            raise ConfigurationError(
+                f"derivative index l = {l!r} must be in 0 .. {self.n - 1} "
+                f"for n = {self.n}")
+        return k
+
+    def _compile(self, l):
+        """The generated function of da/dx^l (of a for None) and its
+        entries' (position, index), kept in ``_compiled``."""
+        where = _positions(self.n, self.m)
+        trees, order = [], []
+        for key, e in self.entries.items():
+            d = e if l is None else _diff(e, l)
+            if not d.is_zero():
+                trees.append((where[key], d))
+                order.append((where[key], key))
+        compiled = self._compiled[l] = (
+            _function(_vector_source(self.n, self._size, trees)), order)
+        return compiled
+
+    def __getstate__(self):
+        # the generated functions cannot be pickled; they are made again
+        state = dict(self.__dict__, _compiled={})
+        del state["_inside"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._inside = _function(_inside_source(self.box))
 
     def keep_bases(self, k: int):
         """Let :meth:`point_arrays` keep at least ``k`` base points."""

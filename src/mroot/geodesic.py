@@ -59,7 +59,7 @@ def _rhs(fld: SymTensorField, s: np.ndarray) -> np.ndarray:
     """The rate (y, -2 G(x, y)) of the state s = (x, y), one array."""
     x, y = s[:fld.n], s[fld.n:]
     ydot = -2.0 * spray_mroot(MetricEval.at(fld, x, y))
-    if not np.isfinite(ydot).all():
+    if not all(map(math.isfinite, ydot.tolist())):
         raise _Blowup(f"geodesic spray became non-finite at x={x.tolist()}")
     return np.concatenate((y, ydot))
 
