@@ -5,7 +5,9 @@ Every check is a residual test over a deterministic probe set.  The
 residuals are normalized so that a clean property sits at rounding
 level (1e-12 and below) while a genuine violation is many orders of
 magnitude larger; the pass threshold ``tol`` sits between the two
-regimes and is deliberately loose against rounding noise.
+regimes and is deliberately loose against rounding noise.  Each check
+reads ``tol`` first, by :func:`mroot.errors.real`: a tol that is not a
+finite real >= 0 raises :class:`ConfigurationError` before any work.
 
 A check first walks its probes one by one for their evaluations, sprays
 them all in one batch, then reduces over each base's stacked arrays
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, real, vector
 from .field import SymTensorField, dense_index
 from .metric import MetricEval, stacked_g_h
 from .probes import ProbeSet, _stream, admissible_at_all
@@ -65,7 +67,8 @@ class ClassifierVerdict:
     details: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        self.passed = bool(self.residual <= self.tol)
+        self.passed = bool(real(self.residual, "residual")
+                           <= real(self.tol, "tol"))
 
     def __str__(self):
         word = "PASS" if self.passed else "FAIL"
@@ -125,7 +128,12 @@ class OneForm:
 
 
 def recover_theta(fld: SymTensorField, x, fan) -> OneForm:
-    """Least-squares 1-form from A_0 = (theta . y) A over a fan at x."""
+    """Least-squares 1-form from A_0 = (theta . y) A over a fan at x, the
+    directions the rows of ``fan``."""
+    fan = vector(fan, "fan")
+    if fan.ndim != 2:
+        raise ConfigurationError(
+            f"fan has shape {fan.shape}, expected (k, {fld.n})")
     evs = [MetricEval.at(fld, x, y) for y in fan]
     A = np.array([ev.A for ev in evs])
     Y = np.array([ev.y for ev in evs])
@@ -160,6 +168,7 @@ def classify_dually_flat(fld: SymTensorField, probes: ProbeSet,
     every base point (the least-squares fit can legitimately fail), so
     theta quality never flips the verdict.
     """
+    tol = real(tol, "tol", 0.0)
     rows = [dually_flat_residual(MetricEval.at(fld, p.x, p.y))
             for p in probes.probes()]
     defect = _worst(0.0, [r["defect"] for r in rows])
@@ -197,6 +206,7 @@ def riemann_corollary_check(fld: SymTensorField, probes: ProbeSet,
     raised by the inverse Hessian.  Only meaningful once the metric is
     dually flat and theta fits; requires m = 2.
     """
+    tol = real(tol, "tol", 0.0)
     if fld.m != 2:
         raise ConfigurationError(
             f"the quadratic-case check requires m = 2, got m = {fld.m}")
@@ -260,6 +270,7 @@ def classify_antonelli(fld: SymTensorField, probes: ProbeSet,
     covers the reference evaluations of all pairs.  Needs at least two
     base points.
     """
+    tol = real(tol, "tol", 0.0)
     if len(probes.bases) < 2:
         raise ConfigurationError(
             "the direction-only spray check needs at least 2 base points")
@@ -324,6 +335,7 @@ def _mean_berwald(evs):
 def weakly_berwald_check(fld: SymTensorField, probes: ProbeSet,
                          tol: float = DEFAULT_TOL) -> ClassifierVerdict:
     """Decide E = 0 over the probe set (mean Berwald tensor vanishes)."""
+    tol = real(tol, "tol", 0.0)
     worst = [_mean_berwald(evs)[2] for evs in _probe_evals(fld, probes)]
     return ClassifierVerdict(name="weakly_berwald",
                              residual=_worst(0.0, *worst), tol=tol)
@@ -357,6 +369,7 @@ def isotropic_fit(fld: SymTensorField, probes: ProbeSet,
     shape to fit) and fans of at least n(n+1)/2 directions so the
     symmetric shape is overdetermined.
     """
+    inject_c = real(inject_c, "inject_c")
     if fld.n < 2:
         raise ConfigurationError(
             "the isotropic mean Berwald check requires dimension n >= 2")
@@ -409,6 +422,7 @@ def classify_isotropic(fld: SymTensorField, probes: ProbeSet,
     With ``inject_c`` nonzero the injected scale is subtracted before
     the collapse test, so the self-test configuration still passes.
     """
+    tol = real(tol, "tol", 0.0)
     fit = isotropic_fit(fld, probes, inject_c=inject_c)
     fit_ok = fit.fit_residual <= tol
     c_net = max(abs(v - inject_c) for v in fit.c)

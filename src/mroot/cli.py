@@ -40,7 +40,7 @@ from .classify import (DEFAULT_TOL, ClassifierVerdict, _absmax, _worst,
                        weakly_berwald_check)
 from .errors import (AdmissibleConeError, ConfigurationError,
                      DegenerateMetricError, DomainError, MetricFileError,
-                     excerpt, integer)
+                     excerpt, integer, real)
 from .field import SymTensorField
 from .geodesic import integrate
 from .metric import MetricEval, identity_residuals
@@ -132,22 +132,15 @@ def _resolve(args, cfg) -> _Run:
     Every subcommand calls this first, so a bad value from a flag or a
     file header exits 2 even where the subcommand would not use it.
     """
-    run = _Run(
+    return _Run(
         fld=cfg.field,
         seed=integer(_first(args.seed, cfg.seed, 0), "seed", 0),
-        tol=_first(args.tol, cfg.tol, DEFAULT_TOL),
         # overdetermined for every fit that runs downstream
         fan=integer(_first(args.fan, 4 * cfg.field.n ** 2), "fan size", 1),
         bases=integer(_first(args.bases, DEFAULT_BASES), "base count", 1),
-        inject_c=getattr(args, "inject_c", 0.0),
+        tol=real(_first(args.tol, cfg.tol, DEFAULT_TOL), "tol", 0.0),
+        inject_c=real(getattr(args, "inject_c", 0.0), "--inject-c", -math.inf),
         explicit=bool(cfg.probes))
-    if not (math.isfinite(run.tol) and run.tol >= 0.0):
-        raise ConfigurationError(
-            f"tol must be finite and >= 0, got {run.tol!r}")
-    if not math.isfinite(run.inject_c):
-        raise ConfigurationError(
-            f"--inject-c must be finite, got {run.inject_c!r}")
-    return run
 
 
 def _emit(report: dict, out_path):

@@ -1,6 +1,10 @@
-"""Exception types shared across the package, and the one integer rule."""
+"""Exception types, and the rules that read a caller's numbers and arrays."""
 
+import math
+import numbers
 import operator
+
+import numpy as np
 
 
 def excerpt(text) -> str:
@@ -41,7 +45,7 @@ class ConfigurationError(MrootError):
 
 
 class MetricFileError(MrootError):
-    """A metric definition file failed to parse.
+    """A metric definition file could not be read or failed to parse.
 
     ``line`` and ``column`` are 1-based positions of the offending token
     when known.
@@ -70,3 +74,33 @@ def integer(value, what, least):
     if value < least:
         raise ConfigurationError(f"{what} must be >= {least}, got {value}")
     return value
+
+
+def real(value, what, least=None):
+    """``value`` as a float if ``numbers.Real`` admits it, else
+    ConfigurationError naming ``what``; with ``least``, finite and >= it."""
+    try:    # float and int first: numbers.Real alone costs 0.5 us (3.11)
+        num = float(value if isinstance(value, (float, int, numbers.Real))
+                    else None)
+    except (TypeError, OverflowError):  # float(None); an int past the range
+        raise ConfigurationError(
+            f"{what} must be a real number, got {value!r}") from None
+    if least is not None and not (math.isfinite(num) and num >= least):
+        bound = f" and >= {least:g}" if least > -math.inf else ""
+        raise ConfigurationError(f"{what} must be finite{bound}, got {num!r}")
+    return num
+
+
+def vector(value, what):
+    """``value`` as a float64 array if numpy reads it as bool, int or
+    float entries, else (str, complex, object, ragged)
+    :class:`ConfigurationError` naming ``what``; the caller checks its
+    shape."""
+    try:
+        array = np.asarray(value)
+    except ValueError:                  # ragged
+        array = None
+    if array is None or array.dtype.kind not in "biuf":
+        raise ConfigurationError(f"{what} must be an array of real numbers, "
+                                 f"got {excerpt(repr(value))}")
+    return np.asarray(array, dtype=float)

@@ -7,7 +7,10 @@ package relies on: every coefficient of a tensor field is one of these
 trees, and its exact x-derivative is again such a tree.  The smart
 constructors fold constants exactly, in any argument order: ``mul``
 returns zero for a zero factor and ``add`` drops a zero term, which folds
-zero derivatives away; a fold past the float range raises OverflowError.
+zero derivatives away.  A fold of finite constants past the float range,
+or ``recip`` of 0, raises :class:`~mroot.errors.ConfigurationError`; one
+holding a NaN or an infinity folds in floats.  A constant is read by
+:func:`mroot.errors.real`, so it is a real number, NaN and +-inf too.
 
 Trees are immutable; evaluation and differentiation are pure, so
 expressions can be shared freely between threads.
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import integer
+from .errors import ConfigurationError, integer, real
 
 __all__ = [
     "Expr",
@@ -85,16 +88,14 @@ class Expr:
 
 
 def _wrap(v):
-    if isinstance(v, Expr):
-        return v
-    return Const(float(v))
+    return v if isinstance(v, Expr) else Const(v)
 
 
 class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self.value = float(value)
+        self.value = real(value, "constant")
 
     def evaluate(self, x):
         return self.value
@@ -206,21 +207,34 @@ class Recip(Expr):
 # These fold constants and drop trivial terms so that repeated
 # differentiation produces compact trees instead of towers of zeros.
 
-def _split(items, node, op):
+def _fold(name, fold, *args) -> float:
+    """fold(*args), a fold of constants, as a float; ConfigurationError
+    "<name> overflows" or "<name> divides by zero" if it fails."""
+    try:
+        return float(fold(*args))
+    except OverflowError:
+        raise ConfigurationError(f"{name} overflows") from None
+    except ZeroDivisionError:
+        raise ConfigurationError(f"{name} divides by zero") from None
+
+
+def _split(items, node, name, op):
     # the non-constants in order, and op of the constants done exactly and
-    # rounded once; a lone constant passes as it is (a library NaN too)
+    # rounded once (in floats if one is not finite); a lone constant passes
+    # as it is (a library NaN too)
     kids = [c for t in map(_wrap, items)
             for c in (t.children if isinstance(t, node) else (t,))]
     consts = [c.value for c in kids if isinstance(c, Const)]
     flat = [c for c in kids if not isinstance(c, Const)]
     if len(consts) == 1:
         return flat, consts[0]
-    return flat, float(op(map(Fraction, consts)))
+    exact = all(map(math.isfinite, consts))
+    return flat, _fold(name, op, map(Fraction, consts) if exact else consts)
 
 
 def add(*terms) -> Expr:
     """Sum of ``terms``; their constants fold into one, dropped if 0."""
-    flat, acc = _split(terms, Sum, sum)
+    flat, acc = _split(terms, Sum, "add", sum)
     if acc != 0.0 or not flat:
         flat.append(Const(acc))
     if len(flat) == 1:
@@ -230,7 +244,7 @@ def add(*terms) -> Expr:
 
 def mul(*factors) -> Expr:
     """Product of ``factors``; their constants fold into one, 0 if 0."""
-    flat, acc = _split(factors, Prod, math.prod)
+    flat, acc = _split(factors, Prod, "mul", math.prod)
     if acc == 0.0:
         return Const(0.0)
     if acc != 1.0 or not flat:
@@ -250,19 +264,20 @@ def intpow(u, k) -> Expr:
     if k == 1:
         return u
     if isinstance(u, Const):
-        return Const(u.value ** k)
+        return Const(_fold("intpow", pow, u.value, k))
     return IntPow(u, k)
 
 
 def expn(u) -> Expr:
     u = _wrap(u)
     if isinstance(u, Const):
-        return Const(math.exp(u.value))
+        return Const(_fold("expn", math.exp, u.value))
     return Exp(u)
 
 
 def recip(u) -> Expr:
     u = _wrap(u)
     if isinstance(u, Const):
-        return Const(float(1 / Fraction(u.value)))
+        return Const(_fold("recip", lambda v: 1 / (
+            Fraction(v) if math.isfinite(v) else v), u.value))
     return Recip(u)

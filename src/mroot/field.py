@@ -23,7 +23,8 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, excerpt, integer
+from .errors import (ConfigurationError, DomainError, excerpt, integer, real,
+                     vector)
 from .expr import Const, Coord, Exp, Expr, IntPow, Prod, Recip, Sum
 
 __all__ = ["FormTables", "PointArrays", "SymTensorField", "dense_index",
@@ -37,7 +38,7 @@ _MAX_ORDER = 31
 def _diff(e: Expr, l: int) -> Expr:
     try:
         return e.diff(l)
-    except OverflowError:       # a folded constant past the float range
+    except ConfigurationError:  # a folded constant past the float range
         return Const(math.inf)
 
 
@@ -265,13 +266,12 @@ form_tables = functools.cache(FormTables)
 
 def _interval(iv) -> tuple:
     """A box interval as two floats (lo, hi), or ConfigurationError."""
-    try:
-        lo, hi = iv
-        return float(lo), float(hi)
-    except (TypeError, ValueError, OverflowError):
+    lo_hi = vector(iv, "box interval")
+    if lo_hi.shape != (2,):
         raise ConfigurationError(
             f"box interval {excerpt(repr(iv))} must be two numbers "
-            f"(lo, hi)") from None
+            f"(lo, hi)")
+    return tuple(lo_hi.tolist())
 
 
 class PointArrays:
@@ -310,9 +310,10 @@ class SymTensorField:
         and 0 (by :func:`mroot.errors.integer`), a component is >= n, an
         index has not m components, the box or an index is not a
         sequence, entries is not a mapping, a box interval is not two
-        numbers lo < hi, an entry is neither an Expr nor a number, holds
-        anything but :mod:`mroot.expr` nodes or reads a coordinate index
-        >= n, or the field is too large.
+        real numbers lo < hi (by :func:`mroot.errors.vector`), an entry is
+        neither an Expr nor a real number (by :func:`mroot.errors.real`),
+        holds anything but :mod:`mroot.expr` nodes or reads a coordinate
+        index >= n, or the field is too large.
     """
 
     def __init__(self, n, m, entries, box):
@@ -366,13 +367,7 @@ class SymTensorField:
             if key in self.entries:
                 raise ConfigurationError(
                     f"duplicate entry for symmetric index {key}")
-            if not isinstance(e, Expr):
-                try:
-                    e = Const(e)
-                except (TypeError, ValueError, OverflowError):
-                    raise ConfigurationError(
-                        f"entry {idx} must be a number or an Expr, "
-                        f"got {excerpt(repr(e))}") from None
+            e = e if isinstance(e, Expr) else Const(real(e, f"entry {idx}"))
             # the coefficient functions are generated from its nodes
             _check_nodes(e, self.n, idx, seen)
             self.entries[key] = e
@@ -401,13 +396,16 @@ class SymTensorField:
         DomainError
             If x is not of shape (n,) or lies outside the domain box.
         ConfigurationError
-            If ``l`` is neither None nor an integer in 0 .. n - 1, or if
-            an entry evaluates to a non-finite number at x (an overflow, a
-            division by zero or NaN); the message names the first such
-            1-based entry in entry order, the derivative if any, and x.
+            If x is not an array of real numbers (by
+            :func:`mroot.errors.vector`), ``l`` is neither None nor an
+            integer in 0 .. n - 1, an entry nests too deep for its
+            derivative trees to be built, or an entry evaluates to a
+            non-finite number at x (an overflow, a division by zero or
+            NaN); the message names the first such 1-based entry in entry
+            order, the derivative if any, and x.
         """
         if type(x) is not np.ndarray or x.dtype is not _FLOAT:
-            x = np.asarray(x, dtype=float)
+            x = vector(x, "x")
         # the functions read x's list, whose items are Python floats
         xl = x.tolist()
         if x.shape != (self.n,) or not self._inside(*xl):
@@ -448,7 +446,12 @@ class SymTensorField:
         where = _positions(self.n, self.m)
         trees, order = [], []
         for key, e in self.entries.items():
-            d = e if l is None else _diff(e, l)
+            try:
+                d = e if l is None else _diff(e, l)
+            except RecursionError:      # Expr.diff recurses once a level
+                raise ConfigurationError(
+                    f"d/dx{l + 1} of coefficient {tuple(i + 1 for i in key)}"
+                    f" nests too deep to differentiate") from None
             if not d.is_zero():
                 trees.append((where[key], d))
                 order.append((where[key], key))
@@ -479,7 +482,7 @@ class SymTensorField:
         field), each with its memoized evaluations.
         """
         if type(x) is not np.ndarray or x.dtype is not _FLOAT:
-            x = np.asarray(x, dtype=float)
+            x = vector(x, "x")
         # a row or a scalar cannot be hashed; a wrong length misses the
         # cache, and coeff_array raises
         if x.ndim != 1:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AdmissibleConeError, ConfigurationError,
-                     DegenerateMetricError, DomainError, integer)
+                     DegenerateMetricError, DomainError, integer, real)
 from .field import SymTensorField
 from .metric import MetricEval
 from .spray import spray_mroot
@@ -75,14 +75,10 @@ def integrate(fld: SymTensorField, x0, y0, t_end: float,
     indicates blowup inside the admissible region, not a clean exit.
     """
     steps = integer(steps, "step count", 1)
-    try:
-        time = float(t_end)
-    except (TypeError, ValueError, OverflowError):
-        time = math.nan
-    if not 0.0 < time < math.inf:
+    h = real(t_end, "integration time") / steps
+    if not 0.0 < h < math.inf:
         raise ConfigurationError(
             f"integration time must be positive and finite, got {t_end!r}")
-    h = time / steps
     speeds = [MetricEval.at(fld, x0, y0).F]
     s = np.concatenate((x0, y0), dtype=float)
     states = [s]

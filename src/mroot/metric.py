@@ -35,7 +35,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import (AdmissibleConeError, ConfigurationError,
-                     DegenerateMetricError)
+                     DegenerateMetricError, vector)
 from .field import _FLOAT, SymTensorField
 
 __all__ = ["ProbePoint", "MetricEval", "Batch", "identity_residuals",
@@ -128,16 +128,17 @@ class MetricEval:
         DegenerateMetricError
             If A_ij is not positive definite; ``condition`` is inf if singular.
         ConfigurationError
-            If y's shape is not (n,), or if A lies outside [1e-100,
-            1e100] (an A that overflows, or that underflows from a
-            positive value to 0, too), where the products the checks
-            form could overflow or vanish.
+            If x or y is not an array of real numbers (by
+            :func:`mroot.errors.vector`), y's shape is not (n,), or if A
+            lies outside [1e-100, 1e100] (an A that overflows, or that
+            underflows from a positive value to 0, too), where the
+            products the checks form could overflow or vanish.
         """
-        # np.asarray only if not float64: 40 ns against 85 (numpy 2.4, 2 vCPUs)
+        # converted only if not float64: 40 ns against 85 (numpy 2.4, 2 vCPUs)
         if type(x) is not np.ndarray or x.dtype is not _FLOAT:
-            x = np.asarray(x, dtype=float)
+            x = vector(x, "x")
         if type(y) is not np.ndarray or y.dtype is not _FLOAT:
-            y = np.asarray(y, dtype=float)
+            y = vector(y, "y")
         point = fld.point_arrays(x)
         if y.shape != x.shape:    # before the memo, keyed by y's bytes
             raise ConfigurationError(

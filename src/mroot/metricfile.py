@@ -38,12 +38,14 @@ All syntax errors carry 1-based line and column positions.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConfigurationError, MetricFileError, excerpt
+from .errors import (ConfigurationError, MetricFileError, excerpt, integer,
+                     real)
 from .expr import (Const, Coord, Exp, Expr, IntPow, Prod, Recip, Sum, add,
                    expn, intpow, mul, recip)
 from .field import SymTensorField
@@ -139,10 +141,9 @@ def _parse_expr(text: str, line: int, col0: int, n: int) -> Expr:
                 return build(*args)
             except ValueError as err:       # a builder's rule on its arguments
                 fail(str(err), col)
-            except ZeroDivisionError:
-                fail(f"{tok} divides by zero", col)
-            except OverflowError:
-                fail(f"{tok} overflows", col)
+            except ConfigurationError as err:
+                # a fold that overflows or divides by zero, named as called
+                fail(f"{tok} {str(err).partition(' ')[2]}", col)
         if kind == "name" and tok[0] == "x" and tok[1:].isdigit():
             # int() refuses over 4300 digits, so a longer index than n's
             # is out of range before it is converted
@@ -179,7 +180,11 @@ def _parse_floats(text: str, line: int, col: int, what: str) -> list:
 
 
 def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
-    """Parse metric file content into a :class:`RunConfig`."""
+    """Parse metric file content into a :class:`RunConfig`; a ``text``
+    that is not a str raises :class:`ConfigurationError`."""
+    if not isinstance(text, str):
+        raise ConfigurationError(
+            f"text must be a str, got {excerpt(repr(text))}")
     scalars = {}
     box = {}
     probe_raw = []
@@ -311,9 +316,17 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
 
 
 def parse_metric_file(path) -> RunConfig:
-    """Parse a metric file, which must be UTF-8."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Parse a metric file, which must be UTF-8.  A ``path`` that is not
+    a str, bytes or os.PathLike raises :class:`ConfigurationError`, and
+    a file that cannot be read :class:`MetricFileError`."""
+    try:
+        with open(os.fspath(path), "rb") as fh:
+            data = fh.read()
+    except TypeError:
+        raise ConfigurationError(
+            f"path must be a str, bytes or PathLike, got {path!r}") from None
+    except (OSError, ValueError) as err:    # ValueError: a NUL in the path
+        raise MetricFileError(str(err)) from err
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -349,9 +362,9 @@ def dump_metric(fld: SymTensorField, seed: int = None, tol: float = None,
     """Render a field (and optional run parameters) as metric file text."""
     lines = [f"n = {fld.n}", f"m = {fld.m}"]
     if seed is not None:
-        lines.append(f"seed = {seed}")
+        lines.append(f"seed = {integer(seed, 'seed', 0)}")
     if tol is not None:
-        lines.append(f"tol = {format(tol, '.17g')}")
+        lines.append(f"tol = {format(real(tol, 'tol', 0.0), '.17g')}")
     for i, (lo, hi) in enumerate(fld.box, start=1):
         lines.append(f"box.{i} = {format(lo, '.17g')},{format(hi, '.17g')}")
     for p in probes:

@@ -38,7 +38,7 @@ from statistics import _normal_dist_inv_cdf
 import numpy as np
 
 from .errors import (AdmissibleConeError, ConfigurationError,
-                     DegenerateMetricError, integer)
+                     DegenerateMetricError, integer, real, vector)
 from .field import SymTensorField, form_tables
 from .metric import Batch, MetricEval, ProbePoint
 from .spray import stacks
@@ -132,13 +132,14 @@ def base_points(fld: SymTensorField, count: int, seed,
 
     A relative margin keeps the points away from the box faces so that
     finite differences and short geodesic arcs stay in bounds.  A count
-    that is not an integer >= 1, or a bad seed, raises
-    :class:`ConfigurationError` (see :func:`mroot.errors.integer`).
+    that is not an integer >= 1, a margin that is not a finite real >= 0,
+    or a bad seed, raises :class:`ConfigurationError` (see
+    :mod:`mroot.errors`).
     """
     u = _kronecker_block(fld.n, integer(count, "base count", 1), seed)
     lo = np.array([b[0] for b in fld.box])
     hi = np.array([b[1] for b in fld.box])
-    pad = margin * (hi - lo)
+    pad = real(margin, "margin", 0.0) * (hi - lo)
     return lo + pad + u * (hi - lo - 2.0 * pad)
 
 
@@ -197,9 +198,11 @@ def _draw_admissible(fld: SymTensorField, xs, size: int, seed,
     (``row_floats`` of :class:`~mroot.field.FormTables` a row).  If fewer
     than ``size`` survive after drawing 64x the request, the cone is
     considered too thin and the configuration is rejected, naming
-    ``where`` in the error.
+    ``where`` in the error.  ``cond_cap`` is any real (by
+    :func:`mroot.errors.real`), inf too.
     """
     size = integer(size, "fan size", 1)
+    cond_cap = real(cond_cap, "cond_cap")
     kept, count, drawn = [], 0, 0
     batch = max(size, 4)
     for k in range(64):
@@ -227,7 +230,7 @@ def admissible_fan(fld: SymTensorField, x, size: int, seed,
                    cond_cap: float = COND_CAP) -> np.ndarray:
     """``size`` admissible unit directions at the base point x."""
     return _draw_admissible(fld, [x], size, seed, cond_cap,
-                            f"x={np.asarray(x, dtype=float).tolist()}")
+                            f"x={vector(x, 'x').tolist()}")
 
 
 def admissible_at_all(fld: SymTensorField, xs, size: int, seed,

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -310,3 +311,31 @@ def test_verdicts_stable_under_direction_rescaling(lam):
                 == classify_dually_flat(fld, ps).passed)
         assert (weakly_berwald_check(fld, scaled).passed
                 == weakly_berwald_check(fld, ps).passed)
+
+
+CHECKS = [classify_dually_flat, riemann_corollary_check, classify_antonelli,
+          weakly_berwald_check, classify_isotropic]
+
+
+@pytest.mark.parametrize("tol, message", [
+    (None, "tol must be a real number, got None"),
+    ("a", "tol must be a real number, got 'a'"),
+    (math.nan, "tol must be finite and >= 0, got nan"),
+    (-1, "tol must be finite and >= 0, got -1.0"),
+], ids=["none", "str", "nan", "negative"])
+@pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__)
+def test_a_tol_that_is_not_a_finite_real_from_0_is_refused_first(check, tol,
+                                                                message):
+    # the probes are None: tol is read before anything else
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        check(corpus_field("hessian2"), None, tol)
+
+
+def test_an_injected_scale_that_is_not_a_real_number_is_refused_first():
+    fld = corpus_field("hessian2")
+    message = "inject_c must be a real number, got 'a'"
+    for call in (lambda: isotropic_fit(fld, None, inject_c="a"),
+                 lambda: classify_isotropic(fld, corpus_probes("hessian2"),
+                                            inject_c="a")):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            call()

@@ -200,3 +200,46 @@ def test_constants_fold_exactly_and_round_once():
     # in floats, 0.1 + 0.2 - 0.3 depends on the order of the additions
     assert {add(*t).value for t in itertools.permutations((0.1, 0.2, -0.3))
             } == {2.7755575615628914e-17}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Const("3"), lambda: Coord(0) + "a", lambda: expn(None),
+], ids=["const_str", "add_str", "expn_none"])
+def test_a_constant_that_is_not_a_real_number_is_a_configuration_error(
+        build):
+    with pytest.raises(ConfigurationError,
+                       match="^constant must be a real number, got "):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: recip(0.0), "recip divides by zero"),
+    (lambda: recip(Const(1.0) - 1.0), "recip divides by zero"),
+    (lambda: recip(5e-324), "recip overflows"),
+    (lambda: mul(1e200, 1e200, Coord(0)), "mul overflows"),
+    (lambda: add(1e308, Coord(0), 1e308), "add overflows"),
+    (lambda: intpow(1e200, 2), "intpow overflows"),
+    (lambda: expn(1000.0), "expn overflows"),
+], ids=["recip_zero", "recip_folded_zero", "recip", "mul", "add", "intpow",
+        "expn"])
+def test_a_fold_of_finite_constants_that_fails_is_a_configuration_error(
+        build, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        build()
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda: add(math.nan, 1.0), math.nan),
+    (lambda: add(math.inf, -math.inf), math.nan),
+    (lambda: add(1e308, 1e308, math.inf), math.inf),
+    (lambda: mul(math.inf, 2.0), math.inf),
+    (lambda: mul(math.inf, 0.0), math.nan),
+    (lambda: recip(math.inf), 0.0),
+    (lambda: recip(-math.inf), -0.0),
+    (lambda: recip(math.nan), math.nan),
+], ids=["add_nan", "add_inf_minus_inf", "add_past_range_and_inf", "mul_inf",
+        "mul_inf_zero", "recip_inf", "recip_minus_inf", "recip_nan"])
+def test_a_fold_holding_a_nan_or_an_infinity_is_done_in_floats(build, value):
+    got = build()
+    assert isinstance(got, Const)
+    assert got.value.hex() == value.hex()

@@ -16,7 +16,7 @@ from mroot.errors import ConfigurationError, DomainError, MrootError
 from mroot.expr import (Const, Coord, Exp, IntPow, Prod, Recip, Sum,
                         intpow, mul)
 from mroot.field import SymTensorField, _diff, dense_index, form_tables
-from mroot.metric import _orders
+from mroot.metric import MetricEval, _orders
 from mroot.metricfile import parse_metric_text
 
 import per_probe
@@ -447,11 +447,16 @@ def test_generated_fields_raise_a_negative_base_as_a_whole():
     assert got[:2] == [0.25.hex(), (-0.0).hex()]
 
 
-def test_generated_fields_evaluate_a_tree_1000_deep():
+def _deep_tree():
+    """Recip, Sum and Prod nested 1000 deep over x1 and x2."""
     e = Coord(0)
     for k in range(1000):
         e = (Recip(e), Sum([e, Coord(1)]), Prod([Const(0.5), e]))[k % 3]
-    fld = SymTensorField(2, 2, {(0, 0): e, (1, 1): 1.0}, BOX2)
+    return e
+
+
+def test_generated_fields_evaluate_a_tree_1000_deep():
+    fld = SymTensorField(2, 2, {(0, 0): _deep_tree(), (1, 1): 1.0}, BOX2)
     points = [[0.3, 0.7], [-0.0, 0.25], [0.9, -0.6]]
     # the generated function is flat, so it runs at the default recursion
     # limit; Expr.evaluate and Expr.diff recurse once a level
@@ -461,3 +466,22 @@ def test_generated_fields_evaluate_a_tree_1000_deep():
         for l in (0, 1):
             for xl in points:
                 assert _generated(fld, xl, l) == _by_trees(fld, xl, l)
+
+
+def test_a_tree_too_deep_to_differentiate_is_a_configuration_error():
+    fld = SymTensorField(2, 2, {(0, 0): _deep_tree(), (1, 1): 1.0}, BOX2)
+    x = [0.3, 0.7]
+    message = re.escape("d/dx1 of coefficient (1, 1) nests too deep to "
+                        "differentiate")
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)         # CPython's default
+    try:
+        assert fld.coeff_array(x).shape == (3,)
+        with pytest.raises(ConfigurationError, match=message):
+            fld.coeff_array(x, 0)
+        with pytest.raises(ConfigurationError, match=message):
+            MetricEval.at(fld, x, [1.0, 0.5])
+    finally:
+        sys.setrecursionlimit(old)
+    # nothing is kept for the derivative
+    assert 0 not in fld._compiled

@@ -176,6 +176,18 @@ def test_a_base_point_of_the_wrong_rank_is_a_domain_error(x):
         admissible_fan(fld, x, 3, 0)
 
 
+@pytest.mark.parametrize("bad", ["ab", 1 + 2j, {}],
+                         ids=["str", "complex", "dict"])
+@pytest.mark.parametrize("which", ["x", "y"])
+def test_a_point_or_direction_not_of_reals_is_a_configuration_error(which,
+                                                                   bad):
+    probe = {"x": [0.1, 0.2], "y": [0.6, 0.8], which: bad}
+    message = re.escape(f"{which} must be an array of real numbers, got "
+                        f"{bad!r}")
+    with pytest.raises(ConfigurationError, match=message):
+        MetricEval.at(fresh_field("quartic2"), probe["x"], probe["y"])
+
+
 def test_singular_hessian_raises_degeneracy():
     # on the quartic axis y = (1, 0) the Hessian is diag(12, 0)
     with pytest.raises(DegenerateMetricError) as err:

@@ -1,5 +1,8 @@
 """Metric file parsing: grammar, error positions, round trips."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -410,3 +413,37 @@ def _folded(text):
 def test_argument_order_does_not_change_a_fold(texts):
     a, b = texts
     assert _folded(a) == _folded(b), texts
+
+
+@pytest.mark.parametrize("text", [None, b"n = 1\n", 1.5],
+                         ids=["none", "bytes", "float"])
+def test_text_that_is_not_a_str_is_a_configuration_error(text):
+    message = f"text must be a str, got {text!r}"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        parse_metric_text(text)
+
+
+@pytest.mark.parametrize("path", [None, 1.5, ["a.metric"]],
+                         ids=["none", "float", "list"])
+def test_a_path_that_is_not_a_path_is_a_configuration_error(path):
+    with pytest.raises(ConfigurationError,
+                       match="^path must be a str, bytes or PathLike, got "):
+        parse_metric_file(path)
+
+
+def test_a_file_that_cannot_be_read_is_a_metric_file_error(tmp_path):
+    missing = tmp_path / "missing.metric"
+    with pytest.raises(MetricFileError, match="No such file or directory"):
+        parse_metric_file(missing)
+    with pytest.raises(MetricFileError):
+        parse_metric_file(tmp_path)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(tol="a"), "tol must be a real number, got 'a'"),
+    (dict(tol=math.nan), "tol must be finite and >= 0, got nan"),
+    (dict(seed="x"), "seed must be an integer, got 'x'"),
+], ids=["tol_str", "tol_nan", "seed_str"])
+def test_dump_metric_reads_tol_and_seed_by_the_rules(kwargs, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        dump_metric(fresh_field("euclid2"), **kwargs)

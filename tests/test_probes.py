@@ -198,6 +198,28 @@ def test_a_seed_that_is_not_an_integer_from_0_is_a_configuration_error(seed):
             call()
 
 
+@pytest.mark.parametrize("margin, message", [
+    (math.nan, "margin must be finite and >= 0, got nan"),
+    (-0.1, "margin must be finite and >= 0, got -0.1"),
+    ("a", "margin must be a real number, got 'a'"),
+], ids=["nan", "negative", "str"])
+def test_a_margin_that_is_not_a_finite_real_from_0_is_refused(margin,
+                                                             message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        base_points(corpus_field("quartic2"), 3, 0, margin=margin)
+
+
+def test_a_cond_cap_that_is_not_a_real_number_is_refused():
+    fld = corpus_field("quartic2")
+    x = np.array([0.1, 0.2])
+    for call in (lambda: admissible_fan(fld, x, 3, 0, cond_cap=None),
+                 lambda: admissible_at_all(fld, [x], 3, 0, cond_cap=None),
+                 lambda: generate_probe_set(fld, 2, 3, 0, cond_cap=None)):
+        with pytest.raises(ConfigurationError,
+                           match="cond_cap must be a real number, got None"):
+            call()
+
+
 def test_admissible_at_all_checks_every_base():
     fld = corpus_field("quartic2_scaled")
     xs = [np.array([-0.4, 0.0]), np.array([0.4, 0.2])]
