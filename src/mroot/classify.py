@@ -12,10 +12,11 @@ finite real >= 0 raises :class:`ConfigurationError` before any work.
 A check first walks its probes one by one for their evaluations, sprays
 them all in one batch, then reduces over each base's stacked arrays
 (``np.array`` of the per-probe results): one numpy reduction per
-quantity and base, not one per probe.  The entries are the same
-arithmetic as at one probe, so the residuals are bitwise those of a
-per-probe loop.  The maxima keep a NaN, so a non-finite value at any
-probe fails its verdict.
+quantity and base, not one per probe.  Each entry is computed as at one
+probe, by the float rule of :mod:`mroot.metric` (a probe's n-vectors on
+Python floats, which round as numpy does), so the residuals are bitwise
+those of a per-probe loop.  The maxima keep a NaN, so a non-finite
+value at any probe fails its verdict.
 
 All verdicts are returned as :class:`ClassifierVerdict` records whose
 ``details`` dictionaries are JSON-friendly (floats, lists, strings),
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError, real, vector
 from .field import SymTensorField, dense_index
-from .metric import MetricEval, stacked_g_h
+from .metric import MetricEval, _maxabs, stacked_g_h
 from .probes import ProbeSet, _stream, admissible_at_all
 from .spray import spray_batch, spray_eval, spray_mroot
 
@@ -101,14 +102,17 @@ def dually_flat_residual(ev: MetricEval) -> dict:
     [F^2]_{x^k y^l} y^k - 2 [F^2]_{x^l} directly.  The two vanish
     together; both are reported since they scale differently.
     """
-    m, A, A_xl = ev.m, ev.A, ev.A_xl
-    t = 2.0 / m
-    num = (t - 1.0) * ev.A_i * ev.A0 + A * ev.A0l
-    defect = np.abs(A_xl - num / (2.0 * A)) / (1.0 + np.abs(A_xl))
-    raw = t * ev.apow(t - 2.0) * num - 2.0 * t * ev.apow(t - 1.0) * A_xl
+    m, A, A_xl = ev.m, ev.A, ev.A_xl.tolist()
+    t, A0 = 2.0 / m, ev.A0
+    # on floats, by the float rule of mroot.metric
+    num = [(t - 1.0) * a * A0 + A * b
+           for a, b in zip(ev.A_i.tolist(), ev.A0l.tolist())]
+    p, q, half = t * ev.apow(t - 2.0), 2.0 * t * ev.apow(t - 1.0), 2.0 * A
     return {
-        "defect": float(defect.max()),
-        "raw": float(np.abs(raw).max()) / (1.0 + ev.apow(t)),
+        "defect": _maxabs([abs(a - b / half) / (1.0 + abs(a))
+                           for a, b in zip(A_xl, num)]),
+        "raw": _maxabs([p * b - q * a for a, b in zip(A_xl, num)])
+        / (1.0 + ev.apow(t)),
     }
 
 

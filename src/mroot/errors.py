@@ -8,8 +8,12 @@ import numpy as np
 
 
 def excerpt(text) -> str:
-    """``text`` to quote in a message, cut to 40 characters and "…"."""
-    text = str(text)
+    """``text`` to quote in a message, cut to 40 characters and "…"; an
+    int too long for ``str`` is named by its bit length."""
+    try:
+        text = str(text)
+    except ValueError:          # past sys.get_int_max_str_digits()
+        text = f"an int of {text.bit_length()} bits"
     return text if len(text) <= 40 else text[:40] + "…"
 
 
@@ -72,7 +76,8 @@ def integer(value, what, least):
         raise ConfigurationError(
             f"{what} must be an integer, got {value!r}") from None
     if value < least:
-        raise ConfigurationError(f"{what} must be >= {least}, got {value}")
+        raise ConfigurationError(
+            f"{what} must be >= {least}, got {excerpt(value)}")
     return value
 
 
@@ -93,12 +98,16 @@ def real(value, what, least=None):
 
 def vector(value, what):
     """``value`` as a float64 array if numpy reads it as bool, int or
-    float entries, else (str, complex, object, ragged)
-    :class:`ConfigurationError` naming ``what``; the caller checks its
-    shape."""
+    float entries, or as objects that ``numbers.Real`` admits all (an
+    int past int64), else (str, complex, None, other objects, ragged, an
+    int past the float range) :class:`ConfigurationError` naming
+    ``what``; the caller checks its shape."""
     try:
         array = np.asarray(value)
-    except ValueError:                  # ragged
+        if array.dtype.kind == "O" and all(
+                isinstance(v, numbers.Real) for v in array.flat):
+            array = array.astype(float)
+    except (ValueError, OverflowError):  # ragged; an int past the range
         array = None
     if array is None or array.dtype.kind not in "biuf":
         raise ConfigurationError(f"{what} must be an array of real numbers, "

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ConfigurationError, integer, real
+from .errors import ConfigurationError, excerpt, integer, real
 
 __all__ = [
     "Expr",
@@ -106,7 +106,9 @@ class Const(Expr):
 
 class Coord(Expr):
     """The coordinate function x^index (0-based); an index that is not an
-    integer >= 0 raises :class:`~mroot.errors.ConfigurationError`."""
+    integer >= 0 raises :class:`~mroot.errors.ConfigurationError`, and so
+    do, for every tree, an ``evaluate`` x without a real number at
+    ``index`` and a ``diff`` l that is not an integer >= 0."""
 
     __slots__ = ("index",)
 
@@ -114,9 +116,15 @@ class Coord(Expr):
         self.index = integer(index, "coordinate index", 0)
 
     def evaluate(self, x):
-        return float(x[self.index])
+        try:
+            return real(x[self.index], "x")
+        except (TypeError, LookupError, ConfigurationError):
+            raise ConfigurationError(
+                f"x must hold a real number at index {self.index}, got "
+                f"{excerpt(repr(x))}") from None
 
     def diff(self, l):
+        l = integer(l, "derivative index l", 0)
         return Const(1.0 if l == self.index else 0.0)
 
 

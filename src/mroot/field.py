@@ -491,10 +491,9 @@ class SymTensorField:
         hit = self._point_cache.get(key)
         if hit is not None:
             return hit
-        vecs = np.array([self.coeff_array(x)]
-                        + [self.coeff_array(x, l) for l in range(self.n)])
+        vecs = np.concatenate([self.coeff_array(x)] + [
+            self.coeff_array(x, l) for l in range(self.n)])
         tables = form_tables(self.n, self.m)
-        vecs = vecs.ravel()
         coeffs = vecs[tables.gather]
         coeffs.setflags(False)
         vecs.setflags(False)

@@ -55,20 +55,25 @@ class GeodesicPath:
     exit_reason: str | None
 
 
-def _rhs(fld: SymTensorField, s: np.ndarray) -> np.ndarray:
-    """The rate (y, -2 G(x, y)) of the state s = (x, y), one array."""
-    x, y = s[:fld.n], s[fld.n:]
-    ydot = -2.0 * spray_mroot(MetricEval.at(fld, x, y))
-    if not all(map(math.isfinite, ydot.tolist())):
-        raise _Blowup(f"geodesic spray became non-finite at x={x.tolist()}")
-    return np.concatenate((y, ydot))
+def _rhs(fld: SymTensorField, s: list) -> list:
+    """The rate (y, -2 G(x, y)) of the state s = (x, y), one list."""
+    n = fld.n
+    x, y = np.array(s[:n]), s[n:]
+    ydot = [-2.0 * g for g in spray_mroot(MetricEval.at(
+        fld, x, np.array(y))).tolist()]
+    if not all(map(math.isfinite, ydot)):
+        raise _Blowup(f"geodesic spray became non-finite at x={s[:n]}")
+    return y + ydot
 
 
 def integrate(fld: SymTensorField, x0, y0, t_end: float,
               steps: int) -> GeodesicPath:
     """Integrate the geodesic from (x0, y0) for time t_end in ``steps`` steps.
 
-    RK4 steps the state s = (x, y), one array, at the rate of :func:`_rhs`.
+    RK4 steps the state s = (x, y), one list of floats, at the rate of
+    :func:`_rhs`: each entrywise operation rounds as numpy's does, so the
+    path has the bits of an array state, and arrays are made only for
+    :meth:`MetricEval.at`.
     (x0, y0) must be admissible, and is evaluated as passed, so its
     errors propagate.  Later cone or box exits truncate the path instead.
     A non-finite spray or state aborts with a degeneracy error since it
@@ -79,22 +84,23 @@ def integrate(fld: SymTensorField, x0, y0, t_end: float,
     if not 0.0 < h < math.inf:
         raise ConfigurationError(
             f"integration time must be positive and finite, got {t_end!r}")
-    speeds = [MetricEval.at(fld, x0, y0).F]
-    s = np.concatenate((x0, y0), dtype=float)
+    ev = MetricEval.at(fld, x0, y0)
+    s, speeds = ev.x.tolist() + ev.y.tolist(), [ev.F]
     states = [s]
 
-    reason = None
+    reason, n, half, sixth = None, fld.n, 0.5 * h, h / 6.0
     for k in range(steps):
         try:
             k1 = _rhs(fld, s)
-            k2 = _rhs(fld, s + 0.5 * h * k1)
-            k3 = _rhs(fld, s + 0.5 * h * k2)
-            k4 = _rhs(fld, s + h * k3)
-            s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(s).all():
+            k2 = _rhs(fld, [a + half * b for a, b in zip(s, k1)])
+            k3 = _rhs(fld, [a + half * b for a, b in zip(s, k2)])
+            k4 = _rhs(fld, [a + h * b for a, b in zip(s, k3)])
+            s = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
+            if not all(map(math.isfinite, s)):
                 raise _Blowup(
                     f"geodesic state became non-finite at t={k * h + h:.6g}")
-            speed = MetricEval.at(fld, s[:fld.n], s[fld.n:]).F
+            speed = MetricEval.at(fld, np.array(s[:n]), np.array(s[n:])).F
         except _Blowup:
             raise
         except _EXITS as err:

@@ -20,6 +20,14 @@ batch, so a field is freed without the cycle collector, and every
 caller shares it, so its stored arrays are read-only.  Probe generation
 evaluates the draws at a base point in one stacked pass, a
 :class:`Batch`, bitwise as one by one.
+
+One rule places the arithmetic: products (numpy hands them to BLAS),
+sums (numpy adds pairwise) and every n x n or stacked array stay in
+numpy; entrywise work on one probe's n-vectors (+, -, *, /, abs and
+:func:`_maxabs`) may run on Python floats, which round each operation
+as numpy does, so no bit moves and numpy's 0.5-1.5 us per call is not
+paid.  A probe's powers of y, its self-checks and the RK4 state of
+:func:`mroot.geodesic.integrate` do so.
 """
 
 from __future__ import annotations
@@ -207,9 +215,18 @@ def _evaluate(cls, point, x, y) -> MetricEval:
     """The evaluation at one probe, or its error, as a Batch row gets it."""
     x, y = _frozen(x), _frozen(y)
     tables = point.tables
-    # the e of Batch.fill, in Python: numpy's per-call cost is 3 us
-    e = math.frexp(max(map(abs, y.tolist())))[1] or None
-    row = _orders(point, y[None], e)[0]
+    # the e and powers of Batch.fill, on floats (module note): numpy's
+    # per-call cost is 3 us
+    ys = y.tolist()
+    e = math.frexp(max(map(abs, ys)))[1] or None
+    powers = []
+    for v in ys if e is None else [math.ldexp(v, -e) for v in ys]:
+        p = 1.0
+        powers.append(p)
+        for _ in range(tables.m + 1):
+            p *= v
+            powers.append(p)
+    row = _orders(point, np.array([powers]), e)[0]
     A = float(row[tables.A])
     if not _A_MIN <= A <= _A_MAX:      # NaN fails here too
         raise _rejected(A, point, x, y)
@@ -235,12 +252,12 @@ def _rejected(A, point, x, y):
     """The error of a probe whose A fails the range test: a cone error
     if A <= 0, else a range error (a NaN A gives a range error).  A 0 is
     a range error if a positive A underflowed to it: A is positive at y
-    scaled as :func:`_orders` scales it, exactly, where an A that is 0
+    scaled as :func:`_powers` scales it, exactly, where an A that is 0
     by cancellation is 0 too."""
     cone_error = A <= 0.0
     if A == 0.0:
-        unit = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
-        cone_error = not _orders(point, unit[None], None, cone=True)[0, 0] > 0
+        powers = _powers(point.tables, y[None], np.frexp(np.abs(y).max())[1])
+        cone_error = not _orders(point, powers, None, cone=True)[0, 0] > 0
     if cone_error:
         # + 0.0 prints a negative A that underflowed, -0, as 0
         return AdmissibleConeError(
@@ -265,24 +282,29 @@ def _degenerate(lam, x, y) -> DegenerateMetricError:
 # signs do; errstate costs 0.7 us as a decorator, 1.3 us as a
 # with-statement (numpy 2.4, 2 vCPUs)
 @np.errstate(over="ignore", invalid="ignore")
-def _orders(point, Y, e, cone=False) -> np.ndarray:
-    """The read-only ``orders`` rows of the directions ``Y`` at
-    ``point``; with ``cone``, their A, A_i and A_ij only.  A row is summed
-    at y 2^-e, max |y 2^-e| in [0.5, 1) (``e`` a column, an int for one
-    row, None if all are 0), where its monomials neither overflow nor
-    underflow, and scaled back by 2^(e d) at degree d, exactly.
-    ``reduceat`` sums a row alone, so its bits do not depend on the
-    stack (BLAS sums by the operands' alignment)."""
+def _powers(tables, Y, e) -> np.ndarray:
+    """1, y, .. y^(m + 1) of each coordinate of each row y of ``Y``,
+    scaled by 2^-e as :func:`_orders` reads them: a row each."""
+    k, n = Y.shape
+    return np.multiply.accumulate(np.where(
+        tables.zero_power, 1.0, (Y if e is None else np.ldexp(Y, -e))[
+            :, :, None]), axis=-1).reshape(k, n * (tables.m + 2))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _orders(point, powers, e, cone=False) -> np.ndarray:
+    """The read-only ``orders`` rows at ``point`` of the directions whose
+    :func:`_powers` are the rows of ``powers``; with ``cone``, their A,
+    A_i and A_ij only.  A row is summed at y 2^-e, max |y 2^-e| in
+    [0.5, 1) (``e`` a column, an int for one row, None if all are 0),
+    where its monomials neither overflow nor underflow, and scaled back
+    by 2^(e d) at degree d, exactly.  ``reduceat`` sums a row alone, so
+    its bits do not depend on the stack (BLAS sums by the operands'
+    alignment)."""
     tables = point.tables
     factors, term_mono, weight, starts, degree, expand = (
         tables.cone if cone else tables.terms)
-    k, n = Y.shape
-    # 1, y, .. y^(m + 1) of each coordinate
-    powers = np.multiply.accumulate(np.where(
-        tables.zero_power, 1.0, (Y if e is None else np.ldexp(Y, -e))[
-            :, :, None]), axis=-1)
-    mono = np.multiply.reduce(powers.reshape(k, n * (tables.m + 2)).take(
-        factors, axis=1), axis=1)
+    mono = np.multiply.reduce(powers.take(factors, axis=1), axis=1)
     terms = mono.take(term_mono, axis=1)
     terms *= weight
     terms *= point.coeffs[:len(weight)]
@@ -328,7 +350,8 @@ class Batch:
         # each row's exponent of max |y|, for _orders to scale by
         e = np.frexp(np.maximum.reduce(np.abs(Y), axis=1, keepdims=True))[1]
         e = e if e.any() else None
-        cone = _orders(point, Y, e, cone=True)
+        powers = _powers(point.tables, Y, e)
+        cone = _orders(point, powers, e, cone=True)
         self.x, self.point = _frozen(x), point
         self.A = A = cone[:, point.tables.A]
         fit = (_A_MIN <= A) & (A <= _A_MAX)    # so A > 0 and not NaN
@@ -353,7 +376,8 @@ class Batch:
         self.lam, self.index = lam, index.tolist()
         self.cond = np.full(k, np.nan)
         self.cond[keep] = lam[pd, -1] / lam[pd, 0]
-        self.rows = _orders(point, Y[keep], None if e is None else e[keep])
+        self.rows = _orders(point, powers[keep],
+                            None if e is None else e[keep])
 
     def take(self, cls, r) -> "MetricEval":
         """Row r's evaluation, or the error its one-probe call raises."""
@@ -438,20 +462,33 @@ def identity_residuals(ev: MetricEval) -> dict:
     y, A, m = ev.y, ev.A, ev.m
     A_i, A_ij, A_inv = ev.A_i, ev.A_ij, ev.A_inv
     scale = 1.0 + abs(A)
-    # ndarray.max, not np.max: the same reduction without the wrapper
-    res = {
+    c = m - 1.0
+    # the products and the n x n array in numpy (ndarray.max, not np.max:
+    # the same reduction without the wrapper), the n-vectors on floats
+    return {
         "euler_degree": abs(float(y @ A_i) - m * A) / scale,
-        "euler_gradient": float(np.abs(
-            A_ij @ y - (m - 1.0) * A_i).max()) / scale,
-        "lowered_direction": float(np.abs(ev.g @ y - ev.y_low).max()) / scale,
+        "euler_gradient": _maxabs([a - c * b for a, b in zip(
+            (A_ij @ y).tolist(), A_i.tolist())]) / scale,
+        "lowered_direction": _maxabs([a - b for a, b in zip(
+            (ev.g @ y).tolist(), ev.y_low.tolist())]) / scale,
         "hessian_inverse": float(np.abs(
             A_inv @ A_ij - _eye(ev.n)).max()) / scale,
-        "inverse_gradient": float(np.abs(
-            A_inv @ A_i - y / (m - 1.0)).max()) / scale,
-        "gradient_norm": abs(float(A_i @ A_inv @ A_i)
-                             - m * A / (m - 1.0)) / scale,
+        "inverse_gradient": _maxabs([a - b / c for a, b in zip(
+            (A_inv @ A_i).tolist(), y.tolist())]) / scale,
+        "gradient_norm": abs(float(A_i @ A_inv @ A_i) - m * A / c) / scale,
     }
-    return res
+
+
+def _maxabs(values) -> float:
+    """max |v| over a list of floats, NaN if any v is NaN: the bits of
+    ``np.abs(a).max()``, the one max of the float rule (module note)."""
+    out = 0.0
+    for v in map(abs, values):
+        if not v <= out:            # larger, or NaN
+            if v != v:
+                return v
+            out = v
+    return out
 
 
 @functools.cache

@@ -38,7 +38,7 @@ from statistics import _normal_dist_inv_cdf
 import numpy as np
 
 from .errors import (AdmissibleConeError, ConfigurationError,
-                     DegenerateMetricError, integer, real, vector)
+                     DegenerateMetricError, excerpt, integer, real, vector)
 from .field import SymTensorField, form_tables
 from .metric import Batch, MetricEval, ProbePoint
 from .spray import stacks
@@ -103,17 +103,30 @@ def _kronecker_block(d: int, size: int, seed) -> np.ndarray:
     return np.mod(shift + steps, 1.0)
 
 
+def _points(n: int, count, what: str) -> int:
+    """``count`` (by :func:`~mroot.errors.integer`, >= 1), unless its
+    (count, n) float array would pass ``MAX_PROBE_BYTES``: then
+    :class:`ConfigurationError` naming ``what`` and the count."""
+    count = integer(count, what, 1)
+    if 8 * n * count > MAX_PROBE_BYTES:
+        raise ConfigurationError(
+            f"{what} {excerpt(count)} is too many at n = {n}: its array "
+            f"would pass MAX_PROBE_BYTES = {MAX_PROBE_BYTES / 2 ** 30:g} GiB")
+    return count
+
+
 def sphere_fan(n: int, size: int, seed) -> np.ndarray:
     """``size`` unit directions in R^n from a shifted R_d stream.
 
     Uniform points in the cube are pushed through the inverse normal
     CDF and normalized, giving a uniform distribution on the sphere.
     For n = 1 the sphere is {+1, -1} and the fan alternates signs.
-    An n or a size that is not an integer >= 1, or a bad seed, raises
+    An n or a size that is not an integer >= 1, a size whose array would
+    pass ``MAX_PROBE_BYTES``, or a bad seed, raises
     :class:`ConfigurationError` (see :func:`mroot.errors.integer`).
     """
     n = integer(n, "dimension n", 1)
-    size = integer(size, "fan size", 1)
+    size = _points(n, size, "fan size")
     if n == 1:
         _stream(seed)           # the fan reads no stream; the seed is checked
         return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(size)])
@@ -132,11 +145,12 @@ def base_points(fld: SymTensorField, count: int, seed,
 
     A relative margin keeps the points away from the box faces so that
     finite differences and short geodesic arcs stay in bounds.  A count
-    that is not an integer >= 1, a margin that is not a finite real >= 0,
-    or a bad seed, raises :class:`ConfigurationError` (see
+    that is not an integer >= 1 or whose array would pass
+    ``MAX_PROBE_BYTES``, a margin that is not a finite real >= 0, or a
+    bad seed, raises :class:`ConfigurationError` (see
     :mod:`mroot.errors`).
     """
-    u = _kronecker_block(fld.n, integer(count, "base count", 1), seed)
+    u = _kronecker_block(fld.n, _points(fld.n, count, "base count"), seed)
     lo = np.array([b[0] for b in fld.box])
     hi = np.array([b[1] for b in fld.box])
     pad = real(margin, "margin", 0.0) * (hi - lo)

@@ -84,11 +84,13 @@ def spray_variational(ev: MetricEval) -> np.ndarray:
     [F^2]_{x^l} and [F^2]_{x^k y^l} y^k are expanded through A and its
     contractions, then contracted with the inverse fundamental tensor.
     """
-    t = 2.0 / ev.m
-    # (2/m) A^(2/m - 2) [ (2/m - 1) A_l A_0 + A (A_{0l} - A_{x^l}) ]
-    rhs = t * ev.apow(t - 2.0) * (
-        (t - 1.0) * ev.A_i * ev.A0 + ev.A * (ev.A0l - ev.A_xl))
-    return 0.25 * ev.g_inv @ rhs
+    t, A, A0 = 2.0 / ev.m, ev.A, ev.A0
+    p = t * ev.apow(t - 2.0)
+    # (2/m) A^(2/m - 2) [ (2/m - 1) A_l A_0 + A (A_{0l} - A_{x^l}) ] on
+    # floats, the product in numpy: the float rule of mroot.metric
+    rhs = [p * ((t - 1.0) * a * A0 + A * (b - c)) for a, b, c in zip(
+        ev.A_i.tolist(), ev.A0l.tolist(), ev.A_xl.tolist())]
+    return 0.25 * ev.g_inv @ np.array(rhs)
 
 
 @dataclass(eq=False)

@@ -2,7 +2,7 @@
 one argument of a valid call, returns or raises an ``MrootError``.
 
 ``ROWS`` holds one valid call per callable in ``mroot.__all__`` (and per
-public method that takes a caller's point, vector or count), as
+public method that takes a caller's point, vector, count or index), as
 positional arguments.  Each argument is replaced in turn by a drawn
 malformed value.  ``LEFT_OUT`` names the arguments that are not
 replaced: those that must be mroot's own objects, with the reason
@@ -12,6 +12,7 @@ parameter, fails :func:`test_every_public_callable_has_a_row`.
 
 import inspect
 import math
+import re
 from dataclasses import fields
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ import mroot
 from mroot import (ClassifierVerdict, Const, Coord, GeodesicPath,
                    IsotropicFit, MetricEval, MrootError, OneForm, ProbePoint,
                    ProbeSet, RunConfig, SprayEval, SymTensorField)
-from mroot.errors import ConfigurationError, real, vector
+from mroot.errors import ConfigurationError, excerpt, real, vector
 
 from conftest import DATA_DIR, fresh_field
 
@@ -33,6 +34,8 @@ X, Y = [0.1, 0.2], [1.0, 0.5]
 EV = MetricEval.at(FLD, X, Y)
 PATH = mroot.integrate(FLD, X, [0.6, 0.8], 0.1, 3)
 TEXT = (DATA_DIR / "hessian2.metric").read_text()
+# a tree whose Coord leaves read both coordinates of x and the index l
+EXPR = Coord(0) * Coord(1) + 1.0
 
 
 def _record(obj):
@@ -84,6 +87,8 @@ ROWS = {
     "Expr": (mroot.Expr,),
     "Const": (Const, 1.5),
     "Coord": (Coord, 1),
+    "Expr.evaluate": (EXPR.evaluate, X),
+    "Expr.diff": (EXPR.diff, 0),
     "Sum": (mroot.Sum, [Coord(0), Const(1.0)]),
     "Prod": (mroot.Prod, [Coord(0), Const(2.0)]),
     "IntPow": (mroot.IntPow, Coord(0), 2),
@@ -139,9 +144,13 @@ ROWS = {
     "render_json": (mroot.render_json, {"tol": 1e-7}),
     "render_table": (mroot.render_table, {"overall": True}),
 }
-# the public methods that take a caller's point, vector or count
-METHODS = {"SymTensorField.coeff_array", "SymTensorField.point_arrays",
-           "SymTensorField.keep_bases", "MetricEval.at"}
+# the public methods that take a caller's point, vector, count or index
+METHODS = {"Expr.evaluate", "Expr.diff", "SymTensorField.coeff_array",
+           "SymTensorField.point_arrays", "SymTensorField.keep_bases",
+           "MetricEval.at"}
+# each sampler's count (row, argument index, name): MAX_PROBE_BYTES
+# admits 2^28 points in R^2, and no more
+TOO_MANY = [("sphere_fan", 1, "fan size"), ("base_points", 1, "base count")]
 
 
 def _parameters(call):
@@ -218,6 +227,28 @@ def test_a_malformed_argument_returns_or_raises_an_mroot_error(name, slot,
         pass
 
 
+@pytest.mark.parametrize("count", [2 ** 28 + 1, 2 ** 62, 10 ** 400,
+                                   10 ** 5000],
+                         ids=["past_the_bound", "past_int64", "past_floats",
+                              "past_str"])
+@pytest.mark.parametrize("name, k, what", TOO_MANY,
+                         ids=[name for name, _, _ in TOO_MANY])
+def test_a_sampler_refuses_a_count_past_max_probe_bytes(name, k, what, count):
+    call, *args = ROWS[name]
+    args[k] = count
+    with pytest.raises(ConfigurationError, match=(
+            f"^{what} {re.escape(excerpt(count))} is too many at n = 2: ")):
+        call(*args)
+
+
+def test_an_int_too_long_for_str_is_named_by_its_bit_length():
+    # str() refuses an int past 4300 digits; a message must not
+    assert excerpt(10 ** 5000) == "an int of 16610 bits"
+    with pytest.raises(ConfigurationError, match=(
+            "^fan size must be >= 1, got an int of 16610 bits$")):
+        mroot.sphere_fan(2, -10 ** 5000, 0)
+
+
 @pytest.mark.parametrize("value, number", [
     (True, 1.0), (3, 3.0), (np.float32(0.5), 0.5), (np.int64(-2), -2.0),
     (Fraction(1, 4), 0.25), (math.nan, math.nan), (-math.inf, -math.inf),
@@ -260,11 +291,23 @@ def test_vector_reads_bool_int_and_float_entries():
     assert vector(x, "x") is x
 
 
+def test_vector_reads_ints_past_int64_as_a_float_array_does():
+    # numpy holds them as objects; each is read as float(v), as
+    # np.asarray(value, dtype=float) reads it
+    for value in ([2 ** 70], [[2 ** 70, 1], [Fraction(1, 4), True]],
+                  2 ** 64, np.array([2 ** 70, -3], dtype=object)):
+        got = vector(value, "x")
+        assert got.dtype == np.float64
+        assert got.tolist() == np.asarray(value, dtype=float).tolist()
+
+
 @pytest.mark.parametrize("value", [
     "ab", b"ab", [0.1, "a"], 1 + 2j, np.array([1j]), None, {}, object(),
-    [[0.1], [0.1, 0.2]],
+    [[0.1], [0.1, 0.2]], [2 ** 70, None], [2 ** 70, 1j], [2 ** 70, b"a"],
+    [10 ** 400],
 ], ids=["str", "bytes", "mixed", "complex", "complex_array", "none", "dict",
-        "object", "ragged"])
+        "object", "ragged", "big_int_and_none", "big_int_and_complex",
+        "big_int_and_bytes", "past_float_range"])
 def test_vector_refuses_str_complex_object_and_ragged_input(value):
     with pytest.raises(ConfigurationError,
                        match="^x must be an array of real numbers, got "):

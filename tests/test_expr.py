@@ -243,3 +243,24 @@ def test_a_fold_holding_a_nan_or_an_infinity_is_done_in_floats(build, value):
     got = build()
     assert isinstance(got, Const)
     assert got.value.hex() == value.hex()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Coord(0).evaluate("ab"),
+     "x must hold a real number at index 0, got 'ab'"),
+    (lambda: (Coord(0) + 1.0).evaluate([None]),
+     r"x must hold a real number at index 0, got \[None\]"),
+    (lambda: (Coord(0) * Coord(1)).evaluate([0.5]),
+     r"x must hold a real number at index 1, got \[0.5\]"),
+    (lambda: Coord(0).evaluate(None),
+     "x must hold a real number at index 0, got None"),
+    (lambda: Coord(0).diff("a"),
+     "derivative index l must be an integer, got 'a'"),
+    (lambda: (Coord(0) + 1.0).diff(-1),
+     "derivative index l must be >= 0, got -1"),
+], ids=["str", "none_entry", "short", "none", "str_index", "negative_index"])
+def test_a_coordinate_reads_x_and_l_by_the_package_rules(call, message):
+    # the leaves read x and l, so every tree's evaluate and diff refuse
+    # them with a ConfigurationError naming the argument
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        call()

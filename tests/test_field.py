@@ -16,7 +16,7 @@ from mroot.errors import ConfigurationError, DomainError, MrootError
 from mroot.expr import (Const, Coord, Exp, IntPow, Prod, Recip, Sum,
                         intpow, mul)
 from mroot.field import SymTensorField, _diff, dense_index, form_tables
-from mroot.metric import MetricEval, _orders
+from mroot.metric import MetricEval, _orders, _powers
 from mroot.metricfile import parse_metric_text
 
 import per_probe
@@ -51,7 +51,8 @@ def test_multiindex_multiplicity(indices, mult):
     assert len(slots) == mult
     assert all(sorted(p) == list(indices) for p in slots)
     y = np.linspace(0.9, 0.6, n)
-    A = _orders(fld.point_arrays(np.zeros(n)), y[None], None)[0][0]
+    point = fld.point_arrays(np.zeros(n))
+    A = _orders(point, _powers(point.tables, y[None], None), None)[0][0]
     assert A == pytest.approx(mult * np.prod(y[list(indices)]), rel=1e-14)
 
 
@@ -252,7 +253,8 @@ def test_point_arrays_consistent_with_coeff_array():
     assert not point.coeffs.flags.writeable
     # the orders of degree 0 at m = 2, as dense arrays: A_ij = 2 a_ij in
     # each row, and D_2 / 2 = [da_ij/dx^l] once for the base point
-    orders = _orders(point, np.array([[1.0, 0.5]]), None)[0]
+    orders = _orders(point, _powers(point.tables, np.array([[1.0, 0.5]]),
+                                    None), None)[0]
     A_ij = orders[form_tables(fld.n, fld.m).A_ij].reshape(2, 2)
     assert np.array_equal(A_ij, 2.0 * per_probe.dense(fld,
                                                       fld.coeff_array(x)))

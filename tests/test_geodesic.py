@@ -1,6 +1,7 @@
 """Geodesic integration: closed forms, conservation, convergence."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,6 +109,20 @@ def test_invalid_requests_are_rejected(bad_kwargs):
                   **bad_kwargs)
 
 
+def test_a_start_of_other_real_numbers_gives_the_float_path():
+    # x0 and y0 are read by mroot.errors.vector, whose object arrays of
+    # numbers.Real entries (a Fraction, an int past int64) are floats too
+    fld = corpus_field("quartic2")
+    want = integrate(fld, [0.1, 0.2], [0.6, 0.8], 0.1, 10)
+    got = integrate(fld, [Fraction(1, 10), 0.2],
+                    [Fraction(3, 5), Fraction(4, 5)], 0.1, 10)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.y.tobytes() == want.y.tobytes()
+    path = integrate(corpus_field("euclid2"), [0.0, 0.0], [2 ** 70, 0], 1.0,
+                     2)
+    assert path.y[0].tolist() == [2.0 ** 70, 0.0]
+
+
 def test_inadmissible_start_propagates():
     with pytest.raises(AdmissibleConeError):
         integrate(corpus_field("random_cubic3"), [0.0, 0.0, 0.0],
@@ -140,10 +155,10 @@ def test_exit_at_the_new_node_truncates_before_it(monkeypatch):
 
 def test_non_finite_state_raises_instead_of_exiting(monkeypatch):
     # no real field reaches a non-finite node: a finite but huge
-    # derivative overflows the RK4 sum, which is a blowup, not an exit
-    monkeypatch.setattr(mroot.geodesic, "_rhs", lambda fld, s: np.concatenate(
-        (np.full(len(s) // 2, 1e308), 0.0 * s[len(s) // 2:])))
-    with np.errstate(over="ignore"), \
-            pytest.raises(DegenerateMetricError,
-                          match="state became non-finite at t=0.01$"):
+    # derivative overflows the RK4 sum, which is a blowup, not an exit.
+    # The state is a list of floats, whose sums overflow to inf silently
+    monkeypatch.setattr(mroot.geodesic, "_rhs", lambda fld, s: [
+        1e308 if i < len(s) // 2 else 0.0 for i in range(len(s))])
+    with pytest.raises(DegenerateMetricError,
+                       match="state became non-finite at t=0.01$"):
         integrate(corpus_field("quartic2"), [0.1, 0.2], [0.6, 0.8], 0.1, 10)

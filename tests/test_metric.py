@@ -18,7 +18,8 @@ from mroot.errors import (AdmissibleConeError, ConfigurationError,
                           DegenerateMetricError, DomainError, MrootError)
 from mroot.geodesic import integrate
 from mroot.field import SymTensorField
-from mroot.metric import Batch, MetricEval, _spectrum, identity_residuals
+from mroot.metric import (Batch, MetricEval, _maxabs, _spectrum,
+                          identity_residuals)
 from mroot.metricfile import parse_metric_text
 from mroot.probes import (admissible_fan, base_points, generate_probe_set,
                           sphere_fan)
@@ -713,3 +714,22 @@ def test_a_field_with_a_batch_table_frees_without_the_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# the entries that numpy's max and a float loop could tell apart: NaN
+# (either sign), +-inf, +-0.0, subnormals and the largest finite float
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+                     5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.lists(EDGE_FLOATS, min_size=1, max_size=6))
+def test_maxabs_gives_the_bits_of_numpys_max_of_abs(values):
+    # the one max that the per-probe checks take on floats: NaN wherever
+    # numpy's max propagates one, and the same float elsewhere
+    want = float(np.abs(np.array(values)).max())
+    assert repr(_maxabs(values)) == repr(want)
+    assert repr(_maxabs(list(reversed(values)))) == repr(want)
