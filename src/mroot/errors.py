@@ -7,13 +7,17 @@ import operator
 import numpy as np
 
 
-def excerpt(text) -> str:
-    """``text`` to quote in a message, cut to 40 characters and "…"; an
-    int too long for ``str`` is named by its bit length."""
+def excerpt(value, show=str) -> str:
+    """``show(value)`` (``str`` or ``repr``) to quote in a message, cut
+    to 40 characters and "…".  Python refuses the text of an int past
+    its 4300-digit limit, alone or inside a container: such an int is
+    named by its bit length, and any other value by its type."""
     try:
-        text = str(text)
+        text = show(value)
     except ValueError:          # past sys.get_int_max_str_digits()
-        text = f"an int of {text.bit_length()} bits"
+        text = (f"an int of {value.bit_length()} bits"
+                if isinstance(value, int) else
+                f"a {type(value).__name__} too long to quote")
     return text if len(text) <= 40 else text[:40] + "…"
 
 
@@ -73,8 +77,8 @@ def integer(value, what, least):
     try:
         value = operator.index(value)
     except TypeError:
-        raise ConfigurationError(
-            f"{what} must be an integer, got {value!r}") from None
+        raise ConfigurationError(f"{what} must be an integer, got "
+                                 f"{excerpt(value, repr)}") from None
     if value < least:
         raise ConfigurationError(
             f"{what} must be >= {least}, got {excerpt(value)}")
@@ -88,8 +92,8 @@ def real(value, what, least=None):
         num = float(value if isinstance(value, (float, int, numbers.Real))
                     else None)
     except (TypeError, OverflowError):  # float(None); an int past the range
-        raise ConfigurationError(
-            f"{what} must be a real number, got {value!r}") from None
+        raise ConfigurationError(f"{what} must be a real number, got "
+                                 f"{excerpt(value, repr)}") from None
     if least is not None and not (math.isfinite(num) and num >= least):
         bound = f" and >= {least:g}" if least > -math.inf else ""
         raise ConfigurationError(f"{what} must be finite{bound}, got {num!r}")
@@ -111,5 +115,5 @@ def vector(value, what):
         array = None
     if array is None or array.dtype.kind not in "biuf":
         raise ConfigurationError(f"{what} must be an array of real numbers, "
-                                 f"got {excerpt(repr(value))}")
+                                 f"got {excerpt(value, repr)}")
     return np.asarray(array, dtype=float)

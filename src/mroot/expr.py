@@ -121,7 +121,7 @@ class Coord(Expr):
         except (TypeError, LookupError, ConfigurationError):
             raise ConfigurationError(
                 f"x must hold a real number at index {self.index}, got "
-                f"{excerpt(repr(x))}") from None
+                f"{excerpt(x, repr)}") from None
 
     def diff(self, l):
         l = integer(l, "derivative index l", 0)

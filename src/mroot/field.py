@@ -269,7 +269,7 @@ def _interval(iv) -> tuple:
     lo_hi = vector(iv, "box interval")
     if lo_hi.shape != (2,):
         raise ConfigurationError(
-            f"box interval {excerpt(repr(iv))} must be two numbers "
+            f"box interval {excerpt(iv, repr)} must be two numbers "
             f"(lo, hi)")
     return tuple(lo_hi.tolist())
 
@@ -331,7 +331,7 @@ class SymTensorField:
             self.box = tuple(map(_interval, box))
         except TypeError:
             raise ConfigurationError(
-                f"box {excerpt(repr(box))} must be a sequence of n = "
+                f"box {excerpt(box, repr)} must be a sequence of n = "
                 f"{self.n} intervals (lo, hi)") from None
         if len(self.box) != self.n:
             raise ConfigurationError(
@@ -346,7 +346,7 @@ class SymTensorField:
         except AttributeError:
             raise ConfigurationError(
                 f"entries must be a mapping from index tuples to entries, "
-                f"got {excerpt(repr(entries))}") from None
+                f"got {excerpt(entries, repr)}") from None
         self.entries = {}
         seen = set()                    # the ids of the inner nodes checked
         for idx, e in items:
@@ -354,7 +354,7 @@ class SymTensorField:
                 idx = tuple(idx)
             except TypeError:
                 raise ConfigurationError(
-                    f"index {excerpt(repr(idx))} must be a sequence of "
+                    f"index {excerpt(idx, repr)} must be a sequence of "
                     f"m = {self.m} integers") from None
             key = tuple(sorted(integer(i, "index component", 0)
                                for i in idx))
@@ -436,8 +436,8 @@ class SymTensorField:
             k = -1
         if not 0 <= k < self.n:
             raise ConfigurationError(
-                f"derivative index l = {l!r} must be in 0 .. {self.n - 1} "
-                f"for n = {self.n}")
+                f"derivative index l = {excerpt(l, repr)} must be in "
+                f"0 .. {self.n - 1} for n = {self.n}")
         return k
 
     def _compile(self, l):

@@ -4,8 +4,13 @@ Everything here is data at a probe (x, y).  A is a degree-m form in y,
 and A^(r), its r-th y-derivative, and D_r = d^(r+1) A / dx dy^r are
 forms of degree m - r: at a direction, sums of monomials times the
 coefficients that the field gathers once per base point, one routine
-(:func:`_orders`) for one direction or a stack.  :meth:`MetricEval.at`
-stores every order that :func:`mroot.spray.spray_eval` reads.
+(:func:`_orders`) for one direction or a stack: a 1-D powers row is
+one probe (an RK4 stage's), a 2-D stack many (a :class:`Batch`), and
+one body, indexing the last axes, serves both.  Tests pin the two
+alike, row by row at any direction length:
+``tests/test_metric.py::test_batched_rows_equal_the_one_probe_path_*``
+and ``test_*_in_both_kernels``.  :meth:`MetricEval.at` stores every
+order that :func:`mroot.spray.spray_eval` reads.
 
 Fractional powers of A are evaluated as exp(t*log A), which is valid on
 the admissible cone where A > 0 and keeps odd m well defined.  log A is
@@ -213,8 +218,7 @@ def _frozen(a):
 
 def _evaluate(cls, point, x, y) -> MetricEval:
     """The evaluation at one probe, or its error, as a Batch row gets it."""
-    x, y = _frozen(x), _frozen(y)
-    tables = point.tables
+    x, y, tables = _frozen(x), _frozen(y), point.tables
     # the e and powers of Batch.fill, on floats (module note): numpy's
     # per-call cost is 3 us
     ys = y.tolist()
@@ -226,26 +230,27 @@ def _evaluate(cls, point, x, y) -> MetricEval:
         for _ in range(tables.m + 1):
             p *= v
             powers.append(p)
-    row = _orders(point, np.array([powers]), e)[0]
+    row = _orders(point, np.array(powers), e)
     A = float(row[tables.A])
     if not _A_MIN <= A <= _A_MAX:      # NaN fails here too
         raise _rejected(A, point, x, y)
-    lam, pd, A_inv = _spectrum(row[tables.A_ij].reshape(len(y), -1))
+    A_ij = row[tables.A_ij].reshape(len(ys), -1)
+    lam, pd, A_inv = _spectrum(A_ij)
     if not pd:
         raise _degenerate(lam, x, y)
     A_inv.setflags(False)
-    return _row(cls, x, y, point, row, A_inv, float(lam[-1] / lam[0]))
+    lam = lam.tolist()
+    return _row(cls, x, y, point, row, A, A_ij, A_inv, lam[-1] / lam[0])
 
 
-def _row(cls, x, y, point, row, A_inv, cond) -> MetricEval:
+def _row(cls, x, y, point, row, A, A_ij, A_inv, cond) -> MetricEval:
     """The evaluation whose ``orders`` are ``row``, its arrays views."""
     n, tables = len(y), point.tables
-    A = float(row[tables.A])
     # positional: keywords cost 1/3
-    return cls(x, y, n, tables.m, A, row[tables.A_i],
-               row[tables.A_ij].reshape(n, n), A_inv, row[tables.A_xl],
-               row[tables.A_xy].reshape(n, n), float(row[tables.A0]),
-               row[tables.A0l], cond, math.log(A), row, point.vectors)
+    return cls(x, y, n, tables.m, A, row[tables.A_i], A_ij, A_inv,
+               row[tables.A_xl], row[tables.A_xy].reshape(n, n),
+               float(row[tables.A0]), row[tables.A0l], cond, math.log(A),
+               row, point.vectors)
 
 
 def _rejected(A, point, x, y):
@@ -295,23 +300,25 @@ def _powers(tables, Y, e) -> np.ndarray:
 def _orders(point, powers, e, cone=False) -> np.ndarray:
     """The read-only ``orders`` rows at ``point`` of the directions whose
     :func:`_powers` are the rows of ``powers``; with ``cone``, their A,
-    A_i and A_ij only.  A row is summed at y 2^-e, max |y 2^-e| in
-    [0.5, 1) (``e`` a column, an int for one row, None if all are 0),
-    where its monomials neither overflow nor underflow, and scaled back
-    by 2^(e d) at degree d, exactly.  ``reduceat`` sums a row alone, so
-    its bits do not depend on the stack (BLAS sums by the operands'
-    alignment)."""
+    A_i and A_ij only.  ``powers`` is one 1-D row (one probe, ``e`` an
+    int or None; a 1-D result) or a 2-D stack (``e`` a column or None);
+    one body reads the last axes of both, and the tests the module note
+    names pin a row's bits alike in the two.  A row is summed at y 2^-e,
+    max |y 2^-e| in [0.5, 1) (None if all are 0), where its monomials
+    neither overflow nor underflow, and scaled back by 2^(e d) at degree
+    d, exactly.  ``reduceat`` sums a row alone, so its bits do not
+    depend on the stack (BLAS sums by the operands' alignment)."""
     tables = point.tables
     factors, term_mono, weight, starts, degree, expand = (
         tables.cone if cone else tables.terms)
-    mono = np.multiply.reduce(powers.take(factors, axis=1), axis=1)
-    terms = mono.take(term_mono, axis=1)
+    mono = np.multiply.reduce(powers.take(factors, axis=-1), axis=-2)
+    terms = mono.take(term_mono, axis=-1)
     terms *= weight
     terms *= point.coeffs[:len(weight)]
-    out = np.add.reduceat(terms, starts, axis=1)
+    out = np.add.reduceat(terms, starts, axis=-1)
     if e is not None:
         out = np.ldexp(out, e * degree)
-    out = out.take(expand, axis=1)
+    out = out.take(expand, axis=-1)
     out.setflags(False)
     return out
 
@@ -378,18 +385,18 @@ class Batch:
         self.cond[keep] = lam[pd, -1] / lam[pd, 0]
         self.rows = _orders(point, powers[keep],
                             None if e is None else e[keep])
+        self.A_ij = self.rows[:, point.tables.A_ij].reshape(-1, n, n)
 
     def take(self, cls, r) -> "MetricEval":
         """Row r's evaluation, or the error its one-probe call raises."""
         A, x, y = float(self.A[r]), self.x, self.ys[r]
         if not _A_MIN <= A <= _A_MAX:
             raise _rejected(A, self.point, x, y)
-        cond = float(self.cond[r])
-        i = self.index[r]
+        cond, i = float(self.cond[r]), self.index[r]
         if cond != cond:                  # NaN: not positive definite
             raise _degenerate(self.lam[i], x, y)
-        return _row(cls, x, y, self.point, self.rows[i], self.A_inv[i],
-                    cond)
+        return _row(cls, x, y, self.point, self.rows[i], A, self.A_ij[i],
+                    self.A_inv[i], cond)
 
 
 def _linalg_error(err, flag):

@@ -184,7 +184,7 @@ def parse_metric_text(text: str, name: str = "<string>") -> RunConfig:
     that is not a str raises :class:`ConfigurationError`."""
     if not isinstance(text, str):
         raise ConfigurationError(
-            f"text must be a str, got {excerpt(repr(text))}")
+            f"text must be a str, got {excerpt(text, repr)}")
     scalars = {}
     box = {}
     probe_raw = []
@@ -324,7 +324,8 @@ def parse_metric_file(path) -> RunConfig:
             data = fh.read()
     except TypeError:
         raise ConfigurationError(
-            f"path must be a str, bytes or PathLike, got {path!r}") from None
+            f"path must be a str, bytes or PathLike, got "
+            f"{excerpt(path, repr)}") from None
     except (OSError, ValueError) as err:    # ValueError: a NUL in the path
         raise MetricFileError(str(err)) from err
     try:
@@ -343,7 +344,17 @@ def parse_metric_file(path) -> RunConfig:
 
 
 def format_expr(e: Expr) -> str:
-    """Serialize an expression tree back to the prefix syntax."""
+    """Serialize an expression tree back to the prefix syntax; a tree
+    that nests past the recursion limit raises
+    :class:`ConfigurationError`."""
+    try:
+        return _prefix(e)
+    except RecursionError:      # _prefix recurses once a level
+        raise ConfigurationError(
+            "expression nests too deep to serialize") from None
+
+
+def _prefix(e: Expr) -> str:
     if isinstance(e, Const):
         return format(e.value, ".17g")
     if isinstance(e, Coord):
@@ -351,7 +362,7 @@ def format_expr(e: Expr) -> str:
     if type(e) not in _NAMES:
         raise ConfigurationError(f"cannot serialize node {e!r}")
     kids = e.children if hasattr(e, "children") else (e.child,)
-    args = [format_expr(c) for c in kids]
+    args = [_prefix(c) for c in kids]
     if isinstance(e, IntPow):
         args.append(str(e.exponent))
     return f"{_NAMES[type(e)]}({', '.join(args)})"

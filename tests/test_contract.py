@@ -24,7 +24,7 @@ import mroot
 from mroot import (ClassifierVerdict, Const, Coord, GeodesicPath,
                    IsotropicFit, MetricEval, MrootError, OneForm, ProbePoint,
                    ProbeSet, RunConfig, SprayEval, SymTensorField)
-from mroot.errors import ConfigurationError, excerpt, real, vector
+from mroot.errors import ConfigurationError, excerpt, integer, real, vector
 
 from conftest import DATA_DIR, fresh_field
 
@@ -247,6 +247,27 @@ def test_an_int_too_long_for_str_is_named_by_its_bit_length():
     with pytest.raises(ConfigurationError, match=(
             "^fan size must be >= 1, got an int of 16610 bits$")):
         mroot.sphere_fan(2, -10 ** 5000, 0)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (real, (10 ** 5000, "tol"), "tol must be a real number, got an int of "
+     "16610 bits"),
+    (vector, ([10 ** 5000, None], "x"), "x must be an array of real "
+     "numbers, got a list too long to quote"),
+    (integer, ([10 ** 5000], "seed", 0), "seed must be an integer, got a "
+     "list too long to quote"),
+    (Coord(0).evaluate, ([10 ** 5000],), "x must hold a real number at "
+     "index 0, got a list too long to quote"),
+    (mroot.parse_metric_file, (10 ** 5000,), "path must be a str, bytes or "
+     "PathLike, got an int of 16610 bits"),
+    (FLD.coeff_array, (X, 10 ** 5000), "derivative index l = an int of "
+     "16610 bits must be in 0 .. 1 for n = 2"),
+], ids=["real", "vector", "integer", "coord", "path", "derivative_index"])
+def test_a_value_too_long_to_quote_is_named_by_its_type(call, args,
+                                                        message):
+    # repr() refuses an int past 4300 digits, inside a container too
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        call(*args)
 
 
 @pytest.mark.parametrize("value, number", [

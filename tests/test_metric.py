@@ -457,13 +457,14 @@ def _assert_verdicts(table, wants, where):
             assert math.isnan(table.cond[r]), (where, r)
 
 
-def _batch_rows_match(make, bases=4, size=64, seed=0):
+def _batch_rows_match(make, bases=4, size=64, seed=0, scale=1.0):
     """Each row of a fan's table at each base point against its call
-    alone, on two fields from ``make``; the count of each outcome."""
+    alone, on two fields from ``make``; the count of each outcome.  Each
+    fan is multiplied by ``scale``, a power of two, exactly."""
     batched, alone = make(), make()
     kinds = Counter()
     for b, x in enumerate(base_points(batched, bases, seed=seed)):
-        ys = sphere_fan(batched.n, size, seed=seed * bases + b)
+        ys = sphere_fan(batched.n, size, seed=seed * bases + b) * scale
         table = Batch(ys)
         wants = []
         for r, y in enumerate(ys):
@@ -496,6 +497,19 @@ def test_batched_rows_equal_the_one_probe_path_bit_for_bit(name):
         # odd m: the stack holds admissible, cone and degenerate rows
         assert {"MetricEval", "AdmissibleConeError",
                 "DegenerateMetricError"} <= set(kinds)
+
+
+@pytest.mark.parametrize("k", [-40, -3, 3, 40])
+@pytest.mark.parametrize("name", BATCH_MEMBERS)
+def test_batched_rows_equal_the_one_probe_path_bit_for_bit_at_any_length(
+        name, k):
+    # a sphere fan's max |y_i| lies in [1/sqrt(n), 1], so each row is
+    # scaled by 2^-e with e None or 1 only; an RK4 stage's y has any
+    # length, and at 2^k the rows take e = k or k + 1
+    make = functools.partial(_batch_field, name)
+    kinds = _batch_rows_match(make, scale=2.0 ** k)
+    # A is homogeneous of degree m and stays in range: no outcome moves
+    assert kinds == _batch_rows_match(make)
 
 
 @settings(max_examples=25, deadline=None,

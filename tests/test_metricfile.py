@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mroot.errors import ConfigurationError, MetricFileError
-from mroot.expr import Coord, Expr, add
+from mroot.expr import Coord, Expr, add, recip
+from mroot.field import SymTensorField
 from mroot.metric import ProbePoint
 from mroot.metricfile import (dump_metric, format_expr, parse_metric_file,
                               parse_metric_text)
@@ -255,6 +257,26 @@ def test_format_expr_rejects_a_node_it_cannot_write():
     with pytest.raises(ConfigurationError,
                        match=r"cannot serialize node Opaque\(\)"):
         format_expr(add(Coord(0), Opaque()))
+
+
+def test_a_tree_too_deep_to_serialize_is_a_configuration_error():
+    # recip(x1 + 1) nested 1,200 deep: coeff_array runs it as one flat
+    # generated function, while format_expr recurses once a level
+    e = Coord(0)
+    for _ in range(1200):
+        e = recip(add(e, 1.0))
+    fld = SymTensorField(1, 2, {(0, 0): e}, [(-1.0, 1.0)])
+    message = "^expression nests too deep to serialize$"
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)         # CPython's default
+    try:
+        assert fld.coeff_array([0.5]).shape == (1,)
+        with pytest.raises(ConfigurationError, match=message):
+            format_expr(e)
+        with pytest.raises(ConfigurationError, match=message):
+            dump_metric(fld)
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def test_parse_metric_file_reads_data_files(data_dir):

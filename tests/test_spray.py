@@ -16,7 +16,7 @@ from mroot.field import SymTensorField
 from mroot.metric import MetricEval
 from mroot.probes import generate_probe_set
 from mroot import spray
-from mroot.spray import (spray_batch, spray_eval, spray_mroot,
+from mroot.spray import (SprayEval, spray_batch, spray_eval, spray_mroot,
                          spray_variational)
 
 from conftest import (CORE, DATA_DIR, berwald_fd, corpus_field, corpus_probes,
@@ -357,9 +357,9 @@ def test_spray_batch_builds_each_missing_spray_once(monkeypatch):
     sp1 = spray_eval(ev1)
     built = []
 
-    def counted(**kwargs):
-        built.append(kwargs)
-        return dataclasses.replace(sp1, **kwargs)
+    def counted(*rows):
+        built.append(rows)
+        return SprayEval(*rows)
 
     monkeypatch.setattr(spray, "SprayEval", counted)
     spray_batch([ev1, ev2, ev3, ev2, ev1])
